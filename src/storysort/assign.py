@@ -13,13 +13,12 @@ permutations produce bit-identical float totals.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Sequence
 
 import numpy as np
 
-from .core import MAX_ENUMERATION_N, MAX_N, MIN_N, Permutation, enumerate_permutations
+from .core import MAX_ENUMERATION_N, MAX_N, MIN_N, Permutation, all_permutations
 from .errors import EnumerationCapError, SizeError, ValidationError
 
 
@@ -143,11 +142,6 @@ def hungarian_max(s) -> tuple[Permutation, float]:
     return Permutation(tuple(cur)), best
 
 
-@functools.lru_cache(maxsize=16)
-def _all_permutations(n: int) -> tuple[Permutation, ...]:
-    return tuple(enumerate_permutations(n))
-
-
 def topk_assignments(s, k: int) -> list[tuple[Permutation, float]]:
     """The k best permutations by additive score, via exhaustive enumeration.
 
@@ -164,6 +158,6 @@ def topk_assignments(s, k: int) -> list[tuple[Permutation, float]]:
     total = math.factorial(n)
     if k > total:
         raise SizeError(f"k={k} exceeds {n}! = {total}")
-    scored = [(additive_score(a, p.positions), p) for p in _all_permutations(n)]
+    scored = [(additive_score(a, p.positions), p) for p in all_permutations(n)]
     scored.sort(key=lambda t: (-t[0], t[1].positions))
     return [(p, sc) for sc, p in scored[:k]]

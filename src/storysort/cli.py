@@ -38,24 +38,13 @@ from pathlib import Path
 from . import data as data_mod
 from . import ensemble as ensemble_mod
 from . import metrics as metrics_mod
-from . import npe as npe_mod
-from . import pairwise as pairwise_mod
-from . import unary as unary_mod
+from . import models as models_mod
 from .core import Permutation
 from .errors import ParseError, StorySortError, UsageError, ValidationError
-from .neural import TrainConfig, load_checkpoint_dict
+from .neural import TrainConfig
 
-TRAIN_DEFAULTS = {
-    "unary": {"epochs": 30, "lr": 0.05, "batch_size": 32},
-    "pairwise": {"epochs": 12, "lr": 0.05, "batch_size": 64},
-    "npe": {"epochs": 40, "lr": 0.01, "batch_size": 16},
-}
-
-MODEL_LOADERS = {
-    "unary": unary_mod.unary_from_dict,
-    "pairwise": pairwise_mod.pairwise_from_dict,
-    "npe": npe_mod.npe_from_dict,
-}
+# Checkpoint loading under the name perfbench/run.py calls.
+_load_model = models_mod.load_model
 
 
 def _sha256(path: Path) -> str:
@@ -170,12 +159,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _dataset_report(model, stories) -> metrics_mod.MetricReport:
-    if isinstance(model, unary_mod.UnaryModel):
-        predict = unary_mod.predict
-    elif isinstance(model, pairwise_mod.PairwiseModel):
-        predict = pairwise_mod.predict
-    else:
-        predict = npe_mod.predict
+    predict = models_mod.spec_for(model).module.predict
     triples = [
         metrics_mod.score_story(predict(model, s), s.presented_gold()) for s in stories
     ]
@@ -184,7 +168,8 @@ def _dataset_report(model, stories) -> metrics_mod.MetricReport:
 
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    defaults = TRAIN_DEFAULTS[args.model]
+    spec = models_mod.REGISTRY[args.model]
+    defaults = spec.train_defaults
     epochs = args.epochs if args.epochs is not None else defaults["epochs"]
     lr = args.lr if args.lr is not None else defaults["lr"]
     batch_size = args.batch_size if args.batch_size is not None else defaults["batch_size"]
@@ -205,23 +190,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         learning_rate=lr, epochs=epochs, batch_size=batch_size,
         seed=args.seed, l2=args.l2,
     )
-    if args.model == "unary":
-        model = unary_mod.train_unary(
-            train_stories, cfg, use_image=args.use_image, hidden_units=args.hidden
-        )
-        unary_mod.save_unary(model, args.out)
-    elif args.model == "pairwise":
-        model = pairwise_mod.train_pairwise(
-            train_stories, cfg, margin=args.margin, use_image=args.use_image,
-            hidden_units=args.hidden,
-        )
-        pairwise_mod.save_pairwise(model, args.out)
-    else:
-        npe_cfg = npe_mod.NpeConfig(train=cfg, embed_dim=args.embed_dim, alpha=args.alpha)
-        model = npe_mod.train_npe(
-            train_stories, npe_cfg, use_image=args.use_image, hidden_units=args.hidden
-        )
-        npe_mod.save_npe(model, args.out)
+    # the report decodes every story, so check the size limit before training
+    for n in {s.n for s in [*train_stories, *val_stories]}:
+        models_mod.check_decodable(spec, n)
+    model = spec.module.train(
+        train_stories, cfg, use_image=args.use_image, hidden_units=args.hidden,
+        **{name: getattr(args, name) for name in spec.train_args},
+    )
+    models_mod.save_model(model, args.out)
     report = {
         "model": args.model,
         "train": _round6(_dataset_report(model, train_stories).to_json()),
@@ -239,36 +215,28 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_model(path: Path):
-    payload = load_checkpoint_dict(path)
-    kind = payload["model_kind"]
-    if kind not in MODEL_LOADERS:
-        raise UsageError(f"unknown model_kind {kind!r} in {path}")
-    return MODEL_LOADERS[kind](payload)
-
-
 def cmd_sort(args: argparse.Namespace) -> int:
     started = time.monotonic()
     ckpt_paths = [Path(p) for p in args.ckpt]
     models = [_load_model(p) for p in ckpt_paths]
     stories = data_mod.load_dataset(Path(args.data))
+    specs = [models_mod.spec_for(m) for m in models]
+    topk = None if len(models) == 1 else args.topk
+    for n in {s.n for s in stories}:
+        for spec in specs:
+            models_mod.check_decodable(spec, n, topk)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", encoding="utf-8") as fh:
         for story in stories:
-            if len(models) == 1:
-                if isinstance(models[0], unary_mod.UnaryModel):
-                    pred = unary_mod.predict(models[0], story)
-                elif isinstance(models[0], pairwise_mod.PairwiseModel):
-                    pred = pairwise_mod.predict(models[0], story)
-                else:
-                    pred = npe_mod.predict(models[0], story)
+            if topk is None:
+                pred = specs[0].module.predict(models[0], story)
             else:
-                pred = ensemble_mod.ensemble_sort(models, story, k=args.topk)
+                pred = ensemble_mod.ensemble_sort(models, story, k=topk)
             fh.write(json.dumps(
                 {"story_id": story.story_id, "predicted_order": list(pred.positions)}
             ) + "\n")
-    resolved = _resolved_args(args, ["data", "out", "topk", "seed"])
+    resolved = _resolved_args(args, ["data", "out", "topk"])
     resolved["ckpt"] = [str(p) for p in ckpt_paths]
     write_manifest(out, "sort", resolved,
                    ckpt_paths + [Path(args.data)], [out], None, started)
@@ -323,7 +291,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         manifest_anchor = out
     else:
         manifest_anchor = pred_path
-    resolved = _resolved_args(args, ["pred", "data", "out", "seed"])
+    resolved = _resolved_args(args, ["pred", "data", "out"])
     write_manifest(manifest_anchor, "eval", resolved,
                    [pred_path, data_path], outputs, result["report"], started)
     return 0
@@ -349,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_generate)
 
     p_train = sub.add_parser("train", help="train a model and write a checkpoint")
-    p_train.add_argument("--model", choices=("unary", "pairwise", "npe"), required=True)
+    p_train.add_argument("--model", choices=tuple(models_mod.REGISTRY), required=True)
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--val", default=None, help="separate validation dataset")
     p_train.add_argument("--val-frac", type=float, default=0.1)
@@ -359,9 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--batch-size", type=int, default=None)
     p_train.add_argument("--l2", type=float, default=0.0)
     p_train.add_argument("--hidden", type=int, default=64)
-    p_train.add_argument("--margin", type=float, default=pairwise_mod.DEFAULT_MARGIN)
-    p_train.add_argument("--alpha", type=float, default=npe_mod.DEFAULT_ALPHA)
-    p_train.add_argument("--embed-dim", type=int, default=npe_mod.DEFAULT_EMBED_DIM)
+    for spec in models_mod.REGISTRY.values():
+        for name, default in spec.train_args.items():
+            p_train.add_argument("--" + name.replace("_", "-"), type=type(default),
+                                 default=default)
     p_train.add_argument("--use-image", action="store_true")
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--config", default=None)
@@ -372,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sort.add_argument("--data", required=True)
     p_sort.add_argument("--out", required=True)
     p_sort.add_argument("--topk", type=int, default=ensemble_mod.DEFAULT_TOP_K)
-    p_sort.add_argument("--seed", type=int, default=0)
     p_sort.add_argument("--config", default=None)
     p_sort.set_defaults(func=cmd_sort)
 
@@ -380,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--pred", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--out", default=None, help="also write report JSON here")
-    p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--config", default=None)
     p_eval.set_defaults(func=cmd_eval)
 

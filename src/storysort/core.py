@@ -8,6 +8,7 @@ source of randomness is an explicitly seeded generator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -88,6 +89,12 @@ def enumerate_permutations(n: int) -> Iterator[Permutation]:
         )
     for pos in itertools.permutations(range(n)):
         yield Permutation(pos)
+
+
+@functools.lru_cache(maxsize=MAX_ENUMERATION_N)
+def all_permutations(n: int) -> tuple[Permutation, ...]:
+    """enumerate_permutations(n) as a tuple, built once per n."""
+    return tuple(enumerate_permutations(n))
 
 
 def random_permutation(n: int, seed: int | np.random.Generator) -> Permutation:

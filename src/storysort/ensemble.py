@@ -1,9 +1,12 @@
 """Voting ensemble: pool each member's top-k permutations and decode by assignment.
 
-Every candidate permutation casts one vote per element for the position
-it assigns; the consensus order is the assignment maximizing total votes
-received. Votes are unweighted, so a member's first and third choice
-count the same.
+Members may be of any registered model kind (storysort.models). A
+member's top-k list is keyed by its score type: additive position scores
+(unary) give the k best assignments, pair scores (pairwise, NPE) the k
+best orders by the ordering objective. Every candidate permutation casts
+one vote per element for the position it assigns; the consensus order is
+the assignment maximizing total votes received. Votes are unweighted, so
+a member's first and third choice count the same.
 """
 
 from __future__ import annotations
@@ -12,20 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from . import npe as npe_mod
-from . import pairwise as pairwise_mod
-from . import unary as unary_mod
+from . import models
 from .assign import hungarian_max
 from .core import Permutation
 from .data import Story
 from .errors import DimensionError, EmptyInputError, MemberError, ValidationError
-from .npe import NpeModel
-from .pairwise import PairwiseModel
-from .unary import UnaryModel
 
 DEFAULT_TOP_K = 3
-
-Member = UnaryModel | PairwiseModel | NpeModel
 
 
 def accumulate_votes(candidates: Sequence[Permutation]) -> np.ndarray:
@@ -61,18 +57,7 @@ def decode_votes(v) -> Permutation:
     return perm
 
 
-def member_top_permutations(member: Member, story: Story, k: int) -> list[Permutation]:
-    """A member's k best permutations for one story, best first."""
-    if isinstance(member, UnaryModel):
-        return unary_mod.top_permutations(member, story, k)
-    if isinstance(member, PairwiseModel):
-        return pairwise_mod.top_permutations(member, story, k)
-    if isinstance(member, NpeModel):
-        return npe_mod.top_permutations(member, story, k)
-    raise ValidationError(f"unknown ensemble member type {type(member).__name__}")
-
-
-def ensemble_sort(members: Sequence[Member], story: Story,
+def ensemble_sort(members: Sequence[models.AnyModel], story: Story,
                   k: int = DEFAULT_TOP_K) -> Permutation:
     """Pool each member's top-k candidates, tally votes, decode the consensus."""
     if not members:
@@ -82,7 +67,7 @@ def ensemble_sort(members: Sequence[Member], story: Story,
     candidates: list[Permutation] = []
     for idx, member in enumerate(members):
         try:
-            candidates.extend(member_top_permutations(member, story, k))
+            candidates.extend(models.top_permutations(member, story, k))
         except Exception as e:
             raise MemberError(
                 f"member {idx} ({type(member).__name__}) failed on story "

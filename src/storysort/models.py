@@ -1,0 +1,135 @@
+"""Model registry: one entry per checkpoint ``model_kind``.
+
+Each model module exposes the same names: ``MODEL_KIND``, ``Model``,
+``scores``, ``predict`` and ``train``. An entry holds what differs: the
+module and its score type, the training hyperparameters, and the
+checkpoint fields the kind adds. ADDITIVE scores (unary) are an (n, n)
+element-at-position matrix decoded by assignment; PAIR scores (pairwise,
+NPE) are an (n, n) i-before-j matrix decoded by ranking every order.
+Top-k lists and decode size limits are keyed by score type. Entries hold
+modules, not functions, so rebinding a module attribute (as a profiler
+does) reaches every caller.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from pathlib import Path
+from types import ModuleType
+from typing import Callable
+
+from . import neural, npe, pairwise, unary
+from .assign import topk_assignments
+from .core import MAX_ENUMERATION_N, Permutation
+from .data import Story
+from .errors import EnumerationCapError, SizeError, UsageError, ValidationError
+
+ADDITIVE = "additive"
+PAIR = "pair"
+
+AnyModel = unary.UnaryModel | pairwise.PairwiseModel | npe.NpeModel
+
+
+def _parse_bool(value) -> bool:
+    if value is True or value is False:
+        return value
+    raise ValueError(f"expected true or false, got {value!r}")
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    module: ModuleType
+    score_type: str
+    train_defaults: dict[str, float]  # epochs, lr, batch_size
+    train_args: dict[str, float]  # kind-specific train keyword -> default
+    fields: tuple[tuple[str, Callable], ...]  # checkpoint (name, parser), file order
+
+
+REGISTRY = {
+    unary.MODEL_KIND: ModelSpec(
+        unary, ADDITIVE, {"epochs": 30, "lr": 0.05, "batch_size": 32}, {},
+        (("n", int), ("use_image", _parse_bool)),
+    ),
+    pairwise.MODEL_KIND: ModelSpec(
+        pairwise, PAIR, {"epochs": 12, "lr": 0.05, "batch_size": 64},
+        {"margin": pairwise.DEFAULT_MARGIN},
+        (("use_image", _parse_bool), ("margin", float)),
+    ),
+    npe.MODEL_KIND: ModelSpec(
+        npe, PAIR, {"epochs": 40, "lr": 0.01, "batch_size": 16},
+        {"embed_dim": npe.DEFAULT_EMBED_DIM, "alpha": npe.DEFAULT_ALPHA},
+        (("alpha", float), ("use_image", _parse_bool)),
+    ),
+}
+
+
+def spec_for(model) -> ModelSpec:
+    """The registry entry of a model object."""
+    for spec in REGISTRY.values():
+        if type(model) is spec.module.Model:
+            return spec
+    raise ValidationError(f"unknown model type {type(model).__name__}")
+
+
+def check_decodable(spec: ModelSpec, n: int, k: int | None = None) -> None:
+    """Raise SizeError unless n-element stories decode, as k-best lists when k is given.
+
+    Pair scores and k-best lists rank all n! orders, so both stop at
+    MAX_ENUMERATION_N; additive scores decode by assignment at every n.
+    """
+    if (spec.score_type == PAIR or k is not None) and n > MAX_ENUMERATION_N:
+        what = "pair-score" if k is None else f"top-{k}"
+        raise EnumerationCapError(
+            f"{spec.module.MODEL_KIND}: {what} decoding is capped at "
+            f"n <= {MAX_ENUMERATION_N}, got n={n}"
+        )
+    if k is not None and not 1 <= k <= math.factorial(n):
+        raise SizeError(f"k={k} out of range for n={n}")
+
+
+def top_permutations(model: AnyModel, story: Story, k: int) -> list[Permutation]:
+    """The model's k best orders for one story, best first, ties lexicographic."""
+    spec = spec_for(model)
+    check_decodable(spec, story.n, k)
+    s = spec.module.scores(model, story)
+    if spec.score_type == ADDITIVE:
+        return [p for p, _ in topk_assignments(s, k)]
+    return [p for p, _ in pairwise.rank_permutations(s)[:k]]
+
+
+def save_model(model: AnyModel, path: str | Path) -> None:
+    """Write a checkpoint: model_kind, the kind's fields, the MLP, train_config."""
+    spec = spec_for(model)
+    payload = {
+        "model_kind": spec.module.MODEL_KIND,
+        **{name: getattr(model, name) for name, _ in spec.fields},
+        **neural.mlp_to_dict(model.mlp),
+        "train_config": None if model.train_config is None
+        else neural.train_config_to_dict(model.train_config),
+    }
+    neural.save_checkpoint(payload, path)
+
+
+def load_model(path: str | Path) -> AnyModel:
+    """Read a checkpoint of any kind; a missing or malformed field raises ValidationError."""
+    payload = neural.load_checkpoint_dict(path)
+    kind = payload["model_kind"]
+    if not isinstance(kind, str) or kind not in REGISTRY:
+        raise UsageError(f"unknown model_kind {kind!r} in {path}")
+    spec = REGISTRY[kind]
+    fields = {}
+    for name, parse in spec.fields:
+        if name not in payload:
+            raise ValidationError(f"{path}: bad checkpoint field {name!r}: missing")
+        try:
+            fields[name] = parse(payload[name])
+        except (TypeError, ValueError) as e:
+            raise ValidationError(f"{path}: bad checkpoint field {name!r}: {e}") from e
+    try:
+        mlp = neural.mlp_from_dict(payload)
+        cfg = payload.get("train_config")
+        train_config = None if cfg is None else neural.train_config_from_dict(cfg)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValidationError(f"{path}: bad checkpoint: {type(e).__name__}: {e}") from e
+    return spec.module.Model(mlp=mlp, train_config=train_config, **fields)

@@ -5,14 +5,16 @@ For a gold-ordered pair (earlier i, later j) the penalty is
 ||max(0, alpha - (x_j - x_i))||^2, zero exactly when the later embedding
 exceeds the earlier one by at least alpha in every coordinate, so
 training pushes later elements farther from the origin. At test time the
-penalty of orienting i before j is negated into a pair score matrix and
-decoded with the pairwise enumerator: low penalty means preferred order.
+penalty of orienting i before j is negated into a pair score matrix:
+low penalty means preferred order. In the model registry
+(storysort.models) NPE is therefore a pair-score kind, like the pairwise
+model: it is decoded by the pairwise ordering decoder, and its top-k
+list comes from the same ranking of all orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -112,17 +114,8 @@ def npe_scores(model: NpeModel, story: Story) -> np.ndarray:
     return s
 
 
-def decode_npe(model: NpeModel, story: Story) -> Permutation:
-    return pairwise.decode_pairwise(npe_scores(model, story))
-
-
-def top_permutations(model: NpeModel, story: Story, k: int) -> list[Permutation]:
-    ranked = pairwise.rank_permutations(npe_scores(model, story))
-    return [p for p, _ in ranked[:k]]
-
-
 def predict(model: NpeModel, story: Story) -> Permutation:
-    return decode_npe(model, story)
+    return pairwise.decode_pairwise(npe_scores(model, story))
 
 
 def train_npe(
@@ -153,29 +146,14 @@ def train_npe(
                     train_config=cfg.train)
 
 
-def save_npe(model: NpeModel, path: str | Path) -> None:
-    payload = {
-        "model_kind": MODEL_KIND,
-        "alpha": model.alpha,
-        "use_image": model.use_image,
-        **neural.mlp_to_dict(model.mlp),
-        "train_config": None if model.train_config is None
-        else neural.train_config_to_dict(model.train_config),
-    }
-    neural.save_checkpoint(payload, path)
+
+def train(stories: Sequence[Story], cfg: TrainConfig, use_image: bool = False,
+          hidden_units: int = neural.DEFAULT_HIDDEN_UNITS,
+          embed_dim: int = DEFAULT_EMBED_DIM, alpha: float = DEFAULT_ALPHA) -> NpeModel:
+    """train_npe with the keyword arguments the registry passes to every kind."""
+    return train_npe(stories, NpeConfig(cfg, embed_dim, alpha), use_image, hidden_units)
 
 
-def npe_from_dict(payload: dict) -> NpeModel:
-    if payload.get("model_kind") != MODEL_KIND:
-        raise ValidationError(f"not an npe checkpoint: {payload.get('model_kind')!r}")
-    cfg = payload.get("train_config")
-    return NpeModel(
-        mlp=neural.mlp_from_dict(payload),
-        alpha=float(payload["alpha"]),
-        use_image=bool(payload["use_image"]),
-        train_config=None if cfg is None else neural.train_config_from_dict(cfg),
-    )
-
-
-def load_npe(path: str | Path) -> NpeModel:
-    return npe_from_dict(neural.load_checkpoint_dict(path))
+# The names every model module exposes to the registry in storysort.models.
+Model = NpeModel
+scores = npe_scores

@@ -11,23 +11,15 @@ gold pair.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import neural
-from .core import MAX_ENUMERATION_N, Permutation, enumerate_permutations
+from .core import MAX_ENUMERATION_N, Permutation, all_permutations
 from .data import Story, check_dataset, concat_features, feature_dim, story_feature_matrix
-from .errors import (
-    DimensionError,
-    EmptyInputError,
-    EnumerationCapError,
-    SizeError,
-    ValidationError,
-)
+from .errors import DimensionError, EmptyInputError, EnumerationCapError, ValidationError
 from .neural import MlpParams, TrainConfig
 
 MODEL_KIND = "pairwise"
@@ -96,11 +88,6 @@ def pairwise_objective(s, sigma: Permutation) -> float:
     return float(total)
 
 
-@functools.lru_cache(maxsize=MAX_ENUMERATION_N)
-def _all_permutations(n: int) -> tuple[Permutation, ...]:
-    return tuple(enumerate_permutations(n))
-
-
 def rank_permutations(s) -> list[tuple[Permutation, float]]:
     """All permutations sorted by descending objective, ties lexicographic."""
     a = check_pair_matrix(s)
@@ -109,7 +96,7 @@ def rank_permutations(s) -> list[tuple[Permutation, float]]:
         raise EnumerationCapError(
             f"pairwise decoding capped at n <= {MAX_ENUMERATION_N}, got {n}"
         )
-    scored = [(pairwise_objective(a, p), p) for p in _all_permutations(n)]
+    scored = [(pairwise_objective(a, p), p) for p in all_permutations(n)]
     scored.sort(key=lambda t: (-t[0], t[1].positions))
     return [(p, val) for val, p in scored]
 
@@ -124,19 +111,12 @@ def decode_pairwise(s) -> Permutation:
         )
     best_perm = None
     best_val = -np.inf
-    for p in _all_permutations(n):
+    for p in all_permutations(n):
         val = pairwise_objective(a, p)
         if val > best_val:
             best_val = val
             best_perm = p
     return best_perm
-
-
-def top_permutations(model: PairwiseModel, story: Story, k: int) -> list[Permutation]:
-    ranked = rank_permutations(pair_scores(model, story))
-    if k < 1 or k > len(ranked):
-        raise SizeError(f"k={k} out of range for n={story.n}")
-    return [p for p, _ in ranked[:k]]
 
 
 def predict(model: PairwiseModel, story: Story) -> Permutation:
@@ -178,29 +158,8 @@ def train_pairwise(
     return PairwiseModel(mlp=params, use_image=use_image, margin=margin, train_config=cfg)
 
 
-def save_pairwise(model: PairwiseModel, path: str | Path) -> None:
-    payload = {
-        "model_kind": MODEL_KIND,
-        "use_image": model.use_image,
-        "margin": model.margin,
-        **neural.mlp_to_dict(model.mlp),
-        "train_config": None if model.train_config is None
-        else neural.train_config_to_dict(model.train_config),
-    }
-    neural.save_checkpoint(payload, path)
 
-
-def pairwise_from_dict(payload: dict) -> PairwiseModel:
-    if payload.get("model_kind") != MODEL_KIND:
-        raise ValidationError(f"not a pairwise checkpoint: {payload.get('model_kind')!r}")
-    cfg = payload.get("train_config")
-    return PairwiseModel(
-        mlp=neural.mlp_from_dict(payload),
-        use_image=bool(payload["use_image"]),
-        margin=float(payload["margin"]),
-        train_config=None if cfg is None else neural.train_config_from_dict(cfg),
-    )
-
-
-def load_pairwise(path: str | Path) -> PairwiseModel:
-    return pairwise_from_dict(neural.load_checkpoint_dict(path))
+# The names every model module exposes to the registry in storysort.models.
+Model = PairwiseModel
+scores = pair_scores
+train = train_pairwise

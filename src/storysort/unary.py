@@ -9,13 +9,12 @@ solver. Training is per-element softmax cross-entropy on gold positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import neural
-from .assign import additive_score, check_score_matrix, hungarian_max, topk_assignments
+from .assign import additive_score, check_score_matrix, hungarian_max
 from .core import Permutation
 from .data import Story, check_dataset, concat_features, feature_dim, story_feature_matrix
 from .errors import DimensionError, EmptyInputError, ValidationError
@@ -64,10 +63,6 @@ def decode_unary(probs) -> Permutation:
     return perm
 
 
-def top_permutations(model: UnaryModel, story: Story, k: int) -> list[Permutation]:
-    return [p for p, _ in topk_assignments(position_probs(model, story), k)]
-
-
 def predict(model: UnaryModel, story: Story) -> Permutation:
     return decode_unary(position_probs(model, story))
 
@@ -96,29 +91,8 @@ def train_unary(
     return UnaryModel(mlp=params, n=n, use_image=use_image, train_config=cfg)
 
 
-def save_unary(model: UnaryModel, path: str | Path) -> None:
-    payload = {
-        "model_kind": MODEL_KIND,
-        "n": model.n,
-        "use_image": model.use_image,
-        **neural.mlp_to_dict(model.mlp),
-        "train_config": None if model.train_config is None
-        else neural.train_config_to_dict(model.train_config),
-    }
-    neural.save_checkpoint(payload, path)
 
-
-def unary_from_dict(payload: dict) -> UnaryModel:
-    if payload.get("model_kind") != MODEL_KIND:
-        raise ValidationError(f"not a unary checkpoint: {payload.get('model_kind')!r}")
-    cfg = payload.get("train_config")
-    return UnaryModel(
-        mlp=neural.mlp_from_dict(payload),
-        n=int(payload["n"]),
-        use_image=bool(payload["use_image"]),
-        train_config=None if cfg is None else neural.train_config_from_dict(cfg),
-    )
-
-
-def load_unary(path: str | Path) -> UnaryModel:
-    return unary_from_dict(neural.load_checkpoint_dict(path))
+# The names every model module exposes to the registry in storysort.models.
+Model = UnaryModel
+scores = position_probs
+train = train_unary

@@ -215,3 +215,126 @@ class TestManifestReplay:
             argv = cli.argv_from_manifest(manifest, overrides)
             assert run(argv) == 0
             assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A dataset and one quick checkpoint of every model kind."""
+    root = tmp_path_factory.mktemp("trained")
+    data = root / "data.jsonl"
+    assert run(gen_args(data)) == 0
+    ckpts = {}
+    for model in ("unary", "pairwise", "npe"):
+        ckpts[model] = root / f"{model}.json"
+        assert run(train_args(data, ckpts[model], model=model)) == 0
+    return data, ckpts
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+class TestBadCheckpoint:
+    @pytest.mark.parametrize("kind,field", [
+        ("unary", "n"), ("unary", "use_image"),
+        ("pairwise", "use_image"), ("pairwise", "margin"),
+        ("npe", "alpha"), ("npe", "use_image"),
+    ])
+    @pytest.mark.parametrize("value", [None, "five"], ids=["deleted", "wrong_type"])
+    def test_kind_field_is_one_error_line(self, trained, tmp_path, capsys, kind, field,
+                                          value):
+        data, ckpts = trained
+        payload = json.loads(ckpts[kind].read_text())
+        if value is None:
+            del payload[field]
+        else:
+            payload[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        pred = tmp_path / "pred.jsonl"
+        capsys.readouterr()
+        assert run(["sort", "--ckpt", str(bad), "--data", str(data),
+                    "--out", str(pred)]) == 1
+        line = one_error_line(capsys)
+        assert f"{bad}: bad checkpoint field '{field}'" in line
+        assert not pred.exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("layer_dims", "five"), ("weights", "five"), ("biases", "five"),
+        ("train_config", "five"), ("weights", None),
+    ])
+    def test_mlp_or_train_config_is_one_error_line(self, trained, tmp_path, capsys, field,
+                                                   value):
+        data, ckpts = trained
+        payload = json.loads(ckpts["unary"].read_text())
+        if value is None:
+            del payload[field]
+        else:
+            payload[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["sort", "--ckpt", str(bad), "--data", str(data),
+                    "--out", str(tmp_path / "pred.jsonl")]) == 1
+        assert f"{bad}: bad checkpoint" in one_error_line(capsys)
+
+
+class TestDecodeLimits:
+    """Decode size limits fail before training and before --out is opened."""
+
+    @pytest.fixture()
+    def data_n10(self, tmp_path):
+        out = tmp_path / "n10.jsonl"
+        assert run(gen_args(out, stories=6, extra=["--n", "10"])) == 0
+        return out
+
+    @pytest.mark.parametrize("model", ["pairwise", "npe"])
+    def test_train_pair_model_beyond_cap(self, data_n10, tmp_path, capsys, model):
+        out = tmp_path / f"{model}.json"
+        capsys.readouterr()
+        assert run(train_args(data_n10, out, model=model)) == 1
+        assert "capped at n <= 8" in one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["pairwise", "npe"])
+    def test_sort_pair_model_beyond_cap(self, trained, data_n10, tmp_path, capsys, model):
+        _, ckpts = trained
+        pred = tmp_path / "pred.jsonl"
+        capsys.readouterr()
+        assert run(["sort", "--ckpt", str(ckpts[model]), "--data", str(data_n10),
+                    "--out", str(pred)]) == 1
+        assert "capped at n <= 8" in one_error_line(capsys)
+        assert not pred.exists()
+
+    def test_ensemble_top_k_beyond_cap(self, data_n10, tmp_path, capsys):
+        ckpt = tmp_path / "unary.json"
+        assert run(train_args(data_n10, ckpt)) == 0  # assignment decodes at any n
+        pred = tmp_path / "pred.jsonl"
+        capsys.readouterr()
+        assert run(["sort", "--ckpt", str(ckpt), "--ckpt", str(ckpt),
+                    "--data", str(data_n10), "--out", str(pred)]) == 1
+        assert "capped at n <= 8" in one_error_line(capsys)
+        assert not pred.exists()
+
+    @pytest.mark.parametrize("topk", [0, 121])
+    def test_ensemble_k_out_of_range(self, trained, tmp_path, capsys, topk):
+        data, ckpts = trained
+        pred = tmp_path / "pred.jsonl"
+        capsys.readouterr()
+        assert run(["sort", "--ckpt", str(ckpts["unary"]), "--ckpt", str(ckpts["npe"]),
+                    "--data", str(data), "--out", str(pred), "--topk", str(topk)]) == 1
+        assert f"k={topk} out of range for n=5" in one_error_line(capsys)
+        assert not pred.exists()
+
+
+@pytest.mark.parametrize("command", ["sort", "eval"])
+def test_seed_flag_removed(trained, tmp_path, command):
+    data, ckpts = trained
+    source = ["--ckpt", str(ckpts["unary"])] if command == "sort" else ["--pred", str(data)]
+    argv = [command, *source, "--data", str(data), "--out", str(tmp_path / "out"),
+            "--seed", "0"]
+    assert run(argv) == 2

@@ -9,7 +9,6 @@ from storysort.ensemble import (
     check_vote_matrix,
     decode_votes,
     ensemble_sort,
-    member_top_permutations,
 )
 from storysort.errors import (
     DimensionError,
@@ -17,6 +16,7 @@ from storysort.errors import (
     MemberError,
     ValidationError,
 )
+from storysort.models import top_permutations
 from storysort.neural import TrainConfig
 from storysort.npe import NpeConfig, train_npe
 from storysort.pairwise import train_pairwise
@@ -108,7 +108,7 @@ class TestEnsembleSort:
     def test_single_member_k1_is_member_top(self, models, tiny_clean_dataset):
         unary, _, _ = models
         story = tiny_clean_dataset[70]
-        expected = member_top_permutations(unary, story, 1)[0]
+        expected = top_permutations(unary, story, 1)[0]
         assert ensemble_sort([unary], story, k=1).positions == expected.positions
 
     def test_unanimous_members_return_that_permutation(self, models, tiny_clean_dataset):
@@ -116,8 +116,8 @@ class TestEnsembleSort:
         _, pair, npe = models
         story = tiny_clean_dataset[71]
         gold = story.presented_gold()
-        tops_pair = member_top_permutations(pair, story, 1)[0]
-        tops_npe = member_top_permutations(npe, story, 1)[0]
+        tops_pair = top_permutations(pair, story, 1)[0]
+        tops_npe = top_permutations(npe, story, 1)[0]
         if tops_pair.positions == gold.positions == tops_npe.positions:
             assert ensemble_sort([pair, npe], story, k=1).positions == gold.positions
 
@@ -125,7 +125,7 @@ class TestEnsembleSort:
         _, pair, npe = models
         for story in tiny_clean_dataset[60:75]:
             pred = ensemble_sort([pair, npe], story, k=3)
-            cands = member_top_permutations(pair, story, 3) + member_top_permutations(
+            cands = top_permutations(pair, story, 3) + top_permutations(
                 npe, story, 3
             )
             v = accumulate_votes(cands).astype(np.float64)
@@ -149,4 +149,4 @@ class TestEnsembleSort:
 
     def test_unknown_member_type(self, tiny_clean_dataset):
         with pytest.raises(ValidationError):
-            member_top_permutations(object(), tiny_clean_dataset[0], 3)
+            top_permutations(object(), tiny_clean_dataset[0], 3)

@@ -5,19 +5,16 @@ from storysort import metrics as M
 from storysort import neural
 from storysort.data import split_dataset, story_feature_matrix
 from storysort.errors import DimensionError, ValidationError
+from storysort.models import load_model, save_model, top_permutations
 from storysort.neural import MlpParams, TrainConfig
 from storysort.npe import (
     NpeConfig,
     NpeModel,
-    decode_npe,
     embed,
-    load_npe,
     npe_pair_loss,
     npe_scores,
     npe_story_loss,
     predict,
-    save_npe,
-    top_permutations,
     train_npe,
 )
 from conftest import make_story
@@ -131,13 +128,13 @@ class TestScores:
         s = npe_scores(model, story)
         off_diag = s[~np.eye(5, dtype=bool)]
         assert (off_diag == off_diag[0]).all()
-        assert decode_npe(model, story).positions == (0, 1, 2, 3, 4)
+        assert predict(model, story).positions == (0, 1, 2, 3, 4)
 
     def test_monotone_embeddings_recover_gold(self):
         story = make_story([0, 1, 2, 3, 4], presented=[2, 0, 4, 1, 3])
         w = np.outer(np.arange(5.0), np.ones(3))
         model = linear_npe(w, np.zeros(3))
-        assert decode_npe(model, story).positions == story.presented_gold().positions
+        assert predict(model, story).positions == story.presented_gold().positions
 
     def test_scores_not_antisymmetric_raw(self):
         rng = np.random.default_rng(3)
@@ -188,8 +185,8 @@ class TestTrainNpe:
         a = train_npe(tiny_clean_dataset[:15], cfg)
         b = train_npe(tiny_clean_dataset[:15], cfg)
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-        save_npe(a, pa)
-        save_npe(b, pb)
+        save_model(a, pa)
+        save_model(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_checkpoint_round_trip(self, tmp_path, tiny_clean_dataset):
@@ -200,8 +197,8 @@ class TestTrainNpe:
         )
         model = train_npe(tiny_clean_dataset[:15], cfg)
         path = tmp_path / "npe.json"
-        save_npe(model, path)
-        loaded = load_npe(path)
+        save_model(model, path)
+        loaded = load_model(path)
         assert loaded.alpha == 0.5
         story = tiny_clean_dataset[20]
         assert np.max(np.abs(

@@ -11,17 +11,15 @@ from storysort.errors import (
     EnumerationCapError,
     ValidationError,
 )
+from storysort.models import load_model, save_model, top_permutations
 from storysort.neural import MlpParams, TrainConfig
 from storysort.pairwise import (
     PairwiseModel,
     decode_pairwise,
-    load_pairwise,
     pair_scores,
     pairwise_objective,
     predict,
     rank_permutations,
-    save_pairwise,
-    top_permutations,
     train_pairwise,
 )
 from conftest import make_story, permutations_st
@@ -183,15 +181,15 @@ class TestTrainPairwise:
         a = train_pairwise(tiny_clean_dataset[:15], quick_cfg)
         b = train_pairwise(tiny_clean_dataset[:15], quick_cfg)
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-        save_pairwise(a, pa)
-        save_pairwise(b, pb)
+        save_model(a, pa)
+        save_model(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_checkpoint_round_trip(self, tmp_path, tiny_clean_dataset, quick_cfg):
         model = train_pairwise(tiny_clean_dataset[:15], quick_cfg, margin=2.0)
         path = tmp_path / "pair.json"
-        save_pairwise(model, path)
-        loaded = load_pairwise(path)
+        save_model(model, path)
+        loaded = load_model(path)
         story = tiny_clean_dataset[20]
         assert np.max(np.abs(
             pair_scores(model, story) - pair_scores(loaded, story)

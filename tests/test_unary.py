@@ -6,15 +6,13 @@ from storysort.assign import additive_score
 from storysort.core import Permutation, enumerate_permutations, identity_permutation
 from storysort.data import split_dataset
 from storysort.errors import DimensionError, EmptyInputError, ValidationError
+from storysort.models import load_model, save_model, top_permutations
 from storysort.neural import MlpParams, TrainConfig
 from storysort.unary import (
     UnaryModel,
     decode_unary,
-    load_unary,
     position_probs,
     predict,
-    save_unary,
-    top_permutations,
     train_unary,
     unary_score,
 )
@@ -130,8 +128,8 @@ class TestTrainUnary:
         a = train_unary(tiny_clean_dataset[:20], quick_cfg)
         b = train_unary(tiny_clean_dataset[:20], quick_cfg)
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-        save_unary(a, pa)
-        save_unary(b, pb)
+        save_model(a, pa)
+        save_model(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_empty_dataset_rejected(self, quick_cfg):
@@ -145,8 +143,8 @@ class TestTrainUnary:
     def test_checkpoint_round_trip(self, tmp_path, tiny_clean_dataset, quick_cfg):
         model = train_unary(tiny_clean_dataset[:20], quick_cfg, use_image=True)
         path = tmp_path / "unary.json"
-        save_unary(model, path)
-        loaded = load_unary(path)
+        save_model(model, path)
+        loaded = load_model(path)
         story = tiny_clean_dataset[30]
         assert np.max(np.abs(
             position_probs(model, story) - position_probs(loaded, story)
