@@ -7,7 +7,7 @@ by a lexicographic refinement pass so that ties among optimal
 assignments always resolve to the smallest positions tuple.
 
 Additive scores are accumulated in element-index order everywhere
-(solver result, enumeration oracle, downstream scoring), so equal
+(solver result, top-k totals, downstream scoring), so equal
 permutations produce bit-identical float totals.
 """
 
@@ -18,7 +18,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MAX_ENUMERATION_N, MAX_N, MIN_N, Permutation, all_permutations
+from .core import (
+    MAX_ENUMERATION_N,
+    MAX_N,
+    MIN_N,
+    Permutation,
+    best_rows,
+    check_top_k,
+    permutation_table,
+)
 from .errors import EnumerationCapError, SizeError, ValidationError
 
 
@@ -143,9 +151,12 @@ def hungarian_max(s) -> tuple[Permutation, float]:
 
 
 def topk_assignments(s, k: int) -> list[tuple[Permutation, float]]:
-    """The k best permutations by additive score, via exhaustive enumeration.
+    """The k best permutations by additive score, with their totals.
 
-    Sorted by descending score; ties break lexicographically on positions.
+    The totals of all n! orders are computed at once over the permutation
+    table (exact for n <= 8), accumulated in element-index order as
+    additive_score does, so each total is bit-identical to it. Sorted by
+    descending score; ties break lexicographically on positions.
     """
     a = check_score_matrix(s)
     n = a.shape[0]
@@ -153,11 +164,9 @@ def topk_assignments(s, k: int) -> list[tuple[Permutation, float]]:
         raise EnumerationCapError(
             f"top-k enumeration capped at n <= {MAX_ENUMERATION_N}, got {n}"
         )
-    if k < 1:
-        raise SizeError(f"k must be at least 1, got {k}")
-    total = math.factorial(n)
-    if k > total:
-        raise SizeError(f"k={k} exceeds {n}! = {total}")
-    scored = [(additive_score(a, p.positions), p) for p in all_permutations(n)]
-    scored.sort(key=lambda t: (-t[0], t[1].positions))
-    return [(p, sc) for sc, p in scored[:k]]
+    check_top_k(n, k)
+    table = permutation_table(n)
+    values = np.zeros(len(table))
+    for i in range(n):
+        values += a[i, table[:, i]]
+    return best_rows(table, values, k)

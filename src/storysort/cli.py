@@ -103,13 +103,53 @@ def argv_from_manifest(manifest: dict, overrides: dict | None = None) -> list[st
     return argv
 
 
-def _apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
+def _option_actions(parser: argparse.ArgumentParser,
+                    command: str) -> dict[str, argparse.Action]:
+    """The options of one subcommand, keyed by their attribute name in args."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+def _config_value(action: argparse.Action, raw: str):
+    """A config value read as JSON (else as text), then typed and checked as its flag is."""
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw
+    if action.nargs == 0:  # an on/off flag such as --use-image
+        if not isinstance(value, bool):
+            raise ValueError(f"expected true or false, got {value!r}")
+        return value
+    if value is None:
+        if action.required or action.default is not None:
+            raise ValueError("null is allowed only for options that default to null")
+        return None
+    if isinstance(action, argparse._AppendAction):  # a repeatable flag such as --ckpt
+        return [_flag_value(action, v) for v in (value if isinstance(value, list) else [value])]
+    return _flag_value(action, value)
+
+
+def _flag_value(action: argparse.Action, value):
+    """One value converted and checked as argparse does the text after its flag."""
+    if isinstance(value, (list, dict)):
+        raise ValueError(f"expected a single value, got {value!r}")
+    value = (action.type or str)(str(value))
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(
+            f"expected one of {', '.join(map(str, action.choices))}, got {value!r}"
+        )
+    return value
+
+
+def _apply_config_file(args: argparse.Namespace,
+                       parser: argparse.ArgumentParser) -> argparse.Namespace:
     """Apply key=value overrides from --config on top of parsed flags."""
     if not getattr(args, "config", None):
         return args
     path = Path(args.config)
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
+    actions = _option_actions(parser, args.command)
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -118,13 +158,12 @@ def _apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key = key.strip().replace("-", "_")
-        raw = raw.strip()
-        if not hasattr(args, key):
+        if key not in actions:
             raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
         try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
+            value = _config_value(actions[key], raw.strip())
+        except (TypeError, ValueError) as e:
+            raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {e}") from e
         setattr(args, key, value)
     return args
 
@@ -225,17 +264,20 @@ def cmd_sort(args: argparse.Namespace) -> int:
     for n in {s.n for s in stories}:
         for spec in specs:
             models_mod.check_decodable(spec, n, topk)
+    lines = []
+    for story in stories:
+        if topk is None:
+            pred = specs[0].module.predict(models[0], story)
+        else:
+            pred = ensemble_mod.ensemble_sort(models, story, k=topk)
+        lines.append(json.dumps(
+            {"story_id": story.story_id, "predicted_order": list(pred.positions)}
+        ) + "\n")
+    # every story is decoded before --out is opened, so a failure leaves no file
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", encoding="utf-8") as fh:
-        for story in stories:
-            if topk is None:
-                pred = specs[0].module.predict(models[0], story)
-            else:
-                pred = ensemble_mod.ensemble_sort(models, story, k=topk)
-            fh.write(json.dumps(
-                {"story_id": story.story_id, "predicted_order": list(pred.positions)}
-            ) + "\n")
+        fh.writelines(lines)
     resolved = _resolved_args(args, ["data", "out", "topk"])
     resolved["ckpt"] = [str(p) for p in ckpt_paths]
     write_manifest(out, "sort", resolved,
@@ -252,9 +294,13 @@ def load_predictions(path: Path) -> dict[str, list[int]]:
                 continue
             try:
                 record = json.loads(line)
-                preds[str(record["story_id"])] = [int(x) for x in record["predicted_order"]]
+                story_id = str(record["story_id"])
+                order = [int(x) for x in record["predicted_order"]]
             except (json.JSONDecodeError, KeyError, TypeError) as e:
                 raise ParseError(f"{path}:{lineno}: bad prediction record: {e}") from e
+            if story_id in preds:
+                raise ParseError(f"{path}:{lineno}: repeated story_id {story_id!r}")
+            preds[story_id] = order
     return preds
 
 
@@ -267,6 +313,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     missing = sorted(set(preds) - set(stories))
     if missing:
         raise ValidationError(f"predicted story_ids not in dataset: {', '.join(missing)}")
+    unpredicted = [story_id for story_id in stories if story_id not in preds]
+    if unpredicted:
+        raise ValidationError(
+            f"predictions cover {len(preds)} of {len(stories)} stories; missing: "
+            f"{', '.join(unpredicted[:5])}{', ...' if len(unpredicted) > 5 else ''}"
+        )
     pairs = []
     for story_id in preds:
         story = stories[story_id]
@@ -361,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
     try:
-        args = _apply_config_file(args)
+        args = _apply_config_file(args, parser)
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

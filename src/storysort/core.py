@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -79,22 +80,52 @@ def reverse(p: Permutation) -> Permutation:
     return Permutation(tuple(n - 1 - q for q in p.positions))
 
 
-def enumerate_permutations(n: int) -> Iterator[Permutation]:
-    """Yield all n! permutations in lexicographic order of the positions tuple."""
+def _check_enumerable(n: int) -> None:
     if n < MIN_N:
         raise SizeError(f"n must be at least {MIN_N}, got {n}")
     if n > MAX_ENUMERATION_N:
         raise EnumerationCapError(
             f"enumeration capped at n <= {MAX_ENUMERATION_N}, got {n}"
         )
+
+
+def enumerate_permutations(n: int) -> Iterator[Permutation]:
+    """Yield all n! permutations in lexicographic order of the positions tuple."""
+    _check_enumerable(n)
     for pos in itertools.permutations(range(n)):
         yield Permutation(pos)
 
 
 @functools.lru_cache(maxsize=MAX_ENUMERATION_N)
-def all_permutations(n: int) -> tuple[Permutation, ...]:
-    """enumerate_permutations(n) as a tuple, built once per n."""
-    return tuple(enumerate_permutations(n))
+def permutation_table(n: int) -> np.ndarray:
+    """All n! permutations as a read-only (n!, n) integer array, built once per n.
+
+    Row r is the positions tuple of the r-th permutation yielded by
+    enumerate_permutations(n), so rows are in lexicographic order. The
+    array is column-major: decoders read it a column at a time, and a
+    contiguous column of n! entries reads about twice as fast at n = 8.
+    """
+    _check_enumerable(n)
+    table = np.array(list(itertools.permutations(range(n))), dtype=np.intp, order="F")
+    table.flags.writeable = False
+    return table
+
+
+def check_top_k(n: int, k: int) -> None:
+    """Raise SizeError unless 1 <= k <= n!."""
+    if not 1 <= k <= math.factorial(n):
+        raise SizeError(f"k={k} out of range for n={n}")
+
+
+def best_rows(table: np.ndarray, values: np.ndarray,
+              k: int) -> list[tuple[Permutation, float]]:
+    """The k rows of a permutation table with the highest values, with their values.
+
+    Sorted by descending value. The sort is stable, so tied rows keep
+    table order: ties break lexicographically on the positions tuple.
+    """
+    rows = np.argsort(-values, kind="stable")[:k]
+    return [(Permutation(tuple(table[r])), float(values[r])) for r in rows]
 
 
 def random_permutation(n: int, seed: int | np.random.Generator) -> Permutation:

@@ -152,7 +152,7 @@ def feature_dim(stories: Sequence[Story], use_image: bool = False) -> int:
 
 
 def check_dataset(stories: Sequence[Story]) -> None:
-    """Enforce constant n and feature dims across a dataset."""
+    """Enforce unique story_ids and constant n and feature dims across a dataset."""
     if not stories:
         return
     first = stories[0]
@@ -160,7 +160,11 @@ def check_dataset(stories: Sequence[Story]) -> None:
     text_dim = first.elements[0].text_features.shape[0]
     has_image = first.elements[0].image_features is not None
     image_dim = first.elements[0].image_features.shape[0] if has_image else None
+    seen: set[str] = set()
     for story in stories:
+        if story.story_id in seen:
+            raise ValidationError(f"story {story.story_id}: repeated story_id")
+        seen.add(story.story_id)
         if story.n != n:
             raise ValidationError(
                 f"story {story.story_id}: n={story.n} differs from dataset n={n}"

@@ -5,7 +5,8 @@ Each model module exposes the same names: ``MODEL_KIND``, ``Model``,
 module and its score type, the training hyperparameters, and the
 checkpoint fields the kind adds. ADDITIVE scores (unary) are an (n, n)
 element-at-position matrix decoded by assignment; PAIR scores (pairwise,
-NPE) are an (n, n) i-before-j matrix decoded by ranking every order.
+NPE) are an (n, n) i-before-j matrix decoded by scoring all n! orders at
+once over the permutation table.
 Top-k lists and decode size limits are keyed by score type. Entries hold
 modules, not functions, so rebinding a module attribute (as a profiler
 does) reaches every caller.
@@ -13,7 +14,6 @@ does) reaches every caller.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import ModuleType
@@ -21,9 +21,9 @@ from typing import Callable
 
 from . import neural, npe, pairwise, unary
 from .assign import topk_assignments
-from .core import MAX_ENUMERATION_N, Permutation
+from .core import MAX_ENUMERATION_N, Permutation, check_top_k
 from .data import Story
-from .errors import EnumerationCapError, SizeError, UsageError, ValidationError
+from .errors import EnumerationCapError, UsageError, ValidationError
 
 ADDITIVE = "additive"
 PAIR = "pair"
@@ -84,8 +84,8 @@ def check_decodable(spec: ModelSpec, n: int, k: int | None = None) -> None:
             f"{spec.module.MODEL_KIND}: {what} decoding is capped at "
             f"n <= {MAX_ENUMERATION_N}, got n={n}"
         )
-    if k is not None and not 1 <= k <= math.factorial(n):
-        raise SizeError(f"k={k} out of range for n={n}")
+    if k is not None:
+        check_top_k(n, k)
 
 
 def top_permutations(model: AnyModel, story: Story, k: int) -> list[Permutation]:
@@ -95,7 +95,7 @@ def top_permutations(model: AnyModel, story: Story, k: int) -> list[Permutation]
     s = spec.module.scores(model, story)
     if spec.score_type == ADDITIVE:
         return [p for p, _ in topk_assignments(s, k)]
-    return [p for p, _ in pairwise.rank_permutations(s)[:k]]
+    return [p for p, _ in pairwise.rank_permutations(s, k)]
 
 
 def save_model(model: AnyModel, path: str | Path) -> None:

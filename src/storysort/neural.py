@@ -261,23 +261,6 @@ def npe_order_head(alpha: float) -> LossHead:
     return head
 
 
-def kink_slack(params: MlpParams, X, terminal_relu: bool = False) -> float:
-    """Smallest |pre-activation| across the ReLU layers of a forward pass.
-
-    Central finite differences are only trustworthy when no ReLU (or
-    downstream hinge) sits within the perturbation radius of its kink;
-    callers of grad_check reject sample points whose slack is too small.
-    """
-    a = np.asarray(X, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[None, :]
-    _, pres = _forward_cached(params, a, terminal_relu)
-    relu_pres = pres if terminal_relu else pres[:-1]
-    if not relu_pres:
-        return np.inf
-    return min(float(np.min(np.abs(z))) for z in relu_pres)
-
-
 def grad_check(loss_fn: Callable[[MlpParams], tuple], params: MlpParams,
                eps: float = 1e-5) -> float:
     """Max relative error between analytic gradients and central differences.

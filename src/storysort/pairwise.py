@@ -4,9 +4,11 @@ A pair scorer maps the concatenated features of an ordered element pair
 (i, j) to a scalar s[i][j], the score for putting i before j. A
 permutation's objective sums, over every unordered pair, the score
 difference of the orientation it chooses, so it is antisymmetric under
-reversal by construction. Decoding enumerates all permutations (exact
-for n <= 8); training uses a binary hinge on both orientations of every
-gold pair.
+reversal by construction. Decoding is exact for n <= 8: the objective of
+all n! orders is computed at once with array operations over the
+permutation table, adding the pair terms in the order pairwise_objective
+does, so every value is bit-identical to it. Training uses a binary hinge
+on both orientations of every gold pair.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import neural
-from .core import MAX_ENUMERATION_N, Permutation, all_permutations
+from .core import MAX_ENUMERATION_N, Permutation, best_rows, check_top_k, permutation_table
 from .data import Story, check_dataset, concat_features, feature_dim, story_feature_matrix
 from .errors import DimensionError, EmptyInputError, EnumerationCapError, ValidationError
 from .neural import MlpParams, TrainConfig
@@ -88,35 +90,52 @@ def pairwise_objective(s, sigma: Permutation) -> float:
     return float(total)
 
 
-def rank_permutations(s) -> list[tuple[Permutation, float]]:
-    """All permutations sorted by descending objective, ties lexicographic."""
+def _decodable_matrix(s) -> np.ndarray:
+    """check_pair_matrix, then the n <= MAX_ENUMERATION_N decoding cap."""
     a = check_pair_matrix(s)
     n = a.shape[0]
     if n > MAX_ENUMERATION_N:
         raise EnumerationCapError(
             f"pairwise decoding capped at n <= {MAX_ENUMERATION_N}, got {n}"
         )
-    scored = [(pairwise_objective(a, p), p) for p in all_permutations(n)]
-    scored.sort(key=lambda t: (-t[0], t[1].positions))
-    return [(p, val) for val, p in scored]
+    return a
+
+
+def _all_objectives(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation table of n and pairwise_objective of each of its rows.
+
+    Pair terms are added in pairwise_objective's order (i < j, row-major),
+    so each value is bit-identical to the scalar one.
+    """
+    table = permutation_table(a.shape[0])
+    values = np.zeros(len(table))
+    for i in range(a.shape[0]):
+        for j in range(i + 1, a.shape[0]):
+            diff = a[i, j] - a[j, i]
+            values += np.where(table[:, i] < table[:, j], diff, -diff)
+    return table, values
+
+
+def rank_permutations(s, k: int | None = None) -> list[tuple[Permutation, float]]:
+    """The k best permutations (all n! when k is None) by descending objective.
+
+    Ties break lexicographically on the positions tuple.
+    """
+    a = _decodable_matrix(s)
+    if k is not None:
+        check_top_k(a.shape[0], k)
+    table, values = _all_objectives(a)
+    return best_rows(table, values, len(table) if k is None else k)
 
 
 def decode_pairwise(s) -> Permutation:
-    """Argmax of the pairwise objective over all n! permutations."""
-    a = check_pair_matrix(s)
-    n = a.shape[0]
-    if n > MAX_ENUMERATION_N:
-        raise EnumerationCapError(
-            f"pairwise decoding capped at n <= {MAX_ENUMERATION_N}, got {n}"
-        )
-    best_perm = None
-    best_val = -np.inf
-    for p in all_permutations(n):
-        val = pairwise_objective(a, p)
-        if val > best_val:
-            best_val = val
-            best_perm = p
-    return best_perm
+    """Argmax of the pairwise objective over all n! permutations.
+
+    Ties go to the lexicographically smallest positions tuple.
+    """
+    a = _decodable_matrix(s)
+    table, values = _all_objectives(a)
+    return Permutation(tuple(table[np.argmax(values)]))
 
 
 def predict(model: PairwiseModel, story: Story) -> Permutation:

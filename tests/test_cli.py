@@ -330,6 +330,82 @@ class TestDecodeLimits:
         assert f"k={topk} out of range for n=5" in one_error_line(capsys)
         assert not pred.exists()
 
+    def test_failing_story_leaves_no_out(self, trained, data_n10, tmp_path, capsys):
+        _, ckpts = trained
+        pred = tmp_path / "pred.jsonl"
+        capsys.readouterr()
+        assert run(["sort", "--ckpt", str(ckpts["unary"]), "--data", str(data_n10),
+                    "--out", str(pred)]) == 1
+        assert "model expects n=5" in one_error_line(capsys)
+        assert not pred.exists()
+
+
+def write_predictions(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
+class TestEvalCoverage:
+    def test_partial_predictions_fail_with_count_and_missing_ids(self, trained, tmp_path,
+                                                                 capsys):
+        data, _ = trained
+        stories = load_dataset(data)
+        pred = tmp_path / "pred.jsonl"
+        write_predictions(pred, [
+            {"story_id": s.story_id, "predicted_order": list(s.presented_gold().positions)}
+            for s in stories[:3]
+        ])
+        capsys.readouterr()
+        assert run(["eval", "--pred", str(pred), "--data", str(data)]) == 1
+        line = one_error_line(capsys)
+        assert f"cover 3 of {len(stories)} stories" in line
+        assert stories[3].story_id in line and stories[0].story_id not in line
+
+    def test_repeated_story_id_fails_with_line_number(self, trained, tmp_path, capsys):
+        data, _ = trained
+        story = load_dataset(data)[0]
+        record = {"story_id": story.story_id, "predicted_order": [0, 1, 2, 3, 4]}
+        pred = tmp_path / "pred.jsonl"
+        write_predictions(pred, [record, record])
+        capsys.readouterr()
+        assert run(["eval", "--pred", str(pred), "--data", str(data)]) == 1
+        line = one_error_line(capsys)
+        assert f"pred.jsonl:2: repeated story_id '{story.story_id}'" in line
+
+    def test_repeated_story_id_in_dataset_fails(self, trained, tmp_path, capsys):
+        data, _ = trained
+        first = data.read_text(encoding="utf-8").splitlines()[0]
+        dup = tmp_path / "dup.jsonl"
+        dup.write_text(f"{first}\n{first}\n", encoding="utf-8")
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(train_args(dup, out)) == 1
+        assert "repeated story_id" in one_error_line(capsys)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command,line", [
+    ("train", 'epochs = "abc"'),
+    ("train", "epochs = 2.5"),
+    ("train", "lr = fast"),
+    ("train", "lr = [0.1]"),
+    ("generate", 'stories = "abc"'),
+    ("generate", "stories = true"),
+])
+def test_bad_config_value_is_one_usage_error_line(trained, tmp_path, capsys, command, line):
+    data, _ = trained
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    inputs = {"train": ["--model", "unary", "--data", str(data)],
+              "generate": ["--stories", "5"]}[command]
+    capsys.readouterr()
+    assert run([command, *inputs, "--out", str(out), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"usage error: {cfg}:1: bad value for "), err
+    assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["sort", "eval"])
 def test_seed_flag_removed(trained, tmp_path, command):

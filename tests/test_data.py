@@ -209,6 +209,16 @@ class TestDatasetIO:
         with pytest.raises(ValidationError, match="dup-story"):
             load_dataset(path)
 
+    def test_repeated_story_id_rejected(self, tmp_path):
+        stories = [make_story([0, 1], story_id="a"), make_story([1, 0], story_id="b"),
+                   make_story([0, 1], story_id="a")]
+        with pytest.raises(ValidationError, match="story a: repeated story_id"):
+            check_dataset(stories)
+        path = tmp_path / "dup.jsonl"
+        save_dataset(stories, path)
+        with pytest.raises(ValidationError, match="repeated story_id"):
+            load_dataset(path)
+
     def test_mixed_n_rejected(self, tmp_path):
         stories = [make_story([0, 1], story_id="a"), make_story([0, 1, 2], story_id="b")]
         # bypass save-level checks by writing records directly

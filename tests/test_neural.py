@@ -12,7 +12,6 @@ from storysort.neural import (
     TrainConfig,
     grad_check,
     init_mlp,
-    kink_slack,
     mlp_forward,
     sgd_train,
     softmax,
@@ -27,6 +26,23 @@ def zero_mlp(dims):
         [np.zeros((a, b)) for a, b in zip(dims[:-1], dims[1:])],
         [np.zeros(b) for b in dims[1:]],
     )
+
+
+def kink_slack(params: MlpParams, X, terminal_relu: bool = False) -> float:
+    """Smallest |pre-activation| across the ReLU layers of a forward pass.
+
+    Central finite differences are only trustworthy when no ReLU (or
+    downstream hinge) sits within the perturbation radius of its kink;
+    callers of grad_check reject sample points whose slack is too small.
+    """
+    a = np.asarray(X, dtype=np.float64)
+    if a.ndim == 1:
+        a = a[None, :]
+    _, pres = neural._forward_cached(params, a, terminal_relu)
+    relu_pres = pres if terminal_relu else pres[:-1]
+    if not relu_pres:
+        return np.inf
+    return min(float(np.min(np.abs(z))) for z in relu_pres)
 
 
 def draw_ce_case(seed, slack=1e-3, dims=(6, 8, 5), batch=7):
