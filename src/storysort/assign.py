@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    MAX_ENUMERATION_N,
     MAX_N,
     MIN_N,
     Permutation,
@@ -27,7 +26,7 @@ from .core import (
     check_top_k,
     permutation_table,
 )
-from .errors import EnumerationCapError, SizeError, ValidationError
+from .errors import SizeError, ValidationError
 
 
 def check_score_matrix(s) -> np.ndarray:
@@ -154,18 +153,15 @@ def topk_assignments(s, k: int) -> list[tuple[Permutation, float]]:
     """The k best permutations by additive score, with their totals.
 
     The totals of all n! orders are computed at once over the permutation
-    table (exact for n <= 8), accumulated in element-index order as
-    additive_score does, so each total is bit-identical to it. Sorted by
-    descending score; ties break lexicographically on positions.
+    table, accumulated in element-index order as additive_score does, so
+    each total is bit-identical to it. Sorted by descending score; ties
+    break lexicographically on positions. permutation_table raises
+    EnumerationCapError beyond MAX_ENUMERATION_N.
     """
     a = check_score_matrix(s)
     n = a.shape[0]
-    if n > MAX_ENUMERATION_N:
-        raise EnumerationCapError(
-            f"top-k enumeration capped at n <= {MAX_ENUMERATION_N}, got {n}"
-        )
-    check_top_k(n, k)
     table = permutation_table(n)
+    check_top_k(n, k)
     values = np.zeros(len(table))
     for i in range(n):
         values += a[i, table[:, i]]

@@ -39,7 +39,7 @@ from . import data as data_mod
 from . import ensemble as ensemble_mod
 from . import metrics as metrics_mod
 from . import models as models_mod
-from .core import Permutation
+from .core import Permutation, json_list, json_value
 from .errors import ParseError, StorySortError, UsageError, ValidationError
 from .neural import TrainConfig
 
@@ -294,9 +294,9 @@ def load_predictions(path: Path) -> dict[str, list[int]]:
                 continue
             try:
                 record = json.loads(line)
-                story_id = str(record["story_id"])
-                order = [int(x) for x in record["predicted_order"]]
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
+                story_id = json_value(record["story_id"], (str,), "story_id")
+                order = json_list(record["predicted_order"], (int,), "predicted_order")
+            except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
                 raise ParseError(f"{path}:{lineno}: bad prediction record: {e}") from e
             if story_id in preds:
                 raise ParseError(f"{path}:{lineno}: repeated story_id {story_id!r}")

@@ -159,3 +159,25 @@ def as_float_vector(values: Iterable[float], name: str = "vector") -> np.ndarray
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
+
+
+def json_value(value, types: tuple[type, ...], name: str):
+    """value itself if its type is one of types, else ValueError naming the field.
+
+    The check is on the exact type, so a JSON true is not an integer and a
+    numeric string is not a number.
+    """
+    if type(value) not in types:
+        raise ValueError(f"{name} must be {_type_names(types)}, got {value!r:.60}")
+    return value
+
+
+def json_list(value, types: tuple[type, ...], name: str) -> list:
+    """value itself if it is a list whose entries all have one of types, else ValueError."""
+    if type(value) is not list or not set(map(type, value)) <= set(types):
+        raise ValueError(f"{name} must be a list of {_type_names(types)}, got {value!r:.60}")
+    return value
+
+
+def _type_names(types: tuple[type, ...]) -> str:
+    return " or ".join(t.__name__ for t in types)

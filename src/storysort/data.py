@@ -28,6 +28,8 @@ from .core import (
     as_float_vector,
     as_rng,
     inverse,
+    json_list,
+    json_value,
     random_permutation,
 )
 from .errors import (
@@ -145,10 +147,14 @@ def story_feature_matrix(story: Story, use_image: bool = False,
     return np.stack([concat_features(e, use_image) for e in elems])
 
 
-def feature_dim(stories: Sequence[Story], use_image: bool = False) -> int:
+def gold_features(stories: Sequence[Story], use_image: bool) -> np.ndarray:
+    """(stories, n, d) features in gold order: row k of a story is its element at position k.
+
+    The stories must share n and d (check_dataset).
+    """
     if not stories:
-        raise EmptyInputError("cannot infer feature dim from an empty dataset")
-    return concat_features(stories[0].elements[0], use_image).shape[0]
+        raise EmptyInputError("cannot build a feature array from an empty dataset")
+    return np.stack([story_feature_matrix(s, use_image, view="gold") for s in stories])
 
 
 def check_dataset(stories: Sequence[Story]) -> None:
@@ -299,22 +305,24 @@ def _story_to_record(story: Story) -> dict:
 
 
 def _story_from_record(record: dict) -> Story:
-    elements = tuple(
-        Element(
-            element_id=str(item["element_id"]),
-            text_features=item["text_features"],
-            image_features=item["image_features"],
-            gold_position=int(item["gold_position"]),
-        )
-        for item in record["elements"]
-    )
+    elements = []
+    for item in record["elements"]:
+        image = item["image_features"]
+        elements.append(Element(
+            element_id=json_value(item["element_id"], (str,), "element_id"),
+            text_features=json_list(item["text_features"], (int, float), "text_features"),
+            image_features=None if image is None
+            else json_list(image, (int, float), "image_features"),
+            gold_position=json_value(item["gold_position"], (int,), "gold_position"),
+        ))
     presented = record.get("presented_order")
     story = Story(
-        story_id=str(record["story_id"]),
-        elements=elements,
-        presented_order=None if presented is None else Permutation(tuple(presented)),
+        story_id=json_value(record["story_id"], (str,), "story_id"),
+        elements=tuple(elements),
+        presented_order=None if presented is None
+        else Permutation(tuple(json_list(presented, (int,), "presented_order"))),
     )
-    if int(record["n"]) != story.n:
+    if json_value(record["n"], (int,), "n") != story.n:
         raise ValidationError(
             f"story {story.story_id}: declared n={record['n']} but has {story.n} elements"
         )
@@ -344,7 +352,7 @@ def load_dataset(path: str | Path) -> list[Story]:
                 raise ParseError(f"{path}:{lineno}: malformed JSON: {e}") from e
             try:
                 stories.append(_story_from_record(record))
-            except (KeyError, TypeError) as e:
+            except (KeyError, TypeError, ValueError) as e:
                 raise ParseError(f"{path}:{lineno}: missing or bad field: {e}") from e
     check_dataset(stories)
     return stories

@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from types import ModuleType
-from typing import Callable
 
 from . import neural, npe, pairwise, unary
 from .assign import topk_assignments
-from .core import MAX_ENUMERATION_N, Permutation, check_top_k
+from .core import MAX_ENUMERATION_N, Permutation, check_top_k, json_value
 from .data import Story
 from .errors import EnumerationCapError, UsageError, ValidationError
 
@@ -31,35 +30,29 @@ PAIR = "pair"
 AnyModel = unary.UnaryModel | pairwise.PairwiseModel | npe.NpeModel
 
 
-def _parse_bool(value) -> bool:
-    if value is True or value is False:
-        return value
-    raise ValueError(f"expected true or false, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     module: ModuleType
     score_type: str
     train_defaults: dict[str, float]  # epochs, lr, batch_size
     train_args: dict[str, float]  # kind-specific train keyword -> default
-    fields: tuple[tuple[str, Callable], ...]  # checkpoint (name, parser), file order
+    fields: tuple[tuple[str, tuple], ...]  # checkpoint (name, accepted JSON types), file order
 
 
 REGISTRY = {
     unary.MODEL_KIND: ModelSpec(
         unary, ADDITIVE, {"epochs": 30, "lr": 0.05, "batch_size": 32}, {},
-        (("n", int), ("use_image", _parse_bool)),
+        (("n", (int,)), ("use_image", (bool,))),
     ),
     pairwise.MODEL_KIND: ModelSpec(
         pairwise, PAIR, {"epochs": 12, "lr": 0.05, "batch_size": 64},
         {"margin": pairwise.DEFAULT_MARGIN},
-        (("use_image", _parse_bool), ("margin", float)),
+        (("use_image", (bool,)), ("margin", (int, float))),
     ),
     npe.MODEL_KIND: ModelSpec(
         npe, PAIR, {"epochs": 40, "lr": 0.01, "batch_size": 16},
         {"embed_dim": npe.DEFAULT_EMBED_DIM, "alpha": npe.DEFAULT_ALPHA},
-        (("alpha", float), ("use_image", _parse_bool)),
+        (("alpha", (int, float)), ("use_image", (bool,))),
     ),
 }
 
@@ -119,17 +112,17 @@ def load_model(path: str | Path) -> AnyModel:
         raise UsageError(f"unknown model_kind {kind!r} in {path}")
     spec = REGISTRY[kind]
     fields = {}
-    for name, parse in spec.fields:
+    for name, types in spec.fields:
         if name not in payload:
             raise ValidationError(f"{path}: bad checkpoint field {name!r}: missing")
         try:
-            fields[name] = parse(payload[name])
-        except (TypeError, ValueError) as e:
+            fields[name] = json_value(payload[name], types, name)
+        except ValueError as e:
             raise ValidationError(f"{path}: bad checkpoint field {name!r}: {e}") from e
     try:
         mlp = neural.mlp_from_dict(payload)
         cfg = payload.get("train_config")
         train_config = None if cfg is None else neural.train_config_from_dict(cfg)
+        return spec.module.Model(mlp=mlp, train_config=train_config, **fields)
     except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"{path}: bad checkpoint: {type(e).__name__}: {e}") from e
-    return spec.module.Model(mlp=mlp, train_config=train_config, **fields)

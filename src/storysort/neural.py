@@ -7,6 +7,14 @@ finite differences via grad_check. The trainer is plain mini-batch SGD
 with optional L2 weight decay; all shuffling comes from the config seed,
 so identical inputs produce bit-identical parameters.
 
+Training sets are arrays, built once by the caller: ``X`` holds the
+input rows and ``y`` their targets, row k of one belonging to row k of
+the other. The softmax and hinge heads take ``X`` of shape (batch, d);
+the ordered-embedding head takes ``X`` of shape (batch, n, d), one
+gold-ordered story per row, and ``y = None``. sgd_train checks the
+width d against the model once, then hands each mini-batch to the head
+as ``X[idx]`` and ``y[idx]``.
+
 Checkpoints are single JSON objects holding model_kind, layer_dims,
 row-major weight arrays, bias arrays, and the training config used.
 Python's float repr round-trips exactly, so reloaded parameters
@@ -29,7 +37,8 @@ from .errors import (
     ValidationError,
 )
 
-LossHead = Callable[["MlpParams", list], tuple[float, tuple[list, list]]]
+# head(params, X, y) -> (mean batch loss, (weight grads, bias grads)), on one mini-batch
+LossHead = Callable[["MlpParams", np.ndarray, "np.ndarray | None"], tuple[float, tuple]]
 
 DEFAULT_HIDDEN_UNITS = 64
 
@@ -88,6 +97,8 @@ class TrainConfig:
 def init_mlp(layer_dims: Sequence[int], rng: np.random.Generator) -> MlpParams:
     """Uniform scaled init, limit sqrt(6/(fan_in+fan_out)); biases zero."""
     dims = tuple(int(d) for d in layer_dims)
+    if any(d < 1 for d in dims):
+        raise ValidationError(f"layer_dims must all be >= 1, got {dims}")
     weights, biases = [], []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / (d_in + d_out))
@@ -173,27 +184,16 @@ def _backward(
     return gws, gbs
 
 
-def _stack_vector_batch(params: MlpParams, items: list) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in items])
-    if xs.shape[1] != params.input_dim:
-        raise DimensionError(
-            f"batch feature dim {xs.shape[1]} does not match model dim {params.input_dim}"
-        )
-    ys = np.asarray([t for _, t in items])
-    return xs, ys
-
-
 def softmax_ce_head() -> LossHead:
-    """Mean cross-entropy against integer class targets; items are (x, label)."""
+    """Mean cross-entropy of (batch, d) rows X against integer class targets y."""
 
-    def head(params: MlpParams, items: list) -> tuple[float, tuple[list, list]]:
-        X, y = _stack_vector_batch(params, items)
+    def head(params: MlpParams, X: np.ndarray, y: np.ndarray) -> tuple[float, tuple]:
         y = y.astype(np.int64)
         acts, pres = _forward_cached(params, X, terminal_relu=False)
         logits = acts[-1]
         m = np.max(logits, axis=1, keepdims=True)
         lse = m[:, 0] + np.log(np.sum(np.exp(logits - m), axis=1))
-        batch = len(items)
+        batch = len(X)
         loss = float(np.mean(lse - logits[np.arange(batch), y]))
         probs = softmax(logits)
         probs[np.arange(batch), y] -= 1.0
@@ -204,18 +204,17 @@ def softmax_ce_head() -> LossHead:
 
 
 def pairwise_hinge_head(margin: float) -> LossHead:
-    """Mean hinge max(0, margin - y*s) on scalar scores; items are (x, y) with y = +-1."""
+    """Mean hinge max(0, margin - y*s) of scalar scores of (batch, d) rows X; y is +-1."""
     if not margin > 0:
         raise ValidationError(f"hinge margin must be > 0, got {margin}")
 
-    def head(params: MlpParams, items: list) -> tuple[float, tuple[list, list]]:
-        X, y = _stack_vector_batch(params, items)
+    def head(params: MlpParams, X: np.ndarray, y: np.ndarray) -> tuple[float, tuple]:
         y = y.astype(np.float64)
         acts, pres = _forward_cached(params, X, terminal_relu=False)
         scores = acts[-1][:, 0]
         slack = margin - y * scores
         active = slack > 0  # subgradient 0 exactly at the kink
-        batch = len(items)
+        batch = len(X)
         loss = float(np.sum(np.where(active, slack, 0.0)) / batch)
         d_scores = (-y * active) / batch
         grads = _backward(params, acts, pres, d_scores[:, None], terminal_relu=False)
@@ -224,8 +223,17 @@ def pairwise_hinge_head(margin: float) -> LossHead:
     return head
 
 
+def order_margins(emb: np.ndarray, alpha: float) -> np.ndarray:
+    """m[..., i, j, :] = max(0, alpha - (e_j - e_i)) for embeddings emb of shape (..., n, k).
+
+    The squared norm of m[..., i, j, :] is the penalty of placing i before j;
+    the result has shape (..., n, n, k).
+    """
+    return np.maximum(0.0, alpha - (emb[..., None, :, :] - emb[..., :, None, :]))
+
+
 def npe_order_head(alpha: float) -> LossHead:
-    """Mean per-story ordered-embedding penalty; items are ((n, d) gold-order features, None).
+    """Mean per-story ordered-embedding penalty; X is (batch, n, d) gold-order stories.
 
     Each story contributes sum over ordered pairs i<j of
     ||max(0, alpha - (e_j - e_i))||^2 on terminal-ReLU embeddings.
@@ -233,25 +241,15 @@ def npe_order_head(alpha: float) -> LossHead:
     if not alpha > 0:
         raise ValidationError(f"alpha must be > 0, got {alpha}")
 
-    def head(params: MlpParams, items: list) -> tuple[float, tuple[list, list]]:
-        feats = np.stack([np.asarray(x, dtype=np.float64) for x, _ in items])
-        batch, n, d_in = feats.shape
-        if d_in != params.input_dim:
-            raise DimensionError(
-                f"feature dim {d_in} does not match model dim {params.input_dim}"
-            )
-        flat = feats.reshape(batch * n, d_in)
-        acts, pres = _forward_cached(params, flat, terminal_relu=True)
+    def head(params: MlpParams, X: np.ndarray, y: None) -> tuple[float, tuple]:
+        batch, n, d_in = X.shape
+        acts, pres = _forward_cached(params, X.reshape(batch * n, d_in), terminal_relu=True)
         emb = acts[-1].reshape(batch, n, params.output_dim)
-        d_emb = np.zeros_like(emb)
-        total = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                m = np.maximum(0.0, alpha - (emb[:, j] - emb[:, i]))
-                total += float(np.sum(m * m))
-                d_emb[:, j] -= 2.0 * m / batch
-                d_emb[:, i] += 2.0 * m / batch
-        loss = total / batch
+        earlier = np.triu(np.ones((n, n)), 1)[:, :, None]  # pairs i < j
+        m = order_margins(emb, alpha) * earlier
+        loss = float(np.sum(m * m)) / batch
+        # e_i gains +2m from each later j, e_j gains -2m from each earlier i
+        d_emb = 2.0 * (m.sum(axis=2) - m.sum(axis=1)) / batch
         grads = _backward(
             params, acts, pres, d_emb.reshape(batch * n, params.output_dim),
             terminal_relu=True,
@@ -297,25 +295,30 @@ def grad_check(loss_fn: Callable[[MlpParams], tuple], params: MlpParams,
 
 def sgd_train(
     params: MlpParams,
-    data: Sequence[tuple],
+    X: np.ndarray,
+    y: np.ndarray | None,
     loss_head: LossHead,
     cfg: TrainConfig,
 ) -> MlpParams:
-    """Mini-batch SGD over (x, target) items; returns updated copies of the parameters.
+    """Mini-batch SGD over the rows of X (and y); returns updated copies of the parameters.
 
     Shuffling is driven by cfg.seed only. L2 decay applies to weight
     matrices, not biases, and is not included in the reported loss.
     """
     params = clone_params(params)
-    data = list(data)
-    if not data:
+    if X.ndim < 2 or X.shape[-1] != params.input_dim or (y is not None and len(y) != len(X)):
+        raise DimensionError(
+            f"training set X {X.shape}, y {None if y is None else len(y)} rows "
+            f"does not match model dim {params.input_dim}"
+        )
+    if len(X) == 0:
         return params
     rng = np.random.default_rng(cfg.seed)
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(data))
-        for start in range(0, len(data), cfg.batch_size):
-            batch = [data[i] for i in order[start:start + cfg.batch_size]]
-            loss, (gws, gbs) = loss_head(params, batch)
+        order = rng.permutation(len(X))
+        for start in range(0, len(X), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            loss, (gws, gbs) = loss_head(params, X[idx], None if y is None else y[idx])
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
@@ -327,20 +330,6 @@ def sgd_train(
                 params.weights[k] -= cfg.learning_rate * gw
                 params.biases[k] -= cfg.learning_rate * gbs[k]
     return params
-
-
-def mean_loss(params: MlpParams, data: Sequence[tuple], loss_head: LossHead,
-              batch_size: int = 256) -> float:
-    """Dataset mean of the head loss, computed in batches without updates."""
-    data = list(data)
-    if not data:
-        raise ValidationError("mean_loss requires at least one item")
-    total = 0.0
-    for start in range(0, len(data), batch_size):
-        batch = data[start:start + batch_size]
-        loss, _ = loss_head(params, batch)
-        total += loss * len(batch)
-    return total / len(data)
 
 
 def train_config_to_dict(cfg: TrainConfig) -> dict:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import neural, pairwise
 from .core import Permutation, as_float_vector
-from .data import Story, check_dataset, feature_dim, story_feature_matrix
+from .data import Story, check_dataset, gold_features, story_feature_matrix
 from .errors import DimensionError, EmptyInputError, ValidationError
 from .neural import MlpParams, TrainConfig
 
@@ -72,6 +72,12 @@ def embed(model: NpeModel, features) -> np.ndarray:
     return neural.mlp_forward(model.mlp, x, terminal_relu=True)
 
 
+def _penalties(emb: np.ndarray, alpha: float) -> np.ndarray:
+    """P[..., i, j] = ||max(0, alpha - (e_j - e_i))||^2 for embeddings of shape (..., n, k)."""
+    m = neural.order_margins(emb, alpha)
+    return np.sum(m * m, axis=-1)
+
+
 def npe_pair_loss(x_i, x_j, alpha: float) -> float:
     """||max(0, alpha - (x_j - x_i))||^2, elementwise margin then squared norm."""
     a = as_float_vector(x_i, "x_i")
@@ -80,20 +86,14 @@ def npe_pair_loss(x_i, x_j, alpha: float) -> float:
         raise DimensionError(f"embedding dims differ: {a.shape} vs {b.shape}")
     if not alpha > 0:
         raise ValidationError(f"alpha must be > 0, got {alpha}")
-    m = np.maximum(0.0, alpha - (b - a))
-    return float(np.dot(m, m))
+    return float(_penalties(np.stack([a, b]), alpha)[0, 1])
 
 
 def npe_story_loss(model: NpeModel, story: Story) -> float:
     """Sum of pair penalties over all gold-ordered pairs of one story."""
     feats = story_feature_matrix(story, model.use_image, view="gold")
     emb = neural.mlp_forward(model.mlp, feats, terminal_relu=True)
-    n = story.n
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += npe_pair_loss(emb[i], emb[j], model.alpha)
-    return total
+    return float(np.sum(np.triu(_penalties(emb, model.alpha), 1)))
 
 
 def npe_scores(model: NpeModel, story: Story) -> np.ndarray:
@@ -105,12 +105,8 @@ def npe_scores(model: NpeModel, story: Story) -> np.ndarray:
     """
     feats = story_feature_matrix(story, model.use_image, view="presented")
     emb = neural.mlp_forward(model.mlp, feats, terminal_relu=True)
-    n = story.n
-    s = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                s[i, j] = -npe_pair_loss(emb[i], emb[j], model.alpha)
+    s = -_penalties(emb, model.alpha)
+    np.fill_diagonal(s, 0.0)
     return s
 
 
@@ -126,7 +122,7 @@ def train_npe(
 ) -> NpeModel:
     """Minimize the mean per-story ordered-embedding penalty by SGD.
 
-    Each training item is one story's gold-ordered feature matrix;
+    Each training row is one story's gold-ordered feature matrix;
     gradients flow through the elementwise margin max with subgradient 0
     at the kink.
     """
@@ -134,17 +130,12 @@ def train_npe(
     if not stories:
         raise EmptyInputError("train_npe requires at least one story")
     check_dataset(stories)
-    dim = feature_dim(stories, use_image)
-    data = [
-        (story_feature_matrix(story, use_image, view="gold"), None)
-        for story in stories
-    ]
+    X = gold_features(stories, use_image)
     rng = np.random.default_rng(cfg.train.seed)
-    params = neural.init_mlp((dim, hidden_units, cfg.embed_dim), rng)
-    params = neural.sgd_train(params, data, neural.npe_order_head(cfg.alpha), cfg.train)
+    params = neural.init_mlp((X.shape[-1], hidden_units, cfg.embed_dim), rng)
+    params = neural.sgd_train(params, X, None, neural.npe_order_head(cfg.alpha), cfg.train)
     return NpeModel(mlp=params, alpha=cfg.alpha, use_image=use_image,
                     train_config=cfg.train)
-
 
 
 def train(stories: Sequence[Story], cfg: TrainConfig, use_image: bool = False,

@@ -19,9 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from . import neural
-from .core import MAX_ENUMERATION_N, Permutation, best_rows, check_top_k, permutation_table
-from .data import Story, check_dataset, concat_features, feature_dim, story_feature_matrix
-from .errors import DimensionError, EmptyInputError, EnumerationCapError, ValidationError
+from .core import Permutation, best_rows, check_top_k, permutation_table
+from .data import Story, check_dataset, gold_features, story_feature_matrix
+from .errors import DimensionError, EmptyInputError, ValidationError
 from .neural import MlpParams, TrainConfig
 
 MODEL_KIND = "pairwise"
@@ -59,19 +59,23 @@ def check_pair_matrix(s) -> np.ndarray:
     return a
 
 
+def pair_rows(feats: np.ndarray) -> np.ndarray:
+    """Rows [x_i, x_j] for every ordered pair i != j, row-major in (i, j).
+
+    feats has shape (..., n, d); the result has shape (..., n(n-1), 2d).
+    """
+    i, j = np.nonzero(~np.eye(feats.shape[-2], dtype=bool))
+    return np.concatenate([feats[..., i, :], feats[..., j, :]], axis=-1)
+
+
 def pair_scores(model: PairwiseModel, story: Story) -> np.ndarray:
     """s[i][j] = score of presented element i before presented element j; diagonal 0.
 
     Orientations are scored independently, no symmetry is imposed.
     """
     feats = story_feature_matrix(story, model.use_image, view="presented")
-    n = story.n
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    batch = np.stack([np.concatenate([feats[i], feats[j]]) for i, j in pairs])
-    out = neural.mlp_forward(model.mlp, batch)[:, 0]
-    s = np.zeros((n, n))
-    for (i, j), val in zip(pairs, out):
-        s[i, j] = val
+    s = np.zeros((story.n, story.n))
+    s[~np.eye(story.n, dtype=bool)] = neural.mlp_forward(model.mlp, pair_rows(feats))[:, 0]
     return s
 
 
@@ -90,22 +94,12 @@ def pairwise_objective(s, sigma: Permutation) -> float:
     return float(total)
 
 
-def _decodable_matrix(s) -> np.ndarray:
-    """check_pair_matrix, then the n <= MAX_ENUMERATION_N decoding cap."""
-    a = check_pair_matrix(s)
-    n = a.shape[0]
-    if n > MAX_ENUMERATION_N:
-        raise EnumerationCapError(
-            f"pairwise decoding capped at n <= {MAX_ENUMERATION_N}, got {n}"
-        )
-    return a
-
-
 def _all_objectives(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The permutation table of n and pairwise_objective of each of its rows.
 
     Pair terms are added in pairwise_objective's order (i < j, row-major),
-    so each value is bit-identical to the scalar one.
+    so each value is bit-identical to the scalar one. permutation_table
+    raises EnumerationCapError beyond MAX_ENUMERATION_N.
     """
     table = permutation_table(a.shape[0])
     values = np.zeros(len(table))
@@ -121,7 +115,7 @@ def rank_permutations(s, k: int | None = None) -> list[tuple[Permutation, float]
 
     Ties break lexicographically on the positions tuple.
     """
-    a = _decodable_matrix(s)
+    a = check_pair_matrix(s)
     if k is not None:
         check_top_k(a.shape[0], k)
     table, values = _all_objectives(a)
@@ -133,7 +127,7 @@ def decode_pairwise(s) -> Permutation:
 
     Ties go to the lexicographically smallest positions tuple.
     """
-    a = _decodable_matrix(s)
+    a = check_pair_matrix(s)
     table, values = _all_objectives(a)
     return Permutation(tuple(table[np.argmax(values)]))
 
@@ -161,21 +155,16 @@ def train_pairwise(
     check_dataset(stories)
     if not margin > 0:
         raise ValidationError(f"margin must be > 0, got {margin}")
-    dim = feature_dim(stories, use_image)
-    data = []
-    for story in stories:
-        feats = [concat_features(e, use_image) for e in story.elements]
-        for i, a in enumerate(story.elements):
-            for j, b in enumerate(story.elements):
-                if i == j:
-                    continue
-                label = 1.0 if a.gold_position < b.gold_position else -1.0
-                data.append((np.concatenate([feats[i], feats[j]]), label))
+    X = pair_rows(gold_features(stories, use_image))
+    count, pairs, width = X.shape
+    # in gold order the pair (i, j) is +1 exactly when i < j
+    i, j = pair_rows(np.arange(stories[0].n)[:, None]).T
+    labels = np.where(i < j, 1.0, -1.0)
     rng = np.random.default_rng(cfg.seed)
-    params = neural.init_mlp((2 * dim, hidden_units, 1), rng)
-    params = neural.sgd_train(params, data, neural.pairwise_hinge_head(margin), cfg)
+    params = neural.init_mlp((width, hidden_units, 1), rng)
+    params = neural.sgd_train(params, X.reshape(count * pairs, width), np.tile(labels, count),
+                              neural.pairwise_hinge_head(margin), cfg)
     return PairwiseModel(mlp=params, use_image=use_image, margin=margin, train_config=cfg)
-
 
 
 # The names every model module exposes to the registry in storysort.models.

@@ -16,7 +16,7 @@ import numpy as np
 from . import neural
 from .assign import additive_score, check_score_matrix, hungarian_max
 from .core import Permutation
-from .data import Story, check_dataset, concat_features, feature_dim, story_feature_matrix
+from .data import Story, check_dataset, gold_features, story_feature_matrix
 from .errors import DimensionError, EmptyInputError, ValidationError
 from .neural import MlpParams, TrainConfig
 
@@ -73,21 +73,17 @@ def train_unary(
     use_image: bool = False,
     hidden_units: int = neural.DEFAULT_HIDDEN_UNITS,
 ) -> UnaryModel:
-    """Fit position classification with one (features, gold position) example per element."""
+    """Fit position classification: each element's features, labeled with its gold position."""
     stories = list(stories)
     if not stories:
         raise EmptyInputError("train_unary requires at least one story")
     check_dataset(stories)
-    n = stories[0].n
-    dim = feature_dim(stories, use_image)
-    data = [
-        (concat_features(e, use_image), e.gold_position)
-        for story in stories
-        for e in story.elements
-    ]
+    feats = gold_features(stories, use_image)
+    count, n, dim = feats.shape
     rng = np.random.default_rng(cfg.seed)
     params = neural.init_mlp((dim, hidden_units, n), rng)
-    params = neural.sgd_train(params, data, neural.softmax_ce_head(), cfg)
+    params = neural.sgd_train(params, feats.reshape(count * n, dim),
+                              np.tile(np.arange(n), count), neural.softmax_ce_head(), cfg)
     return UnaryModel(mlp=params, n=n, use_image=use_image, train_config=cfg)
 
 

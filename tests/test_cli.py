@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storysort import cli
 from storysort.core import Permutation
@@ -99,6 +103,14 @@ class TestTrain:
         run(train_args(dataset, a))
         run(train_args(dataset, b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("hidden", ["0", "-5"])
+    def test_bad_hidden_is_one_error_line(self, dataset, tmp_path, capsys, hidden):
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(train_args(dataset, out, extra=["--hidden", hidden])) == 1
+        assert "layer_dims" in one_error_line(capsys)
+        assert not out.exists()
 
     def test_missing_dataset_fails_with_code_1(self, tmp_path):
         code = run(train_args(tmp_path / "nope.jsonl", tmp_path / "m.json"))
@@ -283,6 +295,18 @@ class TestBadCheckpoint:
         assert f"{bad}: bad checkpoint" in one_error_line(capsys)
 
 
+    @pytest.mark.parametrize("kind,field", [("pairwise", "margin"), ("npe", "alpha")])
+    def test_out_of_range_field_names_the_file(self, trained, tmp_path, capsys, kind, field):
+        data, ckpts = trained
+        payload = json.loads(ckpts[kind].read_text())
+        payload[field] = -1.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["sort", "--ckpt", str(bad), "--data", str(data),
+                    "--out", str(tmp_path / "pred.jsonl")]) == 1
+        assert f"{bad}: bad checkpoint" in one_error_line(capsys)
+
 class TestDecodeLimits:
     """Decode size limits fail before training and before --out is opened."""
 
@@ -414,3 +438,146 @@ def test_seed_flag_removed(trained, tmp_path, command):
     argv = [command, *source, "--data", str(data), "--out", str(tmp_path / "out"),
             "--seed", "0"]
     assert run(argv) == 2
+
+
+class TestWrongTypedValues:
+    """A value of the wrong JSON type is a ParseError naming <path>:<line>."""
+
+    @pytest.mark.parametrize("order", [["a", 0, 1, 2, 3], "01234", [0.9, 1.2, 2.5, 3.1, 4.7]])
+    def test_predicted_order_must_be_a_list_of_integers(self, trained, tmp_path, capsys,
+                                                        order):
+        data, _ = trained
+        stories = load_dataset(data)
+        pred = tmp_path / "pred.jsonl"
+        write_predictions(pred, [
+            {"story_id": s.story_id, "predicted_order": list(s.presented_gold().positions)}
+            for s in stories
+        ])
+        lines = pred.read_text(encoding="utf-8").splitlines(True)
+        lines[1] = json.dumps({"story_id": stories[1].story_id, "predicted_order": order}) + "\n"
+        pred.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["eval", "--pred", str(pred), "--data", str(data)]) == 1
+        assert f"{pred}:2: bad prediction record: predicted_order" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("field,value", [
+        ("gold_position", "x"), ("gold_position", 0.7), ("n", "5"), ("text_features", "a"),
+    ])
+    def test_dataset_numbers_must_be_json_numbers(self, trained, tmp_path, capsys, field,
+                                                  value):
+        data, ckpts = trained
+        lines = data.read_text(encoding="utf-8").splitlines(True)
+        record = json.loads(lines[2])
+        if field == "n":
+            record["n"] = value
+        elif field == "gold_position":
+            record["elements"][0]["gold_position"] = value
+        else:
+            record["elements"][0]["text_features"][0] = value
+        lines[2] = json.dumps(record) + "\n"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(lines), encoding="utf-8")
+        pred = tmp_path / "pred.jsonl"
+        capsys.readouterr()
+        assert run(["sort", "--ckpt", str(ckpts["unary"]), "--data", str(bad),
+                    "--out", str(pred)]) == 1
+        assert f"{bad}:3: missing or bad field: {field}" in one_error_line(capsys)
+        assert not pred.exists()
+
+
+# A JSON value of any type but integer: a JSON integer is valid in most fields. Lists
+# have at most 2 entries, fewer than any feature vector or order in these files.
+JSON_LEAVES = st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=4,
+)
+
+# Per file kind: (path to one field, JSON types that are valid there and so are not drawn)
+MLP_FIELDS = [(("model_kind",), (str,)), (("layer_dims",), ()), (("weights",), ()),
+              (("biases",), ()), (("train_config",), (type(None),))]
+FIELDS = {
+    "dataset": [
+        (("story_id",), (str,)), (("n",), ()), (("elements",), ()),
+        (("presented_order",), (type(None),)), (("presented_order", 0), ()),
+        (("elements", 0, "element_id"), (str,)), (("elements", 0, "gold_position"), ()),
+        (("elements", 0, "text_features"), ()),
+        (("elements", 0, "text_features", 0), (float,)),
+        (("elements", 0, "image_features"), ()),
+    ],
+    "predictions": [
+        (("story_id",), (str,)), (("predicted_order",), ()), (("predicted_order", 0), ()),
+    ],
+    "unary": [(("n",), ()), (("use_image",), (bool,))] + MLP_FIELDS,
+    "pairwise": [(("use_image",), (bool,)), (("margin",), (float,))] + MLP_FIELDS,
+    "npe": [(("alpha",), (float,)), (("use_image",), (bool,))] + MLP_FIELDS,
+}
+
+
+def replaced(record, path, value):
+    """A deep copy of a JSON record with the field at path set to value."""
+    record = json.loads(json.dumps(record))
+    target = record
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return record
+
+
+@pytest.fixture(scope="module")
+def small_files(trained, tmp_path_factory):
+    """Three stories, their gold predictions, and a scratch directory for corrupted copies."""
+    data, ckpts = trained
+    root = tmp_path_factory.mktemp("corrupt")
+    small = root / "data.jsonl"
+    small.write_text("".join(data.read_text(encoding="utf-8").splitlines(True)[:3]),
+                     encoding="utf-8")
+    pred = root / "pred.jsonl"
+    write_predictions(pred, [
+        {"story_id": s.story_id, "predicted_order": list(s.presented_gold().positions)}
+        for s in load_dataset(small)
+    ])
+    return small, pred, ckpts, root
+
+
+def corrupt_case(kind):
+    """(field path, a JSON value of a type that field does not accept) for one file kind."""
+    return st.sampled_from(FIELDS[kind]).flatmap(lambda f: st.tuples(
+        st.just(f[0]), JSON_VALUES.filter(lambda v: not isinstance(v, f[1]))))
+
+
+class TestCorruptedFiles:
+    """One field of a valid file set to a wrong-typed JSON value ends in one error line."""
+
+    @pytest.mark.parametrize("kind", list(FIELDS))
+    def test_one_error_line_and_no_traceback(self, small_files, kind):
+        small, pred, ckpts, root = small_files
+
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        @given(corrupt_case(kind))
+        def check(case):
+            path, value = case
+            bad = root / f"bad-{kind}"
+            if kind in ("dataset", "predictions"):
+                source = small if kind == "dataset" else pred
+                lines = source.read_text(encoding="utf-8").splitlines()
+                lines[1] = json.dumps(replaced(json.loads(lines[1]), path, value))
+                bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            else:
+                payload = json.loads(ckpts[kind].read_text(encoding="utf-8"))
+                bad.write_text(json.dumps(replaced(payload, path, value)), encoding="utf-8")
+            argv = {
+                "dataset": ["sort", "--ckpt", str(ckpts["unary"]), "--data", str(bad)],
+                "predictions": ["eval", "--pred", str(bad), "--data", str(small)],
+            }.get(kind, ["sort", "--ckpt", str(bad), "--data", str(small)])
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run([*argv, "--out", str(root / "out.jsonl")])
+            lines = err.getvalue().splitlines()
+            assert "Traceback" not in err.getvalue()
+            assert code in (1, 2) and len(lines) == 1, (path, value, err.getvalue())
+            assert lines[0].startswith(("error: ", "usage error: ")), lines
+
+        check()

@@ -11,7 +11,6 @@ from storysort.data import (
     SyntheticSpec,
     check_dataset,
     concat_features,
-    feature_dim,
     generate_synthetic,
     jumble,
     load_dataset,
@@ -243,8 +242,3 @@ class TestFeatureMatrix:
     def test_unknown_view(self):
         with pytest.raises(ValidationError):
             story_feature_matrix(make_story([0, 1]), view="sideways")
-
-    def test_feature_dim_helper(self):
-        stories = [make_story([0, 1], image=[np.zeros(4), np.zeros(4)])]
-        assert feature_dim(stories, use_image=False) == 2
-        assert feature_dim(stories, use_image=True) == 6

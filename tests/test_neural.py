@@ -45,6 +45,16 @@ def kink_slack(params: MlpParams, X, terminal_relu: bool = False) -> float:
     return min(float(np.min(np.abs(z))) for z in relu_pres)
 
 
+def mean_loss(params: MlpParams, X, y, loss_head, batch_size: int = 256) -> float:
+    """Dataset mean of the head loss, computed in batches without updates."""
+    total = 0.0
+    for start in range(0, len(X), batch_size):
+        rows = slice(start, start + batch_size)
+        loss, _ = loss_head(params, X[rows], None if y is None else y[rows])
+        total += loss * len(X[rows])
+    return total / len(X)
+
+
 def draw_ce_case(seed, slack=1e-3, dims=(6, 8, 5), batch=7):
     """Sample a cross-entropy check point away from every ReLU kink."""
     while True:
@@ -53,8 +63,9 @@ def draw_ce_case(seed, slack=1e-3, dims=(6, 8, 5), batch=7):
         items = [(rng.standard_normal(dims[0]), int(rng.integers(0, dims[-1])))
                  for _ in range(batch)]
         X = np.stack([x for x, _ in items])
+        y = np.array([t for _, t in items])
         if kink_slack(params, X) > slack:
-            return params, items, seed
+            return params, X, y, seed
         seed += 1
 
 
@@ -70,7 +81,7 @@ def draw_hinge_case(seed, margin=1.0, slack=1e-2, dims=(6, 8, 1), batch=9):
         scores = mlp_forward(params, X)[:, 0]
         margin_slack = float(np.min(np.abs(margin - y * scores)))
         if kink_slack(params, X) > slack and margin_slack > slack:
-            return params, items, seed
+            return params, X, y, seed
         seed += 1
 
 
@@ -88,7 +99,7 @@ def draw_npe_case(seed, alpha=1.0, slack=1e-3, dims=(6, 8, 4), n=5, batch=4):
             for j in range(i + 1, n)
         )
         if kink_slack(params, X, terminal_relu=True) > slack and margin_slack > slack:
-            return params, items, seed
+            return params, np.stack([x for x, _ in items]), seed
         seed += 1
 
 
@@ -174,19 +185,19 @@ class TestGradCheck:
         assert grad_check(quad, params, eps=1e-5) < 1e-7
 
     def test_softmax_ce(self):
-        params, items, _ = draw_ce_case(0)
+        params, X, y, _ = draw_ce_case(0)
         head = neural.softmax_ce_head()
-        assert grad_check(lambda p: head(p, items), params, eps=1e-5) < GRAD_TOL
+        assert grad_check(lambda p: head(p, X, y), params, eps=1e-5) < GRAD_TOL
 
     def test_hinge_at_slack_points(self):
-        params, items, _ = draw_hinge_case(100)
+        params, X, y, _ = draw_hinge_case(100)
         head = neural.pairwise_hinge_head(1.0)
-        assert grad_check(lambda p: head(p, items), params, eps=1e-3) < GRAD_TOL
+        assert grad_check(lambda p: head(p, X, y), params, eps=1e-3) < GRAD_TOL
 
     def test_npe_story_loss(self):
-        params, items, _ = draw_npe_case(200)
+        params, X, _ = draw_npe_case(200)
         head = neural.npe_order_head(1.0)
-        assert grad_check(lambda p: head(p, items), params, eps=1e-5) < GRAD_TOL
+        assert grad_check(lambda p: head(p, X, None), params, eps=1e-5) < GRAD_TOL
 
     def test_eps_bounds(self):
         params = zero_mlp((2, 2))
@@ -205,8 +216,8 @@ class TestHeads:
 
     def test_ce_loss_matches_manual(self):
         params = zero_mlp((3, 2))
-        items = [(np.array([1.0, 0.0, 0.0]), 0), (np.array([0.0, 1.0, 0.0]), 1)]
-        loss, _ = neural.softmax_ce_head()(params, items)
+        X = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        loss, _ = neural.softmax_ce_head()(params, X, np.array([0, 1]))
         # zero logits: every example costs log(2)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
@@ -220,8 +231,17 @@ class TestSgdTrain:
         rng = np.random.default_rng(0)
         params = init_mlp((3, 4, 2), rng)
         cfg = TrainConfig(learning_rate=0.1, epochs=1)
-        out = sgd_train(params, [], neural.softmax_ce_head(), cfg)
+        out = sgd_train(params, np.zeros((0, 3)), np.zeros(0, dtype=int),
+                        neural.softmax_ce_head(), cfg)
         assert all((a == b).all() for a, b in zip(out.weights, params.weights))
+
+    @pytest.mark.parametrize("rows,width,targets", [(6, 3, 6), (6, 4, 5)])
+    def test_training_set_shape_checked_once(self, rows, width, targets):
+        params = init_mlp((4, 3, 2), np.random.default_rng(0))
+        cfg = TrainConfig(learning_rate=0.1, epochs=1)
+        with pytest.raises(DimensionError):
+            sgd_train(params, np.zeros((rows, width)), np.zeros(targets, dtype=int),
+                      neural.softmax_ce_head(), cfg)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(0)
@@ -229,9 +249,10 @@ class TestSgdTrain:
         data_rng = np.random.default_rng(1)
         data = [(data_rng.standard_normal(4), int(data_rng.integers(0, 2)))
                 for _ in range(30)]
+        X, y = np.stack([x for x, _ in data]), np.array([t for _, t in data])
         cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=8, seed=42)
-        a = sgd_train(params, data, neural.softmax_ce_head(), cfg)
-        b = sgd_train(params, data, neural.softmax_ce_head(), cfg)
+        a = sgd_train(params, X, y, neural.softmax_ce_head(), cfg)
+        b = sgd_train(params, X, y, neural.softmax_ce_head(), cfg)
         assert all((x == y).all() for x, y in zip(a.weights, b.weights))
         assert all((x == y).all() for x, y in zip(a.biases, b.biases))
 
@@ -242,20 +263,22 @@ class TestSgdTrain:
             label = int(rng.integers(0, 2))
             center = np.array([2.0, 2.0]) if label else np.array([-2.0, -2.0])
             data.append((center + 0.3 * rng.standard_normal(2), label))
+        X, y = np.stack([x for x, _ in data]), np.array([t for _, t in data])
         params = init_mlp((2, 16, 2), rng)
         cfg = TrainConfig(learning_rate=0.1, epochs=200, batch_size=16, seed=0)
-        trained = sgd_train(params, data, neural.softmax_ce_head(), cfg)
-        final_loss = neural.mean_loss(trained, data, neural.softmax_ce_head())
+        trained = sgd_train(params, X, y, neural.softmax_ce_head(), cfg)
+        final_loss = mean_loss(trained, X, y, neural.softmax_ce_head())
         assert final_loss < 0.1
 
     def test_l2_shrinks_weights(self):
         rng = np.random.default_rng(3)
         params = init_mlp((3, 4, 2), rng)
         data = [(rng.standard_normal(3), int(rng.integers(0, 2))) for _ in range(20)]
+        X, y = np.stack([x for x, _ in data]), np.array([t for _, t in data])
         cfg_plain = TrainConfig(learning_rate=0.05, epochs=5, seed=1, l2=0.0)
         cfg_l2 = TrainConfig(learning_rate=0.05, epochs=5, seed=1, l2=0.5)
-        plain = sgd_train(params, data, neural.softmax_ce_head(), cfg_plain)
-        decayed = sgd_train(params, data, neural.softmax_ce_head(), cfg_l2)
+        plain = sgd_train(params, X, y, neural.softmax_ce_head(), cfg_plain)
+        decayed = sgd_train(params, X, y, neural.softmax_ce_head(), cfg_l2)
         norm = lambda p: sum(float(np.sum(w * w)) for w in p.weights)
         assert norm(decayed) < norm(plain)
 
@@ -297,9 +320,9 @@ class TestNumericGuards:
     def test_nan_loss_aborts_with_location(self):
         params = zero_mlp((2, 1))
 
-        def bad_head(p, items):
+        def bad_head(p, X, y):
             return float("nan"), ([np.zeros((2, 1))], [np.zeros(1)])
 
         cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=2)
         with pytest.raises(NumericError, match="epoch 0"):
-            sgd_train(params, [(np.zeros(2), 0)] * 4, bad_head, cfg)
+            sgd_train(params, np.zeros((4, 2)), np.zeros(4, dtype=int), bad_head, cfg)

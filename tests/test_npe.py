@@ -168,9 +168,8 @@ class TestTrainNpe:
         train, _, _ = split_dataset(tiny_clean_dataset, (0.75, 0.0, 0.25), seed=0)
         base_cfg = TrainConfig(learning_rate=0.02, epochs=50, batch_size=8, seed=0)
         rng = np.random.default_rng(base_cfg.seed)
-        from storysort.data import feature_dim
-
-        init = neural.init_mlp((feature_dim(train), 64, 16), rng)
+        dim = story_feature_matrix(train[0]).shape[1]
+        init = neural.init_mlp((dim, 64, 16), rng)
         init_model = NpeModel(mlp=init, alpha=1.0)
         trained = train_npe(train, NpeConfig(train=base_cfg, embed_dim=16, alpha=1.0))
         init_loss = np.mean([npe_story_loss(init_model, s) for s in train])
