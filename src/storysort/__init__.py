@@ -17,10 +17,8 @@ from .core import (
     reverse,
 )
 from .data import (
-    Element,
     Story,
     SyntheticSpec,
-    concat_features,
     generate_synthetic,
     jumble,
     load_dataset,

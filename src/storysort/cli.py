@@ -21,7 +21,9 @@ Errors the CLI handles go to stderr as one line:
 ``error: <message>`` with exit 1 for a runtime or validation failure,
 ``usage error: <message>`` with exit 2 for a bad argument or config
 value. Flags that argparse itself rejects print argparse's usage text
-to stderr and also exit 2.
+to stderr and also exit 2. A stdout closed by its reader (as in
+``storysort eval ... | true``) is a runtime failure: one ``error:`` line
+and exit 1.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 """
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -414,7 +417,15 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code) if e.code is not None else 0
     try:
         args = _apply_config_file(args, parser)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # nothing more can reach stdout; point it at devnull so the flush at exit
+        # does not raise again (the "Note on SIGPIPE" in the signal module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before all output was written", file=sys.stderr)
+        return 1
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -1,10 +1,18 @@
 """Story ingestion, feature assembly, jumbling, splits, and synthetic data.
 
-A story is a fixed-length list of elements, each carrying a text feature
-vector, an optional image feature vector, and its gold position. The
-canonical element order is gold order; the jumbled view models actually
-see is stored separately as presented_order, so inference code never
-touches gold positions by accident.
+A story of n elements is a handful of arrays, indexed by element in the
+order the elements are listed in the file: ``text`` is an (n, d_text)
+float64 matrix, ``image`` an (n, d_image) one or None, and
+``element_ids[i]`` and ``gold[i]`` name element i and give its gold
+position. The jumbled view models actually see is stored separately as
+presented_order, and models read features only through
+story_feature_matrix, so inference code never touches gold positions by
+accident.
+
+Story.__post_init__ checks each story on its own (length, gold
+positions, feature shapes, one finiteness check per array);
+check_dataset checks what stories must share (unique ids, n and feature
+dims).
 
 Datasets are line-delimited JSON, one story per line. Floats serialize
 in shortest round-trip decimal form, so save and load are exact.
@@ -24,83 +32,52 @@ from .core import (
     MAX_N,
     MIN_N,
     Permutation,
-    apply_permutation,
-    as_float_vector,
     as_rng,
-    inverse,
     json_list,
     json_value,
     random_permutation,
 )
-from .errors import (
-    DimensionError,
-    EmptyInputError,
-    FeatureError,
-    ParseError,
-    ValidationError,
-)
+from .errors import EmptyInputError, FeatureError, ParseError, ValidationError
 
 SIGNAL_MODES = ("monotone", "none")
 
 
 @dataclass(frozen=True)
-class Element:
-    """One story element: features plus its gold position within the story."""
-
-    element_id: str
-    text_features: np.ndarray
-    image_features: np.ndarray | None
-    gold_position: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "text_features", as_float_vector(self.text_features, "text_features")
-        )
-        if self.image_features is not None:
-            object.__setattr__(
-                self,
-                "image_features",
-                as_float_vector(self.image_features, "image_features"),
-            )
-        if self.gold_position < 0:
-            raise ValidationError(
-                f"element {self.element_id}: gold_position must be >= 0"
-            )
-
-
-@dataclass(frozen=True)
 class Story:
-    """An ordered set of elements; presented_order is the jumbled view shown to models."""
+    """n elements as arrays; presented_order is the jumbled view shown to models.
+
+    Row i of text and image, element_ids[i] and gold[i] all describe
+    element i. The feature arrays are read-only float64 copies of what
+    was passed in.
+    """
 
     story_id: str
-    elements: tuple[Element, ...]
+    text: np.ndarray
+    image: np.ndarray | None
+    element_ids: tuple[str, ...]
+    gold: tuple[int, ...]
     presented_order: Permutation | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(self.elements))
-        n = len(self.elements)
+        n = len(self.gold)
         if not MIN_N <= n <= MAX_N:
             raise ValidationError(
                 f"story {self.story_id}: length must be in [{MIN_N}, {MAX_N}], got {n}"
             )
-        golds = sorted(e.gold_position for e in self.elements)
-        if golds != list(range(n)):
+        object.__setattr__(self, "gold", tuple(int(g) for g in self.gold))
+        if sorted(self.gold) != list(range(n)):
             raise ValidationError(
                 f"story {self.story_id}: gold positions are not a permutation of 0..{n - 1}"
             )
-        text_dims = {e.text_features.shape[0] for e in self.elements}
-        if len(text_dims) != 1:
+        object.__setattr__(self, "element_ids", tuple(self.element_ids))
+        if len(self.element_ids) != n:
             raise ValidationError(
-                f"story {self.story_id}: inconsistent text feature dims {sorted(text_dims)}"
+                f"story {self.story_id}: {len(self.element_ids)} element ids for {n} elements"
             )
-        image_dims = {
-            None if e.image_features is None else e.image_features.shape[0]
-            for e in self.elements
-        }
-        if len(image_dims) != 1:
-            raise ValidationError(
-                f"story {self.story_id}: inconsistent image features across elements"
-            )
+        object.__setattr__(self, "text", _feature_array(self.story_id, "text", self.text, n))
+        if self.image is not None:
+            object.__setattr__(self, "image",
+                               _feature_array(self.story_id, "image", self.image, n))
         if self.presented_order is not None and self.presented_order.n != n:
             raise ValidationError(
                 f"story {self.story_id}: presented_order length {self.presented_order.n} != {n}"
@@ -108,83 +85,81 @@ class Story:
 
     @property
     def n(self) -> int:
-        return len(self.elements)
-
-    def presented_elements(self) -> list[Element]:
-        """Elements in the jumbled order shown to models (listed order if unjumbled)."""
-        if self.presented_order is None:
-            return list(self.elements)
-        return apply_permutation(self.presented_order, self.elements)
+        return len(self.gold)
 
     def presented_gold(self) -> Permutation:
         """Gold positions of the presented elements, the target models must recover."""
-        return Permutation(tuple(e.gold_position for e in self.presented_elements()))
-
-    def gold_elements(self) -> list[Element]:
-        return sorted(self.elements, key=lambda e: e.gold_position)
+        return Permutation(tuple(self.gold[i] for i in _element_order(self, "presented")))
 
 
-def concat_features(element: Element, use_image: bool = False) -> np.ndarray:
-    """Text features, optionally followed by image features, in that fixed order."""
-    if not use_image:
-        return element.text_features
-    if element.image_features is None:
-        raise FeatureError(
-            f"element {element.element_id} has no image features but use_image was requested"
+def _feature_array(story_id: str, name: str, rows, n: int) -> np.ndarray:
+    """rows (an array or a list of equal-length rows) as a read-only finite (n, d) array."""
+    if not isinstance(rows, np.ndarray):
+        dims = sorted({len(row) for row in rows})
+        if len(dims) > 1:
+            raise ValidationError(f"story {story_id}: inconsistent {name} feature dims {dims}")
+    arr = np.array(rows, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] != n:
+        raise ValidationError(
+            f"story {story_id}: {name} features must have shape ({n}, d), got {arr.shape}"
         )
-    return np.concatenate([element.text_features, element.image_features])
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"story {story_id}: {name} features contain non-finite entries")
+    arr.flags.writeable = False
+    return arr
+
+
+def _element_order(story: Story, view: str) -> np.ndarray:
+    """Indices of the elements in the presented order (listed order if unjumbled) or gold order."""
+    if view == "presented":
+        if story.presented_order is None:
+            return np.arange(story.n)
+        return np.argsort(story.presented_order.positions)
+    if view == "gold":
+        return np.argsort(story.gold)
+    raise ValidationError(f"unknown view {view!r}")
 
 
 def story_feature_matrix(story: Story, use_image: bool = False,
                          view: str = "presented") -> np.ndarray:
-    """(n, d) feature matrix over the presented or the gold element order."""
-    if view == "presented":
-        elems = story.presented_elements()
-    elif view == "gold":
-        elems = story.gold_elements()
-    else:
-        raise ValidationError(f"unknown view {view!r}")
-    return np.stack([concat_features(e, use_image) for e in elems])
+    """(n, d) rows of text, or of [text | image], in the presented or the gold element order."""
+    rows = _element_order(story, view)
+    if not use_image:
+        return story.text[rows]
+    if story.image is None:
+        raise FeatureError(
+            f"story {story.story_id} has no image features but use_image was requested"
+        )
+    return np.concatenate([story.text[rows], story.image[rows]], axis=1)
 
 
 def gold_features(stories: Sequence[Story], use_image: bool) -> np.ndarray:
     """(stories, n, d) features in gold order: row k of a story is its element at position k.
 
-    The stories must share n and d (check_dataset).
+    The stories are checked with check_dataset first, so they share n and d.
     """
+    check_dataset(stories)
     if not stories:
         raise EmptyInputError("cannot build a feature array from an empty dataset")
     return np.stack([story_feature_matrix(s, use_image, view="gold") for s in stories])
 
 
+def _dims(story: Story) -> tuple[int, int, int | None]:
+    """(n, text dim, image dim or None)."""
+    return story.n, story.text.shape[1], None if story.image is None else story.image.shape[1]
+
+
 def check_dataset(stories: Sequence[Story]) -> None:
-    """Enforce unique story_ids and constant n and feature dims across a dataset."""
-    if not stories:
-        return
-    first = stories[0]
-    n = first.n
-    text_dim = first.elements[0].text_features.shape[0]
-    has_image = first.elements[0].image_features is not None
-    image_dim = first.elements[0].image_features.shape[0] if has_image else None
+    """Enforce unique story_ids and one n, text dim and image dim across a dataset."""
     seen: set[str] = set()
     for story in stories:
         if story.story_id in seen:
             raise ValidationError(f"story {story.story_id}: repeated story_id")
         seen.add(story.story_id)
-        if story.n != n:
+        if _dims(story) != _dims(stories[0]):
             raise ValidationError(
-                f"story {story.story_id}: n={story.n} differs from dataset n={n}"
-            )
-        e = story.elements[0]
-        if e.text_features.shape[0] != text_dim:
-            raise ValidationError(
-                f"story {story.story_id}: text dim {e.text_features.shape[0]} != {text_dim}"
-            )
-        if (e.image_features is not None) != has_image or (
-            has_image and e.image_features.shape[0] != image_dim
-        ):
-            raise ValidationError(
-                f"story {story.story_id}: image features inconsistent with dataset"
+                f"story {story.story_id}: (n, text dim, image dim) {_dims(story)} differs "
+                f"from dataset {_dims(stories[0])}"
             )
 
 
@@ -228,32 +203,28 @@ def _unit_direction(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[Story]:
-    """Deterministic planted-signal dataset; stories come pre-jumbled."""
+    """Deterministic planted-signal dataset; stories come pre-jumbled.
+
+    Elements are listed in gold order. Each element draws its text noise,
+    then its image noise, so one (n, text_dim + image_dim) draw per story
+    takes them all in that order.
+    """
     rng = as_rng(spec.seed)
     u_text = _unit_direction(rng, spec.text_dim)
     u_image = _unit_direction(rng, spec.image_dim)
+    position = np.arange(spec.n)[:, None]
     stories = []
     for k in range(spec.story_count):
-        elements = []
-        for g in range(spec.n):
-            text = rng.standard_normal(spec.text_dim) * spec.noise_sigma
-            image = rng.standard_normal(spec.image_dim) * spec.noise_sigma
-            if spec.signal_mode == "monotone":
-                text = text + g * u_text
-                image = image + g * u_image
-            elements.append(
-                Element(
-                    element_id=f"story-{k:05d}-e{g}",
-                    text_features=text,
-                    image_features=image,
-                    gold_position=g,
-                )
-            )
-        presented = random_permutation(spec.n, rng)
-        stories.append(
-            Story(story_id=f"story-{k:05d}", elements=tuple(elements),
-                  presented_order=presented)
-        )
+        noise = rng.standard_normal((spec.n, spec.text_dim + spec.image_dim)) * spec.noise_sigma
+        text, image = noise[:, :spec.text_dim], noise[:, spec.text_dim:]
+        if spec.signal_mode == "monotone":
+            text = text + position * u_text
+            image = image + position * u_image
+        stories.append(Story(
+            story_id=f"story-{k:05d}", text=text, image=image,
+            element_ids=tuple(f"story-{k:05d}-e{g}" for g in range(spec.n)),
+            gold=tuple(range(spec.n)), presented_order=random_permutation(spec.n, rng),
+        ))
     return stories
 
 
@@ -286,18 +257,19 @@ def split_dataset(
 
 
 def _story_to_record(story: Story) -> dict:
+    text = story.text.tolist()
+    image = None if story.image is None else story.image.tolist()
     return {
         "story_id": story.story_id,
         "n": story.n,
         "elements": [
             {
-                "element_id": e.element_id,
-                "gold_position": e.gold_position,
-                "text_features": e.text_features.tolist(),
-                "image_features": None if e.image_features is None
-                else e.image_features.tolist(),
+                "element_id": element_id,
+                "gold_position": gold,
+                "text_features": text[i],
+                "image_features": None if image is None else image[i],
             }
-            for e in story.elements
+            for i, (element_id, gold) in enumerate(zip(story.element_ids, story.gold))
         ],
         "presented_order": None if story.presented_order is None
         else list(story.presented_order.positions),
@@ -305,20 +277,23 @@ def _story_to_record(story: Story) -> dict:
 
 
 def _story_from_record(record: dict) -> Story:
-    elements = []
+    story_id = json_value(record["story_id"], (str,), "story_id")
+    element_ids, gold, text, image = [], [], [], []
     for item in record["elements"]:
-        image = item["image_features"]
-        elements.append(Element(
-            element_id=json_value(item["element_id"], (str,), "element_id"),
-            text_features=json_list(item["text_features"], (int, float), "text_features"),
-            image_features=None if image is None
-            else json_list(image, (int, float), "image_features"),
-            gold_position=json_value(item["gold_position"], (int,), "gold_position"),
-        ))
+        element_ids.append(json_value(item["element_id"], (str,), "element_id"))
+        gold.append(json_value(item["gold_position"], (int,), "gold_position"))
+        text.append(json_list(item["text_features"], (int, float), "text_features"))
+        row = item["image_features"]
+        image.append(None if row is None else json_list(row, (int, float), "image_features"))
+    if any(row is None for row in image):
+        if any(row is not None for row in image):
+            raise ValidationError(
+                f"story {story_id}: inconsistent image features across elements"
+            )
+        image = None
     presented = record.get("presented_order")
     story = Story(
-        story_id=json_value(record["story_id"], (str,), "story_id"),
-        elements=tuple(elements),
+        story_id=story_id, text=text, image=image, element_ids=element_ids, gold=gold,
         presented_order=None if presented is None
         else Permutation(tuple(json_list(presented, (int,), "presented_order"))),
     )
@@ -352,7 +327,7 @@ def load_dataset(path: str | Path) -> list[Story]:
                 raise ParseError(f"{path}:{lineno}: malformed JSON: {e}") from e
             try:
                 stories.append(_story_from_record(record))
-            except (KeyError, TypeError, ValueError) as e:
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise ParseError(f"{path}:{lineno}: missing or bad field: {e}") from e
     check_dataset(stories)
     return stories

@@ -124,5 +124,5 @@ def load_model(path: str | Path) -> AnyModel:
         cfg = payload.get("train_config")
         train_config = None if cfg is None else neural.train_config_from_dict(cfg)
         return spec.module.Model(mlp=mlp, train_config=train_config, **fields)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValidationError(f"{path}: bad checkpoint: {type(e).__name__}: {e}") from e

@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .core import json_list, json_value
 from .errors import (
     DimensionError,
     NumericError,
@@ -343,12 +344,13 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
 
 
 def train_config_from_dict(d: dict) -> TrainConfig:
+    """Reads each field with its exact JSON type: 2.7 epochs or a string rate is a ValueError."""
     return TrainConfig(
-        learning_rate=float(d["learning_rate"]),
-        epochs=int(d["epochs"]),
-        batch_size=int(d["batch_size"]),
-        seed=int(d["seed"]),
-        l2=float(d["l2"]),
+        learning_rate=float(json_value(d["learning_rate"], (int, float), "learning_rate")),
+        epochs=json_value(d["epochs"], (int,), "epochs"),
+        batch_size=json_value(d["batch_size"], (int,), "batch_size"),
+        seed=json_value(d["seed"], (int,), "seed"),
+        l2=float(json_value(d["l2"], (int, float), "l2")),
     )
 
 
@@ -361,10 +363,21 @@ def mlp_to_dict(params: MlpParams) -> dict:
 
 
 def mlp_from_dict(d: dict) -> MlpParams:
-    dims = tuple(int(x) for x in d["layer_dims"])
-    weights = [np.array(w, dtype=np.float64) for w in d["weights"]]
-    biases = [np.array(b, dtype=np.float64) for b in d["biases"]]
+    """layer_dims must be integers and every weight and bias a JSON number."""
+    dims = tuple(json_list(d["layer_dims"], (int,), "layer_dims"))
+    weights = [_matrix(w, "weights") for w in json_list(d["weights"], (list,), "weights")]
+    biases = [np.array(_numbers(b, "biases"), dtype=np.float64)
+              for b in json_list(d["biases"], (list,), "biases")]
     return MlpParams(dims, weights, biases)
+
+
+def _numbers(values, name: str) -> list:
+    return json_list(values, (int, float), name)
+
+
+def _matrix(rows, name: str) -> np.ndarray:
+    return np.array([_numbers(row, name) for row in json_list(rows, (list,), name)],
+                    dtype=np.float64)
 
 
 def save_checkpoint(payload: dict, path: str | Path) -> None:

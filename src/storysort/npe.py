@@ -21,8 +21,8 @@ import numpy as np
 
 from . import neural, pairwise
 from .core import Permutation, as_float_vector
-from .data import Story, check_dataset, gold_features, story_feature_matrix
-from .errors import DimensionError, EmptyInputError, ValidationError
+from .data import Story, gold_features, story_feature_matrix
+from .errors import DimensionError, ValidationError
 from .neural import MlpParams, TrainConfig
 
 MODEL_KIND = "npe"
@@ -126,10 +126,6 @@ def train_npe(
     gradients flow through the elementwise margin max with subgradient 0
     at the kink.
     """
-    stories = list(stories)
-    if not stories:
-        raise EmptyInputError("train_npe requires at least one story")
-    check_dataset(stories)
     X = gold_features(stories, use_image)
     rng = np.random.default_rng(cfg.train.seed)
     params = neural.init_mlp((X.shape[-1], hidden_units, cfg.embed_dim), rng)

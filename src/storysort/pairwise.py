@@ -20,8 +20,8 @@ import numpy as np
 
 from . import neural
 from .core import Permutation, best_rows, check_top_k, permutation_table
-from .data import Story, check_dataset, gold_features, story_feature_matrix
-from .errors import DimensionError, EmptyInputError, ValidationError
+from .data import Story, gold_features, story_feature_matrix
+from .errors import DimensionError, ValidationError
 from .neural import MlpParams, TrainConfig
 
 MODEL_KIND = "pairwise"
@@ -149,16 +149,13 @@ def train_pairwise(
     otherwise -1; both orientations appear as separate examples so the
     two directed scores are learned independently.
     """
-    stories = list(stories)
-    if not stories:
-        raise EmptyInputError("train_pairwise requires at least one story")
-    check_dataset(stories)
+    feats = gold_features(stories, use_image)
     if not margin > 0:
         raise ValidationError(f"margin must be > 0, got {margin}")
-    X = pair_rows(gold_features(stories, use_image))
+    X = pair_rows(feats)
     count, pairs, width = X.shape
     # in gold order the pair (i, j) is +1 exactly when i < j
-    i, j = pair_rows(np.arange(stories[0].n)[:, None]).T
+    i, j = pair_rows(np.arange(feats.shape[1])[:, None]).T
     labels = np.where(i < j, 1.0, -1.0)
     rng = np.random.default_rng(cfg.seed)
     params = neural.init_mlp((width, hidden_units, 1), rng)

@@ -16,8 +16,8 @@ import numpy as np
 from . import neural
 from .assign import additive_score, check_score_matrix, hungarian_max
 from .core import Permutation
-from .data import Story, check_dataset, gold_features, story_feature_matrix
-from .errors import DimensionError, EmptyInputError, ValidationError
+from .data import Story, gold_features, story_feature_matrix
+from .errors import DimensionError, ValidationError
 from .neural import MlpParams, TrainConfig
 
 MODEL_KIND = "unary"
@@ -74,10 +74,6 @@ def train_unary(
     hidden_units: int = neural.DEFAULT_HIDDEN_UNITS,
 ) -> UnaryModel:
     """Fit position classification: each element's features, labeled with its gold position."""
-    stories = list(stories)
-    if not stories:
-        raise EmptyInputError("train_unary requires at least one story")
-    check_dataset(stories)
     feats = gold_features(stories, use_image)
     count, n, dim = feats.shape
     rng = np.random.default_rng(cfg.seed)

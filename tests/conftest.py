@@ -3,7 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from storysort.core import Permutation
-from storysort.data import Element, Story, SyntheticSpec, generate_synthetic
+from storysort.data import Story, SyntheticSpec, generate_synthetic
 from storysort.neural import TrainConfig
 
 
@@ -27,21 +27,12 @@ def perm_pairs_st(max_n: int = 8):
 def make_story(golds, story_id="s", text=None, image=None, presented=None):
     """Tiny hand-built story; features default to one-hot of the gold position."""
     n = len(golds)
-    elements = []
-    for idx, g in enumerate(golds):
-        t = text[idx] if text is not None else np.eye(n)[g]
-        im = image[idx] if image is not None else None
-        elements.append(
-            Element(
-                element_id=f"{story_id}-e{idx}",
-                text_features=t,
-                image_features=im,
-                gold_position=g,
-            )
-        )
     return Story(
         story_id=story_id,
-        elements=tuple(elements),
+        text=np.eye(n)[list(golds)] if text is None else text,
+        image=image,
+        element_ids=tuple(f"{story_id}-e{idx}" for idx in range(n)),
+        gold=tuple(golds),
         presented_order=None if presented is None else Permutation(tuple(presented)),
     )
 

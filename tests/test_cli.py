@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +297,29 @@ class TestBadCheckpoint:
                     "--out", str(tmp_path / "pred.jsonl")]) == 1
         assert f"{bad}: bad checkpoint" in one_error_line(capsys)
 
+    @pytest.mark.parametrize("kind", ["unary", "pairwise"])
+    @pytest.mark.parametrize("path,value,message", [
+        (("train_config", "epochs"), 2.7, "epochs must be"),
+        (("train_config", "batch_size"), "16", "batch_size must be"),
+        (("train_config", "learning_rate"), True, "learning_rate must be"),
+        (("layer_dims", 0), 6.0, "layer_dims must be"),
+        (("weights", 0, 0, 0), "0.5", "weights must be"),
+        (("biases", 0, 0), False, "biases must be"),
+        (("weights", 0, 0, 0), 10 ** 400, "too large"),
+    ], ids=["epochs", "batch_size", "learning_rate", "layer_dims", "weights", "biases",
+            "huge_weight"])
+    def test_nested_field_is_one_error_line(self, trained, tmp_path, capsys, kind, path,
+                                            value, message):
+        data, ckpts = trained
+        payload = replaced(json.loads(ckpts[kind].read_text()), path, value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        pred = tmp_path / "pred.jsonl"
+        capsys.readouterr()
+        assert run(["sort", "--ckpt", str(bad), "--data", str(data), "--out", str(pred)]) == 1
+        line = one_error_line(capsys)
+        assert f"{bad}: bad checkpoint" in line and message in line
+        assert not pred.exists()
 
     @pytest.mark.parametrize("kind,field", [("pairwise", "margin"), ("npe", "alpha")])
     def test_out_of_range_field_names_the_file(self, trained, tmp_path, capsys, kind, field):
@@ -362,6 +388,36 @@ class TestDecodeLimits:
                     "--out", str(pred)]) == 1
         assert "model expects n=5" in one_error_line(capsys)
         assert not pred.exists()
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early gets one error line and exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["generate", "sort", "eval"])
+    def test_one_error_line(self, trained, tmp_path, command):
+        data, ckpts = trained
+        sort = ["sort", "--ckpt", str(ckpts["unary"]), "--data", str(data)]
+        pred = tmp_path / "pred.jsonl"
+        assert run([*sort, "--out", str(pred)]) == 0
+        argv = {
+            "generate": gen_args(tmp_path / "d.jsonl", stories=3),
+            "sort": [*sort, "--out", str(tmp_path / "again.jsonl")],
+            "eval": ["eval", "--pred", str(pred), "--data", str(data)],
+        }[command]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "storysort", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: stdout was closed before all output was written"]
+        assert proc.returncode == 1
 
 
 def write_predictions(path, records):
@@ -496,8 +552,10 @@ JSON_VALUES = st.recursive(
 )
 
 # Per file kind: (path to one field, JSON types that are valid there and so are not drawn)
-MLP_FIELDS = [(("model_kind",), (str,)), (("layer_dims",), ()), (("weights",), ()),
-              (("biases",), ()), (("train_config",), (type(None),))]
+MLP_FIELDS = [(("model_kind",), (str,)), (("layer_dims",), ()), (("layer_dims", 0), ()),
+              (("weights",), ()), (("weights", 0, 0, 0), (float,)), (("biases",), ()),
+              (("biases", 0, 0), (float,)), (("train_config",), (type(None),)),
+              (("train_config", "epochs"), ()), (("train_config", "learning_rate"), (float,))]
 FIELDS = {
     "dataset": [
         (("story_id",), (str,)), (("n",), ()), (("elements",), ()),

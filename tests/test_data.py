@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -6,11 +7,9 @@ import pytest
 
 from storysort.core import Permutation, enumerate_permutations, identity_permutation
 from storysort.data import (
-    Element,
-    Story,
     SyntheticSpec,
+    _story_to_record,
     check_dataset,
-    concat_features,
     generate_synthetic,
     jumble,
     load_dataset,
@@ -23,28 +22,79 @@ from storysort.metrics import score_story
 from conftest import make_story
 
 
+def write_records(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
+def bad_element_file(tmp_path, field, values):
+    """A two-story dataset file whose second story (line 2) has field = values[i] on element i."""
+    record = _story_to_record(make_story([0, 1], story_id="bad", image=np.zeros((2, 2))))
+    for element, value in zip(record["elements"], values):
+        element[field] = value
+    path = tmp_path / "bad.jsonl"
+    ok = make_story([0, 1], story_id="ok", image=np.zeros((2, 2)))
+    write_records(path, [_story_to_record(ok), record])
+    return path
+
+
 class TestStoryInvariants:
     def test_duplicate_gold_positions_rejected(self):
         with pytest.raises(ValidationError, match="gold positions"):
             make_story([0, 0, 2])
 
-    def test_inconsistent_text_dims_rejected(self):
+    def test_inconsistent_text_dims_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="text feature dims"):
             make_story([0, 1], text=[np.zeros(3), np.zeros(4)])
+        path = bad_element_file(tmp_path, "text_features", [[0.0] * 3, [0.0] * 4])
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}:2: .*text feature dims"):
+            load_dataset(path)
 
-    def test_partial_image_features_rejected(self):
-        with pytest.raises(ValidationError, match="image features"):
-            make_story([0, 1], image=[np.zeros(2), None])
+    def test_partial_image_features_rejected(self, tmp_path):
+        # only a file can leave image features off some elements: in memory image is
+        # one array or None
+        path = bad_element_file(tmp_path, "image_features", [[0.0, 1.0], None])
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}:2: .*image features"):
+            load_dataset(path)
 
-    def test_presented_order_length_checked(self):
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400])
+    def test_non_finite_feature_rejected_at_load(self, tmp_path, value):
+        path = bad_element_file(tmp_path, "text_features", [[0.0, value], [0.0, 1.0]])
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}:2: "):
+            load_dataset(path)
+
+    def test_non_finite_feature_rejected(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            make_story([0, 1], image=np.array([[0.0], [np.nan]]))
+
+    def test_feature_rows_must_match_n(self):
+        with pytest.raises(ValidationError, match=r"text features must have shape \(3, d\)"):
+            make_story([0, 1, 2], text=np.zeros((2, 4)))
+        with pytest.raises(ValidationError, match=r"image features must have shape \(2, d\)"):
+            make_story([0, 1], image=np.zeros(2))
+
+    def test_presented_order_length_checked(self, tmp_path):
         with pytest.raises(ValidationError, match="presented_order"):
             make_story([0, 1, 2], presented=[0, 1])
+        record = _story_to_record(make_story([0, 1, 2], story_id="bad"))
+        record["presented_order"] = [1, 0]
+        path = tmp_path / "bad.jsonl"
+        write_records(path, [record])
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}:1: .*presented_order"):
+            load_dataset(path)
+
+    def test_features_are_read_only_copies(self):
+        text = np.eye(2)
+        story = make_story([0, 1], text=text)
+        text[0, 0] = 5.0
+        assert story.text[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            story.text[0, 0] = 5.0
 
     def test_presented_views(self):
         # elements listed in gold order; presented_order sends gold g to slot
         story = make_story([0, 1, 2], presented=[2, 0, 1])
-        presented = story.presented_elements()
-        assert [e.gold_position for e in presented] == [1, 2, 0]
+        presented = story_feature_matrix(story, view="presented")
+        assert presented.argmax(axis=1).tolist() == [1, 2, 0]
         assert story.presented_gold().positions == (1, 2, 0)
 
     def test_perfect_oracle_invariant_to_jumbling(self):
@@ -56,18 +106,23 @@ class TestStoryInvariants:
 
 
 class TestConcatFeatures:
+    """story_feature_matrix with use_image puts image columns after text columns."""
+
+    def story(self, image):
+        return make_story([0, 1], text=np.array([[1.0, 2.0], [4.0, 5.0]]), image=image)
+
     def test_concat_order(self):
-        e = Element("e", np.array([1.0, 2.0]), np.array([3.0]), 0)
-        assert concat_features(e, use_image=True).tolist() == [1.0, 2.0, 3.0]
+        story = self.story(np.array([[3.0], [6.0]]))
+        assert story_feature_matrix(story, use_image=True).tolist() == [
+            [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
 
     def test_text_only(self):
-        e = Element("e", np.array([1.0, 2.0]), np.array([3.0]), 0)
-        assert concat_features(e, use_image=False).tolist() == [1.0, 2.0]
+        story = self.story(np.array([[3.0], [6.0]]))
+        assert story_feature_matrix(story, use_image=False).tolist() == [[1.0, 2.0], [4.0, 5.0]]
 
     def test_missing_image_raises(self):
-        e = Element("e", np.array([1.0]), None, 0)
         with pytest.raises(FeatureError):
-            concat_features(e, use_image=True)
+            story_feature_matrix(self.story(None), use_image=True)
 
 
 class TestJumble:
@@ -80,7 +135,8 @@ class TestJumble:
     def test_gold_untouched(self):
         story = make_story([0, 1, 2, 3, 4])
         jumbled = jumble(story, 1)
-        assert [e.gold_position for e in jumbled.elements] == [0, 1, 2, 3, 4]
+        assert jumbled.gold == (0, 1, 2, 3, 4)
+        assert (jumbled.text == story.text).all()
 
     def test_uniform_over_120k_draws(self):
         story = make_story([0, 1, 2, 3, 4])
@@ -100,16 +156,15 @@ class TestSynthetic:
         b = generate_synthetic(spec)
         for sa, sb in zip(a, b):
             assert sa.presented_order.positions == sb.presented_order.positions
-            for ea, eb in zip(sa.elements, sb.elements):
-                assert (ea.text_features == eb.text_features).all()
-                assert (ea.image_features == eb.image_features).all()
+            assert (sa.text == sb.text).all()
+            assert (sa.image == sb.image).all()
 
     def test_monotone_signal_orders_projections(self):
         # noiseless features are g * u, so projection on u recovers gold order
         spec = SyntheticSpec(story_count=3, noise_sigma=0.0, seed=8)
         stories = generate_synthetic(spec)
         for story in stories:
-            norms = [np.linalg.norm(e.text_features) for e in story.gold_elements()]
+            norms = np.linalg.norm(story_feature_matrix(story, view="gold"), axis=1).tolist()
             assert norms == sorted(norms)
             assert norms[0] == pytest.approx(0.0)
 
@@ -119,8 +174,7 @@ class TestSynthetic:
         # mean feature norm must not grow with gold position
         by_pos = np.zeros(5)
         for story in stories:
-            for e in story.elements:
-                by_pos[e.gold_position] += np.linalg.norm(e.text_features)
+            by_pos[list(story.gold)] += np.linalg.norm(story.text, axis=1)
         by_pos /= 200
         assert by_pos.max() - by_pos.min() < 0.2 * by_pos.mean()
 
@@ -174,19 +228,16 @@ class TestDatasetIO:
         for a, b in zip(stories, loaded):
             assert a.story_id == b.story_id
             assert a.presented_order.positions == b.presented_order.positions
-            for ea, eb in zip(a.elements, b.elements):
-                assert ea.element_id == eb.element_id
-                assert ea.gold_position == eb.gold_position
-                assert (ea.text_features == eb.text_features).all()
-                assert (ea.image_features == eb.image_features).all()
+            assert a.element_ids == b.element_ids
+            assert a.gold == b.gold
+            assert (a.text == b.text).all()
+            assert (a.image == b.image).all()
         # and the bytes themselves are reproducible
         path2 = tmp_path / "data2.jsonl"
         save_dataset(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_malformed_line_reports_number(self, tmp_path):
-        from storysort.data import _story_to_record
-
         good = json.dumps(_story_to_record(make_story([0, 1], story_id="ok")))
         path = tmp_path / "bad.jsonl"
         path.write_text(good + "\nnot json\n", encoding="utf-8")
@@ -221,14 +272,21 @@ class TestDatasetIO:
     def test_mixed_n_rejected(self, tmp_path):
         stories = [make_story([0, 1], story_id="a"), make_story([0, 1, 2], story_id="b")]
         # bypass save-level checks by writing records directly
-        from storysort.data import _story_to_record
-
         path = tmp_path / "mixed.jsonl"
         with path.open("w", encoding="utf-8") as fh:
             for s in stories:
                 fh.write(json.dumps(_story_to_record(s)) + "\n")
         with pytest.raises(ValidationError, match="differs from dataset"):
             load_dataset(path)
+
+
+    @pytest.mark.parametrize("other", [
+        make_story([0, 1], story_id="b", text=np.zeros((2, 3))),
+        make_story([0, 1], story_id="b", image=np.zeros((2, 1))),
+    ], ids=["text_dim", "image"])
+    def test_mixed_feature_dims_rejected(self, other):
+        with pytest.raises(ValidationError, match="story b: .* differs from dataset"):
+            check_dataset([make_story([0, 1], story_id="a"), other])
 
 
 class TestFeatureMatrix:

@@ -95,12 +95,8 @@ class TestStoryLoss:
         rng = np.random.default_rng(1)
         story = make_story([0, 1], text=[rng.standard_normal(2) for _ in range(2)])
         model = linear_npe(rng.standard_normal((2, 3)), rng.standard_normal(3))
-        elems = story.gold_elements()
-        expected = npe_pair_loss(
-            embed(model, elems[0].text_features),
-            embed(model, elems[1].text_features),
-            model.alpha,
-        )
+        first, second = story_feature_matrix(story, view="gold")
+        expected = npe_pair_loss(embed(model, first), embed(model, second), model.alpha)
         assert npe_story_loss(model, story) == expected
 
     def test_uses_gold_order_not_presented(self):

@@ -6,7 +6,7 @@ from storysort.assign import additive_score
 from storysort.core import Permutation, enumerate_permutations, identity_permutation
 from storysort.data import split_dataset
 from storysort.errors import DimensionError, EmptyInputError, ValidationError
-from storysort.models import load_model, save_model, top_permutations
+from storysort.models import REGISTRY, load_model, save_model, top_permutations
 from storysort.neural import MlpParams, TrainConfig
 from storysort.unary import (
     UnaryModel,
@@ -132,9 +132,10 @@ class TestTrainUnary:
         save_model(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
-    def test_empty_dataset_rejected(self, quick_cfg):
+    @pytest.mark.parametrize("kind", list(REGISTRY))
+    def test_empty_dataset_rejected(self, quick_cfg, kind):
         with pytest.raises(EmptyInputError):
-            train_unary([], quick_cfg)
+            REGISTRY[kind].module.train([], quick_cfg)
 
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValidationError):
