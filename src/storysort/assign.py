@@ -1,10 +1,11 @@
 """Linear assignment: exact maximum-score permutation under additive scores.
 
 A score matrix is a square float64 array where s[i][p] is the score of
-placing element i at position p. The solver is an O(n^3) shortest
-augmenting path / potentials method run on the negated matrix, followed
-by a lexicographic refinement pass so that ties among optimal
-assignments always resolve to the smallest positions tuple.
+placing element i at position p. The solver is one O(n^3) shortest
+augmenting path / potentials method run on exact integer costs that
+carry a tie key (see hungarian_max), so ties among optimal assignments,
+which are exact ties of the real totals, resolve to the smallest
+positions tuple.
 
 Additive scores are accumulated in element-index order everywhere
 (solver result, top-k totals, downstream scoring), so equal
@@ -50,19 +51,19 @@ def additive_score(s: np.ndarray, positions: Sequence[int]) -> float:
     return total
 
 
-def _solve_min(cost: np.ndarray) -> list[int]:
+def _solve_min(cost: list[list[int]]) -> list[int]:
     """Min-cost assignment via shortest augmenting paths with dual potentials.
 
-    Returns positions[i] = column assigned to row i. Deterministic scan
-    order; ties are later resolved by the caller's refinement pass.
+    Returns positions[i] = column assigned to row i. The costs are Python
+    ints and the potentials start as int 0, so every reduced cost is exact
+    and the returned assignment is a true minimum (Kuhn 1955; Burkard,
+    Dell'Amico & Martello, Assignment Problems, 2009). A float potential
+    would round the large ints that hungarian_max builds.
     """
-    n = cost.shape[0]
-    if n == 1:
-        return [0]
-    c = cost.tolist()
+    n = len(cost)
     inf = math.inf
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
     match = [0] * (n + 1)  # match[j] = row assigned to column j, 1-based, 0 = free
     way = [0] * (n + 1)
     for i in range(1, n + 1):
@@ -75,7 +76,7 @@ def _solve_min(cost: np.ndarray) -> list[int]:
             i0 = match[j0]
             delta = inf
             j1 = -1
-            row = c[i0 - 1]
+            row = cost[i0 - 1]
             for j in range(1, n + 1):
                 if not used[j]:
                     cur = row[j - 1] - u[i0] - v[j]
@@ -104,49 +105,31 @@ def _solve_min(cost: np.ndarray) -> list[int]:
     return positions
 
 
-def _argmax_positions(s: np.ndarray) -> list[int]:
-    return _solve_min(-s)
-
-
-def _complete(a: np.ndarray, prefix: list[int]) -> list[int]:
-    """Optimal completion of a partial assignment fixing elements 0..len(prefix)-1."""
-    n = a.shape[0]
-    k = len(prefix)
-    if k == n:
-        return list(prefix)
-    cols = sorted(set(range(n)) - set(prefix))
-    sub = a[np.ix_(range(k, n), cols)]
-    sub_positions = _argmax_positions(sub)
-    return list(prefix) + [cols[j] for j in sub_positions]
-
-
 def hungarian_max(s) -> tuple[Permutation, float]:
     """Permutation maximizing the additive score, with its total.
 
-    Among equally scoring optima the lexicographically smallest positions
-    tuple is returned, found by greedily fixing each element at the
-    smallest position that still completes to the optimal total. The
-    feasibility test is exact float equality of index-order sums, which
-    is reliable wherever ties actually arise (integer or repeated-entry
-    matrices, where float sums are exact).
+    Among optima whose real totals tie exactly, the lexicographically
+    smallest positions tuple is returned. Every float is an integer over a
+    power of two, so over one common denominator the matrix becomes exact
+    ints A. The cost of placing i at p is -A[i][p] * n**n plus the tie key
+    p * n**(n-1-i): summed over a permutation, the keys read its positions
+    tuple as a base-n number, which stays below n**n, one unit of score.
+    One exact min-cost solve therefore maximizes the real total first and
+    takes the smallest positions tuple among its ties second. The total is
+    the index-order float sum of additive_score.
     """
     a = check_score_matrix(s)
     n = a.shape[0]
-    cur = _argmax_positions(a)
-    best = additive_score(a, cur)
-    chosen: list[int] = []
-    used: set[int] = set()
-    for i in range(n):
-        for p in sorted(set(range(n)) - used):
-            if p == cur[i]:
-                break
-            cand = _complete(a, chosen + [p])
-            if additive_score(a, cand) == best:
-                cur = cand
-                break
-        chosen.append(cur[i])
-        used.add(cur[i])
-    return Permutation(tuple(cur)), best
+    ratios = [x.as_integer_ratio() for x in a.ravel().tolist()]
+    denom = max(d for _, d in ratios)
+    unit = n**n
+    cost = [
+        [-num * (denom // d) * unit + p * n ** (n - 1 - i)
+         for p, (num, d) in enumerate(ratios[i * n:(i + 1) * n])]
+        for i in range(n)
+    ]
+    positions = _solve_min(cost)
+    return Permutation(tuple(positions)), additive_score(a, positions)
 
 
 def topk_assignments(s, k: int) -> list[tuple[Permutation, float]]:

@@ -23,7 +23,8 @@ Errors the CLI handles go to stderr as one line:
 value. Flags that argparse itself rejects print argparse's usage text
 to stderr and also exit 2. A stdout closed by its reader (as in
 ``storysort eval ... | true``) is a runtime failure: one ``error:`` line
-and exit 1.
+and exit 1. Every command writes its files and manifest before it prints,
+so a closed stdout leaves them complete.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 """
@@ -245,7 +246,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         "train": _round6(_dataset_report(model, train_stories).to_json()),
         "val": _round6(_dataset_report(model, val_stories).to_json()) if val_stories else None,
     }
-    print(json.dumps(report))
     out = Path(args.out)
     resolved = _resolved_args(
         args,
@@ -254,6 +254,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     resolved.update({"epochs": epochs, "lr": lr, "batch_size": batch_size})
     write_manifest(out, "train", resolved, inputs, [out], report, started)
+    print(json.dumps(report))
     return 0
 
 
@@ -330,9 +331,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         [metrics_mod.score_story(p, g) for p, g in pairs]
     )
     conf = metrics_mod.confusion(pairs)
-    print(json.dumps(_round6(report.to_json())))
-    for row in conf.counts:
-        print(" ".join(str(int(v)) for v in row))
     result = {
         "report": _round6(report.to_json()),
         "confusion": [[int(v) for v in row] for row in conf.counts],
@@ -349,6 +347,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     resolved = _resolved_args(args, ["pred", "data", "out"])
     write_manifest(manifest_anchor, "eval", resolved,
                    [pred_path, data_path], outputs, result["report"], started)
+    print(json.dumps(result["report"]))
+    for row in result["confusion"]:
+        print(" ".join(str(v) for v in row))
     return 0
 
 

@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,41 @@ def brute_force_max(s):
         if best_score is None or score > best_score:
             best_perm, best_score = p, score
     return best_perm, best_score
+
+
+def exact_brute_force_max(s):
+    """Exact oracle: Fraction totals, lexicographically first maximum.
+
+    Visits every positions tuple in lexicographic order, sharing each
+    prefix's partial sum, and keeps the first strict maximum.
+    """
+    n = s.shape[0]
+    exact = [[Fraction(float(x)) for x in row] for row in s]
+    best = None
+
+    def extend(positions, total):
+        nonlocal best
+        i = len(positions)
+        if i == n:
+            if best is None or total > best[0]:
+                best = (total, positions)
+            return
+        for p in range(n):
+            if p not in positions:
+                extend(positions + (p,), total + exact[i][p])
+
+    extend((), Fraction(0))
+    return best[1]
+
+
+# Tie-heavy kinds: small integers (float sums exact), non-dyadic tenths (float
+# sums round, so float equality misses true ties) and an extreme range (float
+# totals overflow or lose the subnormal entirely).
+TIE_KINDS = {
+    "int012": [0.0, 1.0, 2.0],
+    "tenths": [0.1, 0.2, 0.3],
+    "extreme": [5e-324, 0.1, 1e308, -1e308],
+}
 
 
 class TestValidation:
@@ -78,6 +114,17 @@ class TestHungarianMax:
             oracle_perm, oracle_score = brute_force_max(s)
             assert score == oracle_score
             assert perm.positions == oracle_perm.positions
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("kind", sorted(TIE_KINDS))
+    def test_lexicographic_tie_break_vs_exact_oracle(self, kind, n):
+        rng = np.random.default_rng(100 * n + sorted(TIE_KINDS).index(kind))
+        for _ in range(1 if n == 8 else 5):
+            s = rng.choice(TIE_KINDS[kind], size=(n, n))
+            perm, score = hungarian_max(s)
+            assert perm.positions == exact_brute_force_max(s)
+            if kind != "extreme":  # the extreme kind's float total overflows
+                assert score == additive_score(s, perm.positions)
 
     def test_all_equal_matrix_gives_identity(self):
         perm, _ = hungarian_max(np.full((5, 5), 0.2))

@@ -393,16 +393,20 @@ class TestDecodeLimits:
 class TestClosedStdout:
     """A reader that closes stdout early gets one error line and exit 1, not a traceback."""
 
-    @pytest.mark.parametrize("command", ["generate", "sort", "eval"])
+    @pytest.mark.parametrize("command", ["generate", "train", "sort", "eval"])
     def test_one_error_line(self, trained, tmp_path, command):
         data, ckpts = trained
         sort = ["sort", "--ckpt", str(ckpts["unary"]), "--data", str(data)]
         pred = tmp_path / "pred.jsonl"
         assert run([*sort, "--out", str(pred)]) == 0
+        evaluate = ["eval", "--pred", str(pred), "--data", str(data)]
+        assert run([*evaluate, "--out", str(tmp_path / "normal.json")]) == 0
+        out = tmp_path / f"{command}-out"
         argv = {
-            "generate": gen_args(tmp_path / "d.jsonl", stories=3),
-            "sort": [*sort, "--out", str(tmp_path / "again.jsonl")],
-            "eval": ["eval", "--pred", str(pred), "--data", str(data)],
+            "generate": gen_args(out, stories=3),
+            "train": train_args(data, out),
+            "sort": [*sort, "--out", str(out)],
+            "eval": [*evaluate, "--out", str(out)],
         }[command]
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -418,6 +422,10 @@ class TestClosedStdout:
         assert proc.stderr.splitlines() == [
             "error: stdout was closed before all output was written"]
         assert proc.returncode == 1
+        # every command writes its files before it prints, so the pipe costs none
+        assert out.exists() and Path(f"{out}.manifest.json").exists()
+        if command == "eval":
+            assert out.read_bytes() == (tmp_path / "normal.json").read_bytes()
 
 
 def write_predictions(path, records):
