@@ -154,7 +154,11 @@ def _apply_config_file(args: argparse.Namespace,
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
     actions = _option_actions(parser, args.command)
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path}: not UTF-8 text: {e.reason}") from e
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -202,11 +206,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _dataset_report(model, stories) -> metrics_mod.MetricReport:
-    predict = models_mod.spec_for(model).module.predict
-    triples = [
-        metrics_mod.score_story(predict(model, s), s.presented_gold()) for s in stories
-    ]
-    return metrics_mod.aggregate(triples)
+    preds = models_mod.predict_stories(model, stories)
+    return metrics_mod.aggregate(
+        [metrics_mod.score_story(p, s.presented_gold()) for p, s in zip(preds, stories)]
+    )
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -216,6 +219,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     epochs = args.epochs if args.epochs is not None else defaults["epochs"]
     lr = args.lr if args.lr is not None else defaults["lr"]
     batch_size = args.batch_size if args.batch_size is not None else defaults["batch_size"]
+    # flags are checked before the datasets are read
+    if args.val is None and not 0 < args.val_frac < 1:
+        raise UsageError(f"--val-frac must be in (0, 1), got {args.val_frac}")
+    cfg = TrainConfig(
+        learning_rate=lr, epochs=epochs, batch_size=batch_size,
+        seed=args.seed, l2=args.l2,
+    )
     data_path = Path(args.data)
     stories = data_mod.load_dataset(data_path)
     inputs = [data_path]
@@ -224,15 +234,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         val_stories = data_mod.load_dataset(Path(args.val))
         inputs.append(Path(args.val))
     else:
-        if not 0 < args.val_frac < 1:
-            raise UsageError(f"--val-frac must be in (0, 1), got {args.val_frac}")
         train_stories, val_stories, _ = data_mod.split_dataset(
             stories, (1.0 - args.val_frac, args.val_frac, 0.0), args.seed
         )
-    cfg = TrainConfig(
-        learning_rate=lr, epochs=epochs, batch_size=batch_size,
-        seed=args.seed, l2=args.l2,
-    )
     # the report decodes every story, so check the size limit before training
     for n in {s.n for s in [*train_stories, *val_stories]}:
         models_mod.check_decodable(spec, n)
@@ -268,15 +272,14 @@ def cmd_sort(args: argparse.Namespace) -> int:
     for n in {s.n for s in stories}:
         for spec in specs:
             models_mod.check_decodable(spec, n, topk)
-    lines = []
-    for story in stories:
-        if topk is None:
-            pred = specs[0].module.predict(models[0], story)
-        else:
-            pred = ensemble_mod.ensemble_sort(models, story, k=topk)
-        lines.append(json.dumps(
-            {"story_id": story.story_id, "predicted_order": list(pred.positions)}
-        ) + "\n")
+    if topk is None:
+        preds = models_mod.predict_stories(models[0], stories)
+    else:
+        preds = [ensemble_mod.ensemble_sort(models, story, k=topk) for story in stories]
+    lines = [
+        json.dumps({"story_id": story.story_id, "predicted_order": list(pred.positions)}) + "\n"
+        for story, pred in zip(stories, preds)
+    ]
     # every story is decoded before --out is opened, so a failure leaves no file
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -292,19 +295,22 @@ def cmd_sort(args: argparse.Namespace) -> int:
 
 def load_predictions(path: Path) -> dict[str, list[int]]:
     preds = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                story_id = json_value(record["story_id"], (str,), "story_id")
-                order = json_list(record["predicted_order"], (int,), "predicted_order")
-            except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
-                raise ParseError(f"{path}:{lineno}: bad prediction record: {e}") from e
-            if story_id in preds:
-                raise ParseError(f"{path}:{lineno}: repeated story_id {story_id!r}")
-            preds[story_id] = order
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                    story_id = json_value(record["story_id"], (str,), "story_id")
+                    order = json_list(record["predicted_order"], (int,), "predicted_order")
+                except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+                    raise ParseError(f"{path}:{lineno}: bad prediction record: {e}") from e
+                if story_id in preds:
+                    raise ParseError(f"{path}:{lineno}: repeated story_id {story_id!r}")
+                preds[story_id] = order
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from e
     return preds
 
 

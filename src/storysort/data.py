@@ -6,8 +6,9 @@ float64 matrix, ``image`` an (n, d_image) one or None, and
 ``element_ids[i]`` and ``gold[i]`` name element i and give its gold
 position. The jumbled view models actually see is stored separately as
 presented_order, and models read features only through
-story_feature_matrix, so inference code never touches gold positions by
-accident.
+presented_features, an (S, n, d) array for S stories (story_feature_matrix
+is its one-story case), so inference code never touches gold positions
+by accident.
 
 Story.__post_init__ checks each story on its own (length, gold
 positions, feature shapes, one finiteness check per array);
@@ -37,7 +38,7 @@ from .core import (
     json_value,
     random_permutation,
 )
-from .errors import EmptyInputError, FeatureError, ParseError, ValidationError
+from .errors import DimensionError, EmptyInputError, FeatureError, ParseError, ValidationError
 
 SIGNAL_MODES = ("monotone", "none")
 
@@ -89,7 +90,7 @@ class Story:
 
     def presented_gold(self) -> Permutation:
         """Gold positions of the presented elements, the target models must recover."""
-        return Permutation(tuple(self.gold[i] for i in _element_order(self, "presented")))
+        return Permutation(tuple(self.gold[i] for i in np.argsort(_positions(self, "presented"))))
 
 
 def _feature_array(story_id: str, name: str, rows, n: int) -> np.ndarray:
@@ -109,28 +110,56 @@ def _feature_array(story_id: str, name: str, rows, n: int) -> np.ndarray:
     return arr
 
 
-def _element_order(story: Story, view: str) -> np.ndarray:
-    """Indices of the elements in the presented order (listed order if unjumbled) or gold order."""
+def _positions(story: Story, view: str) -> tuple[int, ...]:
+    """Where each element sits in the presented order (listed order if unjumbled) or gold order."""
     if view == "presented":
         if story.presented_order is None:
-            return np.arange(story.n)
-        return np.argsort(story.presented_order.positions)
+            return tuple(range(story.n))
+        return story.presented_order.positions
     if view == "gold":
-        return np.argsort(story.gold)
+        return story.gold
     raise ValidationError(f"unknown view {view!r}")
+
+
+def _feature_stack(stories: Sequence[Story], use_image: bool, view: str) -> np.ndarray:
+    """(stories, n, d) rows of text, or of [text | image], each story's in the view's order.
+
+    Row k of a story is its element at position k of the view. The stories
+    must share n and feature dims.
+    """
+    if not stories:
+        raise EmptyInputError("cannot build a feature array from an empty dataset")
+    dims = {_dims(s) for s in stories}
+    if len(dims) > 1:
+        raise DimensionError(f"stories differ in (n, text dim, image dim): {sorted(dims, key=str)}")
+    n = stories[0].n
+    # row of each story's k-th element in the stories' arrays stacked to (S * n, d)
+    rows = np.argsort([_positions(s, view) for s in stories], axis=1)
+    rows += np.arange(0, len(stories) * n, n)[:, None]
+    text = np.concatenate([s.text for s in stories])[rows]
+    if not use_image:
+        return text
+    missing = next((s for s in stories if s.image is None), None)
+    if missing is not None:
+        raise FeatureError(
+            f"story {missing.story_id} has no image features but use_image was requested"
+        )
+    return np.concatenate([text, np.concatenate([s.image for s in stories])[rows]], axis=2)
 
 
 def story_feature_matrix(story: Story, use_image: bool = False,
                          view: str = "presented") -> np.ndarray:
     """(n, d) rows of text, or of [text | image], in the presented or the gold element order."""
-    rows = _element_order(story, view)
-    if not use_image:
-        return story.text[rows]
-    if story.image is None:
-        raise FeatureError(
-            f"story {story.story_id} has no image features but use_image was requested"
-        )
-    return np.concatenate([story.text[rows], story.image[rows]], axis=1)
+    return _feature_stack([story], use_image, view)[0]
+
+
+def presented_features(stories: Sequence[Story], use_image: bool) -> np.ndarray:
+    """(stories, n, d) features in presented order: the rows models score at inference.
+
+    The stories must share n and feature dims; story_feature_matrix is the
+    one-story case.
+    """
+    return _feature_stack(stories, use_image, "presented")
 
 
 def gold_features(stories: Sequence[Story], use_image: bool) -> np.ndarray:
@@ -139,9 +168,7 @@ def gold_features(stories: Sequence[Story], use_image: bool) -> np.ndarray:
     The stories are checked with check_dataset first, so they share n and d.
     """
     check_dataset(stories)
-    if not stories:
-        raise EmptyInputError("cannot build a feature array from an empty dataset")
-    return np.stack([story_feature_matrix(s, use_image, view="gold") for s in stories])
+    return _feature_stack(stories, use_image, "gold")
 
 
 def _dims(story: Story) -> tuple[int, int, int | None]:
@@ -317,17 +344,20 @@ def load_dataset(path: str | Path) -> list[Story]:
     """Parse and validate a dataset file; an empty file is a valid empty dataset."""
     path = Path(path)
     stories = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}:{lineno}: malformed JSON: {e}") from e
-            try:
-                stories.append(_story_from_record(record))
-            except (KeyError, TypeError, ValueError, OverflowError) as e:
-                raise ParseError(f"{path}:{lineno}: missing or bad field: {e}") from e
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise ParseError(f"{path}:{lineno}: malformed JSON: {e}") from e
+                try:
+                    stories.append(_story_from_record(record))
+                except (KeyError, TypeError, ValueError, OverflowError) as e:
+                    raise ParseError(f"{path}:{lineno}: missing or bad field: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from e
     check_dataset(stories)
     return stories

@@ -1,22 +1,30 @@
 """Model registry: one entry per checkpoint ``model_kind``.
 
 Each model module exposes the same names: ``MODEL_KIND``, ``Model``,
-``scores``, ``predict`` and ``train``. An entry holds what differs: the
-module and its score type, the training hyperparameters, and the
-checkpoint fields the kind adds. ADDITIVE scores (unary) are an (n, n)
-element-at-position matrix decoded by assignment; PAIR scores (pairwise,
-NPE) are an (n, n) i-before-j matrix decoded by scoring all n! orders at
-once over the permutation table.
-Top-k lists and decode size limits are keyed by score type. Entries hold
-modules, not functions, so rebinding a module attribute (as a profiler
-does) reaches every caller.
+``scores``, ``score_floats``, ``predict`` and ``train``. An entry holds
+what differs: the module and its score type, the training
+hyperparameters, and the checkpoint fields the kind adds. ADDITIVE
+scores (unary) are an (n, n) element-at-position matrix decoded by
+assignment; PAIR scores (pairwise, NPE) are an (n, n) i-before-j matrix
+decoded by scoring all n! orders at once over the permutation table.
+Decoders, top-k lists and decode size limits are keyed by score type.
+Entries hold modules, not functions, so rebinding a module attribute (as
+a profiler does) reaches every caller.
+
+Scoring runs along a story axis: ``scores(model, stories)`` returns an
+(S, n, n) stack for S stories. predict_stories walks a dataset in chunks,
+each scored with one forward pass and decoded in one call; a module's
+``predict`` and top_permutations are the one-story case of the same
+scorers and decoders.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import ModuleType
+from typing import Sequence
 
 from . import neural, npe, pairwise, unary
 from .assign import topk_assignments
@@ -26,6 +34,12 @@ from .errors import EnumerationCapError, UsageError, ValidationError
 
 ADDITIVE = "additive"
 PAIR = "pair"
+
+# Floats in the largest intermediate array of one chunk: hidden activations
+# of its pair rows, NPE order margins, or the chunk's table of n! order
+# values. Measured per story, larger budgets were no faster at n = 5 and
+# slower at n = 7, and whole-dataset chunks raise peak memory.
+CHUNK_FLOATS = 2**16
 
 AnyModel = unary.UnaryModel | pairwise.PairwiseModel | npe.NpeModel
 
@@ -81,11 +95,38 @@ def check_decodable(spec: ModelSpec, n: int, k: int | None = None) -> None:
         check_top_k(n, k)
 
 
+def chunk_size(model: AnyModel, n: int) -> int:
+    """Stories per chunk: as many n-element stories as keep each intermediate
+    array within CHUNK_FLOATS, and at least one."""
+    spec = spec_for(model)
+    per_story = spec.module.score_floats(model, n)
+    if spec.score_type == PAIR:
+        per_story = max(per_story, math.factorial(n))
+    return max(1, CHUNK_FLOATS // per_story)
+
+
+def predict_stories(model: AnyModel, stories: Sequence[Story]) -> list[Permutation]:
+    """The model's best order for each story, scored and decoded chunk by chunk.
+
+    Each prediction equals the module's predict on that story alone. The
+    stories must share n.
+    """
+    if not stories:
+        return []
+    spec = spec_for(model)
+    decode = unary.decode_unary if spec.score_type == ADDITIVE else pairwise.decode_pairwise
+    size = chunk_size(model, stories[0].n)
+    preds: list[Permutation] = []
+    for start in range(0, len(stories), size):
+        preds += decode(spec.module.scores(model, stories[start:start + size]))
+    return preds
+
+
 def top_permutations(model: AnyModel, story: Story, k: int) -> list[Permutation]:
     """The model's k best orders for one story, best first, ties lexicographic."""
     spec = spec_for(model)
     check_decodable(spec, story.n, k)
-    s = spec.module.scores(model, story)
+    s = spec.module.scores(model, [story])[0]
     if spec.score_type == ADDITIVE:
         return [p for p, _ in topk_assignments(s, k)]
     return [p for p, _ in pairwise.rank_permutations(s, k)]

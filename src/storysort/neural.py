@@ -148,12 +148,18 @@ def _forward_cached(
 
 
 def mlp_forward(params: MlpParams, x, terminal_relu: bool = False) -> np.ndarray:
-    """Forward pass on a single vector or a (batch, dim) matrix."""
+    """Forward pass on a single vector, a (batch, dim) matrix or a (..., batch, dim) stack.
+
+    A stack is multiplied one (batch, dim) matrix at a time, so each
+    matrix's output is bit-identical to a call on that matrix alone: BLAS
+    picks its kernels by matrix shape, and flattening a stack into one
+    matrix changes the last bits of some rows.
+    """
     a = np.asarray(x, dtype=np.float64)
     single = a.ndim == 1
     if single:
         a = a[None, :]
-    if a.ndim != 2 or a.shape[1] != params.input_dim:
+    if a.ndim < 2 or a.shape[-1] != params.input_dim:
         raise DimensionError(
             f"input dim {a.shape[-1] if a.ndim else '?'} does not match model dim {params.input_dim}"
         )
@@ -192,13 +198,16 @@ def softmax_ce_head() -> LossHead:
         y = y.astype(np.int64)
         acts, pres = _forward_cached(params, X, terminal_relu=False)
         logits = acts[-1]
-        m = np.max(logits, axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.sum(np.exp(logits - m), axis=1))
-        batch = len(X)
-        loss = float(np.mean(lse - logits[np.arange(batch), y]))
-        probs = softmax(logits)
-        probs[np.arange(batch), y] -= 1.0
-        grads = _backward(params, acts, pres, probs / batch, terminal_relu=False)
+        m = logits.max(axis=1, keepdims=True)
+        # one exp serves the log-sum-exp loss and the softmax of the gradient;
+        # non-finite logits make the loss NaN, which sgd_train reports
+        e = np.exp(logits - m)
+        total = e.sum(axis=1, keepdims=True)
+        rows = np.arange(len(X))
+        loss = float((m[:, 0] + np.log(total[:, 0]) - logits[rows, y]).mean())
+        probs = e / total
+        probs[rows, y] -= 1.0
+        grads = _backward(params, acts, pres, probs / len(X), terminal_relu=False)
         return loss, grads
 
     return head
@@ -395,6 +404,8 @@ def load_checkpoint_dict(path: str | Path) -> dict:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ParseError(f"{path} is not valid JSON: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from e
     if not isinstance(payload, dict) or "model_kind" not in payload:
         raise ValidationError(f"{path} is not a model checkpoint (missing model_kind)")
     return payload

@@ -10,6 +10,11 @@ low penalty means preferred order. In the model registry
 (storysort.models) NPE is therefore a pair-score kind, like the pairwise
 model: it is decoded by the pairwise ordering decoder, and its top-k
 list comes from the same ranking of all orders.
+
+npe_scores runs over a sequence of S stories at once: one forward pass
+embeds every presented element, and the penalties of all ordered pairs
+form an (S, n, n) stack, each matrix bit-identical to scoring its story
+alone. predict is the one-story case.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from . import neural, pairwise
 from .core import Permutation, as_float_vector
-from .data import Story, gold_features, story_feature_matrix
+from .data import Story, gold_features, presented_features, story_feature_matrix
 from .errors import DimensionError, ValidationError
 from .neural import MlpParams, TrainConfig
 
@@ -96,22 +101,24 @@ def npe_story_loss(model: NpeModel, story: Story) -> float:
     return float(np.sum(np.triu(_penalties(emb, model.alpha), 1)))
 
 
-def npe_scores(model: NpeModel, story: Story) -> np.ndarray:
-    """Pair score matrix s[i][j] = -penalty(i before j) over presented elements.
+def npe_scores(model: NpeModel, stories: Sequence[Story]) -> np.ndarray:
+    """(S, n, n) stack of pair score matrices s[k][i][j] = -penalty(i before j)
+    over the presented elements of stories[k].
 
     Raw entries are not antisymmetric (both directed penalties are
     non-negative); only the orientation differences matter downstream.
     The negation makes the decoder prefer orientations with low penalty.
     """
-    feats = story_feature_matrix(story, model.use_image, view="presented")
+    feats = presented_features(stories, model.use_image)
     emb = neural.mlp_forward(model.mlp, feats, terminal_relu=True)
     s = -_penalties(emb, model.alpha)
-    np.fill_diagonal(s, 0.0)
+    diagonal = np.arange(s.shape[-1])
+    s[:, diagonal, diagonal] = 0.0
     return s
 
 
 def predict(model: NpeModel, story: Story) -> Permutation:
-    return pairwise.decode_pairwise(npe_scores(model, story))
+    return pairwise.decode_pairwise(npe_scores(model, [story]))[0]
 
 
 def train_npe(
@@ -139,6 +146,12 @@ def train(stories: Sequence[Story], cfg: TrainConfig, use_image: bool = False,
           embed_dim: int = DEFAULT_EMBED_DIM, alpha: float = DEFAULT_ALPHA) -> NpeModel:
     """train_npe with the keyword arguments the registry passes to every kind."""
     return train_npe(stories, NpeConfig(cfg, embed_dim, alpha), use_image, hidden_units)
+
+
+def score_floats(model: NpeModel, n: int) -> int:
+    """Floats in the largest array npe_scores builds per n-element story: the
+    hidden activations or the (n, n, embed_dim) order margins."""
+    return max(n * max(model.mlp.layer_dims), n * n * model.embed_dim)
 
 
 # The names every model module exposes to the registry in storysort.models.

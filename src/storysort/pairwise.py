@@ -9,6 +9,13 @@ all n! orders is computed at once with array operations over the
 permutation table, adding the pair terms in the order pairwise_objective
 does, so every value is bit-identical to it. Training uses a binary hinge
 on both orientations of every gold pair.
+
+Scoring and decoding run over a sequence of S stories at once:
+pair_scores makes one forward pass over every story's pair rows and
+returns an (S, n, n) stack, each matrix bit-identical to scoring its
+story alone, and decode_pairwise scores all n! orders of every matrix in
+the stack with the same per-pair adds, then takes one argmax per story.
+predict is the one-story case.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 
 from . import neural
 from .core import Permutation, best_rows, check_top_k, permutation_table
-from .data import Story, gold_features, story_feature_matrix
+from .data import Story, gold_features, presented_features
 from .errors import DimensionError, ValidationError
 from .neural import MlpParams, TrainConfig
 
@@ -47,14 +54,15 @@ class PairwiseModel:
             raise ValidationError(f"margin must be > 0, got {self.margin}")
 
 
-def check_pair_matrix(s) -> np.ndarray:
-    """Square, finite, zero-diagonal matrix of ordered-pair scores."""
+def check_pair_matrix(s, ndim: int = 2) -> np.ndarray:
+    """Square, finite, zero-diagonal matrix of ordered-pair scores; with ndim=3, a stack of them."""
     a = np.asarray(s, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"pair score matrix must be square, got shape {a.shape}")
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        what = "matrix" if ndim == 2 else "stack of (n, n) matrices"
+        raise ValidationError(f"pair score {what} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValidationError("pair score matrix contains non-finite entries")
-    if np.any(np.diagonal(a) != 0.0):
+    if np.any(np.diagonal(a, axis1=-2, axis2=-1) != 0.0):
         raise ValidationError("pair score matrix diagonal must be fixed at 0")
     return a
 
@@ -68,14 +76,16 @@ def pair_rows(feats: np.ndarray) -> np.ndarray:
     return np.concatenate([feats[..., i, :], feats[..., j, :]], axis=-1)
 
 
-def pair_scores(model: PairwiseModel, story: Story) -> np.ndarray:
-    """s[i][j] = score of presented element i before presented element j; diagonal 0.
+def pair_scores(model: PairwiseModel, stories: Sequence[Story]) -> np.ndarray:
+    """(S, n, n) stack; s[k][i][j] = score of presented element i before presented
+    element j of stories[k]; diagonals 0.
 
     Orientations are scored independently, no symmetry is imposed.
     """
-    feats = story_feature_matrix(story, model.use_image, view="presented")
-    s = np.zeros((story.n, story.n))
-    s[~np.eye(story.n, dtype=bool)] = neural.mlp_forward(model.mlp, pair_rows(feats))[:, 0]
+    feats = presented_features(stories, model.use_image)
+    count, n, _ = feats.shape
+    s = np.zeros((count, n, n))
+    s[:, ~np.eye(n, dtype=bool)] = neural.mlp_forward(model.mlp, pair_rows(feats))[..., 0]
     return s
 
 
@@ -95,18 +105,21 @@ def pairwise_objective(s, sigma: Permutation) -> float:
 
 
 def _all_objectives(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The permutation table of n and pairwise_objective of each of its rows.
+    """The permutation table of n and pairwise_objective of each of its rows, per matrix.
 
-    Pair terms are added in pairwise_objective's order (i < j, row-major),
-    so each value is bit-identical to the scalar one. permutation_table
-    raises EnumerationCapError beyond MAX_ENUMERATION_N.
+    a is an (S, n, n) stack; values has shape (S, n!). Pair terms are added
+    in pairwise_objective's order (i < j, row-major), so each value is
+    bit-identical to the scalar one. permutation_table raises
+    EnumerationCapError beyond MAX_ENUMERATION_N.
     """
-    table = permutation_table(a.shape[0])
-    values = np.zeros(len(table))
-    for i in range(a.shape[0]):
-        for j in range(i + 1, a.shape[0]):
-            diff = a[i, j] - a[j, i]
-            values += np.where(table[:, i] < table[:, j], diff, -diff)
+    n = a.shape[-1]
+    table = permutation_table(n)
+    diff = a - a.transpose(0, 2, 1)  # diff[:, i, j] = a[:, i, j] - a[:, j, i]
+    values = np.zeros((len(a), len(table)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = diff[:, i, j, None]
+            values += np.where(table[:, i] < table[:, j], d, -d)
     return table, values
 
 
@@ -118,22 +131,22 @@ def rank_permutations(s, k: int | None = None) -> list[tuple[Permutation, float]
     a = check_pair_matrix(s)
     if k is not None:
         check_top_k(a.shape[0], k)
-    table, values = _all_objectives(a)
-    return best_rows(table, values, len(table) if k is None else k)
+    table, values = _all_objectives(a[None])
+    return best_rows(table, values[0], len(table) if k is None else k)
 
 
-def decode_pairwise(s) -> Permutation:
-    """Argmax of the pairwise objective over all n! permutations.
+def decode_pairwise(s) -> list[Permutation]:
+    """Argmax of the pairwise objective over all n! permutations, for each
+    matrix of an (S, n, n) stack.
 
     Ties go to the lexicographically smallest positions tuple.
     """
-    a = check_pair_matrix(s)
-    table, values = _all_objectives(a)
-    return Permutation(tuple(table[np.argmax(values)]))
+    table, values = _all_objectives(check_pair_matrix(s, ndim=3))
+    return [Permutation(tuple(table[r])) for r in np.argmax(values, axis=1)]
 
 
 def predict(model: PairwiseModel, story: Story) -> Permutation:
-    return decode_pairwise(pair_scores(model, story))
+    return decode_pairwise(pair_scores(model, [story]))[0]
 
 
 def train_pairwise(
@@ -162,6 +175,11 @@ def train_pairwise(
     params = neural.sgd_train(params, X.reshape(count * pairs, width), np.tile(labels, count),
                               neural.pairwise_hinge_head(margin), cfg)
     return PairwiseModel(mlp=params, use_image=use_image, margin=margin, train_config=cfg)
+
+
+def score_floats(model: PairwiseModel, n: int) -> int:
+    """Floats in the largest array pair_scores builds per n-element story."""
+    return n * (n - 1) * max(model.mlp.layer_dims)
 
 
 # The names every model module exposes to the registry in storysort.models.

@@ -4,6 +4,12 @@ Each element is scored independently with an n-way softmax over
 positions; the story-level score of a permutation is the sum of the
 chosen per-element probabilities, maximized exactly by the assignment
 solver. Training is per-element softmax cross-entropy on gold positions.
+
+Scoring runs over a sequence of S stories at once: one (S, n, d) feature
+array and one forward pass give an (S, n, n) stack of probability
+matrices, and each story's matrix is bit-identical to scoring that story
+alone. Decoding stays one assignment solve per story. predict is the
+one-story case.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 from . import neural
 from .assign import additive_score, check_score_matrix, hungarian_max
 from .core import Permutation
-from .data import Story, gold_features, story_feature_matrix
+from .data import Story, gold_features, presented_features
 from .errors import DimensionError, ValidationError
 from .neural import MlpParams, TrainConfig
 
@@ -39,14 +45,13 @@ class UnaryModel:
             )
 
 
-def position_probs(model: UnaryModel, story: Story) -> np.ndarray:
-    """(n, n) row-stochastic matrix; row k is the position distribution of
-    the k-th presented element."""
-    if story.n != model.n:
-        raise DimensionError(f"story has n={story.n}, model expects n={model.n}")
-    feats = story_feature_matrix(story, model.use_image, view="presented")
-    logits = neural.mlp_forward(model.mlp, feats)
-    return neural.softmax(logits)
+def position_probs(model: UnaryModel, stories: Sequence[Story]) -> np.ndarray:
+    """(S, n, n) stack of row-stochastic matrices; row k of matrix s is the
+    position distribution of the k-th presented element of stories[s]."""
+    feats = presented_features(stories, model.use_image)
+    if feats.shape[1] != model.n:
+        raise DimensionError(f"story has n={feats.shape[1]}, model expects n={model.n}")
+    return neural.softmax(neural.mlp_forward(model.mlp, feats))
 
 
 def unary_score(probs, sigma: Permutation) -> float:
@@ -57,14 +62,16 @@ def unary_score(probs, sigma: Permutation) -> float:
     return additive_score(a, sigma.positions)
 
 
-def decode_unary(probs) -> Permutation:
-    """Exact argmax of the unary score over all permutations."""
-    perm, _ = hungarian_max(probs)
-    return perm
+def decode_unary(probs) -> list[Permutation]:
+    """Exact argmax of the unary score of each matrix in an (S, n, n) stack."""
+    a = np.asarray(probs, dtype=np.float64)
+    if a.ndim != 3:
+        raise ValidationError(f"expected an (S, n, n) stack of score matrices, got shape {a.shape}")
+    return [hungarian_max(m)[0] for m in a]
 
 
 def predict(model: UnaryModel, story: Story) -> Permutation:
-    return decode_unary(position_probs(model, story))
+    return decode_unary(position_probs(model, [story]))[0]
 
 
 def train_unary(
@@ -82,6 +89,10 @@ def train_unary(
                               np.tile(np.arange(n), count), neural.softmax_ce_head(), cfg)
     return UnaryModel(mlp=params, n=n, use_image=use_image, train_config=cfg)
 
+
+def score_floats(model: UnaryModel, n: int) -> int:
+    """Floats in the largest array position_probs builds per n-element story."""
+    return n * max(model.mlp.layer_dims)
 
 
 # The names every model module exposes to the registry in storysort.models.

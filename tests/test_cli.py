@@ -119,6 +119,21 @@ class TestTrain:
         code = run(train_args(tmp_path / "nope.jsonl", tmp_path / "m.json"))
         assert code == 1
 
+    @pytest.mark.parametrize("flag,value,code,message", [
+        ("--epochs", "0", 1, "epochs must be >= 1"),
+        ("--lr", "0", 1, "learning_rate must be > 0"),
+        ("--batch-size", "0", 1, "batch_size must be >= 1"),
+        ("--val-frac", "1.5", 2, "--val-frac must be in (0, 1)"),
+    ])
+    def test_bad_flag_is_reported_before_the_dataset_is_read(self, tmp_path, capsys, flag,
+                                                             value, code, message):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("not json\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(train_args(bad, tmp_path / "m.json", extra=[flag, value])) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0], err
+
 
 class TestSortAndEval:
     @pytest.fixture()
@@ -388,6 +403,46 @@ class TestDecodeLimits:
                     "--out", str(pred)]) == 1
         assert "model expects n=5" in one_error_line(capsys)
         assert not pred.exists()
+
+
+def test_sort_empty_dataset_writes_empty_file(trained, tmp_path, capsys):
+    _, ckpts = trained
+    empty, pred = tmp_path / "empty.jsonl", tmp_path / "pred.jsonl"
+    empty.write_text("", encoding="utf-8")
+    for ckpt in ckpts.values():
+        assert run(["sort", "--ckpt", str(ckpt), "--data", str(empty), "--out", str(pred)]) == 0
+        assert pred.read_bytes() == b""
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote predictions for 0 stories to {pred}"
+
+
+@pytest.mark.parametrize("kind", ["dataset", "predictions", "checkpoint", "config"])
+def test_invalid_utf8_is_one_line_naming_the_file(trained, tmp_path, capsys, kind):
+    data, ckpts = trained
+    gold = tmp_path / "gold.jsonl"
+    write_predictions(gold, [
+        {"story_id": s.story_id, "predicted_order": list(s.presented_gold().positions)}
+        for s in load_dataset(data)
+    ])
+    config = tmp_path / "train.cfg"
+    config.write_text("epochs = 2\nseed = 4\n", encoding="utf-8")
+    raw = {"dataset": data, "predictions": gold, "checkpoint": ckpts["unary"],
+           "config": config}[kind].read_bytes()
+    bad = tmp_path / f"bad-{kind}"
+    bad.write_bytes(raw[:len(raw) // 2] + b"\xff" + raw[len(raw) // 2:])
+    out = tmp_path / "out.jsonl"
+    argv = {
+        "dataset": ["sort", "--ckpt", str(ckpts["unary"]), "--data", str(bad), "--out", str(out)],
+        "predictions": ["eval", "--pred", str(bad), "--data", str(data)],
+        "checkpoint": ["sort", "--ckpt", str(bad), "--data", str(data), "--out", str(out)],
+        "config": train_args(data, out, extra=["--config", str(bad)]),
+    }[kind]
+    capsys.readouterr()
+    assert run(argv) == (2 if kind == "config" else 1)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    prefix = "usage error" if kind == "config" else "error"
+    assert err.splitlines() == [f"{prefix}: {bad}: not UTF-8 text: invalid start byte"]
+    assert not out.exists()
 
 
 class TestClosedStdout:

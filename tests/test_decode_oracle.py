@@ -82,14 +82,16 @@ def as_pairs(ranked):
 
 @pytest.mark.parametrize("n,kind", CASES)
 def test_pair_decoders_equal_reference(kind, n):
-    for index in range(matrix_count(kind, n)):
-        s, _ = case(kind, n, index)
+    matrices = [case(kind, n, index)[0] for index in range(matrix_count(kind, n))]
+    argmaxes = []
+    for s in matrices:
         scored = reference_scores(s, pairwise_objective)
         expected = reference_ranking(scored)
-        assert decode_pairwise(s) == reference_argmax(scored)
+        argmaxes.append(reference_argmax(scored))
         assert as_pairs(rank_permutations(s)) == expected
         for k in ks(n):
             assert as_pairs(rank_permutations(s, k)) == expected[:k]
+    assert decode_pairwise(np.stack(matrices)) == argmaxes
 
 
 @pytest.mark.parametrize("n,kind", CASES)

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from storysort import models
+from storysort import models, neural, pairwise
 from storysort.core import MAX_ENUMERATION_N
+from storysort.data import SyntheticSpec, generate_synthetic
 from storysort.errors import EnumerationCapError, SizeError, ValidationError
-from storysort.neural import MlpParams, TrainConfig
+from storysort.neural import MlpParams, TrainConfig, init_mlp
 from storysort.npe import NpeModel
 from storysort.pairwise import PairwiseModel
 from storysort.unary import UnaryModel
@@ -98,3 +99,79 @@ class TestCheckDecodable:
         models.check_decodable(spec, MAX_ENUMERATION_N, k=3)
         with pytest.raises(EnumerationCapError):
             models.check_decodable(spec, MAX_ENUMERATION_N + 1, k=3)
+
+
+class TestPredictStories:
+    """Chunked scoring and decoding equal the one-story path, chunk by chunk."""
+
+    @staticmethod
+    def model_and_stories(kind, n, use_image, count):
+        rng = np.random.default_rng(100 * n + use_image)
+        stories = generate_synthetic(SyntheticSpec(
+            story_count=max(count, 1), n=n, text_dim=8, image_dim=4, noise_sigma=0.5,
+            seed=n))[:count]
+        dim = 12 if use_image else 8
+        spec = models.REGISTRY[kind]
+        if kind == "unary":
+            model = UnaryModel(mlp=init_mlp((dim, 64, n), rng), n=n, use_image=use_image)
+        elif kind == "pairwise":
+            model = PairwiseModel(mlp=init_mlp((2 * dim, 64, 1), rng), use_image=use_image)
+        else:
+            model = NpeModel(mlp=init_mlp((dim, 64, 32), rng), use_image=use_image)
+        return spec, model, stories
+
+    @pytest.fixture()
+    def recorded(self, monkeypatch):
+        """Every chunk scored and the size of every intermediate array, while patched."""
+        chunks, sizes = [], []
+        forward, margins, objectives = neural.mlp_forward, neural.order_margins, \
+            pairwise._all_objectives
+
+        def record_forward(params, x, terminal_relu=False):
+            sizes.append(np.asarray(x).size // params.input_dim * max(params.layer_dims))
+            return forward(params, x, terminal_relu)
+
+        def record(fn, part=lambda out: out):
+            def wrapped(*args):
+                out = fn(*args)
+                sizes.append(part(out).size)
+                return out
+            return wrapped
+
+        for module in {spec.module for spec in models.REGISTRY.values()}:
+            def scores(model, stories, _scores=module.scores):
+                out = _scores(model, stories)
+                chunks.append((list(stories), out))
+                return out
+            monkeypatch.setattr(module, "scores", scores)
+        monkeypatch.setattr(neural, "mlp_forward", record_forward)
+        monkeypatch.setattr(neural, "order_margins", record(margins))
+        # _all_objectives returns the cached permutation table and the chunk's values
+        monkeypatch.setattr(pairwise, "_all_objectives", record(objectives, lambda out: out[1]))
+        return chunks, sizes, monkeypatch
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", range(2, MAX_ENUMERATION_N + 1))
+    @pytest.mark.parametrize("use_image", [False, True], ids=["text", "image"])
+    def test_chunks_equal_one_story_path(self, recorded, kind, n, use_image):
+        chunks, sizes, monkeypatch = recorded
+        size = models.chunk_size(self.model_and_stories(kind, n, use_image, 1)[1], n)
+        spec, model, stories = self.model_and_stories(kind, n, use_image, 2 * size + 1)
+        preds = models.predict_stories(model, stories)
+        assert max(sizes) <= models.CHUNK_FLOATS
+        assert [len(c) for c, _ in chunks] == [size, size, 1]
+        monkeypatch.undo()
+        assert preds == [spec.module.predict(model, s) for s in stories]
+        for chunk, stack in chunks:
+            for story, s in zip(chunk, stack):
+                assert np.array_equal(s, spec.module.scores(model, [story])[0])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_zero_and_one_story(self, recorded, kind, count):
+        chunks, _, monkeypatch = recorded
+        spec, model, stories = self.model_and_stories(kind, 5, False, count)
+        preds = models.predict_stories(model, stories)
+        assert len(chunks) == count
+        monkeypatch.undo()
+        assert preds == [spec.module.predict(model, s) for s in stories]

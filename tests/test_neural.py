@@ -326,3 +326,11 @@ class TestNumericGuards:
         cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=2)
         with pytest.raises(NumericError, match="epoch 0"):
             sgd_train(params, np.zeros((4, 2)), np.zeros(4, dtype=int), bad_head, cfg)
+
+    def test_softmax_head_overflow_aborts_with_location(self):
+        # the first step overflows the weights; the next batch's logits are not finite
+        rng = np.random.default_rng(0)
+        X, y = rng.standard_normal((8, 3)), np.arange(8) % 2
+        cfg = TrainConfig(learning_rate=1e300, epochs=1, batch_size=4)
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="epoch 0, batch 1"):
+            sgd_train(init_mlp((3, 4, 2), rng), X, y, neural.softmax_ce_head(), cfg)

@@ -121,7 +121,7 @@ class TestScores:
     def test_identical_embeddings_tie_to_identity(self):
         story = make_story([0, 1, 2, 3, 4])
         model = zero_npe(5, 4)
-        s = npe_scores(model, story)
+        s = npe_scores(model, [story])[0]
         off_diag = s[~np.eye(5, dtype=bool)]
         assert (off_diag == off_diag[0]).all()
         assert predict(model, story).positions == (0, 1, 2, 3, 4)
@@ -136,14 +136,14 @@ class TestScores:
         rng = np.random.default_rng(3)
         story = make_story([0, 1, 2], text=[rng.standard_normal(3) for _ in range(3)])
         model = linear_npe(rng.standard_normal((3, 4)), rng.standard_normal(4))
-        s = npe_scores(model, story)
+        s = npe_scores(model, [story])[0]
         assert (s[~np.eye(3, dtype=bool)] <= 0.0).all()  # negated penalties
         assert s[0, 1] != -s[1, 0]
 
     def test_diagonal_zero(self):
         story = make_story([0, 1, 2])
         model = zero_npe(3, 4)
-        assert (np.diagonal(npe_scores(model, story)) == 0.0).all()
+        assert (np.diagonal(npe_scores(model, [story])[0]) == 0.0).all()
 
 
 class TestTrainNpe:
@@ -197,7 +197,7 @@ class TestTrainNpe:
         assert loaded.alpha == 0.5
         story = tiny_clean_dataset[20]
         assert np.max(np.abs(
-            npe_scores(model, story) - npe_scores(loaded, story)
+            npe_scores(model, [story]) - npe_scores(loaded, [story])
         )) <= 1e-12
 
     def test_config_validation(self):

@@ -51,14 +51,14 @@ def objective_oracle(s, sigma):
 class TestPairScores:
     def test_zero_model_all_zero(self):
         story = make_story([0, 1, 2])
-        s = pair_scores(zero_pair_model(3), story)
+        s = pair_scores(zero_pair_model(3), [story])[0]
         assert (s == 0.0).all()
 
     def test_orientations_independent(self):
         rng = np.random.default_rng(0)
         story = make_story([0, 1], text=[rng.standard_normal(2) for _ in range(2)])
         mlp = MlpParams((4, 1), [rng.standard_normal((4, 1))], [rng.standard_normal(1)])
-        s = pair_scores(PairwiseModel(mlp=mlp), story)
+        s = pair_scores(PairwiseModel(mlp=mlp), [story])[0]
         assert s[0, 1] != s[1, 0]
         assert s[0, 0] == 0.0 and s[1, 1] == 0.0
 
@@ -66,7 +66,7 @@ class TestPairScores:
         story = make_story([0, 1], text=[np.array([1.0, 0.0]), np.array([0.0, 2.0])])
         w = np.array([[1.0], [2.0], [3.0], [4.0]])
         mlp = MlpParams((4, 1), [w], [np.array([0.5])])
-        s = pair_scores(PairwiseModel(mlp=mlp), story)
+        s = pair_scores(PairwiseModel(mlp=mlp), [story])[0]
         # s[0][1] = [1, 0, 0, 2] . w + 0.5 ; s[1][0] = [0, 2, 1, 0] . w + 0.5
         assert s[0, 1] == pytest.approx(1.0 + 8.0 + 0.5)
         assert s[1, 0] == pytest.approx(4.0 + 3.0 + 0.5)
@@ -125,10 +125,10 @@ class TestObjective:
 class TestDecode:
     def test_two_elements(self):
         s = np.array([[0.0, 2.0], [1.0, 0.0]])
-        assert decode_pairwise(s).positions == (0, 1)
+        assert decode_pairwise(s[None])[0].positions == (0, 1)
 
     def test_all_zero_ties_to_identity(self):
-        assert decode_pairwise(np.zeros((5, 5))).positions == (0, 1, 2, 3, 4)
+        assert decode_pairwise(np.zeros((1, 5, 5)))[0].positions == (0, 1, 2, 3, 4)
 
     def test_transitive_scores_recover_gold(self):
         rng = np.random.default_rng(9)
@@ -139,19 +139,18 @@ class TestDecode:
                 for j in range(5):
                     if i != j and gold.positions[i] < gold.positions[j]:
                         s[i, j] = 1.0
-            assert decode_pairwise(s).positions == gold.positions
+            assert decode_pairwise(s[None])[0].positions == gold.positions
 
     def test_decode_is_argmax_over_enumeration(self):
         rng = np.random.default_rng(17)
-        for _ in range(100):
-            s = random_pair_matrix(rng, 5)
-            decoded = decode_pairwise(s)
+        stack = np.stack([random_pair_matrix(rng, 5) for _ in range(100)])
+        for s, decoded in zip(stack, decode_pairwise(stack)):
             best = max(pairwise_objective(s, p) for p in enumerate_permutations(5))
             assert pairwise_objective(s, decoded) == best
 
     def test_enumeration_cap(self):
         with pytest.raises(EnumerationCapError):
-            decode_pairwise(np.zeros((9, 9)))
+            decode_pairwise(np.zeros((1, 9, 9)))
 
     def test_rank_permutations_sorted(self):
         rng = np.random.default_rng(2)
@@ -192,7 +191,7 @@ class TestTrainPairwise:
         loaded = load_model(path)
         story = tiny_clean_dataset[20]
         assert np.max(np.abs(
-            pair_scores(model, story) - pair_scores(loaded, story)
+            pair_scores(model, [story]) - pair_scores(loaded, [story])
         )) <= 1e-12
         assert loaded.margin == 2.0
 

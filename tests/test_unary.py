@@ -34,28 +34,28 @@ class TestPositionProbs:
     def test_zero_weights_give_uniform_rows(self):
         story = make_story([0, 1, 2, 3, 4])
         model = zero_model(5, 5)
-        probs = position_probs(model, story)
+        probs = position_probs(model, [story])[0]
         assert probs == pytest.approx(np.full((5, 5), 0.2))
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         story = make_story([0, 1, 2], text=[rng.standard_normal(3) for _ in range(3)])
         mlp = MlpParams((3, 3), [rng.standard_normal((3, 3))], [rng.standard_normal(3)])
-        probs = position_probs(UnaryModel(mlp=mlp, n=3), story)
+        probs = position_probs(UnaryModel(mlp=mlp, n=3), [story])[0]
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_hand_set_single_layer(self):
         # 2 elements, weights pick out feature coordinates directly
         story = make_story([0, 1], text=[np.array([2.0, 0.0]), np.array([0.0, 3.0])])
         mlp = MlpParams((2, 2), [np.eye(2)], [np.zeros(2)])
-        probs = position_probs(UnaryModel(mlp=mlp, n=2), story)
+        probs = position_probs(UnaryModel(mlp=mlp, n=2), [story])[0]
         e2 = np.exp(2.0)
         e0 = np.exp(0.0)
         assert probs[0] == pytest.approx([e2 / (e2 + e0), e0 / (e2 + e0)], abs=1e-12)
 
     def test_wrong_story_size(self):
         with pytest.raises(DimensionError):
-            position_probs(zero_model(5, 5), make_story([0, 1, 2]))
+            position_probs(zero_model(5, 5), [make_story([0, 1, 2])])
 
     def test_output_dim_must_match_n(self):
         mlp = MlpParams((5, 4), [np.zeros((5, 4))], [np.zeros(4)])
@@ -84,18 +84,16 @@ class TestUnaryScore:
 
 class TestDecodeUnary:
     def test_identity_like(self):
-        assert decode_unary(identity_like_probs(5)).positions == (0, 1, 2, 3, 4)
+        assert decode_unary(identity_like_probs(5)[None])[0].positions == (0, 1, 2, 3, 4)
 
     def test_uniform_rows_tie_break(self):
-        assert decode_unary(np.full((5, 5), 0.2)).positions == (0, 1, 2, 3, 4)
+        assert decode_unary(np.full((1, 5, 5), 0.2))[0].positions == (0, 1, 2, 3, 4)
 
     def test_matches_brute_force_on_100_matrices(self):
         rng = np.random.default_rng(21)
-        for _ in range(100):
-            logits = rng.standard_normal((5, 5))
-            probs = np.exp(logits)
-            probs /= probs.sum(axis=1, keepdims=True)
-            decoded = decode_unary(probs)
+        stack = np.exp(rng.standard_normal((100, 5, 5)))
+        stack /= stack.sum(axis=2, keepdims=True)
+        for probs, decoded in zip(stack, decode_unary(stack)):
             best = max(
                 enumerate_permutations(5),
                 key=lambda p: additive_score(probs, p.positions),
@@ -109,8 +107,7 @@ class TestDecodeUnary:
         for _ in range(25):
             probs = rng.dirichlet(np.ones(5), size=5)
             relabel = rng.permutation(5)
-            base = decode_unary(probs)
-            moved = decode_unary(probs[relabel])
+            base, moved = decode_unary(np.stack([probs, probs[relabel]]))
             assert tuple(base.positions[r] for r in relabel) == moved.positions
 
 
@@ -148,7 +145,7 @@ class TestTrainUnary:
         loaded = load_model(path)
         story = tiny_clean_dataset[30]
         assert np.max(np.abs(
-            position_probs(model, story) - position_probs(loaded, story)
+            position_probs(model, [story]) - position_probs(loaded, [story])
         )) <= 1e-12
         assert loaded.train_config == quick_cfg
         assert loaded.use_image
@@ -160,4 +157,4 @@ class TestTopPermutations:
         model = zero_model(5, 5)
         tops = top_permutations(model, story, 3)
         assert len(tops) == 3
-        assert tops[0].positions == decode_unary(position_probs(model, story)).positions
+        assert tops[0].positions == decode_unary(position_probs(model, [story]))[0].positions
