@@ -3,24 +3,17 @@
 Given feature vectors for a story's elements, the engine predicts the
 permutation restoring their original order, via unary position models,
 pairwise order models, ordered position embeddings, and a voting
-ensemble, all decoded exactly at the supported sequence lengths.
+ensemble, all decoded exactly at the supported sequence lengths. The
+package holds only what the pipeline runs: the brute-force references
+that the decoders are checked against live with the tests.
 """
 
 from .assign import additive_score, hungarian_max, topk_assignments
-from .core import (
-    Permutation,
-    apply_permutation,
-    enumerate_permutations,
-    identity_permutation,
-    inverse,
-    random_permutation,
-    reverse,
-)
+from .core import Permutation, random_permutation
 from .data import (
     Story,
     SyntheticSpec,
     generate_synthetic,
-    jumble,
     load_dataset,
     save_dataset,
     split_dataset,
@@ -35,8 +28,8 @@ from .metrics import (
     pairwise_accuracy,
     spearman,
 )
-from .neural import MlpParams, TrainConfig, grad_check, mlp_forward, sgd_train, softmax
-from .npe import NpeConfig, NpeModel, npe_pair_loss, npe_scores, npe_story_loss, train_npe
+from .neural import MlpParams, TrainConfig, mlp_forward, sgd_train, softmax
+from .npe import NpeModel, npe_scores, train_npe
 from .pairwise import (
     PairwiseModel,
     decode_pairwise,
@@ -44,6 +37,6 @@ from .pairwise import (
     pairwise_objective,
     train_pairwise,
 )
-from .unary import UnaryModel, decode_unary, position_probs, train_unary, unary_score
+from .unary import UnaryModel, decode_unary, position_probs, train_unary
 
 __version__ = "0.1.0"

@@ -9,7 +9,9 @@ positions tuple.
 
 Additive scores are accumulated in element-index order everywhere
 (solver result, top-k totals, downstream scoring), so equal
-permutations produce bit-identical float totals.
+permutations produce bit-identical float totals. Orders are ranked by
+their exact totals, not the rounded float ones, in both the solver and
+the top-k lists, so a k-best list starts with hungarian_max's choice.
 """
 
 from __future__ import annotations
@@ -19,15 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    MAX_N,
-    MIN_N,
-    Permutation,
-    best_rows,
-    check_top_k,
-    permutation_table,
-)
+from .core import MAX_N, MIN_N, Permutation, check_top_k, permutation_table
 from .errors import SizeError, ValidationError
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def check_score_matrix(s) -> np.ndarray:
@@ -49,6 +46,19 @@ def additive_score(s: np.ndarray, positions: Sequence[int]) -> float:
     for i, p in enumerate(positions):
         total += float(s[i, p])
     return total
+
+
+def _exact_ints(a: np.ndarray) -> list[list[int]]:
+    """The matrix as exact ints over one common denominator, row by row.
+
+    Every float is an integer over a power of two, so scaling each entry
+    to the largest denominator keeps it, and every sum of entries, exact.
+    """
+    n = a.shape[0]
+    ratios = [x.as_integer_ratio() for x in a.ravel().tolist()]
+    denom = max(d for _, d in ratios)
+    scaled = [num * (denom // d) for num, d in ratios]
+    return [scaled[i * n:(i + 1) * n] for i in range(n)]
 
 
 def _solve_min(cost: list[list[int]]) -> list[int]:
@@ -120,13 +130,10 @@ def hungarian_max(s) -> tuple[Permutation, float]:
     """
     a = check_score_matrix(s)
     n = a.shape[0]
-    ratios = [x.as_integer_ratio() for x in a.ravel().tolist()]
-    denom = max(d for _, d in ratios)
     unit = n**n
     cost = [
-        [-num * (denom // d) * unit + p * n ** (n - 1 - i)
-         for p, (num, d) in enumerate(ratios[i * n:(i + 1) * n])]
-        for i in range(n)
+        [-x * unit + p * n ** (n - 1 - i) for p, x in enumerate(row)]
+        for i, row in enumerate(_exact_ints(a))
     ]
     positions = _solve_min(cost)
     return Permutation(tuple(positions)), additive_score(a, positions)
@@ -135,10 +142,13 @@ def hungarian_max(s) -> tuple[Permutation, float]:
 def topk_assignments(s, k: int) -> list[tuple[Permutation, float]]:
     """The k best permutations by additive score, with their totals.
 
-    The totals of all n! orders are computed at once over the permutation
-    table, accumulated in element-index order as additive_score does, so
-    each total is bit-identical to it. Sorted by descending score; ties
-    break lexicographically on positions. permutation_table raises
+    Ranked as hungarian_max ranks them: by exact total, ties of the real
+    totals going to the lexicographically smallest positions tuple, so the
+    first entry is hungarian_max's permutation. The float totals of all n!
+    orders are computed at once over the permutation table, accumulated in
+    element-index order as additive_score does, so each returned total is
+    bit-identical to it. Only the rows whose float total lies near the
+    k-th best are re-ranked exactly. permutation_table raises
     EnumerationCapError beyond MAX_ENUMERATION_N.
     """
     a = check_score_matrix(s)
@@ -148,4 +158,17 @@ def topk_assignments(s, k: int) -> list[tuple[Permutation, float]]:
     values = np.zeros(len(table))
     for i in range(n):
         values += a[i, table[:, i]]
-    return best_rows(table, values, k)
+    # n - 1 rounded adds leave a finite float total within err / 2 of its exact
+    # total, so the exact top k lie within err of the k-th float total, and
+    # float totals more than err apart are ranked as their exact totals are
+    if np.isfinite(values).all():
+        err = n * n * _EPS * float(np.abs(a).max())
+        near = np.flatnonzero(values >= -np.partition(-values, k - 1)[k - 1] - err)
+    else:  # an overflowed total has no error bound: rank every row exactly
+        err, near = np.inf, np.arange(len(values))
+    near = near[np.argsort(-values[near], kind="stable")]
+    if len(near) > k or not (-np.diff(values[near]) > err).all():
+        exact = _exact_ints(a)
+        near = sorted(near.tolist(),
+                      key=lambda r: (-sum(exact[i][p] for i, p in enumerate(table[r])), r))
+    return [(Permutation(tuple(table[r])), float(values[r])) for r in near[:k]]

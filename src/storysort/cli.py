@@ -24,7 +24,9 @@ value. Flags that argparse itself rejects print argparse's usage text
 to stderr and also exit 2. A stdout closed by its reader (as in
 ``storysort eval ... | true``) is a runtime failure: one ``error:`` line
 and exit 1. Every command writes its files and manifest before it prints,
-so a closed stdout leaves them complete.
+so a closed stdout leaves them complete. ``train`` computes its report
+before it writes the checkpoint, so a model whose scores are not finite
+(training diverged) is one ``error:`` line and leaves no file.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 """
@@ -32,12 +34,15 @@ Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import data as data_mod
 from . import ensemble as ensemble_mod
@@ -222,6 +227,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     # flags are checked before the datasets are read
     if args.val is None and not 0 < args.val_frac < 1:
         raise UsageError(f"--val-frac must be in (0, 1), got {args.val_frac}")
+    for name in ("hidden", *spec.train_args):
+        value = getattr(args, name)
+        if not value > 0:
+            # --hidden and --embed-dim are integer layer widths
+            rule = "must be >= 1 (a width in layer_dims)" if type(value) is int else "must be > 0"
+            raise ValidationError(f"--{name.replace('_', '-')} {rule}, got {value}")
     cfg = TrainConfig(
         learning_rate=lr, epochs=epochs, batch_size=batch_size,
         seed=args.seed, l2=args.l2,
@@ -244,12 +255,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         train_stories, cfg, use_image=args.use_image, hidden_units=args.hidden,
         **{name: getattr(args, name) for name in spec.train_args},
     )
-    models_mod.save_model(model, args.out)
+    # the report is computed before the checkpoint is written: a model that
+    # diverged fails the decoders' finiteness checks and leaves no file
     report = {
         "model": args.model,
         "train": _round6(_dataset_report(model, train_stories).to_json()),
         "val": _round6(_dataset_report(model, val_stories).to_json()) if val_stories else None,
     }
+    models_mod.save_model(model, args.out)
     out = Path(args.out)
     resolved = _resolved_args(
         args,
@@ -359,7 +372,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: it depends only on the model registry."""
     parser = argparse.ArgumentParser(
         prog="storysort",
         description="Order jumbled story elements with learned position and order models.",
@@ -376,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--config", default=None)
-    p_gen.set_defaults(func=cmd_generate)
 
     p_train = sub.add_parser("train", help="train a model and write a checkpoint")
     p_train.add_argument("--model", choices=tuple(models_mod.REGISTRY), required=True)
@@ -396,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--use-image", action="store_true")
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--config", default=None)
-    p_train.set_defaults(func=cmd_train)
 
     p_sort = sub.add_parser("sort", help="predict orders; several --ckpt flags vote")
     p_sort.add_argument("--ckpt", action="append", required=True)
@@ -404,14 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sort.add_argument("--out", required=True)
     p_sort.add_argument("--topk", type=int, default=ensemble_mod.DEFAULT_TOP_K)
     p_sort.add_argument("--config", default=None)
-    p_sort.set_defaults(func=cmd_sort)
 
     p_eval = sub.add_parser("eval", help="score predictions against gold orders")
     p_eval.add_argument("--pred", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--out", default=None, help="also write report JSON here")
     p_eval.add_argument("--config", default=None)
-    p_eval.set_defaults(func=cmd_eval)
 
     return parser
 
@@ -422,9 +433,15 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
+    # looked up at each call, so that a rebound cmd_* function (as a profiler
+    # installs) is the one that runs
+    commands = {"generate": cmd_generate, "train": cmd_train, "sort": cmd_sort, "eval": cmd_eval}
     try:
         args = _apply_config_file(args, parser)
-        code = args.func(args)
+        # a non-finite value ends in the check of the code that meets it,
+        # not in numpy warnings on stderr
+        with np.errstate(all="ignore"):
+            code = commands[args.command](args)
         sys.stdout.flush()  # so that a closed stdout raises here, not at exit
         return code
     except BrokenPipeError:

@@ -1,9 +1,10 @@
-"""Permutation arithmetic and shared numeric primitives.
+"""Permutations, the permutation table, and exact-type JSON field checks.
 
 Positions are 0-based everywhere. A permutation maps element index i to
-the position ``positions[i]``. Feature vectors are float64 numpy arrays,
-validated at module boundaries; all operations here are pure, and every
-source of randomness is an explicitly seeded generator.
+the position ``positions[i]``. The permutation table holds all n! orders
+of n elements for the decoders that rank every order; k-best lists take
+their rows from it. All operations here are pure, and every source of
+randomness is an explicitly seeded generator.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .errors import DimensionError, EnumerationCapError, SizeError, ValidationError
+from .errors import EnumerationCapError, SizeError, ValidationError
 
 MIN_N = 2
 MAX_N = 16
@@ -59,53 +60,19 @@ class Permutation:
         return iter(self.positions)
 
 
-def identity_permutation(n: int) -> Permutation:
-    """The permutation that keeps every element in place."""
-    if not MIN_N <= n <= MAX_N:
-        raise SizeError(f"n must be in [{MIN_N}, {MAX_N}], got {n}")
-    return Permutation(tuple(range(n)))
-
-
-def inverse(p: Permutation) -> Permutation:
-    """Inverse mapping: result[p[i]] = i."""
-    inv = [0] * p.n
-    for i, pos in enumerate(p.positions):
-        inv[pos] = i
-    return Permutation(tuple(inv))
-
-
-def reverse(p: Permutation) -> Permutation:
-    """Mirror a permutation: position q becomes n-1-q."""
-    n = p.n
-    return Permutation(tuple(n - 1 - q for q in p.positions))
-
-
-def _check_enumerable(n: int) -> None:
-    if n < MIN_N:
-        raise SizeError(f"n must be at least {MIN_N}, got {n}")
-    if n > MAX_ENUMERATION_N:
-        raise EnumerationCapError(
-            f"enumeration capped at n <= {MAX_ENUMERATION_N}, got {n}"
-        )
-
-
-def enumerate_permutations(n: int) -> Iterator[Permutation]:
-    """Yield all n! permutations in lexicographic order of the positions tuple."""
-    _check_enumerable(n)
-    for pos in itertools.permutations(range(n)):
-        yield Permutation(pos)
-
-
 @functools.lru_cache(maxsize=MAX_ENUMERATION_N)
 def permutation_table(n: int) -> np.ndarray:
     """All n! permutations as a read-only (n!, n) integer array, built once per n.
 
-    Row r is the positions tuple of the r-th permutation yielded by
-    enumerate_permutations(n), so rows are in lexicographic order. The
-    array is column-major: decoders read it a column at a time, and a
-    contiguous column of n! entries reads about twice as fast at n = 8.
+    Rows are the positions tuples of itertools.permutations(range(n)), in
+    lexicographic order. The array is column-major: decoders read it a
+    column at a time, and a contiguous column of n! entries reads about
+    twice as fast at n = 8. n must be in [MIN_N, MAX_ENUMERATION_N].
     """
-    _check_enumerable(n)
+    if n < MIN_N:
+        raise SizeError(f"n must be at least {MIN_N}, got {n}")
+    if n > MAX_ENUMERATION_N:
+        raise EnumerationCapError(f"enumeration capped at n <= {MAX_ENUMERATION_N}, got {n}")
     table = np.array(list(itertools.permutations(range(n))), dtype=np.intp, order="F")
     table.flags.writeable = False
     return table
@@ -115,17 +82,6 @@ def check_top_k(n: int, k: int) -> None:
     """Raise SizeError unless 1 <= k <= n!."""
     if not 1 <= k <= math.factorial(n):
         raise SizeError(f"k={k} out of range for n={n}")
-
-
-def best_rows(table: np.ndarray, values: np.ndarray,
-              k: int) -> list[tuple[Permutation, float]]:
-    """The k rows of a permutation table with the highest values, with their values.
-
-    Sorted by descending value. The sort is stable, so tied rows keep
-    table order: ties break lexicographically on the positions tuple.
-    """
-    rows = np.argsort(-values, kind="stable")[:k]
-    return [(Permutation(tuple(table[r])), float(values[r])) for r in rows]
 
 
 def random_permutation(n: int, seed: int | np.random.Generator) -> Permutation:
@@ -138,27 +94,6 @@ def random_permutation(n: int, seed: int | np.random.Generator) -> Permutation:
         j = int(rng.integers(0, i + 1))
         items[i], items[j] = items[j], items[i]
     return Permutation(tuple(items))
-
-
-def apply_permutation(p: Permutation, items: Sequence) -> list:
-    """Place items[i] at slot p[i]; applying p then inverse(p) restores the input."""
-    if len(items) != p.n:
-        raise DimensionError(f"cannot apply length-{p.n} permutation to {len(items)} items")
-    out = [None] * p.n
-    for i, pos in enumerate(p.positions):
-        out[pos] = items[i]
-    return out
-
-
-def as_float_vector(values: Iterable[float], name: str = "vector") -> np.ndarray:
-    """Validate and copy values into a finite 1-D float64 array."""
-    arr = np.array(list(values) if not isinstance(values, np.ndarray) else values,
-                   dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be 1-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return arr
 
 
 def json_value(value, types: tuple[type, ...], name: str):

@@ -1,4 +1,4 @@
-"""Story ingestion, feature assembly, jumbling, splits, and synthetic data.
+"""Story ingestion, feature assembly, splits, and synthetic data.
 
 A story of n elements is a handful of arrays, indexed by element in the
 order the elements are listed in the file: ``text`` is an (n, d_text)
@@ -6,9 +6,9 @@ float64 matrix, ``image`` an (n, d_image) one or None, and
 ``element_ids[i]`` and ``gold[i]`` name element i and give its gold
 position. The jumbled view models actually see is stored separately as
 presented_order, and models read features only through
-presented_features, an (S, n, d) array for S stories (story_feature_matrix
-is its one-story case), so inference code never touches gold positions
-by accident.
+presented_features, an (S, n, d) array for S stories, so inference code
+never touches gold positions by accident. Training reads the same rows
+in gold order through gold_features.
 
 Story.__post_init__ checks each story on its own (length, gold
 positions, feature shapes, one finiteness check per array);
@@ -21,7 +21,6 @@ in shortest round-trip decimal form, so save and load are exact.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,7 +89,7 @@ class Story:
 
     def presented_gold(self) -> Permutation:
         """Gold positions of the presented elements, the target models must recover."""
-        return Permutation(tuple(self.gold[i] for i in np.argsort(_positions(self, "presented"))))
+        return Permutation(tuple(self.gold[i] for i in np.argsort(_presented_positions(self))))
 
 
 def _feature_array(story_id: str, name: str, rows, n: int) -> np.ndarray:
@@ -110,22 +109,20 @@ def _feature_array(story_id: str, name: str, rows, n: int) -> np.ndarray:
     return arr
 
 
-def _positions(story: Story, view: str) -> tuple[int, ...]:
-    """Where each element sits in the presented order (listed order if unjumbled) or gold order."""
-    if view == "presented":
-        if story.presented_order is None:
-            return tuple(range(story.n))
-        return story.presented_order.positions
-    if view == "gold":
-        return story.gold
-    raise ValidationError(f"unknown view {view!r}")
+def _presented_positions(story: Story) -> tuple[int, ...]:
+    """Where each element sits in the presented order; the listed order if unjumbled."""
+    if story.presented_order is None:
+        return tuple(range(story.n))
+    return story.presented_order.positions
 
 
-def _feature_stack(stories: Sequence[Story], use_image: bool, view: str) -> np.ndarray:
-    """(stories, n, d) rows of text, or of [text | image], each story's in the view's order.
+def _feature_stack(stories: Sequence[Story], use_image: bool,
+                   positions: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """(stories, n, d) rows of text, or of [text | image], placed by positions.
 
-    Row k of a story is its element at position k of the view. The stories
-    must share n and feature dims.
+    positions[s][i] is where element i of stories[s] goes, so row k of a
+    story is its element at position k. The stories must share n and
+    feature dims.
     """
     if not stories:
         raise EmptyInputError("cannot build a feature array from an empty dataset")
@@ -134,7 +131,7 @@ def _feature_stack(stories: Sequence[Story], use_image: bool, view: str) -> np.n
         raise DimensionError(f"stories differ in (n, text dim, image dim): {sorted(dims, key=str)}")
     n = stories[0].n
     # row of each story's k-th element in the stories' arrays stacked to (S * n, d)
-    rows = np.argsort([_positions(s, view) for s in stories], axis=1)
+    rows = np.argsort(positions, axis=1)
     rows += np.arange(0, len(stories) * n, n)[:, None]
     text = np.concatenate([s.text for s in stories])[rows]
     if not use_image:
@@ -147,19 +144,12 @@ def _feature_stack(stories: Sequence[Story], use_image: bool, view: str) -> np.n
     return np.concatenate([text, np.concatenate([s.image for s in stories])[rows]], axis=2)
 
 
-def story_feature_matrix(story: Story, use_image: bool = False,
-                         view: str = "presented") -> np.ndarray:
-    """(n, d) rows of text, or of [text | image], in the presented or the gold element order."""
-    return _feature_stack([story], use_image, view)[0]
-
-
 def presented_features(stories: Sequence[Story], use_image: bool) -> np.ndarray:
     """(stories, n, d) features in presented order: the rows models score at inference.
 
-    The stories must share n and feature dims; story_feature_matrix is the
-    one-story case.
+    The stories must share n and feature dims.
     """
-    return _feature_stack(stories, use_image, "presented")
+    return _feature_stack(stories, use_image, [_presented_positions(s) for s in stories])
 
 
 def gold_features(stories: Sequence[Story], use_image: bool) -> np.ndarray:
@@ -168,7 +158,7 @@ def gold_features(stories: Sequence[Story], use_image: bool) -> np.ndarray:
     The stories are checked with check_dataset first, so they share n and d.
     """
     check_dataset(stories)
-    return _feature_stack(stories, use_image, "gold")
+    return _feature_stack(stories, use_image, [s.gold for s in stories])
 
 
 def _dims(story: Story) -> tuple[int, int, int | None]:
@@ -253,12 +243,6 @@ def generate_synthetic(spec: SyntheticSpec) -> list[Story]:
             gold=tuple(range(spec.n)), presented_order=random_permutation(spec.n, rng),
         ))
     return stories
-
-
-def jumble(story: Story, seed: int | np.random.Generator) -> Story:
-    """Fresh random presented_order; gold positions are untouched."""
-    rng = as_rng(seed)
-    return dataclasses.replace(story, presented_order=random_permutation(story.n, rng))
 
 
 def split_dataset(

@@ -2,8 +2,8 @@
 
 Everything runs on float64 numpy. Hidden layers are affine + ReLU, the
 final layer is affine (an optional terminal ReLU serves the ordered
-embedding head). Gradients are hand-derived and verified against central
-finite differences via grad_check. The trainer is plain mini-batch SGD
+embedding head). Gradients are hand-derived; the tests check them against
+central finite differences. The trainer is plain mini-batch SGD
 with optional L2 weight decay; all shuffling comes from the config seed,
 so identical inputs produce bit-identical parameters.
 
@@ -267,40 +267,6 @@ def npe_order_head(alpha: float) -> LossHead:
         return loss, grads
 
     return head
-
-
-def grad_check(loss_fn: Callable[[MlpParams], tuple], params: MlpParams,
-               eps: float = 1e-5) -> float:
-    """Max relative error between analytic gradients and central differences.
-
-    loss_fn(params) must return (loss, (weight_grads, bias_grads)). The
-    relative error per parameter is |ga - gn| / max(|ga|, |gn|, 1e-8).
-    """
-    if not 1e-7 <= eps <= 1e-3:
-        raise ValidationError(f"eps must be in [1e-7, 1e-3], got {eps}")
-    base_loss, (gws, gbs) = loss_fn(params)
-    if not np.isfinite(base_loss):
-        raise NumericError(f"loss is non-finite: {base_loss}")
-    work = clone_params(params)
-    max_rel = 0.0
-    for arrays, grads in ((work.weights, gws), (work.biases, gbs)):
-        for arr, g in zip(arrays, grads):
-            flat = arr.reshape(-1)
-            gflat = np.asarray(g).reshape(-1)
-            for idx in range(flat.size):
-                orig = flat[idx]
-                flat[idx] = orig + eps
-                plus = loss_fn(work)[0]
-                flat[idx] = orig - eps
-                minus = loss_fn(work)[0]
-                flat[idx] = orig
-                if not (np.isfinite(plus) and np.isfinite(minus)):
-                    raise NumericError("perturbed loss is non-finite")
-                gn = (plus - minus) / (2.0 * eps)
-                ga = gflat[idx]
-                rel = abs(ga - gn) / max(abs(ga), abs(gn), 1e-8)
-                max_rel = max(max_rel, rel)
-    return max_rel
 
 
 def sgd_train(

@@ -14,7 +14,9 @@ list comes from the same ranking of all orders.
 npe_scores runs over a sequence of S stories at once: one forward pass
 embeds every presented element, and the penalties of all ordered pairs
 form an (S, n, n) stack, each matrix bit-identical to scoring its story
-alone. predict is the one-story case.
+alone. predict is the one-story case. The training loss, the same
+penalty summed over a story's gold-ordered pairs, is
+neural.npe_order_head.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from . import neural, pairwise
-from .core import Permutation, as_float_vector
-from .data import Story, gold_features, presented_features, story_feature_matrix
-from .errors import DimensionError, ValidationError
+from .core import Permutation
+from .data import Story, gold_features, presented_features
+from .errors import ValidationError
 from .neural import MlpParams, TrainConfig
 
 MODEL_KIND = "npe"
@@ -54,51 +56,10 @@ class NpeModel:
         return self.mlp.output_dim
 
 
-@dataclass(frozen=True)
-class NpeConfig:
-    train: TrainConfig
-    embed_dim: int = DEFAULT_EMBED_DIM
-    alpha: float = DEFAULT_ALPHA
-
-    def __post_init__(self) -> None:
-        if self.embed_dim < 1:
-            raise ValidationError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if not self.alpha > 0:
-            raise ValidationError(f"alpha must be > 0, got {self.alpha}")
-
-
-def embed(model: NpeModel, features) -> np.ndarray:
-    """Embed one feature vector; every output coordinate is >= 0."""
-    x = as_float_vector(features, "features")
-    if x.shape[0] != model.mlp.input_dim:
-        raise DimensionError(
-            f"feature dim {x.shape[0]} does not match model dim {model.mlp.input_dim}"
-        )
-    return neural.mlp_forward(model.mlp, x, terminal_relu=True)
-
-
 def _penalties(emb: np.ndarray, alpha: float) -> np.ndarray:
     """P[..., i, j] = ||max(0, alpha - (e_j - e_i))||^2 for embeddings of shape (..., n, k)."""
     m = neural.order_margins(emb, alpha)
     return np.sum(m * m, axis=-1)
-
-
-def npe_pair_loss(x_i, x_j, alpha: float) -> float:
-    """||max(0, alpha - (x_j - x_i))||^2, elementwise margin then squared norm."""
-    a = as_float_vector(x_i, "x_i")
-    b = as_float_vector(x_j, "x_j")
-    if a.shape != b.shape:
-        raise DimensionError(f"embedding dims differ: {a.shape} vs {b.shape}")
-    if not alpha > 0:
-        raise ValidationError(f"alpha must be > 0, got {alpha}")
-    return float(_penalties(np.stack([a, b]), alpha)[0, 1])
-
-
-def npe_story_loss(model: NpeModel, story: Story) -> float:
-    """Sum of pair penalties over all gold-ordered pairs of one story."""
-    feats = story_feature_matrix(story, model.use_image, view="gold")
-    emb = neural.mlp_forward(model.mlp, feats, terminal_relu=True)
-    return float(np.sum(np.triu(_penalties(emb, model.alpha), 1)))
 
 
 def npe_scores(model: NpeModel, stories: Sequence[Story]) -> np.ndarray:
@@ -123,29 +84,23 @@ def predict(model: NpeModel, story: Story) -> Permutation:
 
 def train_npe(
     stories: Sequence[Story],
-    cfg: NpeConfig,
+    cfg: TrainConfig,
     use_image: bool = False,
     hidden_units: int = neural.DEFAULT_HIDDEN_UNITS,
+    embed_dim: int = DEFAULT_EMBED_DIM,
+    alpha: float = DEFAULT_ALPHA,
 ) -> NpeModel:
     """Minimize the mean per-story ordered-embedding penalty by SGD.
 
     Each training row is one story's gold-ordered feature matrix;
     gradients flow through the elementwise margin max with subgradient 0
-    at the kink.
+    at the kink. embed_dim must be >= 1 and alpha > 0.
     """
     X = gold_features(stories, use_image)
-    rng = np.random.default_rng(cfg.train.seed)
-    params = neural.init_mlp((X.shape[-1], hidden_units, cfg.embed_dim), rng)
-    params = neural.sgd_train(params, X, None, neural.npe_order_head(cfg.alpha), cfg.train)
-    return NpeModel(mlp=params, alpha=cfg.alpha, use_image=use_image,
-                    train_config=cfg.train)
-
-
-def train(stories: Sequence[Story], cfg: TrainConfig, use_image: bool = False,
-          hidden_units: int = neural.DEFAULT_HIDDEN_UNITS,
-          embed_dim: int = DEFAULT_EMBED_DIM, alpha: float = DEFAULT_ALPHA) -> NpeModel:
-    """train_npe with the keyword arguments the registry passes to every kind."""
-    return train_npe(stories, NpeConfig(cfg, embed_dim, alpha), use_image, hidden_units)
+    rng = np.random.default_rng(cfg.seed)
+    params = neural.init_mlp((X.shape[-1], hidden_units, embed_dim), rng)
+    params = neural.sgd_train(params, X, None, neural.npe_order_head(alpha), cfg)
+    return NpeModel(mlp=params, alpha=alpha, use_image=use_image, train_config=cfg)
 
 
 def score_floats(model: NpeModel, n: int) -> int:
@@ -157,3 +112,4 @@ def score_floats(model: NpeModel, n: int) -> int:
 # The names every model module exposes to the registry in storysort.models.
 Model = NpeModel
 scores = npe_scores
+train = train_npe

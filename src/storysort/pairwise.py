@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import neural
-from .core import Permutation, best_rows, check_top_k, permutation_table
+from .core import Permutation, check_top_k, permutation_table
 from .data import Story, gold_features, presented_features
 from .errors import DimensionError, ValidationError
 from .neural import MlpParams, TrainConfig
@@ -132,7 +132,9 @@ def rank_permutations(s, k: int | None = None) -> list[tuple[Permutation, float]
     if k is not None:
         check_top_k(a.shape[0], k)
     table, values = _all_objectives(a[None])
-    return best_rows(table, values[0], len(table) if k is None else k)
+    # the sort is stable, so tied rows keep the table's lexicographic order
+    rows = np.argsort(-values[0], kind="stable")[:k]
+    return [(Permutation(tuple(table[r])), float(values[0, r])) for r in rows]
 
 
 def decode_pairwise(s) -> list[Permutation]:

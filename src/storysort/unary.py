@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import neural
-from .assign import additive_score, check_score_matrix, hungarian_max
+from .assign import hungarian_max
 from .core import Permutation
 from .data import Story, gold_features, presented_features
 from .errors import DimensionError, ValidationError
@@ -52,14 +52,6 @@ def position_probs(model: UnaryModel, stories: Sequence[Story]) -> np.ndarray:
     if feats.shape[1] != model.n:
         raise DimensionError(f"story has n={feats.shape[1]}, model expects n={model.n}")
     return neural.softmax(neural.mlp_forward(model.mlp, feats))
-
-
-def unary_score(probs, sigma: Permutation) -> float:
-    """Sum of probs[i][sigma[i]] in element-index order."""
-    a = check_score_matrix(probs)
-    if sigma.n != a.shape[0]:
-        raise DimensionError(f"permutation n={sigma.n} does not match matrix n={a.shape[0]}")
-    return additive_score(a, sigma.positions)
 
 
 def decode_unary(probs) -> list[Permutation]:

@@ -1,10 +1,62 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from storysort import neural
 from storysort.core import Permutation
 from storysort.data import Story, SyntheticSpec, generate_synthetic
+from storysort.errors import NumericError, ValidationError
 from storysort.neural import TrainConfig
+
+
+def identity(n):
+    """The permutation that keeps every element in place."""
+    return Permutation(tuple(range(n)))
+
+
+def mirror(p):
+    """The reversed order: position q becomes n - 1 - q."""
+    return Permutation(tuple(p.n - 1 - q for q in p.positions))
+
+
+def enumerate_permutations(n):
+    """Test oracle: all n! permutations, lexicographic in the positions tuple."""
+    for pos in itertools.permutations(range(n)):
+        yield Permutation(pos)
+
+
+def grad_check(loss_fn, params, eps=1e-5):
+    """Test oracle: max relative error between analytic gradients and central differences.
+
+    loss_fn(params) must return (loss, (weight_grads, bias_grads)). The
+    relative error per parameter is |ga - gn| / max(|ga|, |gn|, 1e-8).
+    """
+    if not 1e-7 <= eps <= 1e-3:
+        raise ValidationError(f"eps must be in [1e-7, 1e-3], got {eps}")
+    base_loss, (gws, gbs) = loss_fn(params)
+    if not np.isfinite(base_loss):
+        raise NumericError(f"loss is non-finite: {base_loss}")
+    work = neural.clone_params(params)
+    max_rel = 0.0
+    for arrays, grads in ((work.weights, gws), (work.biases, gbs)):
+        for arr, g in zip(arrays, grads):
+            flat = arr.reshape(-1)
+            gflat = np.asarray(g).reshape(-1)
+            for idx in range(flat.size):
+                orig = flat[idx]
+                flat[idx] = orig + eps
+                plus = loss_fn(work)[0]
+                flat[idx] = orig - eps
+                minus = loss_fn(work)[0]
+                flat[idx] = orig
+                if not (np.isfinite(plus) and np.isfinite(minus)):
+                    raise NumericError("perturbed loss is non-finite")
+                gn = (plus - minus) / (2.0 * eps)
+                ga = gflat[idx]
+                max_rel = max(max_rel, abs(ga - gn) / max(abs(ga), abs(gn), 1e-8))
+    return max_rel
 
 
 def permutations_st(n: int | None = None):

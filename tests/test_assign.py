@@ -13,8 +13,8 @@ from storysort.assign import (
     hungarian_max,
     topk_assignments,
 )
-from storysort.core import enumerate_permutations, identity_permutation
 from storysort.errors import EnumerationCapError, SizeError, ValidationError
+from conftest import enumerate_permutations, identity
 
 
 def brute_force_max(s):
@@ -176,6 +176,24 @@ class TestTopK:
             assert top[0][0].positions == h_perm.positions
             assert top[0][1] == h_score
 
+    def test_tenths_rank_by_exact_totals(self):
+        # float totals of tenths round, so float ranking alone misorders near
+        # ties; the list must rank by exact totals, ties lexicographic, and so
+        # start with hungarian_max's permutation
+        rng = np.random.default_rng(418)
+        for _ in range(150):
+            n = int(rng.integers(3, 7))
+            s = rng.choice([0.0, 0.1, 0.2, 0.3], size=(n, n))
+            exact = [[Fraction(float(x)) for x in row] for row in s]
+            oracle = sorted(
+                (p.positions for p in enumerate_permutations(n)),
+                key=lambda pos: (-sum(exact[i][p] for i, p in enumerate(pos)), pos),
+            )
+            top = topk_assignments(s, 5)
+            assert [p.positions for p, _ in top] == oracle[:5]
+            assert all(total == additive_score(s, p.positions) for p, total in top)
+            assert top[0][0] == hungarian_max(s)[0]
+
     def test_k_too_large(self):
         with pytest.raises(SizeError):
             topk_assignments(np.eye(3), 7)
@@ -195,7 +213,7 @@ class TestAdditiveScore:
     def test_index_order_accumulation_matches_python_sum(self, n):
         rng = np.random.default_rng(n)
         s = rng.uniform(size=(n, n))
-        perm = identity_permutation(n)
+        perm = identity(n)
         assert additive_score(s, perm.positions) == sum(
             (float(s[i, i]) for i in range(n)), 0.0
         )

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,23 @@ class TestTrain:
         assert "layer_dims" in one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["unary", "pairwise", "npe"])
+    def test_diverging_training_is_one_error_line_and_leaves_no_file(self, tmp_path, capsys,
+                                                                   model):
+        data = tmp_path / "data.jsonl"
+        assert run(gen_args(data, stories=30)) == 0
+        out = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        # one batch per epoch: the step overflows the weights and nothing trains after it
+        argv = train_args(data, out, model=model,
+                          extra=["--lr", "1e305", "--epochs", "1", "--batch-size", "1000"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would be a line on stderr
+            assert run(argv) == 1
+        assert "non-finite" in one_error_line(capsys)
+        assert not out.exists()
+        assert not Path(str(out) + ".manifest.json").exists()
+
     def test_missing_dataset_fails_with_code_1(self, tmp_path):
         code = run(train_args(tmp_path / "nope.jsonl", tmp_path / "m.json"))
         assert code == 1
@@ -133,6 +151,20 @@ class TestTrain:
         assert run(train_args(bad, tmp_path / "m.json", extra=[flag, value])) == code
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and message in err[0], err
+
+    @pytest.mark.parametrize("model,flag,message", [
+        ("unary", "--hidden", "--hidden must be >= 1 (a width in layer_dims), got 0"),
+        ("npe", "--embed-dim", "--embed-dim must be >= 1 (a width in layer_dims), got 0"),
+        ("npe", "--alpha", "--alpha must be > 0, got 0.0"),
+        ("pairwise", "--margin", "--margin must be > 0, got 0.0"),
+    ])
+    def test_bad_model_flag_is_reported_before_the_dataset_is_read(self, tmp_path, capsys,
+                                                                  model, flag, message):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("not json\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(train_args(bad, tmp_path / "m.json", model=model, extra=[flag, "0"])) == 1
+        assert one_error_line(capsys) == f"error: {message}"
 
 
 class TestSortAndEval:
@@ -258,6 +290,16 @@ def trained(tmp_path_factory):
         ckpts[model] = root / f"{model}.json"
         assert run(train_args(data, ckpts[model], model=model)) == 0
     return data, ckpts
+
+
+def test_main_runs_the_current_command_binding(monkeypatch):
+    # the parser is built once, so main must look each command up when it runs:
+    # a profiler rebinds cmd_* to time it
+    cli.build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: calls.append(args.pred) or 0)
+    assert run(["eval", "--pred", "p.jsonl", "--data", "d.jsonl"]) == 0
+    assert calls == ["p.jsonl"]
 
 
 def one_error_line(capsys):

@@ -1,28 +1,15 @@
+import dataclasses
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given
 
-from storysort.core import (
-    Permutation,
-    apply_permutation,
-    as_float_vector,
-    enumerate_permutations,
-    identity_permutation,
-    inverse,
-    random_permutation,
-    reverse,
-)
-from storysort.errors import (
-    DimensionError,
-    EnumerationCapError,
-    SizeError,
-    ValidationError,
-)
-from conftest import permutations_st
+from storysort.core import Permutation, permutation_table, random_permutation
+from storysort.data import gold_features, presented_features
+from storysort.errors import EnumerationCapError, SizeError, ValidationError
+from conftest import enumerate_permutations, make_story, permutations_st
 
 
 class TestPermutationType:
@@ -43,68 +30,76 @@ class TestPermutationType:
         assert p.positions == (1, 2, 0) or isinstance(p.positions[0], int)
 
 
-class TestIdentity:
-    def test_n5(self):
-        assert identity_permutation(5).positions == (0, 1, 2, 3, 4)
-
-    def test_n2(self):
-        assert identity_permutation(2).positions == (0, 1)
-
-    def test_out_of_range(self):
-        with pytest.raises(SizeError):
-            identity_permutation(17)
-        with pytest.raises(SizeError):
-            identity_permutation(1)
-
-
 class TestInverse:
+    """The inverse of a presented order, as the views apply it: row k of a
+    view holds the element at position k."""
+
     def test_identity_self_inverse(self):
-        p = identity_permutation(5)
-        assert inverse(p).positions == p.positions
+        story = make_story([0, 1, 2, 3, 4])
+        assert (presented_features([story], False) == gold_features([story], False)).all()
+        assert story.presented_gold().positions == (0, 1, 2, 3, 4)
 
     def test_hand_checked_cycle(self):
         # element 0 at position 1, 1 at 2, 2 at 0; so position 0 holds
         # element 2, position 1 holds 0, position 2 holds 1
-        assert inverse(Permutation((1, 2, 0))).positions == (2, 0, 1)
+        story = make_story([0, 1, 2], presented=[1, 2, 0])
+        assert presented_features([story], False)[0].argmax(axis=1).tolist() == [2, 0, 1]
+        assert story.presented_gold().positions == (2, 0, 1)
 
     def test_reversal_is_involution(self):
-        p = Permutation((4, 3, 2, 1, 0))
-        assert inverse(p).positions == p.positions
+        story = make_story([0, 1, 2, 3, 4], presented=[4, 3, 2, 1, 0])
+        assert (presented_features([story], False)[0] == np.eye(5)[::-1]).all()
+        assert story.presented_gold().positions == (4, 3, 2, 1, 0)
 
     @given(permutations_st())
     def test_double_inverse_roundtrip(self, p):
-        assert inverse(inverse(p)).positions == p.positions
+        # elements listed by gold position p and presented by p again show up in gold order
+        story = make_story(p.positions, presented=p.positions)
+        assert story.presented_gold().positions == tuple(range(p.n))
 
-    @given(permutations_st())
-    def test_apply_then_inverse_restores(self, p):
-        items = list(range(100, 100 + p.n))
-        placed = apply_permutation(p, items)
-        assert apply_permutation(inverse(p), placed) == items
+    @given(permutations_st(5), permutations_st(5))
+    def test_apply_then_inverse_restores(self, gold, presented):
+        # presenting every element at its gold position turns the presented
+        # view into the gold one, whatever the story was presented in before
+        story = make_story(gold.positions, text=np.arange(10.0).reshape(5, 2),
+                           presented=presented.positions)
+        regold = dataclasses.replace(story, presented_order=gold)
+        assert (presented_features([regold], False) == gold_features([story], False)).all()
 
 
 class TestEnumerate:
+    """permutation_table: every order of n elements, the rows the decoders rank."""
+
     def test_count_n5_is_120(self):
-        assert sum(1 for _ in enumerate_permutations(5)) == 120
+        assert permutation_table(5).shape == (120, 5)
 
     def test_n2_sequence(self):
-        perms = [p.positions for p in enumerate_permutations(2)]
-        assert perms == [(0, 1), (1, 0)]
+        assert permutation_table(2).tolist() == [[0, 1], [1, 0]]
 
     def test_n3_lexicographic_bounds(self):
-        perms = [p.positions for p in enumerate_permutations(3)]
+        perms = permutation_table(3).tolist()
         assert len(perms) == 6
-        assert perms[0] == (0, 1, 2)
-        assert perms[-1] == (2, 1, 0)
+        assert perms[0] == [0, 1, 2]
+        assert perms[-1] == [2, 1, 0]
         assert perms == sorted(perms)
 
     def test_no_duplicates_up_to_6(self):
         for n in range(2, 7):
-            seen = {p.positions for p in enumerate_permutations(n)}
+            seen = {tuple(row) for row in permutation_table(n).tolist()}
             assert len(seen) == math.factorial(n)
+
+    def test_rows_follow_the_oracle_and_are_read_only(self):
+        for n in range(2, 7):
+            oracle = [list(p.positions) for p in enumerate_permutations(n)]
+            assert permutation_table(n).tolist() == oracle
+        with pytest.raises(ValueError):
+            permutation_table(3)[0, 0] = 1
 
     def test_cap_error(self):
         with pytest.raises(EnumerationCapError):
-            list(enumerate_permutations(9))
+            permutation_table(9)
+        with pytest.raises(SizeError):
+            permutation_table(1)
 
 
 class TestRandomPermutation:
@@ -122,34 +117,3 @@ class TestRandomPermutation:
         for p in enumerate_permutations(5):
             freq = counts[p.positions] / 120_000
             assert abs(freq - 1 / 120) < 0.005
-
-
-class TestReverse:
-    @given(permutations_st())
-    def test_reverse_twice_is_identity(self, p):
-        assert reverse(reverse(p)).positions == p.positions
-
-    def test_reverse_of_identity(self):
-        assert reverse(identity_permutation(4)).positions == (3, 2, 1, 0)
-
-
-class TestApply:
-    def test_mismatched_length(self):
-        with pytest.raises(DimensionError):
-            apply_permutation(identity_permutation(3), [1, 2])
-
-
-class TestFloatVector:
-    def test_rejects_nan(self):
-        with pytest.raises(ValidationError):
-            as_float_vector([1.0, float("nan")])
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValidationError):
-            as_float_vector(np.zeros((2, 2)))
-
-    def test_copies_and_casts(self):
-        src = [1, 2, 3]
-        v = as_float_vector(src)
-        assert v.dtype == np.float64
-        assert v.tolist() == [1.0, 2.0, 3.0]

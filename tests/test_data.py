@@ -1,21 +1,21 @@
+import dataclasses
 import json
 import re
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from storysort.core import Permutation, enumerate_permutations, identity_permutation
+from storysort.core import random_permutation
 from storysort.data import (
     SyntheticSpec,
     _story_to_record,
     check_dataset,
     generate_synthetic,
-    jumble,
+    gold_features,
     load_dataset,
+    presented_features,
     save_dataset,
     split_dataset,
-    story_feature_matrix,
 )
 from storysort.errors import FeatureError, ParseError, ValidationError
 from storysort.metrics import score_story
@@ -93,60 +93,36 @@ class TestStoryInvariants:
     def test_presented_views(self):
         # elements listed in gold order; presented_order sends gold g to slot
         story = make_story([0, 1, 2], presented=[2, 0, 1])
-        presented = story_feature_matrix(story, view="presented")
+        presented = presented_features([story], use_image=False)[0]
         assert presented.argmax(axis=1).tolist() == [1, 2, 0]
         assert story.presented_gold().positions == (1, 2, 0)
 
     def test_perfect_oracle_invariant_to_jumbling(self):
         story = make_story([0, 1, 2, 3, 4])
         for seed in range(5):
-            jumbled = jumble(story, seed)
+            jumbled = dataclasses.replace(story, presented_order=random_permutation(5, seed))
             pred = jumbled.presented_gold()
             assert score_story(pred, jumbled.presented_gold()) == (1.0, 1.0, 0.0)
 
 
 class TestConcatFeatures:
-    """story_feature_matrix with use_image puts image columns after text columns."""
+    """presented_features with use_image puts image columns after text columns."""
 
     def story(self, image):
         return make_story([0, 1], text=np.array([[1.0, 2.0], [4.0, 5.0]]), image=image)
 
     def test_concat_order(self):
         story = self.story(np.array([[3.0], [6.0]]))
-        assert story_feature_matrix(story, use_image=True).tolist() == [
-            [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        assert presented_features([story], use_image=True).tolist() == [
+            [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]]
 
     def test_text_only(self):
         story = self.story(np.array([[3.0], [6.0]]))
-        assert story_feature_matrix(story, use_image=False).tolist() == [[1.0, 2.0], [4.0, 5.0]]
+        assert presented_features([story], use_image=False).tolist() == [[[1.0, 2.0], [4.0, 5.0]]]
 
     def test_missing_image_raises(self):
         with pytest.raises(FeatureError):
-            story_feature_matrix(self.story(None), use_image=True)
-
-
-class TestJumble:
-    def test_deterministic(self):
-        story = make_story([0, 1, 2, 3, 4])
-        a = jumble(story, 99).presented_order.positions
-        b = jumble(story, 99).presented_order.positions
-        assert a == b
-
-    def test_gold_untouched(self):
-        story = make_story([0, 1, 2, 3, 4])
-        jumbled = jumble(story, 1)
-        assert jumbled.gold == (0, 1, 2, 3, 4)
-        assert (jumbled.text == story.text).all()
-
-    def test_uniform_over_120k_draws(self):
-        story = make_story([0, 1, 2, 3, 4])
-        rng = np.random.default_rng(13)
-        counts = Counter(
-            jumble(story, rng).presented_order.positions for _ in range(120_000)
-        )
-        assert len(counts) == 120
-        for p in enumerate_permutations(5):
-            assert abs(counts[p.positions] / 120_000 - 1 / 120) < 0.005
+            presented_features([self.story(None)], use_image=True)
 
 
 class TestSynthetic:
@@ -164,7 +140,7 @@ class TestSynthetic:
         spec = SyntheticSpec(story_count=3, noise_sigma=0.0, seed=8)
         stories = generate_synthetic(spec)
         for story in stories:
-            norms = np.linalg.norm(story_feature_matrix(story, view="gold"), axis=1).tolist()
+            norms = np.linalg.norm(gold_features([story], use_image=False)[0], axis=1).tolist()
             assert norms == sorted(norms)
             assert norms[0] == pytest.approx(0.0)
 
@@ -292,11 +268,7 @@ class TestDatasetIO:
 class TestFeatureMatrix:
     def test_presented_vs_gold_views(self):
         story = make_story([0, 1, 2], presented=[2, 0, 1])
-        gold_view = story_feature_matrix(story, view="gold")
-        presented_view = story_feature_matrix(story, view="presented")
+        gold_view = gold_features([story], use_image=False)[0]
+        presented_view = presented_features([story], use_image=False)[0]
         assert (gold_view == np.eye(3)).all()
         assert (presented_view == np.eye(3)[[1, 2, 0]]).all()
-
-    def test_unknown_view(self):
-        with pytest.raises(ValidationError):
-            story_feature_matrix(make_story([0, 1]), view="sideways")

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from storysort.assign import additive_score, topk_assignments
-from storysort.core import enumerate_permutations
 from storysort.errors import SizeError
 from storysort.pairwise import decode_pairwise, pairwise_objective, rank_permutations
+from conftest import enumerate_permutations
 
 KINDS = ("float", "ties", "zeros")
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from storysort.assign import additive_score
-from storysort.core import Permutation, enumerate_permutations, identity_permutation
+from storysort.core import Permutation
 from storysort.data import split_dataset
 from storysort.ensemble import (
     accumulate_votes,
@@ -18,15 +18,15 @@ from storysort.errors import (
 )
 from storysort.models import top_permutations
 from storysort.neural import TrainConfig
-from storysort.npe import NpeConfig, train_npe
+from storysort.npe import train_npe
 from storysort.pairwise import train_pairwise
 from storysort.unary import train_unary
-from conftest import make_story
+from conftest import enumerate_permutations, identity, make_story
 
 
 class TestAccumulateVotes:
     def test_three_identity_candidates(self):
-        v = accumulate_votes([identity_permutation(5)] * 3)
+        v = accumulate_votes([identity(5)] * 3)
         assert (v == np.diag([3] * 5)).all()
 
     def test_symmetric_split_n2(self):
@@ -45,7 +45,7 @@ class TestAccumulateVotes:
 
     def test_mixed_n_rejected(self):
         with pytest.raises(DimensionError):
-            accumulate_votes([identity_permutation(3), identity_permutation(4)])
+            accumulate_votes([identity(3), identity(4)])
 
     def test_vote_conservation(self):
         rng = np.random.default_rng(0)
@@ -96,11 +96,8 @@ def models(tiny_clean_dataset):
     cfg = TrainConfig(learning_rate=0.05, epochs=8, batch_size=16, seed=0)
     unary = train_unary(train, cfg, use_image=True)
     pair = train_pairwise(train, cfg, use_image=True)
-    npe = train_npe(
-        train,
-        NpeConfig(train=TrainConfig(learning_rate=0.02, epochs=20, batch_size=8, seed=0),
-                  embed_dim=16),
-    )
+    npe = train_npe(train, TrainConfig(learning_rate=0.02, epochs=20, batch_size=8, seed=0),
+                    embed_dim=16)
     return unary, pair, npe
 
 

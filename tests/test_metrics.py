@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from storysort.core import Permutation, enumerate_permutations, identity_permutation, reverse
+from storysort.core import Permutation
 from storysort.errors import DimensionError, EmptyInputError
 from storysort.metrics import (
     aggregate,
@@ -14,9 +14,9 @@ from storysort.metrics import (
     score_story,
     spearman,
 )
-from conftest import perm_pairs_st, permutations_st
+from conftest import enumerate_permutations, identity, mirror, perm_pairs_st, permutations_st
 
-ID5 = identity_permutation(5)
+ID5 = identity(5)
 REV5 = Permutation((4, 3, 2, 1, 0))
 SWAP01 = Permutation((1, 0, 2, 3, 4))
 
@@ -34,7 +34,7 @@ class TestSpearman:
 
     def test_mismatched_n(self):
         with pytest.raises(DimensionError):
-            spearman(identity_permutation(4), ID5)
+            spearman(identity(4), ID5)
 
     @given(permutations_st(5), permutations_st(5))
     def test_symmetric(self, p, g):
@@ -63,7 +63,7 @@ class TestPairwiseAccuracy:
     @given(perm_pairs_st())
     def test_reversal_complement(self, pair):
         p, g = pair
-        assert pairwise_accuracy(p, g) + pairwise_accuracy(reverse(p), g) == pytest.approx(1.0)
+        assert pairwise_accuracy(p, g) + pairwise_accuracy(mirror(p), g) == pytest.approx(1.0)
 
 
 class TestAvgDistance:
@@ -146,7 +146,7 @@ class TestConfusion:
 
     def test_inconsistent_n(self):
         with pytest.raises(DimensionError):
-            confusion([(ID5, ID5), (identity_permutation(4), identity_permutation(4))])
+            confusion([(ID5, ID5), (identity(4), identity(4))])
 
     def test_empty(self):
         with pytest.raises(EmptyInputError):

@@ -10,12 +10,12 @@ from storysort.errors import DimensionError, NumericError, ValidationError
 from storysort.neural import (
     MlpParams,
     TrainConfig,
-    grad_check,
     init_mlp,
     mlp_forward,
     sgd_train,
     softmax,
 )
+from conftest import grad_check
 
 GRAD_TOL = 1e-4
 

@@ -3,20 +3,11 @@ import pytest
 
 from storysort import metrics as M
 from storysort import neural
-from storysort.data import split_dataset, story_feature_matrix
+from storysort.data import gold_features, split_dataset
 from storysort.errors import DimensionError, ValidationError
 from storysort.models import load_model, save_model, top_permutations
-from storysort.neural import MlpParams, TrainConfig
-from storysort.npe import (
-    NpeConfig,
-    NpeModel,
-    embed,
-    npe_pair_loss,
-    npe_scores,
-    npe_story_loss,
-    predict,
-    train_npe,
-)
+from storysort.neural import MlpParams, TrainConfig, mlp_forward
+from storysort.npe import NpeModel, npe_scores, predict, train_npe
 from conftest import make_story
 
 
@@ -32,78 +23,101 @@ def linear_npe(weight, bias, alpha=1.0):
     return NpeModel(mlp=mlp, alpha=alpha)
 
 
+def story_loss(model, story):
+    """The training loss of one story: npe_order_head on its gold-ordered features."""
+    head = neural.npe_order_head(model.alpha)
+    return head(model.mlp, gold_features([story], model.use_image), None)[0]
+
+
+def two_element_penalty(first, second, alpha=1.0):
+    """Penalty of placing an element embedded at first before one embedded at second.
+
+    A one-layer model maps the one-hot features of a two-element story to
+    exactly these embeddings; npe_scores returns the negated penalty.
+    """
+    model = linear_npe(np.array([first, second]), np.zeros(len(first)), alpha)
+    return -npe_scores(model, [make_story([0, 1])])[0][0, 1]
+
+
 class TestEmbed:
+    """NPE embeds with mlp_forward's terminal ReLU, as npe_scores does."""
+
     def test_zero_model_zero_vector(self):
         model = zero_npe(3, 4)
-        assert (embed(model, np.array([1.0, -1.0, 2.0])) == 0.0).all()
+        assert (mlp_forward(model.mlp, np.array([1.0, -1.0, 2.0]), terminal_relu=True)
+                == 0.0).all()
 
     def test_never_negative(self):
         rng = np.random.default_rng(0)
         model = linear_npe(rng.standard_normal((3, 4)), rng.standard_normal(4))
-        for _ in range(50):
-            assert (embed(model, rng.standard_normal(3)) >= 0.0).all()
+        out = mlp_forward(model.mlp, rng.standard_normal((50, 3)), terminal_relu=True)
+        assert (out >= 0.0).all()
 
     def test_hand_set_single_layer(self):
         model = linear_npe(np.array([[1.0, -1.0]]), np.array([0.5, 0.5]))
-        out = embed(model, np.array([2.0]))
+        out = mlp_forward(model.mlp, np.array([2.0]), terminal_relu=True)
         # pre-activations (2.5, -1.5), terminal relu clips the negative one
         assert out.tolist() == [2.5, 0.0]
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
-            embed(zero_npe(3, 4), np.zeros(5))
+            mlp_forward(zero_npe(3, 4).mlp, np.zeros(5), terminal_relu=True)
 
 
 class TestPairLoss:
+    """The penalty of one ordered pair, read from npe_scores."""
+
     def test_identical_embeddings_alpha_squared_per_coordinate(self):
-        x = np.zeros(4)
-        assert npe_pair_loss(x, x, alpha=1.0) == 4.0
+        assert two_element_penalty(np.zeros(4), np.zeros(4)) == 4.0
 
     def test_margin_exactly_met_is_zero(self):
-        x_i = np.zeros(3)
-        x_j = np.ones(3)
-        assert npe_pair_loss(x_i, x_j, alpha=1.0) == 0.0
+        assert two_element_penalty(np.zeros(3), np.ones(3)) == 0.0
 
     def test_hand_case(self):
         # max(0, 1 - (0.5, 2.0)) = (0.5, 0), squared norm 0.25
-        assert npe_pair_loss(np.zeros(2), np.array([0.5, 2.0]), alpha=1.0) == 0.25
+        assert two_element_penalty(np.zeros(2), np.array([0.5, 2.0])) == 0.25
 
     def test_dim_mismatch(self):
+        # features of width 2 against a model that embeds width 3
         with pytest.raises(DimensionError):
-            npe_pair_loss(np.zeros(2), np.zeros(3), alpha=1.0)
+            npe_scores(zero_npe(3, 4), [make_story([0, 1])])
 
     def test_alpha_validated(self):
         with pytest.raises(ValidationError):
-            npe_pair_loss(np.zeros(2), np.zeros(2), alpha=0.0)
+            NpeModel(mlp=zero_npe(2, 2).mlp, alpha=0.0)
+        with pytest.raises(ValidationError):
+            neural.npe_order_head(0.0)
 
 
 class TestStoryLoss:
+    """The training loss: npe_order_head on a story's gold-ordered features."""
+
     def test_identical_embeddings_story(self):
         # all elements embed to the zero vector: 10 pairs x 4 coordinates x 1.0
         story = make_story([0, 1, 2, 3, 4])
         model = zero_npe(5, 4)
-        assert npe_story_loss(model, story) == 40.0
+        assert story_loss(model, story) == 40.0
 
     def test_perfectly_spread_embeddings_zero_loss(self):
         # feature g one-hot; weight column g maps to g * alpha * ones
         story = make_story([0, 1, 2, 3, 4])
         w = np.outer(np.arange(5.0), np.ones(3))  # (5, 3): row g -> g * ones
         model = linear_npe(w, np.zeros(3))
-        assert npe_story_loss(model, story) == 0.0
+        assert story_loss(model, story) == 0.0
 
     def test_two_element_story_equals_pair_loss(self):
+        # the training loss of a gold-ordered pair is the penalty npe_scores negates
         rng = np.random.default_rng(1)
         story = make_story([0, 1], text=[rng.standard_normal(2) for _ in range(2)])
         model = linear_npe(rng.standard_normal((2, 3)), rng.standard_normal(3))
-        first, second = story_feature_matrix(story, view="gold")
-        expected = npe_pair_loss(embed(model, first), embed(model, second), model.alpha)
-        assert npe_story_loss(model, story) == expected
+        penalty = -npe_scores(model, [story])[0][0, 1]
+        assert story_loss(model, story) == pytest.approx(penalty, rel=1e-12)
 
     def test_uses_gold_order_not_presented(self):
         story = make_story([0, 1, 2, 3, 4], presented=[4, 3, 2, 1, 0])
         w = np.outer(np.arange(5.0), np.ones(3))
         model = linear_npe(w, np.zeros(3))
-        assert npe_story_loss(model, story) == 0.0
+        assert story_loss(model, story) == 0.0
 
     def test_translation_invariance(self):
         # embeddings 0.3 * g * ones give a positive loss; adding a constant
@@ -112,9 +126,9 @@ class TestStoryLoss:
         w = np.outer(0.3 * np.arange(5.0), np.ones(3))
         plain = linear_npe(w, np.zeros(3))
         shifted = linear_npe(w, np.full(3, 5.0))
-        base = npe_story_loss(plain, story)
+        base = story_loss(plain, story)
         assert base > 0.0
-        assert npe_story_loss(shifted, story) == pytest.approx(base, abs=1e-9)
+        assert story_loss(shifted, story) == pytest.approx(base, abs=1e-9)
 
 
 class TestScores:
@@ -149,12 +163,8 @@ class TestScores:
 class TestTrainNpe:
     def test_learns_clean_signal(self, tiny_clean_dataset):
         train, _, test = split_dataset(tiny_clean_dataset, (0.75, 0.0, 0.25), seed=0)
-        cfg = NpeConfig(
-            train=TrainConfig(learning_rate=0.02, epochs=30, batch_size=8, seed=0),
-            embed_dim=16,
-            alpha=1.0,
-        )
-        model = train_npe(train, cfg)
+        cfg = TrainConfig(learning_rate=0.02, epochs=30, batch_size=8, seed=0)
+        model = train_npe(train, cfg, embed_dim=16, alpha=1.0)
         report = M.aggregate(
             [M.score_story(predict(model, s), s.presented_gold()) for s in test]
         )
@@ -164,33 +174,26 @@ class TestTrainNpe:
         train, _, _ = split_dataset(tiny_clean_dataset, (0.75, 0.0, 0.25), seed=0)
         base_cfg = TrainConfig(learning_rate=0.02, epochs=50, batch_size=8, seed=0)
         rng = np.random.default_rng(base_cfg.seed)
-        dim = story_feature_matrix(train[0]).shape[1]
+        dim = gold_features(train, use_image=False).shape[-1]
         init = neural.init_mlp((dim, 64, 16), rng)
         init_model = NpeModel(mlp=init, alpha=1.0)
-        trained = train_npe(train, NpeConfig(train=base_cfg, embed_dim=16, alpha=1.0))
-        init_loss = np.mean([npe_story_loss(init_model, s) for s in train])
-        final_loss = np.mean([npe_story_loss(trained, s) for s in train])
+        trained = train_npe(train, base_cfg, embed_dim=16, alpha=1.0)
+        init_loss = np.mean([story_loss(init_model, s) for s in train])
+        final_loss = np.mean([story_loss(trained, s) for s in train])
         assert final_loss < init_loss
 
     def test_deterministic_checkpoints(self, tmp_path, tiny_clean_dataset):
-        cfg = NpeConfig(
-            train=TrainConfig(learning_rate=0.02, epochs=3, batch_size=8, seed=4),
-            embed_dim=8,
-        )
-        a = train_npe(tiny_clean_dataset[:15], cfg)
-        b = train_npe(tiny_clean_dataset[:15], cfg)
+        cfg = TrainConfig(learning_rate=0.02, epochs=3, batch_size=8, seed=4)
+        a = train_npe(tiny_clean_dataset[:15], cfg, embed_dim=8)
+        b = train_npe(tiny_clean_dataset[:15], cfg, embed_dim=8)
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
         save_model(a, pa)
         save_model(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_checkpoint_round_trip(self, tmp_path, tiny_clean_dataset):
-        cfg = NpeConfig(
-            train=TrainConfig(learning_rate=0.02, epochs=3, batch_size=8, seed=4),
-            embed_dim=8,
-            alpha=0.5,
-        )
-        model = train_npe(tiny_clean_dataset[:15], cfg)
+        cfg = TrainConfig(learning_rate=0.02, epochs=3, batch_size=8, seed=4)
+        model = train_npe(tiny_clean_dataset[:15], cfg, embed_dim=8, alpha=0.5)
         path = tmp_path / "npe.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -200,21 +203,18 @@ class TestTrainNpe:
             npe_scores(model, [story]) - npe_scores(loaded, [story])
         )) <= 1e-12
 
-    def test_config_validation(self):
+    def test_config_validation(self, tiny_clean_dataset):
         cfg = TrainConfig(learning_rate=0.1, epochs=1)
-        with pytest.raises(ValidationError):
-            NpeConfig(train=cfg, embed_dim=0)
-        with pytest.raises(ValidationError):
-            NpeConfig(train=cfg, alpha=0.0)
+        with pytest.raises(ValidationError, match="layer_dims"):
+            train_npe(tiny_clean_dataset[:5], cfg, embed_dim=0)
+        with pytest.raises(ValidationError, match="alpha"):
+            train_npe(tiny_clean_dataset[:5], cfg, alpha=0.0)
 
 
 class TestTopPermutations:
     def test_top1_matches_decode(self, tiny_clean_dataset):
-        cfg = NpeConfig(
-            train=TrainConfig(learning_rate=0.02, epochs=3, batch_size=8, seed=4),
-            embed_dim=8,
-        )
-        model = train_npe(tiny_clean_dataset[:15], cfg)
+        cfg = TrainConfig(learning_rate=0.02, epochs=3, batch_size=8, seed=4)
+        model = train_npe(tiny_clean_dataset[:15], cfg, embed_dim=8)
         story = tiny_clean_dataset[20]
         tops = top_permutations(model, story, 3)
         assert tops[0].positions == predict(model, story).positions

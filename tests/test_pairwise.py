@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storysort import metrics as M
-from storysort.core import Permutation, enumerate_permutations, reverse
+from storysort.core import Permutation
 from storysort.data import split_dataset
 from storysort.errors import (
     DimensionError,
@@ -22,7 +22,7 @@ from storysort.pairwise import (
     rank_permutations,
     train_pairwise,
 )
-from conftest import make_story, permutations_st
+from conftest import enumerate_permutations, make_story, mirror, permutations_st
 
 
 def zero_pair_model(dim):
@@ -97,7 +97,7 @@ class TestObjective:
     def test_antisymmetry(self, sigma, seed):
         s = random_pair_matrix(np.random.default_rng(seed), 5)
         assert abs(
-            pairwise_objective(s, sigma) + pairwise_objective(s, reverse(sigma))
+            pairwise_objective(s, sigma) + pairwise_objective(s, mirror(sigma))
         ) < 1e-9
 
     @given(permutations_st(4), st.integers(min_value=0, max_value=10_000))

@@ -3,7 +3,6 @@ import pytest
 
 from storysort import metrics as M
 from storysort.assign import additive_score
-from storysort.core import Permutation, enumerate_permutations, identity_permutation
 from storysort.data import split_dataset
 from storysort.errors import DimensionError, EmptyInputError, ValidationError
 from storysort.models import REGISTRY, load_model, save_model, top_permutations
@@ -14,9 +13,8 @@ from storysort.unary import (
     position_probs,
     predict,
     train_unary,
-    unary_score,
 )
-from conftest import make_story
+from conftest import enumerate_permutations, make_story
 
 
 def zero_model(n, dim):
@@ -64,22 +62,20 @@ class TestPositionProbs:
 
 
 class TestUnaryScore:
+    """A permutation's unary score is additive_score of its position probabilities."""
+
     def test_uniform_probs(self):
         probs = np.full((5, 5), 0.2)
-        assert unary_score(probs, identity_permutation(5)) == pytest.approx(1.0)
+        assert additive_score(probs, range(5)) == pytest.approx(1.0)
 
     def test_identity_like_diagonal(self):
         probs = np.eye(5)
-        assert unary_score(probs, identity_permutation(5)) == 5.0
+        assert additive_score(probs, range(5)) == 5.0
 
     def test_identity_like_on_reversal(self):
         # only the middle element sits on its gold position
         probs = np.eye(5)
-        assert unary_score(probs, Permutation((4, 3, 2, 1, 0))) == 1.0
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionError):
-            unary_score(np.eye(5), identity_permutation(4))
+        assert additive_score(probs, (4, 3, 2, 1, 0)) == 1.0
 
 
 class TestDecodeUnary:
