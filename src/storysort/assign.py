@@ -7,11 +7,10 @@ carry a tie key (see hungarian_max), so ties among optimal assignments,
 which are exact ties of the real totals, resolve to the smallest
 positions tuple.
 
-Additive scores are accumulated in element-index order everywhere
-(solver result, top-k totals, downstream scoring), so equal
-permutations produce bit-identical float totals. Orders are ranked by
-their exact totals, not the rounded float ones, in both the solver and
-the top-k lists, so a k-best list starts with hungarian_max's choice.
+Top-k lists come from core.rank_orders, the one ranker of permutation
+table rows, with the same exact totals and tie rule. Additive scores are
+accumulated in element-index order everywhere, so equal permutations
+produce bit-identical float totals.
 """
 
 from __future__ import annotations
@@ -21,10 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MAX_N, MIN_N, Permutation, check_top_k, permutation_table
+from .core import MAX_N, MIN_N, Permutation, exact_ints, rank_orders
 from .errors import SizeError, ValidationError
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 def check_score_matrix(s) -> np.ndarray:
@@ -46,19 +43,6 @@ def additive_score(s: np.ndarray, positions: Sequence[int]) -> float:
     for i, p in enumerate(positions):
         total += float(s[i, p])
     return total
-
-
-def _exact_ints(a: np.ndarray) -> list[list[int]]:
-    """The matrix as exact ints over one common denominator, row by row.
-
-    Every float is an integer over a power of two, so scaling each entry
-    to the largest denominator keeps it, and every sum of entries, exact.
-    """
-    n = a.shape[0]
-    ratios = [x.as_integer_ratio() for x in a.ravel().tolist()]
-    denom = max(d for _, d in ratios)
-    scaled = [num * (denom // d) for num, d in ratios]
-    return [scaled[i * n:(i + 1) * n] for i in range(n)]
 
 
 def _solve_min(cost: list[list[int]]) -> list[int]:
@@ -119,9 +103,9 @@ def hungarian_max(s) -> tuple[Permutation, float]:
     """Permutation maximizing the additive score, with its total.
 
     Among optima whose real totals tie exactly, the lexicographically
-    smallest positions tuple is returned. Every float is an integer over a
-    power of two, so over one common denominator the matrix becomes exact
-    ints A. The cost of placing i at p is -A[i][p] * n**n plus the tie key
+    smallest positions tuple is returned. Over one common denominator
+    (core.exact_ints) the matrix is exact ints A. The cost of placing i at
+    p is -A[i][p] * n**n plus the tie key
     p * n**(n-1-i): summed over a permutation, the keys read its positions
     tuple as a base-n number, which stays below n**n, one unit of score.
     One exact min-cost solve therefore maximizes the real total first and
@@ -133,42 +117,15 @@ def hungarian_max(s) -> tuple[Permutation, float]:
     unit = n**n
     cost = [
         [-x * unit + p * n ** (n - 1 - i) for p, x in enumerate(row)]
-        for i, row in enumerate(_exact_ints(a))
+        for i, row in enumerate(exact_ints(a).tolist())
     ]
     positions = _solve_min(cost)
     return Permutation(tuple(positions)), additive_score(a, positions)
 
 
 def topk_assignments(s, k: int) -> list[tuple[Permutation, float]]:
-    """The k best permutations by additive score, with their totals.
+    """The k best permutations by additive score, with their additive_score totals.
 
-    Ranked as hungarian_max ranks them: by exact total, ties of the real
-    totals going to the lexicographically smallest positions tuple, so the
-    first entry is hungarian_max's permutation. The float totals of all n!
-    orders are computed at once over the permutation table, accumulated in
-    element-index order as additive_score does, so each returned total is
-    bit-identical to it. Only the rows whose float total lies near the
-    k-th best are re-ranked exactly. permutation_table raises
-    EnumerationCapError beyond MAX_ENUMERATION_N.
+    core.rank_orders ranks them as hungarian_max does, so the first is its choice.
     """
-    a = check_score_matrix(s)
-    n = a.shape[0]
-    table = permutation_table(n)
-    check_top_k(n, k)
-    values = np.zeros(len(table))
-    for i in range(n):
-        values += a[i, table[:, i]]
-    # n - 1 rounded adds leave a finite float total within err / 2 of its exact
-    # total, so the exact top k lie within err of the k-th float total, and
-    # float totals more than err apart are ranked as their exact totals are
-    if np.isfinite(values).all():
-        err = n * n * _EPS * float(np.abs(a).max())
-        near = np.flatnonzero(values >= -np.partition(-values, k - 1)[k - 1] - err)
-    else:  # an overflowed total has no error bound: rank every row exactly
-        err, near = np.inf, np.arange(len(values))
-    near = near[np.argsort(-values[near], kind="stable")]
-    if len(near) > k or not (-np.diff(values[near]) > err).all():
-        exact = _exact_ints(a)
-        near = sorted(near.tolist(),
-                      key=lambda r: (-sum(exact[i][p] for i, p in enumerate(table[r])), r))
-    return [(Permutation(tuple(table[r])), float(values[r])) for r in near[:k]]
+    return rank_orders(check_score_matrix(s)[None], k, pair=False)[0]

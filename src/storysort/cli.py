@@ -277,6 +277,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_sort(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    if args.topk < 1:
+        raise UsageError(f"--topk must be >= 1, got {args.topk}")
     ckpt_paths = [Path(p) for p in args.ckpt]
     models = [_load_model(p) for p in ckpt_paths]
     stories = data_mod.load_dataset(Path(args.data))

@@ -1,10 +1,12 @@
-"""Permutations, the permutation table, and exact-type JSON field checks.
+"""Permutations, the one ranker of permutation-table rows, and exact-type JSON field checks.
 
 Positions are 0-based everywhere. A permutation maps element index i to
 the position ``positions[i]``. The permutation table holds all n! orders
-of n elements for the decoders that rank every order; k-best lists take
-their rows from it. All operations here are pure, and every source of
-randomness is an explicitly seeded generator.
+of n elements, and rank_orders is the one function that ranks its rows,
+for additive (unary) and pair (pairwise, NPE) scores alike: by exact
+total, ties going to the lowest row, which is the lexicographically
+smallest positions tuple. All operations here are pure, and every source
+of randomness is an explicitly seeded generator.
 """
 
 from __future__ import annotations
@@ -65,15 +67,13 @@ def permutation_table(n: int) -> np.ndarray:
     """All n! permutations as a read-only (n!, n) integer array, built once per n.
 
     Rows are the positions tuples of itertools.permutations(range(n)), in
-    lexicographic order. The array is column-major: decoders read it a
-    column at a time, and a contiguous column of n! entries reads about
-    twice as fast at n = 8. n must be in [MIN_N, MAX_ENUMERATION_N].
+    lexicographic order. n must be in [MIN_N, MAX_ENUMERATION_N].
     """
     if n < MIN_N:
         raise SizeError(f"n must be at least {MIN_N}, got {n}")
     if n > MAX_ENUMERATION_N:
         raise EnumerationCapError(f"enumeration capped at n <= {MAX_ENUMERATION_N}, got {n}")
-    table = np.array(list(itertools.permutations(range(n))), dtype=np.intp, order="F")
+    table = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     table.flags.writeable = False
     return table
 
@@ -82,6 +82,83 @@ def check_top_k(n: int, k: int) -> None:
     """Raise SizeError unless 1 <= k <= n!."""
     if not 1 <= k <= math.factorial(n):
         raise SizeError(f"k={k} out of range for n={n}")
+
+
+def exact_ints(a: np.ndarray) -> np.ndarray:
+    """a's entries as exact Python ints over one common denominator, in an object array.
+
+    Every float is an integer over a power of two, so scaling each entry to
+    the largest denominator keeps it, and every sum of entries, exact.
+    """
+    ratios = [x.as_integer_ratio() for x in a.ravel().tolist()]
+    denom = max(d for _, d in ratios)
+    return np.array([num * (denom // d) for num, d in ratios], dtype=object).reshape(a.shape)
+
+
+@functools.lru_cache(maxsize=2 * MAX_ENUMERATION_N)
+def _term_index(n: int, pair: bool) -> np.ndarray:
+    """Read-only (n!, m) flat indices into an (n, n) term matrix: each table row's terms.
+
+    Additive totals add a[i, σᵢ] for i = 0..n-1, as additive_score does. Pair
+    totals add, for i < j row-major as pairwise_objective does, (a - aᵀ)[i, j]
+    when the row puts i first, else (a - aᵀ)[j, i], which is exactly its negation.
+    Column-major, as order_values reads a column of n! indices at a time.
+    """
+    table = permutation_table(n)
+    i, j = np.triu_indices(n, 1)
+    index = np.asfortranarray(np.where(table[:, i] < table[:, j], i * n + j, j * n + i)
+                              if pair else np.arange(n) * n + table)
+    index.flags.writeable = False
+    return index
+
+
+def order_values(a: np.ndarray, pair: bool) -> np.ndarray:
+    """(S, n!) float totals of every permutation_table row, for each matrix of an (S, n, n)
+    stack, adding terms in _term_index's order as additive_score or pairwise_objective do."""
+    index = _term_index(a.shape[-1], pair)
+    terms = (a - a.transpose(0, 2, 1) if pair else a).reshape(-1, a.shape[-1] ** 2).T.copy()
+    values = np.zeros((len(index), len(a)))  # a story per column, so gathers copy rows
+    for column in index.T:
+        values += terms.take(column, axis=0)
+    return values.T.copy()
+
+
+def rank_orders(a: np.ndarray, k: int, pair: bool) -> list[list[tuple[Permutation, float]]]:
+    """The k best orders of each matrix of an (S, n, n) stack, with their order_values totals.
+
+    Orders are ranked by exact total, taken for pair scores from a's own
+    entries rather than their rounded differences; ties go to the lowest
+    row. Only rows whose float total lies within the error bound of the k-th
+    are re-ranked exactly, so at k = 1 a story with one such row costs no
+    Python work. permutation_table raises EnumerationCapError beyond
+    MAX_ENUMERATION_N.
+    """
+    n = a.shape[-1]
+    check_top_k(n, k)
+    index = _term_index(n, pair)
+    m = index.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = order_values(a, pair)
+        # m - 1 rounded adds of m terms, each at most 2 max|a| and within eps / 2 of exact,
+        # leave a finite total within err / 2 of exact: the exact top k lie within err of
+        # the k-th float total, and float totals more than err apart rank as exact ones do
+        bound = 2 * m * (m + 1) * np.finfo(float).eps * np.abs(a).max(axis=(1, 2))
+        err = np.where(np.isfinite(values).all(axis=1), bound, np.inf)  # overflow: no bound
+        kth = values.max(axis=1) if k == 1 else np.partition(values, -k, axis=1)[:, -k]
+        near = ~(values < (kth - err)[:, None])
+    ranked = np.empty((len(a), k), dtype=np.intp)
+    ranked[:, 0] = values.argmax(axis=1)  # the whole list where only one row is near
+    for s in np.flatnonzero(near.sum(axis=1) > 1):
+        rows = np.flatnonzero(near[s])
+        rows = rows[np.argsort(-values[s, rows], kind="stable")]
+        if len(rows) > k or not (-np.diff(values[s, rows]) > err[s]).all():
+            exact = exact_ints(a[s])
+            exact = (exact - exact.T if pair else exact).ravel()[index[rows]].sum(axis=1)
+            rows = [r for _, r in sorted(zip(-exact, rows.tolist()))]
+        ranked[s] = rows[:k]
+    totals = values[np.arange(len(a))[:, None], ranked].tolist()
+    return [[(Permutation(tuple(p)), total) for p, total in zip(perms, story_totals)]
+            for perms, story_totals in zip(permutation_table(n)[ranked].tolist(), totals)]
 
 
 def random_permutation(n: int, seed: int | np.random.Generator) -> Permutation:

@@ -6,7 +6,9 @@ what differs: the module and its score type, the training
 hyperparameters, and the checkpoint fields the kind adds. ADDITIVE
 scores (unary) are an (n, n) element-at-position matrix decoded by
 assignment; PAIR scores (pairwise, NPE) are an (n, n) i-before-j matrix
-decoded by scoring all n! orders at once over the permutation table.
+decoded by core.rank_orders, the one ranker of permutation-table rows,
+which also gives both types' top-k lists: orders rank by exact total,
+ties going to the lexicographically smallest positions tuple.
 Decoders, top-k lists and decode size limits are keyed by score type.
 Entries hold modules, not functions, so rebinding a module attribute (as
 a profiler does) reaches every caller.

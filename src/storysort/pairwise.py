@@ -4,18 +4,17 @@ A pair scorer maps the concatenated features of an ordered element pair
 (i, j) to a scalar s[i][j], the score for putting i before j. A
 permutation's objective sums, over every unordered pair, the score
 difference of the orientation it chooses, so it is antisymmetric under
-reversal by construction. Decoding is exact for n <= 8: the objective of
-all n! orders is computed at once with array operations over the
-permutation table, adding the pair terms in the order pairwise_objective
-does, so every value is bit-identical to it. Training uses a binary hinge
-on both orientations of every gold pair.
+reversal by construction. Decoding is exact for n <= 8: core.rank_orders,
+the one ranker of permutation table rows, ranks all n! orders by exact
+objective, ties going to the lexicographically smallest positions tuple,
+with float objectives bit-identical to pairwise_objective. Training uses
+a binary hinge on both orientations of every gold pair.
 
 Scoring and decoding run over a sequence of S stories at once:
 pair_scores makes one forward pass over every story's pair rows and
 returns an (S, n, n) stack, each matrix bit-identical to scoring its
-story alone, and decode_pairwise scores all n! orders of every matrix in
-the stack with the same per-pair adds, then takes one argmax per story.
-predict is the one-story case.
+story alone, and decode_pairwise ranks the orders of every matrix in the
+stack in one rank_orders call. predict is the one-story case.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import neural
-from .core import Permutation, check_top_k, permutation_table
+from .core import Permutation, rank_orders
 from .data import Story, gold_features, presented_features
 from .errors import DimensionError, ValidationError
 from .neural import MlpParams, TrainConfig
@@ -104,47 +103,14 @@ def pairwise_objective(s, sigma: Permutation) -> float:
     return float(total)
 
 
-def _all_objectives(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The permutation table of n and pairwise_objective of each of its rows, per matrix.
-
-    a is an (S, n, n) stack; values has shape (S, n!). Pair terms are added
-    in pairwise_objective's order (i < j, row-major), so each value is
-    bit-identical to the scalar one. permutation_table raises
-    EnumerationCapError beyond MAX_ENUMERATION_N.
-    """
-    n = a.shape[-1]
-    table = permutation_table(n)
-    diff = a - a.transpose(0, 2, 1)  # diff[:, i, j] = a[:, i, j] - a[:, j, i]
-    values = np.zeros((len(a), len(table)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = diff[:, i, j, None]
-            values += np.where(table[:, i] < table[:, j], d, -d)
-    return table, values
-
-
-def rank_permutations(s, k: int | None = None) -> list[tuple[Permutation, float]]:
-    """The k best permutations (all n! when k is None) by descending objective.
-
-    Ties break lexicographically on the positions tuple.
-    """
-    a = check_pair_matrix(s)
-    if k is not None:
-        check_top_k(a.shape[0], k)
-    table, values = _all_objectives(a[None])
-    # the sort is stable, so tied rows keep the table's lexicographic order
-    rows = np.argsort(-values[0], kind="stable")[:k]
-    return [(Permutation(tuple(table[r])), float(values[0, r])) for r in rows]
+def rank_permutations(s, k: int) -> list[tuple[Permutation, float]]:
+    """The k best permutations by objective, with their objectives, ranked by core.rank_orders."""
+    return rank_orders(check_pair_matrix(s)[None], k, pair=True)[0]
 
 
 def decode_pairwise(s) -> list[Permutation]:
-    """Argmax of the pairwise objective over all n! permutations, for each
-    matrix of an (S, n, n) stack.
-
-    Ties go to the lexicographically smallest positions tuple.
-    """
-    table, values = _all_objectives(check_pair_matrix(s, ndim=3))
-    return [Permutation(tuple(table[r])) for r in np.argmax(values, axis=1)]
+    """The best permutation of each matrix of an (S, n, n) stack, ranked by core.rank_orders."""
+    return [ranked[0][0] for ranked in rank_orders(check_pair_matrix(s, ndim=3), 1, pair=True)]
 
 
 def predict(model: PairwiseModel, story: Story) -> Permutation:

@@ -27,6 +27,15 @@ def enumerate_permutations(n):
         yield Permutation(pos)
 
 
+def exact_ranking(n, total):
+    """Test oracle: every positions tuple of n elements, by descending total, ties lexicographic.
+
+    total(positions) must be exact, such as a sum of Fractions.
+    """
+    return sorted((p.positions for p in enumerate_permutations(n)),
+                  key=lambda pos: (-total(pos), pos))
+
+
 def grad_check(loss_fn, params, eps=1e-5):
     """Test oracle: max relative error between analytic gradients and central differences.
 

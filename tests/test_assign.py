@@ -14,7 +14,7 @@ from storysort.assign import (
     topk_assignments,
 )
 from storysort.errors import EnumerationCapError, SizeError, ValidationError
-from conftest import enumerate_permutations, identity
+from conftest import enumerate_permutations, exact_ranking, identity
 
 
 def brute_force_max(s):
@@ -185,10 +185,7 @@ class TestTopK:
             n = int(rng.integers(3, 7))
             s = rng.choice([0.0, 0.1, 0.2, 0.3], size=(n, n))
             exact = [[Fraction(float(x)) for x in row] for row in s]
-            oracle = sorted(
-                (p.positions for p in enumerate_permutations(n)),
-                key=lambda pos: (-sum(exact[i][p] for i, p in enumerate(pos)), pos),
-            )
+            oracle = exact_ranking(n, lambda pos: sum(exact[i][p] for i, p in enumerate(pos)))
             top = topk_assignments(s, 5)
             assert [p.positions for p, _ in top] == oracle[:5]
             assert all(total == additive_score(s, p.positions) for p, total in top)

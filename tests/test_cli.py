@@ -427,7 +427,7 @@ class TestDecodeLimits:
         assert "capped at n <= 8" in one_error_line(capsys)
         assert not pred.exists()
 
-    @pytest.mark.parametrize("topk", [0, 121])
+    @pytest.mark.parametrize("topk", [121])
     def test_ensemble_k_out_of_range(self, trained, tmp_path, capsys, topk):
         data, ckpts = trained
         pred = tmp_path / "pred.jsonl"
@@ -435,6 +435,19 @@ class TestDecodeLimits:
         assert run(["sort", "--ckpt", str(ckpts["unary"]), "--ckpt", str(ckpts["npe"]),
                     "--data", str(data), "--out", str(pred), "--topk", str(topk)]) == 1
         assert f"k={topk} out of range for n=5" in one_error_line(capsys)
+        assert not pred.exists()
+
+    @pytest.mark.parametrize("ckpts", [1, 2])
+    def test_topk_below_one_is_a_usage_error_before_any_file_is_read(self, tmp_path, capsys,
+                                                                     ckpts):
+        # none of the files exists, so reading one first would end in an "error:" line
+        pred = tmp_path / "pred.jsonl"
+        capsys.readouterr()
+        assert run(["sort", *["--ckpt", str(tmp_path / "missing.json")] * ckpts,
+                    "--data", str(tmp_path / "missing.jsonl"), "--out", str(pred),
+                    "--topk", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["usage error: --topk must be >= 1, got 0"], err
         assert not pred.exists()
 
     def test_failing_story_leaves_no_out(self, trained, data_n10, tmp_path, capsys):

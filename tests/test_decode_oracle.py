@@ -4,11 +4,14 @@ The references below score every permutation of enumerate_permutations
 one at a time with pairwise_objective and additive_score, exactly as the
 decoders did before they scored the whole permutation table at once.
 The array decoders add the same terms in the same order, so permutations
-and float values must be equal with ==, ties included.
+and float values must be equal with ==, ties included. Where float
+objectives round or overflow, the pair decoders are checked against an
+exact Fraction ranking instead.
 """
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,9 +19,11 @@ import pytest
 from storysort.assign import additive_score, topk_assignments
 from storysort.errors import SizeError
 from storysort.pairwise import decode_pairwise, pairwise_objective, rank_permutations
-from conftest import enumerate_permutations
+from conftest import enumerate_permutations, exact_ranking
 
 KINDS = ("float", "ties", "zeros")
+TENTHS = (0.0, 0.1, 0.2, 0.3)
+HUGE = (-1.7e308, -1e308, 1e308, 1.7e308)  # the difference of two entries can overflow
 
 
 def reference_scores(s, score):
@@ -88,7 +93,7 @@ def test_pair_decoders_equal_reference(kind, n):
         scored = reference_scores(s, pairwise_objective)
         expected = reference_ranking(scored)
         argmaxes.append(reference_argmax(scored))
-        assert as_pairs(rank_permutations(s)) == expected
+        assert as_pairs(rank_permutations(s, math.factorial(n))) == expected
         for k in ks(n):
             assert as_pairs(rank_permutations(s, k)) == expected[:k]
     assert decode_pairwise(np.stack(matrices)) == argmaxes
@@ -109,3 +114,28 @@ def test_topk_assignments_equal_reference(kind, n):
 def test_rank_permutations_k_out_of_range(k):
     with pytest.raises(SizeError):
         rank_permutations(np.zeros((3, 3)), k)
+
+
+@pytest.mark.parametrize("entries", [TENTHS, HUGE], ids=["tenths", "overflow"])
+@pytest.mark.parametrize("n", range(3, 7))
+def test_pair_decoders_rank_by_exact_totals(entries, n):
+    # float objectives of tenths round, and those of huge entries overflow to
+    # inf or nan, so a float ranking misorders near ties; the decoders must
+    # rank by exact totals, ties lexicographic
+    stack = np.random.default_rng(n).choice(entries, size=(40, n, n))
+    stack[:, range(n), range(n)] = 0.0
+    oracles = []
+    for s in stack:
+        exact = [[Fraction(float(x)) for x in row] for row in s]
+        oracles.append(exact_ranking(n, lambda pos: sum(
+            exact[i][j] - exact[j][i] if pos[i] < pos[j] else exact[j][i] - exact[i][j]
+            for i in range(n) for j in range(i + 1, n))))
+    assert [p.positions for p in decode_pairwise(stack)] == [oracle[0] for oracle in oracles]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, oracle in zip(stack, oracles):
+            for k in (1, 3):
+                ranked = rank_permutations(s, k)
+                assert [p.positions for p, _ in ranked] == oracle[:k]
+                assert np.array_equal([value for _, value in ranked],
+                                      [pairwise_objective(s, p) for p, _ in ranked],
+                                      equal_nan=True)

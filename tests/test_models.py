@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from storysort import models, neural, pairwise
+from storysort import core, models, neural
 from storysort.core import MAX_ENUMERATION_N
 from storysort.data import SyntheticSpec, generate_synthetic
 from storysort.errors import EnumerationCapError, SizeError, ValidationError
@@ -124,8 +124,7 @@ class TestPredictStories:
     def recorded(self, monkeypatch):
         """Every chunk scored and the size of every intermediate array, while patched."""
         chunks, sizes = [], []
-        forward, margins, objectives = neural.mlp_forward, neural.order_margins, \
-            pairwise._all_objectives
+        forward, margins, values = neural.mlp_forward, neural.order_margins, core.order_values
 
         def record_forward(params, x, terminal_relu=False):
             sizes.append(np.asarray(x).size // params.input_dim * max(params.layer_dims))
@@ -146,8 +145,8 @@ class TestPredictStories:
             monkeypatch.setattr(module, "scores", scores)
         monkeypatch.setattr(neural, "mlp_forward", record_forward)
         monkeypatch.setattr(neural, "order_margins", record(margins))
-        # _all_objectives returns the cached permutation table and the chunk's values
-        monkeypatch.setattr(pairwise, "_all_objectives", record(objectives, lambda out: out[1]))
+        # order_values returns the chunk's (S, n!) table of order values
+        monkeypatch.setattr(core, "order_values", record(values))
         return chunks, sizes, monkeypatch
 
     @pytest.mark.parametrize("kind", KINDS)

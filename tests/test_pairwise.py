@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,7 +157,7 @@ class TestDecode:
     def test_rank_permutations_sorted(self):
         rng = np.random.default_rng(2)
         s = random_pair_matrix(rng, 4)
-        ranked = rank_permutations(s)
+        ranked = rank_permutations(s, math.factorial(4))
         values = [v for _, v in ranked]
         assert values == sorted(values, reverse=True)
         assert len(ranked) == 24
