@@ -2,8 +2,15 @@
 
 Every command writes a .manifest.json next to its output recording the
 resolved arguments, seeds, input/output file hashes, and any metrics, so
-a run can be replayed to byte-identical outputs. Outputs are
-line-delimited JSON; metrics are rounded to 6 decimal places.
+a run can be replayed to byte-identical outputs. Metrics are rounded to
+6 decimal places.
+
+Files are UTF-8 JSON: one object per line in datasets (from generate) and
+predictions (from sort), one object in checkpoints (from train) and eval
+--out reports; storysort.data and storysort.neural list the fields. Float
+arrays are float blocks, base64 of little-endian float64 bytes, so floats
+are kept exactly, and a bad block (not a string, not base64, the wrong byte
+length, or holding NaN or ±inf) is one ``error:`` line.
 
 Stdout contract, one command per call:
   generate  one human status line: ``wrote <count> stories to <out>``
@@ -89,27 +96,6 @@ def write_manifest(out_path: Path, command: str, args: dict,
     manifest_path = Path(str(out_path) + ".manifest.json")
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return manifest_path
-
-
-def argv_from_manifest(manifest: dict, overrides: dict | None = None) -> list[str]:
-    """Rebuild the command line that reproduces a manifest's outputs."""
-    args = dict(manifest["args"])
-    if overrides:
-        args.update(overrides)
-    argv = [manifest["command"]]
-    for key, value in args.items():
-        flag = "--" + key.replace("_", "-")
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-        elif isinstance(value, list):
-            for item in value:
-                argv.extend([flag, str(item)])
-        else:
-            argv.extend([flag, str(value)])
-    return argv
 
 
 def _option_actions(parser: argparse.ArgumentParser,

@@ -1,4 +1,4 @@
-"""Permutations, the one ranker of permutation-table rows, and exact-type JSON field checks.
+"""Permutations, the one ranker of permutation-table rows, and exact JSON field checks.
 
 Positions are 0-based everywhere. A permutation maps element index i to
 the position ``positions[i]``. The permutation table holds all n! orders
@@ -7,10 +7,14 @@ for additive (unary) and pair (pairwise, NPE) scores alike: by exact
 total, ties going to the lowest row, which is the lexicographically
 smallest positions tuple. All operations here are pure, and every source
 of randomness is an explicitly seeded generator.
+
+Float arrays on disk are float blocks, one codec for all: a JSON string of
+padded base64 of the array's little-endian float64 (``<f8``) bytes in C order.
 """
 
 from __future__ import annotations
 
+import base64
 import functools
 import itertools
 import math
@@ -189,6 +193,32 @@ def json_list(value, types: tuple[type, ...], name: str) -> list:
     if type(value) is not list or not set(map(type, value)) <= set(types):
         raise ValueError(f"{name} must be a list of {_type_names(types)}, got {value!r:.60}")
     return value
+
+
+def float_block(a: np.ndarray) -> str:
+    """a as a float block: padded base64 of its little-endian float64 bytes, in C order."""
+    return base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
+
+
+def json_floats(value, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """The float block value as a read-only float64 array of shape, else ValueError.
+
+    value must be a string of strict base64 with exactly shape's byte length.
+    One entry of shape may be -1, as in reshape: the byte length then sets it,
+    and it must be a positive whole number. Finiteness is the caller's check.
+    """
+    text = json_value(value, (str,), name)
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as e:  # binascii.Error, or a character beyond ASCII
+        raise ValueError(f"{name} must be a base64 float block: {e}") from e
+    try:
+        array = np.frombuffer(raw, dtype="<f8").reshape(shape)
+    except ValueError:
+        array = np.empty(0)
+    if array.size == 0:
+        raise ValueError(f"{name} must be a float64 block of shape {shape}, got {len(raw)} bytes")
+    return array
 
 
 def _type_names(types: tuple[type, ...]) -> str:

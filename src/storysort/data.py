@@ -15,13 +15,18 @@ positions, feature shapes, one finiteness check per array);
 check_dataset checks what stories must share (unique ids, n and feature
 dims).
 
-Datasets are line-delimited JSON, one story per line. Floats serialize
-in shortest round-trip decimal form, so save and load are exact.
+Datasets are line-delimited JSON, one story per line, so line tools split
+and join them. A line is one object: ``story_id`` (a string), ``element_ids``
+(n strings), ``gold`` (n integers), ``presented_order`` (n integers or null),
+and ``text`` and ``image`` (or null) as float blocks (core.float_block). n is
+the length of gold; a block's width, its byte length over 8 * n, must be a
+positive whole number. Save and load are bit-exact, and save deterministic.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -33,6 +38,8 @@ from .core import (
     MIN_N,
     Permutation,
     as_rng,
+    float_block,
+    json_floats,
     json_list,
     json_value,
     random_permutation,
@@ -206,8 +213,8 @@ class SyntheticSpec:
             raise ValidationError(f"n must be in [{MIN_N}, {MAX_N}], got {self.n}")
         if self.text_dim < 1 or self.image_dim < 1:
             raise ValidationError("feature dims must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValidationError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
         if self.signal_mode not in SIGNAL_MODES:
             raise ValidationError(
                 f"signal_mode must be one of {SIGNAL_MODES}, got {self.signal_mode!r}"
@@ -268,51 +275,29 @@ def split_dataset(
 
 
 def _story_to_record(story: Story) -> dict:
-    text = story.text.tolist()
-    image = None if story.image is None else story.image.tolist()
     return {
         "story_id": story.story_id,
-        "n": story.n,
-        "elements": [
-            {
-                "element_id": element_id,
-                "gold_position": gold,
-                "text_features": text[i],
-                "image_features": None if image is None else image[i],
-            }
-            for i, (element_id, gold) in enumerate(zip(story.element_ids, story.gold))
-        ],
+        "element_ids": list(story.element_ids),
+        "gold": list(story.gold),
         "presented_order": None if story.presented_order is None
         else list(story.presented_order.positions),
+        "text": float_block(story.text),
+        "image": None if story.image is None else float_block(story.image),
     }
 
 
 def _story_from_record(record: dict) -> Story:
-    story_id = json_value(record["story_id"], (str,), "story_id")
-    element_ids, gold, text, image = [], [], [], []
-    for item in record["elements"]:
-        element_ids.append(json_value(item["element_id"], (str,), "element_id"))
-        gold.append(json_value(item["gold_position"], (int,), "gold_position"))
-        text.append(json_list(item["text_features"], (int, float), "text_features"))
-        row = item["image_features"]
-        image.append(None if row is None else json_list(row, (int, float), "image_features"))
-    if any(row is None for row in image):
-        if any(row is not None for row in image):
-            raise ValidationError(
-                f"story {story_id}: inconsistent image features across elements"
-            )
-        image = None
-    presented = record.get("presented_order")
-    story = Story(
-        story_id=story_id, text=text, image=image, element_ids=element_ids, gold=gold,
+    gold = json_list(record["gold"], (int,), "gold")
+    presented, image = record["presented_order"], record["image"]
+    return Story(
+        story_id=json_value(record["story_id"], (str,), "story_id"),
+        text=json_floats(record["text"], (len(gold), -1), "text"),
+        image=None if image is None else json_floats(image, (len(gold), -1), "image"),
+        element_ids=json_list(record["element_ids"], (str,), "element_ids"),
+        gold=gold,
         presented_order=None if presented is None
         else Permutation(tuple(json_list(presented, (int,), "presented_order"))),
     )
-    if json_value(record["n"], (int,), "n") != story.n:
-        raise ValidationError(
-            f"story {story.story_id}: declared n={record['n']} but has {story.n} elements"
-        )
-    return story
 
 
 def save_dataset(stories: Sequence[Story], path: str | Path) -> None:

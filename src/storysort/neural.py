@@ -15,22 +15,25 @@ gold-ordered story per row, and ``y = None``. sgd_train checks the
 width d against the model once, then hands each mini-batch to the head
 as ``X[idx]`` and ``y[idx]``.
 
-Checkpoints are single JSON objects holding model_kind, layer_dims,
-row-major weight arrays, bias arrays, and the training config used.
-Python's float repr round-trips exactly, so reloaded parameters
-reproduce forward outputs bit for bit.
+Checkpoints are single JSON objects holding model_kind, the kind's own
+fields, layer_dims, weights, biases, and the training config used (or
+null). weights and biases hold one float block (core.float_block) per
+layer k: the (layer_dims[k], layer_dims[k + 1]) weight matrix and the
+layer_dims[k + 1] bias vector, each of exactly that shape's byte length.
+Reloaded parameters are bit-identical, so forward outputs are too.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import json_list, json_value
+from .core import float_block, json_floats, json_list, json_value
 from .errors import (
     DimensionError,
     NumericError,
@@ -85,14 +88,14 @@ class TrainConfig:
     l2: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.learning_rate > 0:
-            raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValidationError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.l2 < 0:
-            raise ValidationError(f"l2 must be >= 0, got {self.l2}")
+        if not 0 <= self.l2 < math.inf:
+            raise ValidationError(f"l2 must be >= 0 and finite, got {self.l2}")
 
 
 def init_mlp(layer_dims: Sequence[int], rng: np.random.Generator) -> MlpParams:
@@ -332,27 +335,23 @@ def train_config_from_dict(d: dict) -> TrainConfig:
 def mlp_to_dict(params: MlpParams) -> dict:
     return {
         "layer_dims": list(params.layer_dims),
-        "weights": [w.tolist() for w in params.weights],
-        "biases": [b.tolist() for b in params.biases],
+        "weights": [float_block(w) for w in params.weights],
+        "biases": [float_block(b) for b in params.biases],
     }
 
 
 def mlp_from_dict(d: dict) -> MlpParams:
-    """layer_dims must be integers and every weight and bias a JSON number."""
+    """layer_dims must be integers, and weights and biases one float block per layer."""
     dims = tuple(json_list(d["layer_dims"], (int,), "layer_dims"))
-    weights = [_matrix(w, "weights") for w in json_list(d["weights"], (list,), "weights")]
-    biases = [np.array(_numbers(b, "biases"), dtype=np.float64)
-              for b in json_list(d["biases"], (list,), "biases")]
-    return MlpParams(dims, weights, biases)
-
-
-def _numbers(values, name: str) -> list:
-    return json_list(values, (int, float), name)
-
-
-def _matrix(rows, name: str) -> np.ndarray:
-    return np.array([_numbers(row, name) for row in json_list(rows, (list,), name)],
-                    dtype=np.float64)
+    weights = json_list(d["weights"], (str,), "weights")
+    biases = json_list(d["biases"], (str,), "biases")
+    if not len(weights) == len(biases) == len(dims) - 1:
+        raise ValueError(f"layer_dims {list(dims)} need {len(dims) - 1} weight and bias blocks")
+    return MlpParams(
+        dims,
+        [json_floats(w, shape, "weights") for w, shape in zip(weights, zip(dims, dims[1:]))],
+        [json_floats(b, (width,), "biases") for b, width in zip(biases, dims[1:])],
+    )
 
 
 def save_checkpoint(payload: dict, path: str | Path) -> None:

@@ -1,7 +1,9 @@
+import base64
 import contextlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -68,6 +70,15 @@ class TestGenerate:
         cfg.write_text("stories = 7\nseed = 11\n", encoding="utf-8")
         assert run(gen_args(out, stories=40, extra=["--config", str(cfg)])) == 0
         assert len(out.read_text().splitlines()) == 7
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_is_one_usage_error_line(self, tmp_path, capsys, noise):
+        out = tmp_path / "d.jsonl"
+        capsys.readouterr()
+        assert run(gen_args(out, extra=["--noise", noise])) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"usage error: noise_sigma must be >= 0 and finite, got {float(noise)}"]
+        assert not out.exists()
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         out = tmp_path / "d.jsonl"
@@ -140,6 +151,10 @@ class TestTrain:
     @pytest.mark.parametrize("flag,value,code,message", [
         ("--epochs", "0", 1, "epochs must be >= 1"),
         ("--lr", "0", 1, "learning_rate must be > 0"),
+        ("--lr", "inf", 1, "learning_rate must be > 0 and finite, got inf"),
+        ("--lr", "nan", 1, "learning_rate must be > 0 and finite, got nan"),
+        ("--l2", "nan", 1, "l2 must be >= 0 and finite, got nan"),
+        ("--l2", "inf", 1, "l2 must be >= 0 and finite, got inf"),
         ("--batch-size", "0", 1, "batch_size must be >= 1"),
         ("--val-frac", "1.5", 2, "--val-frac must be in (0, 1)"),
     ])
@@ -253,6 +268,25 @@ class TestSortAndEval:
         assert set(result) == {"report", "confusion"}
 
 
+def argv_from_manifest(manifest: dict, overrides: dict) -> list[str]:
+    """Rebuild the command line that reproduces a manifest's outputs."""
+    args = {**manifest["args"], **overrides}
+    argv = [manifest["command"]]
+    for key, value in args.items():
+        flag = "--" + key.replace("_", "-")
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            if value:
+                argv.append(flag)
+        elif isinstance(value, list):
+            for item in value:
+                argv.extend([flag, str(item)])
+        else:
+            argv.extend([flag, str(value)])
+    return argv
+
+
 class TestManifestReplay:
     def test_full_pipeline_replays_byte_identical(self, tmp_path):
         first = tmp_path / "run1"
@@ -274,7 +308,7 @@ class TestManifestReplay:
             # replay consumes the first run's earlier outputs as inputs
             if "data" in manifest["args"]:
                 overrides["data"] = manifest["args"]["data"]
-            argv = cli.argv_from_manifest(manifest, overrides)
+            argv = argv_from_manifest(manifest, overrides)
             assert run(argv) == 0
             assert out1.read_bytes() == out2.read_bytes()
 
@@ -308,6 +342,14 @@ def one_error_line(capsys):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     return lines[0]
+
+
+def with_first_float(value):
+    """An edit of a float block that sets its first float to value and keeps its length."""
+    def edit(block):
+        raw = base64.b64decode(block, validate=True)
+        return base64.b64encode(struct.pack("<d", value) + raw[8:]).decode("ascii")
+    return edit
 
 
 class TestBadCheckpoint:
@@ -360,11 +402,13 @@ class TestBadCheckpoint:
         (("train_config", "batch_size"), "16", "batch_size must be"),
         (("train_config", "learning_rate"), True, "learning_rate must be"),
         (("layer_dims", 0), 6.0, "layer_dims must be"),
-        (("weights", 0, 0, 0), "0.5", "weights must be"),
-        (("biases", 0, 0), False, "biases must be"),
-        (("weights", 0, 0, 0), 10 ** 400, "too large"),
+        (("weights", 0), 0.5, "weights must be"),
+        (("biases", 0), False, "biases must be"),
+        (("weights", 0), with_first_float(float("inf")), "non-finite"),
+        (("train_config", "l2"), float("nan"), "l2 must be >= 0 and finite, got nan"),
+        (("train_config", "learning_rate"), float("inf"), "learning_rate must be > 0 and finite"),
     ], ids=["epochs", "batch_size", "learning_rate", "layer_dims", "weights", "biases",
-            "huge_weight"])
+            "huge_weight", "nan_l2", "inf_learning_rate"])
     def test_nested_field_is_one_error_line(self, trained, tmp_path, capsys, kind, path,
                                             value, message):
         data, ckpts = trained
@@ -634,28 +678,82 @@ class TestWrongTypedValues:
         assert run(["eval", "--pred", str(pred), "--data", str(data)]) == 1
         assert f"{pred}:2: bad prediction record: predicted_order" in one_error_line(capsys)
 
-    @pytest.mark.parametrize("field,value", [
-        ("gold_position", "x"), ("gold_position", 0.7), ("n", "5"), ("text_features", "a"),
-    ])
-    def test_dataset_numbers_must_be_json_numbers(self, trained, tmp_path, capsys, field,
-                                                  value):
+    @pytest.mark.parametrize("path,value,field", [
+        (("gold", 0), "x", "gold"), (("gold", 0), 0.7, "gold"),
+        (("presented_order", 0), "5", "presented_order"), (("text",), "a", "text"),
+    ], ids=["gold_position-x", "gold_position-0.7", "presented_order-5", "text_features-a"])
+    def test_dataset_numbers_must_be_json_numbers(self, trained, tmp_path, capsys, path,
+                                                  value, field):
         data, ckpts = trained
         lines = data.read_text(encoding="utf-8").splitlines(True)
-        record = json.loads(lines[2])
-        if field == "n":
-            record["n"] = value
-        elif field == "gold_position":
-            record["elements"][0]["gold_position"] = value
-        else:
-            record["elements"][0]["text_features"][0] = value
-        lines[2] = json.dumps(record) + "\n"
+        lines[2] = json.dumps(replaced(json.loads(lines[2]), path, value)) + "\n"
         bad = tmp_path / "bad.jsonl"
         bad.write_text("".join(lines), encoding="utf-8")
         pred = tmp_path / "pred.jsonl"
         capsys.readouterr()
         assert run(["sort", "--ckpt", str(ckpts["unary"]), "--data", str(bad),
                     "--out", str(pred)]) == 1
-        assert f"{bad}:3: missing or bad field: {field}" in one_error_line(capsys)
+        assert f"{bad}:3: missing or bad field: {field} must be" in one_error_line(capsys)
+        assert not pred.exists()
+
+
+def with_extra_float(block):
+    """A float block one float longer than block."""
+    return base64.b64encode(base64.b64decode(block, validate=True) + bytes(8)).decode("ascii")
+
+
+def as_decimal_list(block):
+    """The floats of a block as a JSON list of numbers, the wrong JSON type for a block."""
+    return np.frombuffer(base64.b64decode(block, validate=True), dtype="<f8").tolist()
+
+
+# (edit of one float block, what the error line says about it)
+BLOCK_CORRUPTIONS = {
+    "non_base64": (lambda b: b[:4] + "!" + b[5:],
+                   "{field} must be a base64 float block: Only base64 data is allowed"),
+    "truncated": (lambda b: b[:-1], "{field} must be a base64 float block: "),
+    "wrong_length": (with_extra_float, "{field} must be a float64 block of shape"),
+    "nan": (with_first_float(float("nan")), "non-finite"),
+    "inf": (with_first_float(float("inf")), "non-finite"),
+    "-inf": (with_first_float(float("-inf")), "non-finite"),
+    "wrong_type": (as_decimal_list, "{field} must be"),
+}
+
+
+class TestFloatBlocks:
+    """A corrupted float block in a dataset or a checkpoint is one error line naming the file."""
+
+    @pytest.mark.parametrize("corruption", list(BLOCK_CORRUPTIONS))
+    @pytest.mark.parametrize("field", ["text", "image"])
+    def test_dataset_block(self, trained, tmp_path, capsys, field, corruption):
+        data, ckpts = trained
+        edit, message = BLOCK_CORRUPTIONS[corruption]
+        lines = data.read_text(encoding="utf-8").splitlines(True)
+        lines[1] = json.dumps(replaced(json.loads(lines[1]), (field,), edit)) + "\n"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(lines), encoding="utf-8")
+        pred = tmp_path / "pred.jsonl"
+        capsys.readouterr()
+        assert run(["sort", "--ckpt", str(ckpts["unary"]), "--data", str(bad),
+                    "--out", str(pred)]) == 1
+        line = one_error_line(capsys)
+        assert f"{bad}:2: missing or bad field: " in line
+        assert message.format(field=field) in line
+        assert not pred.exists()
+
+    @pytest.mark.parametrize("corruption", list(BLOCK_CORRUPTIONS))
+    @pytest.mark.parametrize("field", ["weights", "biases"])
+    def test_checkpoint_block(self, trained, tmp_path, capsys, field, corruption):
+        data, ckpts = trained
+        edit, message = BLOCK_CORRUPTIONS[corruption]
+        payload = replaced(json.loads(ckpts["unary"].read_text()), (field, 0), edit)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        pred = tmp_path / "pred.jsonl"
+        capsys.readouterr()
+        assert run(["sort", "--ckpt", str(bad), "--data", str(data), "--out", str(pred)]) == 1
+        line = one_error_line(capsys)
+        assert f"{bad}: bad checkpoint" in line and message.format(field=field) in line
         assert not pred.exists()
 
 
@@ -670,18 +768,18 @@ JSON_VALUES = st.recursive(
 )
 
 # Per file kind: (path to one field, JSON types that are valid there and so are not drawn)
+# Float blocks are strings, but none of at most 4 characters holds even one float, so every
+# drawn value is invalid there.
 MLP_FIELDS = [(("model_kind",), (str,)), (("layer_dims",), ()), (("layer_dims", 0), ()),
-              (("weights",), ()), (("weights", 0, 0, 0), (float,)), (("biases",), ()),
-              (("biases", 0, 0), (float,)), (("train_config",), (type(None),)),
+              (("weights",), ()), (("weights", 0), ()), (("biases",), ()),
+              (("biases", 0), ()), (("train_config",), (type(None),)),
               (("train_config", "epochs"), ()), (("train_config", "learning_rate"), (float,))]
 FIELDS = {
     "dataset": [
-        (("story_id",), (str,)), (("n",), ()), (("elements",), ()),
+        (("story_id",), (str,)), (("element_ids",), ()), (("element_ids", 0), (str,)),
+        (("gold",), ()), (("gold", 0), ()),
         (("presented_order",), (type(None),)), (("presented_order", 0), ()),
-        (("elements", 0, "element_id"), (str,)), (("elements", 0, "gold_position"), ()),
-        (("elements", 0, "text_features"), ()),
-        (("elements", 0, "text_features", 0), (float,)),
-        (("elements", 0, "image_features"), ()),
+        (("text",), ()), (("image",), (type(None),)),
     ],
     "predictions": [
         (("story_id",), (str,)), (("predicted_order",), ()), (("predicted_order", 0), ()),
@@ -693,12 +791,13 @@ FIELDS = {
 
 
 def replaced(record, path, value):
-    """A deep copy of a JSON record with the field at path set to value."""
+    """A deep copy of a JSON record with the field at path set to value, or to value(old)
+    when value is a function of the old value."""
     record = json.loads(json.dumps(record))
     target = record
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    target[path[-1]] = value(target[path[-1]]) if callable(value) else value
     return record
 
 

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import re
@@ -19,6 +20,7 @@ from storysort.data import (
 )
 from storysort.errors import FeatureError, ParseError, ValidationError
 from storysort.metrics import score_story
+from storysort.neural import MlpParams, mlp_from_dict, mlp_to_dict
 from conftest import make_story
 
 
@@ -26,14 +28,17 @@ def write_records(path, records):
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
 
 
-def bad_element_file(tmp_path, field, values):
-    """A two-story dataset file whose second story (line 2) has field = values[i] on element i."""
+def block(values):
+    """A float block written by hand: base64 of the values' little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def bad_record_file(tmp_path, **fields):
+    """A two-story dataset file whose second story (line 2) has the given fields replaced."""
     record = _story_to_record(make_story([0, 1], story_id="bad", image=np.zeros((2, 2))))
-    for element, value in zip(record["elements"], values):
-        element[field] = value
     path = tmp_path / "bad.jsonl"
     ok = make_story([0, 1], story_id="ok", image=np.zeros((2, 2)))
-    write_records(path, [_story_to_record(ok), record])
+    write_records(path, [_story_to_record(ok), {**record, **fields}])
     return path
 
 
@@ -45,21 +50,28 @@ class TestStoryInvariants:
     def test_inconsistent_text_dims_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="text feature dims"):
             make_story([0, 1], text=[np.zeros(3), np.zeros(4)])
-        path = bad_element_file(tmp_path, "text_features", [[0.0] * 3, [0.0] * 4])
-        with pytest.raises(ParseError, match=f"{re.escape(str(path))}:2: .*text feature dims"):
+        # in a file, rows of 3 and 4 features are 7 floats: no whole width for 2 rows
+        path = bad_record_file(tmp_path, text=block([0.0] * 7))
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}:2: .*text must be a "
+                                             r"float64 block of shape \(2, -1\), got 56 bytes"):
             load_dataset(path)
 
     def test_partial_image_features_rejected(self, tmp_path):
         # only a file can leave image features off some elements: in memory image is
-        # one array or None
-        path = bad_element_file(tmp_path, "image_features", [[0.0, 1.0], None])
-        with pytest.raises(ParseError, match=f"{re.escape(str(path))}:2: .*image features"):
-            load_dataset(path)
+        # one array or None, and in a file one float block or null
+        for image, message in [
+            ([[0.0, 1.0], None], "image must be str"),
+            (block([0.0, 1.0, 2.0]), r"image must be a float64 block of shape \(2, -1\), got 24"),
+        ]:
+            path = bad_record_file(tmp_path, image=image)
+            with pytest.raises(ParseError, match=f"{re.escape(str(path))}:2: .*{message}"):
+                load_dataset(path)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_feature_rejected_at_load(self, tmp_path, value):
-        path = bad_element_file(tmp_path, "text_features", [[0.0, value], [0.0, 1.0]])
-        with pytest.raises(ParseError, match=f"{re.escape(str(path))}:2: "):
+        path = bad_record_file(tmp_path, text=block([[0.0, value], [0.0, 1.0]]))
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}:2: .*story bad: text "
+                                             "features contain non-finite entries"):
             load_dataset(path)
 
     def test_non_finite_feature_rejected(self):
@@ -213,6 +225,18 @@ class TestDatasetIO:
         save_dataset(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_float_blocks_keep_every_bit(self, tmp_path):
+        extremes = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -1.7976931348623157e308]])
+        path = tmp_path / "extremes.jsonl"
+        save_dataset([make_story([0, 1], text=extremes, image=extremes[::-1])], path)
+        (story,) = load_dataset(path)
+        assert (story.text.view(np.uint64) == extremes.view(np.uint64)).all()
+        assert (story.image.view(np.uint64) == extremes[::-1].view(np.uint64)).all()
+        params = MlpParams((2, 2), [extremes], [extremes[:, 1]])
+        loaded = mlp_from_dict(json.loads(json.dumps(mlp_to_dict(params))))
+        assert (loaded.weights[0].view(np.uint64) == extremes.view(np.uint64)).all()
+        assert (loaded.biases[0].view(np.uint64) == extremes[:, 1].view(np.uint64)).all()
+
     def test_malformed_line_reports_number(self, tmp_path):
         good = json.dumps(_story_to_record(make_story([0, 1], story_id="ok")))
         path = tmp_path / "bad.jsonl"
@@ -223,12 +247,11 @@ class TestDatasetIO:
     def test_duplicate_gold_rejected_with_story_id(self, tmp_path):
         record = {
             "story_id": "dup-story",
-            "n": 2,
-            "elements": [
-                {"element_id": "a", "gold_position": 0, "text_features": [0.0], "image_features": None},
-                {"element_id": "b", "gold_position": 0, "text_features": [0.0], "image_features": None},
-            ],
+            "element_ids": ["a", "b"],
+            "gold": [0, 0],
             "presented_order": None,
+            "text": block([[0.0], [0.0]]),
+            "image": None,
         }
         path = tmp_path / "dup.jsonl"
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")

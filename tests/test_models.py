@@ -15,7 +15,7 @@ from conftest import make_story
 
 KINDS = ("unary", "pairwise", "npe")
 
-# Checkpoint keys in file order; parent-format checkpoints must keep loading.
+# Checkpoint keys in file order.
 FILE_ORDER = {
     "unary": ["model_kind", "n", "use_image", "layer_dims", "weights", "biases",
               "train_config"],
