@@ -20,7 +20,6 @@ from .data import (
 )
 from .ensemble import accumulate_votes, decode_votes, ensemble_sort
 from .metrics import (
-    ConfusionMatrix,
     MetricReport,
     aggregate,
     avg_distance,
@@ -30,13 +29,7 @@ from .metrics import (
 )
 from .neural import MlpParams, TrainConfig, mlp_forward, sgd_train, softmax
 from .npe import NpeModel, npe_scores, train_npe
-from .pairwise import (
-    PairwiseModel,
-    decode_pairwise,
-    pair_scores,
-    pairwise_objective,
-    train_pairwise,
-)
+from .pairwise import PairwiseModel, decode_pairwise, pair_scores, train_pairwise
 from .unary import UnaryModel, decode_unary, position_probs, train_unary
 
 __version__ = "0.1.0"

@@ -8,9 +8,10 @@ which are exact ties of the real totals, resolve to the smallest
 positions tuple.
 
 Top-k lists come from core.rank_orders, the one ranker of permutation
-table rows, with the same exact totals and tie rule. Additive scores are
-accumulated in element-index order everywhere, so equal permutations
-produce bit-identical float totals.
+table rows, with the same exact totals and tie rule. Orders are intp
+rows: hungarian_max returns one (n,) row, topk_assignments a (k, n)
+array. Additive scores are accumulated in element-index order
+everywhere, so equal permutations produce bit-identical float totals.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MAX_N, MIN_N, Permutation, exact_ints, rank_orders
+from .core import MAX_N, MIN_N, exact_ints, rank_orders
 from .errors import SizeError, ValidationError
 
 
@@ -99,8 +100,8 @@ def _solve_min(cost: list[list[int]]) -> list[int]:
     return positions
 
 
-def hungarian_max(s) -> tuple[Permutation, float]:
-    """Permutation maximizing the additive score, with its total.
+def hungarian_max(s) -> tuple[np.ndarray, float]:
+    """The (n,) order maximizing the additive score, with its total.
 
     Among optima whose real totals tie exactly, the lexicographically
     smallest positions tuple is returned. Over one common denominator
@@ -120,12 +121,13 @@ def hungarian_max(s) -> tuple[Permutation, float]:
         for i, row in enumerate(exact_ints(a).tolist())
     ]
     positions = _solve_min(cost)
-    return Permutation(tuple(positions)), additive_score(a, positions)
+    return np.array(positions, dtype=np.intp), additive_score(a, positions)
 
 
-def topk_assignments(s, k: int) -> list[tuple[Permutation, float]]:
-    """The k best permutations by additive score, with their additive_score totals.
+def topk_assignments(s, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, n) best orders by additive score, with their (k,) additive_score totals.
 
     core.rank_orders ranks them as hungarian_max does, so the first is its choice.
     """
-    return rank_orders(check_score_matrix(s)[None], k, pair=False)[0]
+    orders, totals = rank_orders(check_score_matrix(s)[None], k, pair=False)
+    return orders[0], totals[0]

@@ -55,7 +55,7 @@ from . import data as data_mod
 from . import ensemble as ensemble_mod
 from . import metrics as metrics_mod
 from . import models as models_mod
-from .core import Permutation, json_list, json_value
+from .core import is_permutation, json_list, json_value
 from .errors import ParseError, StorySortError, UsageError, ValidationError
 from .neural import TrainConfig
 
@@ -199,7 +199,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def _dataset_report(model, stories) -> metrics_mod.MetricReport:
     preds = models_mod.predict_stories(model, stories)
     return metrics_mod.aggregate(
-        [metrics_mod.score_story(p, s.presented_gold()) for p, s in zip(preds, stories)]
+        metrics_mod.score_story(preds, data_mod.presented_gold(stories))
     )
 
 
@@ -274,12 +274,13 @@ def cmd_sort(args: argparse.Namespace) -> int:
         for spec in specs:
             models_mod.check_decodable(spec, n, topk)
     if topk is None:
-        preds = models_mod.predict_stories(models[0], stories)
+        orders = models_mod.predict_stories(models[0], stories).tolist()
     else:
-        preds = [ensemble_mod.ensemble_sort(models, story, k=topk) for story in stories]
+        orders = [ensemble_mod.ensemble_sort(models, story, k=topk).positions
+                  for story in stories]
     lines = [
-        json.dumps({"story_id": story.story_id, "predicted_order": list(pred.positions)}) + "\n"
-        for story, pred in zip(stories, preds)
+        json.dumps({"story_id": story.story_id, "predicted_order": order}) + "\n"
+        for story, order in zip(stories, orders)
     ]
     # every story is decoded before --out is opened, so a failure leaves no file
     out = Path(args.out)
@@ -315,6 +316,21 @@ def load_predictions(path: Path) -> dict[str, list[int]]:
     return preds
 
 
+def prediction_rows(path: Path, preds: dict[str, list[int]], stories) -> np.ndarray:
+    """The stories' predicted orders as an (S, n) array, else ValidationError naming the
+    first story whose order is not a permutation of its 0..n-1. The stories share n."""
+    n = stories[0].n if stories else 0
+    rows = [preds[s.story_id] for s in stories]
+    # a row of the wrong length becomes one that is not a permutation
+    valid = is_permutation(np.array([r if len(r) == n else [-1] * n for r in rows])
+                           .reshape(len(rows), n))
+    if not valid.all():
+        story = stories[int(valid.argmin())]
+        raise ValidationError(f"{path}: story {story.story_id}: predicted_order "
+                              f"{preds[story.story_id]!r:.60} is not a permutation of 0..{n - 1}")
+    return np.array(rows, dtype=np.intp).reshape(len(rows), n)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     started = time.monotonic()
     pred_path = Path(args.pred)
@@ -330,17 +346,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"predictions cover {len(preds)} of {len(stories)} stories; missing: "
             f"{', '.join(unpredicted[:5])}{', ...' if len(unpredicted) > 5 else ''}"
         )
-    pairs = []
-    for story_id in preds:
-        story = stories[story_id]
-        pairs.append((Permutation(tuple(preds[story_id])), story.presented_gold()))
-    report = metrics_mod.aggregate(
-        [metrics_mod.score_story(p, g) for p, g in pairs]
-    )
-    conf = metrics_mod.confusion(pairs)
+    scored = [stories[story_id] for story_id in preds]  # in predictions-file order
+    pred = prediction_rows(pred_path, preds, scored)
+    gold = data_mod.presented_gold(scored)
+    report = metrics_mod.aggregate(metrics_mod.score_story(pred, gold))
     result = {
         "report": _round6(report.to_json()),
-        "confusion": [[int(v) for v in row] for row in conf.counts],
+        "confusion": metrics_mod.confusion(pred, gold).tolist(),
     }
     outputs = []
     if args.out is not None:

@@ -1,12 +1,16 @@
-"""Permutations, the one ranker of permutation-table rows, and exact JSON field checks.
+"""Orders, the one ranker of permutation-table rows, and exact JSON field checks.
 
-Positions are 0-based everywhere. A permutation maps element index i to
-the position ``positions[i]``. The permutation table holds all n! orders
-of n elements, and rank_orders is the one function that ranks its rows,
-for additive (unary) and pair (pairwise, NPE) scores alike: by exact
-total, ties going to the lowest row, which is the lexicographically
-smallest positions tuple. All operations here are pure, and every source
-of randomness is an explicitly seeded generator.
+Positions are 0-based everywhere. An order maps element index i to the
+position ``order[i]``. Inside the pipeline an order is an integer row, and
+a batch of S orders of n elements is an (S, n) intp array, from the
+decoders to the metrics; is_permutation checks such rows, one bool per
+row. Permutation is the one-story public type, built only where a
+one-story predict or ensemble_sort returns. The permutation table holds
+all n! orders of n elements, and rank_orders is the one function that
+ranks its rows, for additive (unary) and pair (pairwise, NPE) scores
+alike: by exact total, ties going to the lowest row, which is the
+lexicographically smallest positions tuple. All operations here are pure,
+and every source of randomness is an explicitly seeded generator.
 
 Float arrays on disk are float blocks, one codec for all: a JSON string of
 padded base64 of the array's little-endian float64 (``<f8``) bytes in C order.
@@ -19,7 +23,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -37,9 +40,15 @@ def as_rng(seed: int | np.random.Generator) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def is_permutation(rows) -> np.ndarray:
+    """Whether each row of an (..., n) array is a permutation of 0..n-1, as a bool per row."""
+    rows = np.asarray(rows)
+    return (np.sort(rows, axis=-1) == np.arange(rows.shape[-1])).all(axis=-1)
+
+
 @dataclass(frozen=True)
 class Permutation:
-    """Bijection from element index to position: positions[i] is where element i goes."""
+    """One story's order: positions[i] is where element i goes."""
 
     positions: tuple[int, ...]
 
@@ -49,21 +58,8 @@ class Permutation:
         n = len(pos)
         if not MIN_N <= n <= MAX_N:
             raise SizeError(f"permutation length must be in [{MIN_N}, {MAX_N}], got {n}")
-        if sorted(pos) != list(range(n)):
+        if not is_permutation(pos):
             raise ValidationError(f"positions {pos} are not a bijection on 0..{n - 1}")
-
-    @property
-    def n(self) -> int:
-        return len(self.positions)
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def __getitem__(self, i: int) -> int:
-        return self.positions[i]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.positions)
 
 
 @functools.lru_cache(maxsize=MAX_ENUMERATION_N)
@@ -127,8 +123,9 @@ def order_values(a: np.ndarray, pair: bool) -> np.ndarray:
     return values.T.copy()
 
 
-def rank_orders(a: np.ndarray, k: int, pair: bool) -> list[list[tuple[Permutation, float]]]:
-    """The k best orders of each matrix of an (S, n, n) stack, with their order_values totals.
+def rank_orders(a: np.ndarray, k: int, pair: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The k best orders of each matrix of an (S, n, n) stack, as an (S, k, n) array, with
+    their (S, k) order_values totals.
 
     Orders are ranked by exact total, taken for pair scores from a's own
     entries rather than their rounded differences; ties go to the lowest
@@ -160,13 +157,11 @@ def rank_orders(a: np.ndarray, k: int, pair: bool) -> list[list[tuple[Permutatio
             exact = (exact - exact.T if pair else exact).ravel()[index[rows]].sum(axis=1)
             rows = [r for _, r in sorted(zip(-exact, rows.tolist()))]
         ranked[s] = rows[:k]
-    totals = values[np.arange(len(a))[:, None], ranked].tolist()
-    return [[(Permutation(tuple(p)), total) for p, total in zip(perms, story_totals)]
-            for perms, story_totals in zip(permutation_table(n)[ranked].tolist(), totals)]
+    return permutation_table(n)[ranked], np.take_along_axis(values, ranked, axis=1)
 
 
-def random_permutation(n: int, seed: int | np.random.Generator) -> Permutation:
-    """Uniform random permutation via Fisher-Yates on the given seed or generator."""
+def random_permutation(n: int, seed: int | np.random.Generator) -> tuple[int, ...]:
+    """Uniform random order of n elements via Fisher-Yates on the given seed or generator."""
     rng = as_rng(seed)
     items = list(range(n))
     if not MIN_N <= n <= MAX_N:
@@ -174,7 +169,7 @@ def random_permutation(n: int, seed: int | np.random.Generator) -> Permutation:
     for i in range(n - 1, 0, -1):
         j = int(rng.integers(0, i + 1))
         items[i], items[j] = items[j], items[i]
-    return Permutation(tuple(items))
+    return tuple(items)
 
 
 def json_value(value, types: tuple[type, ...], name: str):

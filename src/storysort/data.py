@@ -5,13 +5,16 @@ order the elements are listed in the file: ``text`` is an (n, d_text)
 float64 matrix, ``image`` an (n, d_image) one or None, and
 ``element_ids[i]`` and ``gold[i]`` name element i and give its gold
 position. The jumbled view models actually see is stored separately as
-presented_order, and models read features only through
-presented_features, an (S, n, d) array for S stories, so inference code
-never touches gold positions by accident. Training reads the same rows
-in gold order through gold_features.
+presented_order, an int tuple (element i sits at presented_order[i]), and
+models read features only through presented_features, an (S, n, d) array
+for S stories, so inference code never touches gold positions by
+accident. Training reads the same rows in gold order through
+gold_features, and presented_gold gives the (S, n) orders models must
+recover.
 
-Story.__post_init__ checks each story on its own (length, gold
-positions, feature shapes, one finiteness check per array);
+Story.__post_init__ checks each story on its own (length, gold and
+presented orders in one core.is_permutation call, feature shapes, one
+finiteness check per array);
 check_dataset checks what stories must share (unique ids, n and feature
 dims).
 
@@ -36,9 +39,9 @@ import numpy as np
 from .core import (
     MAX_N,
     MIN_N,
-    Permutation,
     as_rng,
     float_block,
+    is_permutation,
     json_floats,
     json_list,
     json_value,
@@ -63,7 +66,7 @@ class Story:
     image: np.ndarray | None
     element_ids: tuple[str, ...]
     gold: tuple[int, ...]
-    presented_order: Permutation | None = None
+    presented_order: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         n = len(self.gold)
@@ -71,11 +74,20 @@ class Story:
             raise ValidationError(
                 f"story {self.story_id}: length must be in [{MIN_N}, {MAX_N}], got {n}"
             )
-        object.__setattr__(self, "gold", tuple(int(g) for g in self.gold))
-        if sorted(self.gold) != list(range(n)):
-            raise ValidationError(
-                f"story {self.story_id}: gold positions are not a permutation of 0..{n - 1}"
-            )
+        object.__setattr__(self, "gold", tuple(map(int, self.gold)))
+        orders = [self.gold]
+        if self.presented_order is not None:
+            object.__setattr__(self, "presented_order", tuple(map(int, self.presented_order)))
+            if len(self.presented_order) != n:
+                raise ValidationError(f"story {self.story_id}: presented_order length "
+                                      f"{len(self.presented_order)} != {n}")
+            orders.append(self.presented_order)
+        for what, ok in zip(("gold positions are", "presented_order is"),
+                            is_permutation(orders).tolist()):
+            if not ok:
+                raise ValidationError(
+                    f"story {self.story_id}: {what} not a permutation of 0..{n - 1}"
+                )
         object.__setattr__(self, "element_ids", tuple(self.element_ids))
         if len(self.element_ids) != n:
             raise ValidationError(
@@ -85,18 +97,10 @@ class Story:
         if self.image is not None:
             object.__setattr__(self, "image",
                                _feature_array(self.story_id, "image", self.image, n))
-        if self.presented_order is not None and self.presented_order.n != n:
-            raise ValidationError(
-                f"story {self.story_id}: presented_order length {self.presented_order.n} != {n}"
-            )
 
     @property
     def n(self) -> int:
         return len(self.gold)
-
-    def presented_gold(self) -> Permutation:
-        """Gold positions of the presented elements, the target models must recover."""
-        return Permutation(tuple(self.gold[i] for i in np.argsort(_presented_positions(self))))
 
 
 def _feature_array(story_id: str, name: str, rows, n: int) -> np.ndarray:
@@ -120,7 +124,7 @@ def _presented_positions(story: Story) -> tuple[int, ...]:
     """Where each element sits in the presented order; the listed order if unjumbled."""
     if story.presented_order is None:
         return tuple(range(story.n))
-    return story.presented_order.positions
+    return story.presented_order
 
 
 def _feature_stack(stories: Sequence[Story], use_image: bool,
@@ -157,6 +161,18 @@ def presented_features(stories: Sequence[Story], use_image: bool) -> np.ndarray:
     The stories must share n and feature dims.
     """
     return _feature_stack(stories, use_image, [_presented_positions(s) for s in stories])
+
+
+def presented_gold(stories: Sequence[Story]) -> np.ndarray:
+    """(S, n) intp gold positions of each story's presented elements: row s is the
+    order models must recover for stories[s].
+
+    The stories must share n; no stories give a (0, 0) array.
+    """
+    shape = (len(stories), stories[0].n if stories else 0)
+    gold = np.array([s.gold for s in stories], dtype=np.intp).reshape(shape)
+    presented = np.array([_presented_positions(s) for s in stories], dtype=np.intp)
+    return np.take_along_axis(gold, np.argsort(presented.reshape(shape), axis=1), axis=1)
 
 
 def gold_features(stories: Sequence[Story], use_image: bool) -> np.ndarray:
@@ -280,7 +296,7 @@ def _story_to_record(story: Story) -> dict:
         "element_ids": list(story.element_ids),
         "gold": list(story.gold),
         "presented_order": None if story.presented_order is None
-        else list(story.presented_order.positions),
+        else list(story.presented_order),
         "text": float_block(story.text),
         "image": None if story.image is None else float_block(story.image),
     }
@@ -296,7 +312,7 @@ def _story_from_record(record: dict) -> Story:
         element_ids=json_list(record["element_ids"], (str,), "element_ids"),
         gold=gold,
         presented_order=None if presented is None
-        else Permutation(tuple(json_list(presented, (int,), "presented_order"))),
+        else json_list(presented, (int,), "presented_order"),
     )
 
 

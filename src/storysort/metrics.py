@@ -1,19 +1,23 @@
-"""Rank metrics comparing a predicted permutation against the gold order.
+"""Rank metrics comparing predicted orders against gold orders.
 
-Three per-story metrics (Spearman rank correlation, pairwise accuracy,
-mean absolute displacement) plus a position confusion matrix and an
-unweighted corpus-level aggregate. Predictions are total orders, so the
-closed-form Spearman without tie handling is exact.
+Orders are intp rows: pred and gold are (..., n) arrays of the same
+shape, usually (S, n) for S stories, whose rows are permutations of
+0..n-1 (the CLI checks orders where they enter from files), and every
+per-story metric returns one value per row. The three per-story metrics
+(Spearman rank correlation, pairwise accuracy, mean absolute
+displacement) are each one exact integer numerator over a constant, so a
+row scores the same alone or in a stack. confusion tallies a position
+confusion matrix, and aggregate takes an unweighted corpus-level mean.
+Predictions are total orders, so the closed-form Spearman without tie
+handling is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Permutation
 from .errors import DimensionError, EmptyInputError
 
 
@@ -33,85 +37,60 @@ class MetricReport:
         }
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """counts[g][p] = elements whose gold position is g and predicted position is p."""
-
-    counts: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.counts.shape[0]
+def _orders(pred, gold) -> tuple[np.ndarray, np.ndarray]:
+    pred, gold = np.asarray(pred), np.asarray(gold)
+    if pred.shape != gold.shape:
+        raise DimensionError(f"order shapes differ: {pred.shape} vs {gold.shape}")
+    return pred, gold
 
 
-def _check_same_n(pred: Permutation, gold: Permutation) -> int:
-    if pred.n != gold.n:
-        raise DimensionError(f"permutation sizes differ: {pred.n} vs {gold.n}")
-    return pred.n
+def spearman(pred, gold) -> np.ndarray:
+    """1 - 6*sum(d^2)/(n(n^2-1)) over per-element position differences, per row."""
+    pred, gold = _orders(pred, gold)
+    n = pred.shape[-1]
+    return 1.0 - 6.0 * ((pred - gold) ** 2).sum(axis=-1) / (n * (n * n - 1))
 
 
-def spearman(pred: Permutation, gold: Permutation) -> float:
-    """1 - 6*sum(d^2)/(n(n^2-1)) over per-element position differences."""
-    n = _check_same_n(pred, gold)
-    ss = 0
-    for i in range(n):
-        d = pred.positions[i] - gold.positions[i]
-        ss += d * d
-    return 1.0 - 6.0 * ss / (n * (n * n - 1))
+def pairwise_accuracy(pred, gold) -> np.ndarray:
+    """Fraction of element pairs whose predicted relative order matches gold, per row."""
+    pred, gold = _orders(pred, gold)
+    i, j = np.triu_indices(pred.shape[-1], 1)
+    agree = (pred[..., i] > pred[..., j]) == (gold[..., i] > gold[..., j])
+    return agree.sum(axis=-1) / len(i)
 
 
-def pairwise_accuracy(pred: Permutation, gold: Permutation) -> float:
-    """Fraction of element pairs whose predicted relative order matches gold."""
-    n = _check_same_n(pred, gold)
-    agree = 0
-    total = n * (n - 1) // 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            dp = pred.positions[i] - pred.positions[j]
-            dg = gold.positions[i] - gold.positions[j]
-            if (dp > 0) == (dg > 0):
-                agree += 1
-    return agree / total
+def avg_distance(pred, gold) -> np.ndarray:
+    """Mean absolute displacement of elements between predicted and gold positions, per row."""
+    pred, gold = _orders(pred, gold)
+    return np.abs(pred - gold).sum(axis=-1) / pred.shape[-1]
 
 
-def avg_distance(pred: Permutation, gold: Permutation) -> float:
-    """Mean absolute displacement of elements between predicted and gold positions."""
-    n = _check_same_n(pred, gold)
-    total = 0
-    for i in range(n):
-        total += abs(pred.positions[i] - gold.positions[i])
-    return total / n
+def score_story(pred, gold) -> np.ndarray:
+    """(..., 3) rows of (spearman, pairwise_accuracy, avg_distance)."""
+    return np.stack([spearman(pred, gold), pairwise_accuracy(pred, gold),
+                     avg_distance(pred, gold)], axis=-1)
 
 
-def score_story(pred: Permutation, gold: Permutation) -> tuple[float, float, float]:
-    """Convenience triple (spearman, pairwise_accuracy, avg_distance)."""
-    return (spearman(pred, gold), pairwise_accuracy(pred, gold), avg_distance(pred, gold))
-
-
-def confusion(pairs: Iterable[tuple[Permutation, Permutation]]) -> ConfusionMatrix:
-    """Tally gold-position vs predicted-position counts over (pred, gold) pairs."""
-    pairs = list(pairs)
-    if not pairs:
+def confusion(pred, gold) -> np.ndarray:
+    """(n, n) counts[g][p] = elements whose gold position is g and predicted position is p,
+    over every row of pred and gold."""
+    pred, gold = _orders(pred, gold)
+    if not pred.size:
         raise EmptyInputError("confusion requires at least one (pred, gold) pair")
-    n = _check_same_n(*pairs[0])
+    n = pred.shape[-1]
     counts = np.zeros((n, n), dtype=np.int64)
-    for pred, gold in pairs:
-        if pred.n != n or gold.n != n:
-            raise DimensionError(f"inconsistent n across pairs: expected {n}")
-        for i in range(n):
-            counts[gold.positions[i], pred.positions[i]] += 1
-    return ConfusionMatrix(counts)
+    np.add.at(counts, (gold, pred), 1)
+    return counts
 
 
-def aggregate(per_story: Sequence[tuple[float, float, float]]) -> MetricReport:
-    """Unweighted mean of per-story (spearman, pairwise, distance) triples."""
-    per_story = list(per_story)
-    if not per_story:
+def aggregate(per_story) -> MetricReport:
+    """Unweighted mean of per-story (spearman, pairwise, distance) rows, such as score_story's.
+
+    Each mean is the builtin sum of the story values in row order over the count.
+    """
+    rows = np.asarray(per_story, dtype=np.float64).reshape(-1, 3)
+    if not len(rows):
         raise EmptyInputError("aggregate requires at least one story")
-    count = len(per_story)
-    return MetricReport(
-        spearman=sum(t[0] for t in per_story) / count,
-        pairwise_accuracy=sum(t[1] for t in per_story) / count,
-        avg_distance=sum(t[2] for t in per_story) / count,
-        story_count=count,
-    )
+    count = len(rows)
+    means = [sum(column) / count for column in rows.T.tolist()]
+    return MetricReport(*means, story_count=count)

@@ -14,10 +14,12 @@ Entries hold modules, not functions, so rebinding a module attribute (as
 a profiler does) reaches every caller.
 
 Scoring runs along a story axis: ``scores(model, stories)`` returns an
-(S, n, n) stack for S stories. predict_stories walks a dataset in chunks,
-each scored with one forward pass and decoded in one call; a module's
-``predict`` and top_permutations are the one-story case of the same
-scorers and decoders.
+(S, n, n) stack for S stories. Orders are intp arrays: predict_stories
+walks a dataset in chunks, each scored with one forward pass and decoded
+in one call, and returns one (S, n) array; top_permutations gives one
+story's (k, n) best orders with their totals. A module's ``predict`` is
+the one-story case of the same scorers and decoders, and returns a
+core.Permutation, the one-story public type.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ from pathlib import Path
 from types import ModuleType
 from typing import Sequence
 
+import numpy as np
+
 from . import neural, npe, pairwise, unary
 from .assign import topk_assignments
-from .core import MAX_ENUMERATION_N, Permutation, check_top_k, json_value
+from .core import MAX_ENUMERATION_N, check_top_k, json_value
 from .data import Story
 from .errors import EnumerationCapError, UsageError, ValidationError
 
@@ -107,31 +111,30 @@ def chunk_size(model: AnyModel, n: int) -> int:
     return max(1, CHUNK_FLOATS // per_story)
 
 
-def predict_stories(model: AnyModel, stories: Sequence[Story]) -> list[Permutation]:
-    """The model's best order for each story, scored and decoded chunk by chunk.
+def predict_stories(model: AnyModel, stories: Sequence[Story]) -> np.ndarray:
+    """The model's best order for each story as an (S, n) array, scored and decoded
+    chunk by chunk.
 
-    Each prediction equals the module's predict on that story alone. The
-    stories must share n.
+    Row s equals the module's predict on stories[s] alone. The stories must
+    share n; no stories give a (0, 0) array.
     """
     if not stories:
-        return []
+        return np.empty((0, 0), dtype=np.intp)
     spec = spec_for(model)
     decode = unary.decode_unary if spec.score_type == ADDITIVE else pairwise.decode_pairwise
     size = chunk_size(model, stories[0].n)
-    preds: list[Permutation] = []
-    for start in range(0, len(stories), size):
-        preds += decode(spec.module.scores(model, stories[start:start + size]))
-    return preds
+    return np.concatenate([decode(spec.module.scores(model, stories[start:start + size]))
+                           for start in range(0, len(stories), size)])
 
 
-def top_permutations(model: AnyModel, story: Story, k: int) -> list[Permutation]:
-    """The model's k best orders for one story, best first, ties lexicographic."""
+def top_permutations(model: AnyModel, story: Story, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The model's (k, n) best orders for one story, best first, ties lexicographic, with
+    their (k,) totals."""
     spec = spec_for(model)
     check_decodable(spec, story.n, k)
     s = spec.module.scores(model, [story])[0]
-    if spec.score_type == ADDITIVE:
-        return [p for p, _ in topk_assignments(s, k)]
-    return [p for p, _ in pairwise.rank_permutations(s, k)]
+    rank = topk_assignments if spec.score_type == ADDITIVE else pairwise.rank_permutations
+    return rank(s, k)
 
 
 def save_model(model: AnyModel, path: str | Path) -> None:

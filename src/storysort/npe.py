@@ -14,9 +14,9 @@ list comes from the same ranking of all orders.
 npe_scores runs over a sequence of S stories at once: one forward pass
 embeds every presented element, and the penalties of all ordered pairs
 form an (S, n, n) stack, each matrix bit-identical to scoring its story
-alone. predict is the one-story case. The training loss, the same
-penalty summed over a story's gold-ordered pairs, is
-neural.npe_order_head.
+alone. predict is the one-story case and returns a core.Permutation. The
+training loss, the same penalty summed over a story's gold-ordered pairs,
+is neural.npe_order_head.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def npe_scores(model: NpeModel, stories: Sequence[Story]) -> np.ndarray:
 
 
 def predict(model: NpeModel, story: Story) -> Permutation:
-    return pairwise.decode_pairwise(npe_scores(model, [story]))[0]
+    return Permutation(tuple(pairwise.decode_pairwise(npe_scores(model, [story]))[0]))
 
 
 def train_npe(

@@ -7,14 +7,15 @@ difference of the orientation it chooses, so it is antisymmetric under
 reversal by construction. Decoding is exact for n <= 8: core.rank_orders,
 the one ranker of permutation table rows, ranks all n! orders by exact
 objective, ties going to the lexicographically smallest positions tuple,
-with float objectives bit-identical to pairwise_objective. Training uses
-a binary hinge on both orientations of every gold pair.
+with float objectives that add the pairs row-major in (i, j). Training
+uses a binary hinge on both orientations of every gold pair.
 
 Scoring and decoding run over a sequence of S stories at once:
 pair_scores makes one forward pass over every story's pair rows and
 returns an (S, n, n) stack, each matrix bit-identical to scoring its
 story alone, and decode_pairwise ranks the orders of every matrix in the
-stack in one rank_orders call. predict is the one-story case.
+stack in one rank_orders call and returns them as an (S, n) intp array.
+predict is the one-story case and returns a core.Permutation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from . import neural
 from .core import Permutation, rank_orders
 from .data import Story, gold_features, presented_features
-from .errors import DimensionError, ValidationError
+from .errors import ValidationError
 from .neural import MlpParams, TrainConfig
 
 MODEL_KIND = "pairwise"
@@ -88,33 +89,20 @@ def pair_scores(model: PairwiseModel, stories: Sequence[Story]) -> np.ndarray:
     return s
 
 
-def pairwise_objective(s, sigma: Permutation) -> float:
-    """For each unordered pair, add the score difference of the chosen orientation."""
-    a = check_pair_matrix(s)
-    n = a.shape[0]
-    if sigma.n != n:
-        raise DimensionError(f"permutation n={sigma.n} does not match matrix n={n}")
-    pos = sigma.positions
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = a[i, j] - a[j, i]
-            total += diff if pos[i] < pos[j] else -diff
-    return float(total)
+def rank_permutations(s, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, n) best orders by objective, with their (k,) objectives, ranked by
+    core.rank_orders."""
+    orders, totals = rank_orders(check_pair_matrix(s)[None], k, pair=True)
+    return orders[0], totals[0]
 
 
-def rank_permutations(s, k: int) -> list[tuple[Permutation, float]]:
-    """The k best permutations by objective, with their objectives, ranked by core.rank_orders."""
-    return rank_orders(check_pair_matrix(s)[None], k, pair=True)[0]
-
-
-def decode_pairwise(s) -> list[Permutation]:
-    """The best permutation of each matrix of an (S, n, n) stack, ranked by core.rank_orders."""
-    return [ranked[0][0] for ranked in rank_orders(check_pair_matrix(s, ndim=3), 1, pair=True)]
+def decode_pairwise(s) -> np.ndarray:
+    """The (S, n) best orders of the matrices of an (S, n, n) stack, ranked by core.rank_orders."""
+    return rank_orders(check_pair_matrix(s, ndim=3), 1, pair=True)[0][:, 0]
 
 
 def predict(model: PairwiseModel, story: Story) -> Permutation:
-    return decode_pairwise(pair_scores(model, [story]))[0]
+    return Permutation(tuple(decode_pairwise(pair_scores(model, [story]))[0]))
 
 
 def train_pairwise(

@@ -8,8 +8,9 @@ solver. Training is per-element softmax cross-entropy on gold positions.
 Scoring runs over a sequence of S stories at once: one (S, n, d) feature
 array and one forward pass give an (S, n, n) stack of probability
 matrices, and each story's matrix is bit-identical to scoring that story
-alone. Decoding stays one assignment solve per story. predict is the
-one-story case.
+alone. Decoding stays one assignment solve per story, and decode_unary
+returns the orders as an (S, n) intp array. predict is the one-story
+case and returns a core.Permutation.
 """
 
 from __future__ import annotations
@@ -54,16 +55,16 @@ def position_probs(model: UnaryModel, stories: Sequence[Story]) -> np.ndarray:
     return neural.softmax(neural.mlp_forward(model.mlp, feats))
 
 
-def decode_unary(probs) -> list[Permutation]:
-    """Exact argmax of the unary score of each matrix in an (S, n, n) stack."""
+def decode_unary(probs) -> np.ndarray:
+    """(S, n) exact argmax orders of the unary score of the matrices of an (S, n, n) stack."""
     a = np.asarray(probs, dtype=np.float64)
     if a.ndim != 3:
         raise ValidationError(f"expected an (S, n, n) stack of score matrices, got shape {a.shape}")
-    return [hungarian_max(m)[0] for m in a]
+    return np.array([hungarian_max(m)[0] for m in a], dtype=np.intp).reshape(a.shape[:2])
 
 
 def predict(model: UnaryModel, story: Story) -> Permutation:
-    return decode_unary(position_probs(model, [story]))[0]
+    return Permutation(tuple(decode_unary(position_probs(model, [story]))[0]))
 
 
 def train_unary(

@@ -5,26 +5,25 @@ import pytest
 from hypothesis import strategies as st
 
 from storysort import neural
-from storysort.core import Permutation
 from storysort.data import Story, SyntheticSpec, generate_synthetic
-from storysort.errors import NumericError, ValidationError
+from storysort.errors import DimensionError, NumericError, ValidationError
 from storysort.neural import TrainConfig
+from storysort.pairwise import check_pair_matrix
 
 
 def identity(n):
-    """The permutation that keeps every element in place."""
-    return Permutation(tuple(range(n)))
+    """The order that keeps every element in place."""
+    return tuple(range(n))
 
 
 def mirror(p):
     """The reversed order: position q becomes n - 1 - q."""
-    return Permutation(tuple(p.n - 1 - q for q in p.positions))
+    return tuple(len(p) - 1 - q for q in p)
 
 
 def enumerate_permutations(n):
-    """Test oracle: all n! permutations, lexicographic in the positions tuple."""
-    for pos in itertools.permutations(range(n)):
-        yield Permutation(pos)
+    """Test oracle: all n! positions tuples, lexicographic."""
+    return itertools.permutations(range(n))
 
 
 def exact_ranking(n, total):
@@ -32,8 +31,22 @@ def exact_ranking(n, total):
 
     total(positions) must be exact, such as a sum of Fractions.
     """
-    return sorted((p.positions for p in enumerate_permutations(n)),
-                  key=lambda pos: (-total(pos), pos))
+    return sorted(enumerate_permutations(n), key=lambda pos: (-total(pos), pos))
+
+
+def pairwise_objective(s, positions):
+    """Test reference: for each unordered pair i < j, row-major, add the score difference
+    of the orientation the order chooses, as the pair decoders' totals do."""
+    a = check_pair_matrix(s)
+    n = a.shape[0]
+    if len(positions) != n:
+        raise DimensionError(f"order n={len(positions)} does not match matrix n={n}")
+    total = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff = a[i, j] - a[j, i]
+            total += diff if positions[i] < positions[j] else -diff
+    return float(total)
 
 
 def grad_check(loss_fn, params, eps=1e-5):
@@ -69,20 +82,16 @@ def grad_check(loss_fn, params, eps=1e-5):
 
 
 def permutations_st(n: int | None = None):
-    """Hypothesis strategy for Permutation objects of size n (or 2..8)."""
+    """Hypothesis strategy for positions tuples of size n (or 2..8)."""
     sizes = st.just(n) if n is not None else st.integers(min_value=2, max_value=8)
-    return sizes.flatmap(
-        lambda k: st.permutations(list(range(k)))
-    ).map(lambda pos: Permutation(tuple(pos)))
+    return sizes.flatmap(lambda k: st.permutations(list(range(k)))).map(tuple)
 
 
 def perm_pairs_st(max_n: int = 8):
-    """Pairs of equal-length Permutations."""
+    """Pairs of equal-length positions tuples."""
     return st.integers(min_value=2, max_value=max_n).flatmap(
-        lambda k: st.tuples(
-            st.permutations(list(range(k))), st.permutations(list(range(k)))
-        )
-    ).map(lambda t: (Permutation(tuple(t[0])), Permutation(tuple(t[1]))))
+        lambda k: st.tuples(permutations_st(k), permutations_st(k))
+    )
 
 
 def make_story(golds, story_id="s", text=None, image=None, presented=None):
@@ -94,7 +103,7 @@ def make_story(golds, story_id="s", text=None, image=None, presented=None):
         image=image,
         element_ids=tuple(f"{story_id}-e{idx}" for idx in range(n)),
         gold=tuple(golds),
-        presented_order=None if presented is None else Permutation(tuple(presented)),
+        presented_order=presented,
     )
 
 

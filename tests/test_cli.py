@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from storysort import cli
 from storysort.core import Permutation
-from storysort.data import load_dataset
+from storysort.data import load_dataset, presented_gold
 
 
 def run(argv):
@@ -214,12 +214,7 @@ class TestSortAndEval:
         capsys.readouterr()  # drop the dataset fixture's generate status line
         stories = load_dataset(dataset)
         pred = tmp_path / "oracle.jsonl"
-        with pred.open("w") as fh:
-            for s in stories:
-                fh.write(json.dumps({
-                    "story_id": s.story_id,
-                    "predicted_order": list(s.presented_gold().positions),
-                }) + "\n")
+        write_predictions(pred, gold_records(stories))
         assert run(["eval", "--pred", str(pred), "--data", str(dataset)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         report = json.loads(lines[0])
@@ -514,14 +509,43 @@ def test_sort_empty_dataset_writes_empty_file(trained, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == f"wrote predictions for 0 stories to {pred}"
 
 
+def test_empty_dataset_through_ensemble_sort_and_eval(trained, tmp_path, capsys):
+    # an ensemble writes an empty file too, and eval of no stories has no metrics to report
+    _, ckpts = trained
+    empty, pred, out = tmp_path / "empty.jsonl", tmp_path / "pred.jsonl", tmp_path / "r.json"
+    empty.write_text("", encoding="utf-8")
+    argv = ["sort", "--data", str(empty), "--out", str(pred), "--topk", "3"]
+    assert run(argv + [a for c in ckpts.values() for a in ("--ckpt", str(c))]) == 0
+    assert pred.read_bytes() == b""
+    assert capsys.readouterr().out == f"wrote predictions for 0 stories to {pred}\n"
+    assert run(["eval", "--pred", str(pred), "--data", str(empty), "--out", str(out)]) == 1
+    assert one_error_line(capsys) == "error: aggregate requires at least one story"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("order", [
+    [0, 0, 2, 3, 4], [0, 1, 2, 3, 5], [0, 1, 2, 3, 10**30], [0, 1, 2, 3], [0],
+], ids=["repeated", "out_of_range", "beyond_int64", "wrong_length", "length_1"])
+def test_eval_prediction_not_a_permutation_names_the_story(trained, tmp_path, capsys, order):
+    data, _ = trained
+    stories = load_dataset(data)
+    records = gold_records(stories)
+    records[2]["predicted_order"] = order
+    pred, out = tmp_path / "pred.jsonl", tmp_path / "r.json"
+    write_predictions(pred, records)
+    capsys.readouterr()
+    assert run(["eval", "--pred", str(pred), "--data", str(data), "--out", str(out)]) == 1
+    line = one_error_line(capsys)
+    assert line.startswith(f"error: {pred}: story {stories[2].story_id}: predicted_order "), line
+    assert line.endswith(" is not a permutation of 0..4"), line
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["dataset", "predictions", "checkpoint", "config"])
 def test_invalid_utf8_is_one_line_naming_the_file(trained, tmp_path, capsys, kind):
     data, ckpts = trained
     gold = tmp_path / "gold.jsonl"
-    write_predictions(gold, [
-        {"story_id": s.story_id, "predicted_order": list(s.presented_gold().positions)}
-        for s in load_dataset(data)
-    ])
+    write_predictions(gold, gold_records(load_dataset(data)))
     config = tmp_path / "train.cfg"
     config.write_text("epochs = 2\nseed = 4\n", encoding="utf-8")
     raw = {"dataset": data, "predictions": gold, "checkpoint": ckpts["unary"],
@@ -586,16 +610,19 @@ def write_predictions(path, records):
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
 
 
+def gold_records(stories):
+    """Prediction records that put every story in its gold order."""
+    return [{"story_id": s.story_id, "predicted_order": g}
+            for s, g in zip(stories, presented_gold(stories).tolist())]
+
+
 class TestEvalCoverage:
     def test_partial_predictions_fail_with_count_and_missing_ids(self, trained, tmp_path,
                                                                  capsys):
         data, _ = trained
         stories = load_dataset(data)
         pred = tmp_path / "pred.jsonl"
-        write_predictions(pred, [
-            {"story_id": s.story_id, "predicted_order": list(s.presented_gold().positions)}
-            for s in stories[:3]
-        ])
+        write_predictions(pred, gold_records(stories[:3]))
         capsys.readouterr()
         assert run(["eval", "--pred", str(pred), "--data", str(data)]) == 1
         line = one_error_line(capsys)
@@ -667,10 +694,7 @@ class TestWrongTypedValues:
         data, _ = trained
         stories = load_dataset(data)
         pred = tmp_path / "pred.jsonl"
-        write_predictions(pred, [
-            {"story_id": s.story_id, "predicted_order": list(s.presented_gold().positions)}
-            for s in stories
-        ])
+        write_predictions(pred, gold_records(stories))
         lines = pred.read_text(encoding="utf-8").splitlines(True)
         lines[1] = json.dumps({"story_id": stories[1].story_id, "predicted_order": order}) + "\n"
         pred.write_text("".join(lines), encoding="utf-8")
@@ -810,10 +834,7 @@ def small_files(trained, tmp_path_factory):
     small.write_text("".join(data.read_text(encoding="utf-8").splitlines(True)[:3]),
                      encoding="utf-8")
     pred = root / "pred.jsonl"
-    write_predictions(pred, [
-        {"story_id": s.story_id, "predicted_order": list(s.presented_gold().positions)}
-        for s in load_dataset(small)
-    ])
+    write_predictions(pred, gold_records(load_dataset(small)))
     return small, pred, ckpts, root
 
 

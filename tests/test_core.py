@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from storysort.core import Permutation, permutation_table, random_permutation
-from storysort.data import gold_features, presented_features
+from storysort.core import Permutation, is_permutation, permutation_table, random_permutation
+from storysort.data import gold_features, presented_features, presented_gold
 from storysort.errors import EnumerationCapError, SizeError, ValidationError
 from conftest import enumerate_permutations, make_story, permutations_st
 
@@ -30,6 +30,24 @@ class TestPermutationType:
         assert p.positions == (1, 2, 0) or isinstance(p.positions[0], int)
 
 
+class TestIsPermutation:
+    """is_permutation, the one check of order rows, against a sorted-list oracle."""
+
+    @pytest.mark.parametrize("row", [(0, 1), (1, 0), (2, 0, 1), (0, 0, 1), (1, 2, 3), (-1, 0),
+                                     (0, 10**30), (0, 2**63), (1,), ()])
+    def test_one_row(self, row):
+        assert is_permutation(row) == (sorted(row) == list(range(len(row))))
+
+    def test_rows_of_a_stack(self):
+        rng = np.random.default_rng(4)
+        rows = rng.integers(0, 5, size=(300, 5))
+        rows[::3] = np.argsort(rng.random((100, 5)), axis=1)
+        expected = [sorted(r) == list(range(5)) for r in rows.tolist()]
+        assert is_permutation(rows).tolist() == expected
+        assert is_permutation(rows.reshape(30, 10, 5)).tolist() == np.reshape(
+            expected, (30, 10)).tolist()
+
+
 class TestInverse:
     """The inverse of a presented order, as the views apply it: row k of a
     view holds the element at position k."""
@@ -37,32 +55,31 @@ class TestInverse:
     def test_identity_self_inverse(self):
         story = make_story([0, 1, 2, 3, 4])
         assert (presented_features([story], False) == gold_features([story], False)).all()
-        assert story.presented_gold().positions == (0, 1, 2, 3, 4)
+        assert presented_gold([story]).tolist() == [[0, 1, 2, 3, 4]]
 
     def test_hand_checked_cycle(self):
         # element 0 at position 1, 1 at 2, 2 at 0; so position 0 holds
         # element 2, position 1 holds 0, position 2 holds 1
         story = make_story([0, 1, 2], presented=[1, 2, 0])
         assert presented_features([story], False)[0].argmax(axis=1).tolist() == [2, 0, 1]
-        assert story.presented_gold().positions == (2, 0, 1)
+        assert presented_gold([story]).tolist() == [[2, 0, 1]]
 
     def test_reversal_is_involution(self):
         story = make_story([0, 1, 2, 3, 4], presented=[4, 3, 2, 1, 0])
         assert (presented_features([story], False)[0] == np.eye(5)[::-1]).all()
-        assert story.presented_gold().positions == (4, 3, 2, 1, 0)
+        assert presented_gold([story]).tolist() == [[4, 3, 2, 1, 0]]
 
     @given(permutations_st())
     def test_double_inverse_roundtrip(self, p):
         # elements listed by gold position p and presented by p again show up in gold order
-        story = make_story(p.positions, presented=p.positions)
-        assert story.presented_gold().positions == tuple(range(p.n))
+        story = make_story(p, presented=p)
+        assert presented_gold([story]).tolist() == [list(range(len(p)))]
 
     @given(permutations_st(5), permutations_st(5))
     def test_apply_then_inverse_restores(self, gold, presented):
         # presenting every element at its gold position turns the presented
         # view into the gold one, whatever the story was presented in before
-        story = make_story(gold.positions, text=np.arange(10.0).reshape(5, 2),
-                           presented=presented.positions)
+        story = make_story(gold, text=np.arange(10.0).reshape(5, 2), presented=presented)
         regold = dataclasses.replace(story, presented_order=gold)
         assert (presented_features([regold], False) == gold_features([story], False)).all()
 
@@ -90,7 +107,7 @@ class TestEnumerate:
 
     def test_rows_follow_the_oracle_and_are_read_only(self):
         for n in range(2, 7):
-            oracle = [list(p.positions) for p in enumerate_permutations(n)]
+            oracle = [list(p) for p in enumerate_permutations(n)]
             assert permutation_table(n).tolist() == oracle
         with pytest.raises(ValueError):
             permutation_table(3)[0, 0] = 1
@@ -104,7 +121,7 @@ class TestEnumerate:
 
 class TestRandomPermutation:
     def test_same_seed_same_output(self):
-        assert random_permutation(5, 123).positions == random_permutation(5, 123).positions
+        assert random_permutation(5, 123) == random_permutation(5, 123)
 
     def test_n1_rejected(self):
         with pytest.raises(SizeError):
@@ -112,8 +129,8 @@ class TestRandomPermutation:
 
     def test_uniform_over_120k_draws(self):
         rng = np.random.default_rng(7)
-        counts = Counter(random_permutation(5, rng).positions for _ in range(120_000))
+        counts = Counter(random_permutation(5, rng) for _ in range(120_000))
         assert len(counts) == 120
         for p in enumerate_permutations(5):
-            freq = counts[p.positions] / 120_000
+            freq = counts[p] / 120_000
             assert abs(freq - 1 / 120) < 0.005

@@ -15,6 +15,7 @@ from storysort.data import (
     gold_features,
     load_dataset,
     presented_features,
+    presented_gold,
     save_dataset,
     split_dataset,
 )
@@ -94,6 +95,12 @@ class TestStoryInvariants:
         with pytest.raises(ParseError, match=f"{re.escape(str(path))}:1: .*presented_order"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("presented", [[0, 0, 1], [1, 2, 3], [0, 1, 10**30]])
+    def test_presented_order_must_be_a_permutation(self, presented):
+        with pytest.raises(ValidationError,
+                           match="story s: presented_order is not a permutation of 0..2"):
+            make_story([0, 1, 2], presented=presented)
+
     def test_features_are_read_only_copies(self):
         text = np.eye(2)
         story = make_story([0, 1], text=text)
@@ -107,14 +114,14 @@ class TestStoryInvariants:
         story = make_story([0, 1, 2], presented=[2, 0, 1])
         presented = presented_features([story], use_image=False)[0]
         assert presented.argmax(axis=1).tolist() == [1, 2, 0]
-        assert story.presented_gold().positions == (1, 2, 0)
+        assert presented_gold([story]).tolist() == [[1, 2, 0]]
 
     def test_perfect_oracle_invariant_to_jumbling(self):
         story = make_story([0, 1, 2, 3, 4])
         for seed in range(5):
             jumbled = dataclasses.replace(story, presented_order=random_permutation(5, seed))
-            pred = jumbled.presented_gold()
-            assert score_story(pred, jumbled.presented_gold()) == (1.0, 1.0, 0.0)
+            pred = presented_gold([jumbled])
+            assert score_story(pred, presented_gold([jumbled])).tolist() == [[1.0, 1.0, 0.0]]
 
 
 class TestConcatFeatures:
@@ -143,7 +150,7 @@ class TestSynthetic:
         a = generate_synthetic(spec)
         b = generate_synthetic(spec)
         for sa, sb in zip(a, b):
-            assert sa.presented_order.positions == sb.presented_order.positions
+            assert sa.presented_order == sb.presented_order
             assert (sa.text == sb.text).all()
             assert (sa.image == sb.image).all()
 
@@ -215,7 +222,7 @@ class TestDatasetIO:
         assert len(loaded) == len(stories)
         for a, b in zip(stories, loaded):
             assert a.story_id == b.story_id
-            assert a.presented_order.positions == b.presented_order.positions
+            assert a.presented_order == b.presented_order
             assert a.element_ids == b.element_ids
             assert a.gold == b.gold
             assert (a.text == b.text).all()

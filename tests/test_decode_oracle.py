@@ -18,8 +18,8 @@ import pytest
 
 from storysort.assign import additive_score, topk_assignments
 from storysort.errors import SizeError
-from storysort.pairwise import decode_pairwise, pairwise_objective, rank_permutations
-from conftest import enumerate_permutations, exact_ranking
+from storysort.pairwise import decode_pairwise, rank_permutations
+from conftest import enumerate_permutations, exact_ranking, pairwise_objective
 
 KINDS = ("float", "ties", "zeros")
 TENTHS = (0.0, 0.1, 0.2, 0.3)
@@ -42,8 +42,7 @@ def reference_argmax(scored):
 
 def reference_ranking(scored):
     """Every (positions, score), descending, ties lexicographic."""
-    ranked = sorted(scored, key=lambda t: (-t[1], t[0].positions))
-    return [(p.positions, val) for p, val in ranked]
+    return sorted(scored, key=lambda t: (-t[1], t[0]))
 
 
 def matrix_count(kind, n):
@@ -82,7 +81,9 @@ def ks(n):
 
 
 def as_pairs(ranked):
-    return [(p.positions, val) for p, val in ranked]
+    """A ranker's (orders, totals) arrays as a list of (positions tuple, total)."""
+    orders, totals = ranked
+    return list(zip(map(tuple, orders.tolist()), totals.tolist()))
 
 
 @pytest.mark.parametrize("n,kind", CASES)
@@ -96,16 +97,16 @@ def test_pair_decoders_equal_reference(kind, n):
         assert as_pairs(rank_permutations(s, math.factorial(n))) == expected
         for k in ks(n):
             assert as_pairs(rank_permutations(s, k)) == expected[:k]
-    assert decode_pairwise(np.stack(matrices)) == argmaxes
+    assert list(map(tuple, decode_pairwise(np.stack(matrices)).tolist())) == argmaxes
 
 
 @pytest.mark.parametrize("n,kind", CASES)
 def test_topk_assignments_equal_reference(kind, n):
     for index in range(matrix_count(kind, n)):
         _, s = case(kind, n, index)
-        scored = reference_scores(s, lambda a, p: additive_score(a, p.positions))
+        scored = reference_scores(s, additive_score)
         expected = reference_ranking(scored)
-        assert topk_assignments(s, 1)[0][0] == reference_argmax(scored)
+        assert tuple(topk_assignments(s, 1)[0][0].tolist()) == reference_argmax(scored)
         for k in ks(n):
             assert as_pairs(topk_assignments(s, k)) == expected[:k]
 
@@ -130,12 +131,11 @@ def test_pair_decoders_rank_by_exact_totals(entries, n):
         oracles.append(exact_ranking(n, lambda pos: sum(
             exact[i][j] - exact[j][i] if pos[i] < pos[j] else exact[j][i] - exact[i][j]
             for i in range(n) for j in range(i + 1, n))))
-    assert [p.positions for p in decode_pairwise(stack)] == [oracle[0] for oracle in oracles]
+    assert list(map(tuple, decode_pairwise(stack).tolist())) == [oracle[0] for oracle in oracles]
     with np.errstate(over="ignore", invalid="ignore"):
         for s, oracle in zip(stack, oracles):
             for k in (1, 3):
-                ranked = rank_permutations(s, k)
-                assert [p.positions for p, _ in ranked] == oracle[:k]
-                assert np.array_equal([value for _, value in ranked],
-                                      [pairwise_objective(s, p) for p, _ in ranked],
+                orders, totals = rank_permutations(s, k)
+                assert list(map(tuple, orders.tolist())) == oracle[:k]
+                assert np.array_equal(totals, [pairwise_objective(s, p) for p in orders],
                                       equal_nan=True)

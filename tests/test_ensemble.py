@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from storysort.assign import additive_score
-from storysort.core import Permutation
-from storysort.data import split_dataset
+from storysort.data import presented_gold, split_dataset
 from storysort.ensemble import (
     accumulate_votes,
     check_vote_matrix,
@@ -30,11 +29,11 @@ class TestAccumulateVotes:
         assert (v == np.diag([3] * 5)).all()
 
     def test_symmetric_split_n2(self):
-        v = accumulate_votes([Permutation((0, 1)), Permutation((1, 0))])
+        v = accumulate_votes([(0, 1), (1, 0)])
         assert (v == np.ones((2, 2), dtype=np.int64)).all()
 
     def test_three_candidate_tally(self):
-        cands = [Permutation((0, 1, 2)), Permutation((0, 2, 1)), Permutation((1, 0, 2))]
+        cands = [(0, 1, 2), (0, 2, 1), (1, 0, 2)]
         v = accumulate_votes(cands)
         expected = np.array([[2, 1, 0], [1, 1, 1], [0, 1, 2]])
         assert (v == expected).all()
@@ -44,36 +43,48 @@ class TestAccumulateVotes:
             accumulate_votes([])
 
     def test_mixed_n_rejected(self):
+        # candidates are the rows of one (m, n) array, so anything else is rejected
         with pytest.raises(DimensionError):
-            accumulate_votes([identity(3), identity(4)])
+            accumulate_votes(identity(3))
+        with pytest.raises(DimensionError):
+            accumulate_votes([[identity(3)]])
 
     def test_vote_conservation(self):
         rng = np.random.default_rng(0)
-        cands = [Permutation(tuple(rng.permutation(5))) for _ in range(12)]
+        cands = np.array([rng.permutation(5) for _ in range(12)])
         assert accumulate_votes(cands).sum() == 12 * 5
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_stack_equals_row_by_row(self, n):
+        rng = np.random.default_rng(n)
+        cands = np.argsort(rng.random((40, n)), axis=1)
+        expected = np.zeros((n, n), dtype=np.int64)
+        for row in cands:
+            expected += accumulate_votes(row[None])
+        votes = accumulate_votes(cands)
+        assert votes.dtype == np.int64 and np.array_equal(votes, expected)
 
 
 class TestDecodeVotes:
     def test_diagonal_matrix(self):
-        assert decode_votes(np.diag([3] * 5)).positions == (0, 1, 2, 3, 4)
+        assert decode_votes(np.diag([3] * 5)).tolist() == [0, 1, 2, 3, 4]
 
     def test_all_equal_votes_tie_break(self):
-        assert decode_votes(np.ones((5, 5), dtype=np.int64)).positions == (0, 1, 2, 3, 4)
+        assert decode_votes(np.ones((5, 5), dtype=np.int64)).tolist() == [0, 1, 2, 3, 4]
 
     def test_three_candidate_matrix_against_enumeration(self):
-        cands = [Permutation((0, 1, 2)), Permutation((0, 2, 1)), Permutation((1, 0, 2))]
-        v = accumulate_votes(cands)
+        v = accumulate_votes([(0, 1, 2), (0, 2, 1), (1, 0, 2)])
         decoded = decode_votes(v)
         vf = v.astype(np.float64)
-        best = max(additive_score(vf, p.positions) for p in enumerate_permutations(3))
-        assert decoded.positions == (0, 1, 2)
-        assert additive_score(vf, decoded.positions) == best == 5.0
+        best = max(additive_score(vf, p) for p in enumerate_permutations(3))
+        assert decoded.tolist() == [0, 1, 2]
+        assert additive_score(vf, decoded) == best == 5.0
 
     def test_unanimity(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            p = Permutation(tuple(rng.permutation(5)))
-            assert decode_votes(accumulate_votes([p] * 6)).positions == p.positions
+            p = rng.permutation(5)
+            assert decode_votes(accumulate_votes([p] * 6)).tolist() == p.tolist()
 
     def test_rejects_float_matrix(self):
         with pytest.raises(ValidationError):
@@ -106,27 +117,26 @@ class TestEnsembleSort:
         unary, _, _ = models
         story = tiny_clean_dataset[70]
         expected = top_permutations(unary, story, 1)[0]
-        assert ensemble_sort([unary], story, k=1).positions == expected.positions
+        assert [list(ensemble_sort([unary], story, k=1).positions)] == expected.tolist()
 
     def test_unanimous_members_return_that_permutation(self, models, tiny_clean_dataset):
         # on clean data all members agree on the gold order
         _, pair, npe = models
         story = tiny_clean_dataset[71]
-        gold = story.presented_gold()
-        tops_pair = top_permutations(pair, story, 1)[0]
-        tops_npe = top_permutations(npe, story, 1)[0]
-        if tops_pair.positions == gold.positions == tops_npe.positions:
-            assert ensemble_sort([pair, npe], story, k=1).positions == gold.positions
+        gold = presented_gold([story]).tolist()
+        tops_pair = top_permutations(pair, story, 1)[0].tolist()
+        tops_npe = top_permutations(npe, story, 1)[0].tolist()
+        if tops_pair == gold == tops_npe:
+            assert [list(ensemble_sort([pair, npe], story, k=1).positions)] == gold
 
     def test_vote_decode_matches_brute_force(self, models, tiny_clean_dataset):
         _, pair, npe = models
         for story in tiny_clean_dataset[60:75]:
             pred = ensemble_sort([pair, npe], story, k=3)
-            cands = top_permutations(pair, story, 3) + top_permutations(
-                npe, story, 3
-            )
+            cands = np.concatenate([top_permutations(pair, story, 3)[0],
+                                    top_permutations(npe, story, 3)[0]])
             v = accumulate_votes(cands).astype(np.float64)
-            best = max(additive_score(v, p.positions) for p in enumerate_permutations(5))
+            best = max(additive_score(v, p) for p in enumerate_permutations(5))
             assert additive_score(v, pred.positions) == best
 
     def test_member_failure_is_attributed(self, models):

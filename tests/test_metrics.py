@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from storysort.core import Permutation
+from storysort.core import random_permutation
 from storysort.errors import DimensionError, EmptyInputError
 from storysort.metrics import (
     aggregate,
@@ -17,8 +17,8 @@ from storysort.metrics import (
 from conftest import enumerate_permutations, identity, mirror, perm_pairs_st, permutations_st
 
 ID5 = identity(5)
-REV5 = Permutation((4, 3, 2, 1, 0))
-SWAP01 = Permutation((1, 0, 2, 3, 4))
+REV5 = (4, 3, 2, 1, 0)
+SWAP01 = (1, 0, 2, 3, 4)
 
 
 class TestSpearman:
@@ -96,16 +96,16 @@ class TestRandomBaselineExact:
         sp_sum, pa_sum, d_sum = Fraction(0), Fraction(0), Fraction(0)
         triples = []
         for p in enumerate_permutations(5):
-            ss = sum((a - b) ** 2 for a, b in zip(p.positions, gold.positions))
+            ss = sum((a - b) ** 2 for a, b in zip(p, gold))
             sp_sum += 1 - Fraction(6 * ss, 5 * (25 - 1))
             agree = sum(
                 1
                 for i in range(5)
                 for j in range(i + 1, 5)
-                if (p.positions[i] > p.positions[j]) == (gold.positions[i] > gold.positions[j])
+                if (p[i] > p[j]) == (gold[i] > gold[j])
             )
             pa_sum += Fraction(agree, 10)
-            d_sum += Fraction(sum(abs(a - b) for a, b in zip(p.positions, gold.positions)), 5)
+            d_sum += Fraction(sum(abs(a - b) for a, b in zip(p, gold)), 5)
             triples.append(score_story(p, gold))
         assert sp_sum / 120 == Fraction(0)
         assert pa_sum / 120 == Fraction(1, 2)
@@ -118,39 +118,35 @@ class TestRandomBaselineExact:
 
 class TestConfusion:
     def test_perfect_predictions_diagonal(self):
-        pairs = [(ID5, ID5)] * 10
-        cm = confusion(pairs)
-        assert (cm.counts == np.diag([10] * 5)).all()
+        counts = confusion([ID5] * 10, [ID5] * 10)
+        assert (counts == np.diag([10] * 5)).all()
 
     def test_reversals_antidiagonal(self):
-        pairs = [(REV5, ID5)] * 10
-        cm = confusion(pairs)
-        assert (cm.counts == np.fliplr(np.diag([10] * 5))).all()
+        counts = confusion([REV5] * 10, [ID5] * 10)
+        assert (counts == np.fliplr(np.diag([10] * 5))).all()
 
     def test_single_swap_counts(self):
-        cm = confusion([(SWAP01, ID5)])
+        counts = confusion([SWAP01], [ID5])
         expected = np.zeros((5, 5), dtype=np.int64)
         expected[0, 1] = expected[1, 0] = 1
         expected[2, 2] = expected[3, 3] = expected[4, 4] = 1
-        assert (cm.counts == expected).all()
+        assert (counts == expected).all()
 
     def test_row_sums_equal_story_count(self):
         rng = np.random.default_rng(3)
-        pairs = []
-        from storysort.core import random_permutation
-
-        for _ in range(17):
-            pairs.append((random_permutation(5, rng), random_permutation(5, rng)))
-        cm = confusion(pairs)
-        assert (cm.counts.sum(axis=1) == 17).all()
+        pred, gold = np.array([[random_permutation(5, rng) for _ in range(2)]
+                               for _ in range(17)]).transpose(1, 0, 2)
+        counts = confusion(pred, gold)
+        assert (counts.sum(axis=1) == 17).all()
 
     def test_inconsistent_n(self):
+        # a stack holds one n, so a pred and gold of different n do not pair up
         with pytest.raises(DimensionError):
-            confusion([(ID5, ID5), (identity(4), identity(4))])
+            confusion([ID5, ID5], [identity(4), identity(4)])
 
     def test_empty(self):
         with pytest.raises(EmptyInputError):
-            confusion([])
+            confusion(np.empty((0, 5), dtype=np.intp), np.empty((0, 5), dtype=np.intp))
 
 
 class TestAggregate:
@@ -172,3 +168,36 @@ class TestAggregate:
     def test_json_round_trip_keys(self):
         d = aggregate([(0.5, 0.75, 1.0)]).to_json()
         assert set(d) == {"spearman", "pairwise_accuracy", "avg_distance", "story_count"}
+
+
+class TestStacksEqualRows:
+    """Each metric of an (S, n) stack equals, with ==, the same metric of each row alone,
+    and the loops the array metrics replaced."""
+
+    @staticmethod
+    def loop_metrics(pred, gold):
+        """The per-element Python loops of the one-story metrics, as they were."""
+        n = len(pred)
+        ss = sum((p - g) * (p - g) for p, g in zip(pred, gold))
+        agree = sum((pred[i] - pred[j] > 0) == (gold[i] - gold[j] > 0)
+                    for i in range(n) for j in range(i + 1, n))
+        return [1.0 - 6.0 * ss / (n * (n * n - 1)), agree / (n * (n - 1) // 2),
+                sum(abs(p - g) for p, g in zip(pred, gold)) / n]
+
+    @pytest.mark.parametrize("n", [2, 5, 7, 16])
+    def test_score_story_and_confusion(self, n):
+        rng = np.random.default_rng(n)
+        pred = np.argsort(rng.random((200, n)), axis=1)
+        gold = np.argsort(rng.random((200, n)), axis=1)
+        stack = score_story(pred, gold)
+        assert stack.shape == (200, 3)
+        assert stack.tolist() == [score_story(p, g).tolist() for p, g in zip(pred, gold)]
+        assert stack.tolist() == [self.loop_metrics(p, g)
+                                  for p, g in zip(pred.tolist(), gold.tolist())]
+        expected = np.zeros((n, n), dtype=np.int64)
+        for p, g in zip(pred, gold):
+            expected += confusion(p, g)
+        assert np.array_equal(confusion(pred, gold), expected)
+        report = aggregate(stack)
+        assert report.spearman == sum(float(row[0]) for row in stack) / 200
+        assert report.avg_distance == sum(float(row[2]) for row in stack) / 200
