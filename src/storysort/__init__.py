@@ -11,7 +11,7 @@ that the decoders are checked against live with the tests.
 from .assign import additive_score, hungarian_max, topk_assignments
 from .core import Permutation, random_permutation
 from .data import (
-    Story,
+    Stories,
     SyntheticSpec,
     generate_synthetic,
     load_dataset,

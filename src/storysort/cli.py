@@ -7,10 +7,13 @@ a run can be replayed to byte-identical outputs. Metrics are rounded to
 
 Files are UTF-8 JSON: one object per line in datasets (from generate) and
 predictions (from sort), one object in checkpoints (from train) and eval
---out reports; storysort.data and storysort.neural list the fields. Float
-arrays are float blocks, base64 of little-endian float64 bytes, so floats
-are kept exactly, and a bad block (not a string, not base64, the wrong byte
-length, or holding NaN or ±inf) is one ``error:`` line.
+--out reports; storysort.data and storysort.neural list the fields. A
+dataset's presented_order may be null, for the listed order; every line
+must have the first line's n and feature widths, and a line that fails a
+check is one ``error: <path>:<line>: ...`` line. Float arrays are float
+blocks, base64 of little-endian float64 bytes, so floats are kept exactly,
+and a bad block (not a string, not base64, the wrong byte length, or
+holding NaN or ±inf) is one ``error:`` line.
 
 Stdout contract, one command per call:
   generate  one human status line: ``wrote <count> stories to <out>``
@@ -224,18 +227,16 @@ def cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed, l2=args.l2,
     )
     data_path = Path(args.data)
-    stories = data_mod.load_dataset(data_path)
+    train_stories = data_mod.load_dataset(data_path)
     inputs = [data_path]
     if args.val is not None:
-        train_stories = stories
         val_stories = data_mod.load_dataset(Path(args.val))
         inputs.append(Path(args.val))
     else:
-        train_stories, val_stories, _ = data_mod.split_dataset(
-            stories, (1.0 - args.val_frac, args.val_frac, 0.0), args.seed
-        )
+        train_stories, val_stories = data_mod.split_dataset(train_stories, args.val_frac,
+                                                            args.seed)
     # the report decodes every story, so check the size limit before training
-    for n in {s.n for s in [*train_stories, *val_stories]}:
+    for n in {train_stories.n, val_stories.n}:
         models_mod.check_decodable(spec, n)
     model = spec.module.train(
         train_stories, cfg, use_image=args.use_image, hidden_units=args.hidden,
@@ -270,17 +271,17 @@ def cmd_sort(args: argparse.Namespace) -> int:
     stories = data_mod.load_dataset(Path(args.data))
     specs = [models_mod.spec_for(m) for m in models]
     topk = None if len(models) == 1 else args.topk
-    for n in {s.n for s in stories}:
+    if stories:
         for spec in specs:
-            models_mod.check_decodable(spec, n, topk)
+            models_mod.check_decodable(spec, stories.n, topk)
     if topk is None:
         orders = models_mod.predict_stories(models[0], stories).tolist()
     else:
         orders = [ensemble_mod.ensemble_sort(models, story, k=topk).positions
                   for story in stories]
     lines = [
-        json.dumps({"story_id": story.story_id, "predicted_order": order}) + "\n"
-        for story, order in zip(stories, orders)
+        json.dumps({"story_id": story_id, "predicted_order": order}) + "\n"
+        for story_id, order in zip(stories.story_ids, orders)
     ]
     # every story is decoded before --out is opened, so a failure leaves no file
     out = Path(args.out)
@@ -318,16 +319,16 @@ def load_predictions(path: Path) -> dict[str, list[int]]:
 
 def prediction_rows(path: Path, preds: dict[str, list[int]], stories) -> np.ndarray:
     """The stories' predicted orders as an (S, n) array, else ValidationError naming the
-    first story whose order is not a permutation of its 0..n-1. The stories share n."""
-    n = stories[0].n if stories else 0
-    rows = [preds[s.story_id] for s in stories]
+    first story whose order is not a permutation of its 0..n-1."""
+    n = stories.n
+    rows = [preds[story_id] for story_id in stories.story_ids]
     # a row of the wrong length becomes one that is not a permutation
     valid = is_permutation(np.array([r if len(r) == n else [-1] * n for r in rows])
                            .reshape(len(rows), n))
     if not valid.all():
-        story = stories[int(valid.argmin())]
-        raise ValidationError(f"{path}: story {story.story_id}: predicted_order "
-                              f"{preds[story.story_id]!r:.60} is not a permutation of 0..{n - 1}")
+        story_id = stories.story_ids[int(valid.argmin())]
+        raise ValidationError(f"{path}: story {story_id}: predicted_order "
+                              f"{preds[story_id]!r:.60} is not a permutation of 0..{n - 1}")
     return np.array(rows, dtype=np.intp).reshape(len(rows), n)
 
 
@@ -336,17 +337,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     pred_path = Path(args.pred)
     data_path = Path(args.data)
     preds = load_predictions(pred_path)
-    stories = {s.story_id: s for s in data_mod.load_dataset(data_path)}
-    missing = sorted(set(preds) - set(stories))
+    stories = data_mod.load_dataset(data_path)
+    rows = {story_id: s for s, story_id in enumerate(stories.story_ids)}
+    missing = sorted(set(preds) - set(rows))
     if missing:
         raise ValidationError(f"predicted story_ids not in dataset: {', '.join(missing)}")
-    unpredicted = [story_id for story_id in stories if story_id not in preds]
+    unpredicted = [story_id for story_id in rows if story_id not in preds]
     if unpredicted:
         raise ValidationError(
             f"predictions cover {len(preds)} of {len(stories)} stories; missing: "
             f"{', '.join(unpredicted[:5])}{', ...' if len(unpredicted) > 5 else ''}"
         )
-    scored = [stories[story_id] for story_id in preds]  # in predictions-file order
+    scored = stories[[rows[story_id] for story_id in preds]]  # in predictions-file order
     pred = prediction_rows(pred_path, preds, scored)
     gold = data_mod.presented_gold(scored)
     report = metrics_mod.aggregate(metrics_mod.score_story(pred, gold))

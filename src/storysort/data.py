@@ -1,29 +1,26 @@
-"""Story ingestion, feature assembly, splits, and synthetic data.
+"""Story batches, feature assembly, splits, and synthetic data.
 
-A story of n elements is a handful of arrays, indexed by element in the
-order the elements are listed in the file: ``text`` is an (n, d_text)
-float64 matrix, ``image`` an (n, d_image) one or None, and
-``element_ids[i]`` and ``gold[i]`` name element i and give its gold
-position. The jumbled view models actually see is stored separately as
-presented_order, an int tuple (element i sits at presented_order[i]), and
-models read features only through presented_features, an (S, n, d) array
-for S stories, so inference code never touches gold positions by
-accident. Training reads the same rows in gold order through
-gold_features, and presented_gold gives the (S, n) orders models must
-recover.
-
-Story.__post_init__ checks each story on its own (length, gold and
-presented orders in one core.is_permutation call, feature shapes, one
-finiteness check per array);
-check_dataset checks what stories must share (unique ids, n and feature
-dims).
+A dataset is one Stories batch of S stories of n elements, whose row s
+is story s: ``element_ids[s][i]``, ``gold[s, i]`` (the gold position),
+``presented[s, i]`` (the position in the jumbled view models see), and
+``text[s, i]`` and ``image[s, i]`` (features) all describe element i of
+story s, in the order the file lists the elements. Models read features
+only through presented_features, an (S, n, d) array, so inference code
+never touches gold positions by accident. Training reads the same rows in
+gold order through gold_features, and presented_gold gives the (S, n)
+orders models must recover. The constructor checks every story once, as
+array operations, so stories share n and feature dims by construction. A
+slice or index array of a batch is a batch of rows already checked, and
+is not checked again; a story is a batch of one.
 
 Datasets are line-delimited JSON, one story per line, so line tools split
 and join them. A line is one object: ``story_id`` (a string), ``element_ids``
-(n strings), ``gold`` (n integers), ``presented_order`` (n integers or null),
-and ``text`` and ``image`` (or null) as float blocks (core.float_block). n is
-the length of gold; a block's width, its byte length over 8 * n, must be a
-positive whole number. Save and load are bit-exact, and save deterministic.
+(n strings), ``gold`` (n integers), ``presented_order`` (n integers, or null
+for the listed order, which loads and saves as the identity row), and
+``text`` and ``image`` (or null) as float blocks (core.float_block). n is the
+length of gold; a block's width, its byte length over 8 * n, must be a
+positive whole number, and every line must have the first line's n and
+widths. Save and load are bit-exact, and save deterministic.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -47,160 +43,140 @@ from .core import (
     json_value,
     random_permutation,
 )
-from .errors import DimensionError, EmptyInputError, FeatureError, ParseError, ValidationError
+from .errors import EmptyInputError, FeatureError, ParseError, StoryError, ValidationError
 
 SIGNAL_MODES = ("monotone", "none")
 
 
-@dataclass(frozen=True)
-class Story:
-    """n elements as arrays; presented_order is the jumbled view shown to models.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    Row i of text and image, element_ids[i] and gold[i] all describe
-    element i. The feature arrays are read-only float64 copies of what
-    was passed in.
+
+def _check_rows(ok: np.ndarray, story_ids, message: str) -> None:
+    """Raise StoryError with message for the first story whose entry of ok is False."""
+    if not ok.all():
+        s = int(ok.argmin())
+        raise StoryError(f"story {story_ids[s]}: {message}", s)
+
+
+def _features(name: str, value, story_ids, shape: tuple[int, int]) -> np.ndarray:
+    """value as a read-only finite float64 copy with one (n, d) matrix per story."""
+    arr = np.array(value, dtype=np.float64)
+    if arr.ndim != 3 or arr.shape[:2] != shape:
+        raise ValidationError(f"{name} features must have shape ({shape[1]}, d) per story, "
+                              f"got {arr.shape} for {shape[0]} stories")
+    _check_rows(np.isfinite(arr).all(axis=(1, 2)), story_ids,
+                f"{name} features contain non-finite entries")
+    return _read_only(arr)
+
+
+@dataclass(frozen=True, eq=False)
+class Stories:
+    """S stories of n elements as arrays; presented is the jumbled view shown to models.
+
+    gold and presented are read-only (S, n) intp arrays, text a read-only
+    (S, n, d_text) float64 array and image an (S, n, d_image) one or None,
+    all copies of what was passed in. stories[s] is the batch of story s
+    alone, and iterating gives each story as a batch of one.
     """
 
-    story_id: str
+    story_ids: tuple[str, ...]
+    element_ids: tuple[tuple[str, ...], ...]
+    gold: np.ndarray
+    presented: np.ndarray
     text: np.ndarray
     image: np.ndarray | None
-    element_ids: tuple[str, ...]
-    gold: tuple[int, ...]
-    presented_order: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        n = len(self.gold)
-        if not MIN_N <= n <= MAX_N:
-            raise ValidationError(
-                f"story {self.story_id}: length must be in [{MIN_N}, {MAX_N}], got {n}"
-            )
-        object.__setattr__(self, "gold", tuple(map(int, self.gold)))
-        orders = [self.gold]
-        if self.presented_order is not None:
-            object.__setattr__(self, "presented_order", tuple(map(int, self.presented_order)))
-            if len(self.presented_order) != n:
-                raise ValidationError(f"story {self.story_id}: presented_order length "
-                                      f"{len(self.presented_order)} != {n}")
-            orders.append(self.presented_order)
-        for what, ok in zip(("gold positions are", "presented_order is"),
-                            is_permutation(orders).tolist()):
-            if not ok:
-                raise ValidationError(
-                    f"story {self.story_id}: {what} not a permutation of 0..{n - 1}"
-                )
-        object.__setattr__(self, "element_ids", tuple(self.element_ids))
-        if len(self.element_ids) != n:
-            raise ValidationError(
-                f"story {self.story_id}: {len(self.element_ids)} element ids for {n} elements"
-            )
-        object.__setattr__(self, "text", _feature_array(self.story_id, "text", self.text, n))
-        if self.image is not None:
-            object.__setattr__(self, "image",
-                               _feature_array(self.story_id, "image", self.image, n))
+        ids, elements = tuple(self.story_ids), tuple(map(tuple, self.element_ids))
+        gold, presented = np.asarray(self.gold), np.asarray(self.presented)
+        if gold.ndim != 2 or len(gold) != len(ids):
+            raise ValidationError(f"gold shape {gold.shape} is not (S, n) for S = {len(ids)}")
+        if presented.shape != gold.shape:
+            raise ValidationError(f"presented_order shape {presented.shape} != {gold.shape}")
+        n = gold.shape[1]
+        _check_rows(np.full(len(ids), MIN_N <= n <= MAX_N), ids,
+                    f"length must be in [{MIN_N}, {MAX_N}], got {n}")
+        ok = is_permutation(np.stack([gold, presented]))
+        _check_rows(ok[0], ids, f"gold positions are not a permutation of 0..{n - 1}")
+        _check_rows(ok[1], ids, f"presented_order is not a permutation of 0..{n - 1}")
+        _check_rows(np.array([len(row) == n for row in elements], dtype=bool), ids,
+                    f"element_ids must hold one id for each of the {n} elements")
+        text = _features("text", self.text, ids, gold.shape)
+        image = None if self.image is None else _features("image", self.image, ids, gold.shape)
+        first = np.zeros(len(ids), dtype=bool)
+        first[np.unique(np.array(ids, dtype=str), return_index=True)[1]] = True
+        _check_rows(first, ids, "repeated story_id")
+        # the dataclass is frozen, so the checked copies are stored directly
+        vars(self).update(story_ids=ids, element_ids=elements, text=text, image=image,
+                          gold=_read_only(gold.astype(np.intp)),
+                          presented=_read_only(presented.astype(np.intp)))
+
+    def __len__(self) -> int:
+        return len(self.story_ids)
+
+    def __iter__(self):
+        return (self[s] for s in range(len(self)))
+
+    def __getitem__(self, index) -> Stories:
+        """The stories at a slice or an index array, or the one at an int index, as a batch
+        built without checking again. A slice's arrays are views of this batch's."""
+        if isinstance(index, (int, np.integer)):
+            s = range(len(self))[index]
+            index = slice(s, s + 1)
+        if isinstance(index, slice):
+            rows, ids, elements = index, self.story_ids[index], self.element_ids[index]
+        else:
+            rows = np.arange(len(self))[index].tolist()
+            ids = tuple(self.story_ids[s] for s in rows)
+            elements = tuple(self.element_ids[s] for s in rows)
+        batch = object.__new__(Stories)
+        vars(batch).update(story_ids=ids, element_ids=elements, **{
+            name: _read_only(getattr(self, name)[rows]) for name in ("gold", "presented", "text")
+        }, image=None if self.image is None else _read_only(self.image[rows]))
+        return batch
 
     @property
     def n(self) -> int:
-        return len(self.gold)
+        return self.gold.shape[1]
+
+    @property
+    def story_id(self) -> str:
+        """The id of a batch of one story."""
+        if len(self) != 1:
+            raise ValidationError(f"story_id needs a batch of one story, got {len(self)}")
+        return self.story_ids[0]
 
 
-def _feature_array(story_id: str, name: str, rows, n: int) -> np.ndarray:
-    """rows (an array or a list of equal-length rows) as a read-only finite (n, d) array."""
-    if not isinstance(rows, np.ndarray):
-        dims = sorted({len(row) for row in rows})
-        if len(dims) > 1:
-            raise ValidationError(f"story {story_id}: inconsistent {name} feature dims {dims}")
-    arr = np.array(rows, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != n:
-        raise ValidationError(
-            f"story {story_id}: {name} features must have shape ({n}, d), got {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"story {story_id}: {name} features contain non-finite entries")
-    arr.flags.writeable = False
-    return arr
+def _feature_stack(stories: Stories, use_image: bool, positions: np.ndarray) -> np.ndarray:
+    """(S, n, d) rows of text, or of [text | image], placed by positions.
 
-
-def _presented_positions(story: Story) -> tuple[int, ...]:
-    """Where each element sits in the presented order; the listed order if unjumbled."""
-    if story.presented_order is None:
-        return tuple(range(story.n))
-    return story.presented_order
-
-
-def _feature_stack(stories: Sequence[Story], use_image: bool,
-                   positions: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """(stories, n, d) rows of text, or of [text | image], placed by positions.
-
-    positions[s][i] is where element i of stories[s] goes, so row k of a
-    story is its element at position k. The stories must share n and
-    feature dims.
+    positions[s][i] is where element i of story s goes, so row k of a story
+    is its element at position k.
     """
     if not stories:
         raise EmptyInputError("cannot build a feature array from an empty dataset")
-    dims = {_dims(s) for s in stories}
-    if len(dims) > 1:
-        raise DimensionError(f"stories differ in (n, text dim, image dim): {sorted(dims, key=str)}")
-    n = stories[0].n
-    # row of each story's k-th element in the stories' arrays stacked to (S * n, d)
-    rows = np.argsort(positions, axis=1)
-    rows += np.arange(0, len(stories) * n, n)[:, None]
-    text = np.concatenate([s.text for s in stories])[rows]
-    if not use_image:
-        return text
-    missing = next((s for s in stories if s.image is None), None)
-    if missing is not None:
-        raise FeatureError(
-            f"story {missing.story_id} has no image features but use_image was requested"
-        )
-    return np.concatenate([text, np.concatenate([s.image for s in stories])[rows]], axis=2)
+    if use_image and stories.image is None:
+        raise FeatureError("stories have no image features but use_image was requested")
+    feats = np.concatenate([stories.text, stories.image], axis=2) if use_image else stories.text
+    return np.take_along_axis(feats, np.argsort(positions, axis=1)[:, :, None], axis=1)
 
 
-def presented_features(stories: Sequence[Story], use_image: bool) -> np.ndarray:
-    """(stories, n, d) features in presented order: the rows models score at inference.
-
-    The stories must share n and feature dims.
-    """
-    return _feature_stack(stories, use_image, [_presented_positions(s) for s in stories])
+def presented_features(stories: Stories, use_image: bool) -> np.ndarray:
+    """(S, n, d) features in presented order: the rows models score at inference."""
+    return _feature_stack(stories, use_image, stories.presented)
 
 
-def presented_gold(stories: Sequence[Story]) -> np.ndarray:
+def presented_gold(stories: Stories) -> np.ndarray:
     """(S, n) intp gold positions of each story's presented elements: row s is the
-    order models must recover for stories[s].
-
-    The stories must share n; no stories give a (0, 0) array.
-    """
-    shape = (len(stories), stories[0].n if stories else 0)
-    gold = np.array([s.gold for s in stories], dtype=np.intp).reshape(shape)
-    presented = np.array([_presented_positions(s) for s in stories], dtype=np.intp)
-    return np.take_along_axis(gold, np.argsort(presented.reshape(shape), axis=1), axis=1)
+    order models must recover for story s."""
+    return np.take_along_axis(stories.gold, np.argsort(stories.presented, axis=1), axis=1)
 
 
-def gold_features(stories: Sequence[Story], use_image: bool) -> np.ndarray:
-    """(stories, n, d) features in gold order: row k of a story is its element at position k.
-
-    The stories are checked with check_dataset first, so they share n and d.
-    """
-    check_dataset(stories)
-    return _feature_stack(stories, use_image, [s.gold for s in stories])
-
-
-def _dims(story: Story) -> tuple[int, int, int | None]:
-    """(n, text dim, image dim or None)."""
-    return story.n, story.text.shape[1], None if story.image is None else story.image.shape[1]
-
-
-def check_dataset(stories: Sequence[Story]) -> None:
-    """Enforce unique story_ids and one n, text dim and image dim across a dataset."""
-    seen: set[str] = set()
-    for story in stories:
-        if story.story_id in seen:
-            raise ValidationError(f"story {story.story_id}: repeated story_id")
-        seen.add(story.story_id)
-        if _dims(story) != _dims(stories[0]):
-            raise ValidationError(
-                f"story {story.story_id}: (n, text dim, image dim) {_dims(story)} differs "
-                f"from dataset {_dims(stories[0])}"
-            )
+def gold_features(stories: Stories, use_image: bool) -> np.ndarray:
+    """(S, n, d) features in gold order: row k of a story is its element at position k."""
+    return _feature_stack(stories, use_image, stories.gold)
 
 
 @dataclass(frozen=True)
@@ -242,93 +218,84 @@ def _unit_direction(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def generate_synthetic(spec: SyntheticSpec) -> list[Story]:
+def generate_synthetic(spec: SyntheticSpec) -> Stories:
     """Deterministic planted-signal dataset; stories come pre-jumbled.
 
-    Elements are listed in gold order. Each element draws its text noise,
-    then its image noise, so one (n, text_dim + image_dim) draw per story
-    takes them all in that order.
+    Elements are listed in gold order. Each story draws its noise, then its
+    presented order. Each element draws its text noise, then its image
+    noise, so one (n, text_dim + image_dim) draw per story takes them all in
+    that order.
     """
     rng = as_rng(spec.seed)
     u_text = _unit_direction(rng, spec.text_dim)
     u_image = _unit_direction(rng, spec.image_dim)
-    position = np.arange(spec.n)[:, None]
-    stories = []
-    for k in range(spec.story_count):
-        noise = rng.standard_normal((spec.n, spec.text_dim + spec.image_dim)) * spec.noise_sigma
-        text, image = noise[:, :spec.text_dim], noise[:, spec.text_dim:]
-        if spec.signal_mode == "monotone":
-            text = text + position * u_text
-            image = image + position * u_image
-        stories.append(Story(
-            story_id=f"story-{k:05d}", text=text, image=image,
-            element_ids=tuple(f"story-{k:05d}-e{g}" for g in range(spec.n)),
-            gold=tuple(range(spec.n)), presented_order=random_permutation(spec.n, rng),
-        ))
-    return stories
+    count, n = spec.story_count, spec.n
+    noise = np.empty((count, n, spec.text_dim + spec.image_dim))
+    presented = np.empty((count, n), dtype=np.intp)
+    for k in range(count):
+        noise[k] = rng.standard_normal(noise.shape[1:])
+        presented[k] = random_permutation(n, rng)
+    noise *= spec.noise_sigma
+    if spec.signal_mode == "monotone":
+        noise += np.arange(n)[:, None] * np.concatenate([u_text, u_image])
+    story_ids = [f"story-{k:05d}" for k in range(count)]
+    return Stories(story_ids=story_ids,
+                   element_ids=[[f"{story_id}-e{g}" for g in range(n)] for story_id in story_ids],
+                   gold=np.tile(np.arange(n), (count, 1)), presented=presented,
+                   text=noise[..., :spec.text_dim], image=noise[..., spec.text_dim:])
 
 
-def split_dataset(
-    stories: Sequence[Story],
-    fractions: tuple[float, float, float],
-    seed: int | np.random.Generator,
-) -> tuple[list[Story], list[Story], list[Story]]:
-    """Seeded shuffle then contiguous split; parts are disjoint and exhaustive."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValidationError(f"fractions must sum to 1, got {fractions}")
-    if any(f < 0 for f in fractions):
-        raise ValidationError(f"fractions must be non-negative, got {fractions}")
-    rng = as_rng(seed)
-    stories = list(stories)
-    order = rng.permutation(len(stories))
-    shuffled = [stories[i] for i in order]
-    n_train = int(fractions[0] * len(stories) + 1e-9)
-    n_val = int(fractions[1] * len(stories) + 1e-9)
-    train = shuffled[:n_train]
-    val = shuffled[n_train:n_train + n_val]
-    test = shuffled[n_train + n_val:]
-    return train, val, test
+def split_dataset(stories: Stories, val_frac: float,
+                  seed: int | np.random.Generator) -> tuple[Stories, Stories]:
+    """Seeded shuffle, then int((1 - val_frac) * S) training stories and the rest for
+    validation; the parts are disjoint and exhaustive, and views of one shuffled copy."""
+    if not 0 <= val_frac <= 1:
+        raise ValidationError(f"val_frac must be in [0, 1], got {val_frac}")
+    shuffled = stories[as_rng(seed).permutation(len(stories))]
+    n_train = int((1.0 - val_frac) * len(stories) + 1e-9)
+    return shuffled[:n_train], shuffled[n_train:]
 
 
-def _story_to_record(story: Story) -> dict:
-    return {
-        "story_id": story.story_id,
-        "element_ids": list(story.element_ids),
-        "gold": list(story.gold),
-        "presented_order": None if story.presented_order is None
-        else list(story.presented_order),
-        "text": float_block(story.text),
-        "image": None if story.image is None else float_block(story.image),
-    }
+def _records(stories: Stories):
+    """Each story's file record in turn, as save_dataset writes them."""
+    images = [None] * len(stories) if stories.image is None else map(float_block, stories.image)
+    for story_id, element_ids, gold, presented, text, image in zip(
+            stories.story_ids, stories.element_ids, stories.gold.tolist(),
+            stories.presented.tolist(), stories.text, images):
+        yield {"story_id": story_id, "element_ids": list(element_ids), "gold": gold,
+               "presented_order": presented, "text": float_block(text), "image": image}
 
 
-def _story_from_record(record: dict) -> Story:
-    gold = json_list(record["gold"], (int,), "gold")
+def _record_fields(record: dict) -> tuple:
+    """(story_id, element_ids, gold, presented, text, image) of one record, each checked."""
+    story_id = json_value(record["story_id"], (str,), "story_id")
+    n = len(json_list(record["gold"], (int,), "gold"))
     presented, image = record["presented_order"], record["image"]
-    return Story(
-        story_id=json_value(record["story_id"], (str,), "story_id"),
-        text=json_floats(record["text"], (len(gold), -1), "text"),
-        image=None if image is None else json_floats(image, (len(gold), -1), "image"),
-        element_ids=json_list(record["element_ids"], (str,), "element_ids"),
-        gold=gold,
-        presented_order=None if presented is None
-        else json_list(presented, (int,), "presented_order"),
-    )
+    if presented is None:
+        presented = list(range(n))
+    elif len(json_list(presented, (int,), "presented_order")) != n:
+        raise ValueError(f"story {story_id}: presented_order length {len(presented)} != {n}")
+    return (story_id, json_list(record["element_ids"], (str,), "element_ids"), record["gold"],
+            presented, json_floats(record["text"], (n, -1), "text"),
+            None if image is None else json_floats(image, (n, -1), "image"))
 
 
-def save_dataset(stories: Sequence[Story], path: str | Path) -> None:
+def save_dataset(stories: Stories, path: str | Path) -> None:
     """Line-delimited JSON, one story per line, deterministic byte-for-byte."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
-        for story in stories:
-            fh.write(json.dumps(_story_to_record(story)) + "\n")
+        fh.writelines(json.dumps(record) + "\n" for record in _records(stories))
 
 
-def load_dataset(path: str | Path) -> list[Story]:
-    """Parse and validate a dataset file; an empty file is a valid empty dataset."""
+def load_dataset(path: str | Path) -> Stories:
+    """Parse and validate a dataset file; an empty file is a valid empty dataset.
+
+    A line that fails a check, its own or the batch's, is a ParseError
+    naming it as <path>:<line>.
+    """
     path = Path(path)
-    stories = []
+    columns, dims = [], None
     try:
         with path.open("r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -339,10 +306,24 @@ def load_dataset(path: str | Path) -> list[Story]:
                 except json.JSONDecodeError as e:
                     raise ParseError(f"{path}:{lineno}: malformed JSON: {e}") from e
                 try:
-                    stories.append(_story_from_record(record))
+                    story_id, *fields, text, image = _record_fields(record)
                 except (KeyError, TypeError, ValueError, OverflowError) as e:
                     raise ParseError(f"{path}:{lineno}: missing or bad field: {e}") from e
+                line_dims = (len(text), text.shape[1], None if image is None else image.shape[1])
+                if dims not in (None, line_dims):
+                    raise ParseError(f"{path}:{lineno}: story {story_id}: (n, text dim, "
+                                     f"image dim) {line_dims} differs from dataset {dims}")
+                dims = line_dims
+                columns.append((lineno, story_id, *fields, text, image))
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from e
-    check_dataset(stories)
-    return stories
+    n, d_text, d_image = dims or (0, 0, None)
+    linenos, story_ids, element_ids, gold, presented, text, image = (list(zip(*columns))
+                                                                     or [()] * 7)
+    shape = (len(columns), n)
+    try:
+        return Stories(story_ids, element_ids, np.reshape(gold, shape),
+                       np.reshape(presented, shape), text or np.empty((*shape, d_text)),
+                       None if d_image is None else image)
+    except StoryError as e:
+        raise ParseError(f"{path}:{linenos[e.row]}: missing or bad field: {e}") from e

@@ -7,8 +7,9 @@ best orders by the ordering objective. Candidates are the rows of an
 (m, n) intp array of orders; every candidate casts one vote per element
 for the position it assigns, and the consensus order is the assignment
 maximizing total votes received. Votes are unweighted, so a member's
-first and third choice count the same. ensemble_sort runs one story and
-returns a core.Permutation, the one-story public type.
+first and third choice count the same. ensemble_sort takes one story, a
+data.Stories batch of one, and returns a core.Permutation, the one-story
+public type.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 
 from . import models
 from .assign import hungarian_max
-from .core import Permutation
-from .data import Story
+from .core import Permutation, is_permutation
+from .data import Stories
 from .errors import DimensionError, EmptyInputError, MemberError, ValidationError
 
 DEFAULT_TOP_K = 3
@@ -28,12 +29,14 @@ DEFAULT_TOP_K = 3
 
 def accumulate_votes(candidates) -> np.ndarray:
     """Vote matrix v[i][j] = number of rows of an (m, n) candidate array placing element i
-    at position j. Rows must be permutations of 0..n-1, as the decoders return them."""
+    at position j. Rows that are not permutations of 0..n-1 raise ValidationError."""
     cands = np.asarray(candidates)
     if not cands.size:
         raise EmptyInputError("accumulate_votes requires at least one candidate")
     if cands.ndim != 2:
         raise DimensionError(f"candidates must be an (m, n) array of orders, got {cands.shape}")
+    if not is_permutation(cands).all():
+        raise ValidationError("candidates must be permutations of 0..n-1")
     n = cands.shape[1]
     votes = np.zeros((n, n), dtype=np.int64)
     np.add.at(votes, (np.arange(n), cands), 1)
@@ -56,9 +59,10 @@ def decode_votes(v) -> np.ndarray:
     return hungarian_max(check_vote_matrix(v).astype(np.float64))[0]
 
 
-def ensemble_sort(members: Sequence[models.AnyModel], story: Story,
+def ensemble_sort(members: Sequence[models.AnyModel], story: Stories,
                   k: int = DEFAULT_TOP_K) -> Permutation:
-    """Pool each member's top-k candidates, tally votes, decode the consensus."""
+    """Pool each member's top-k candidates for a batch of one story, tally votes, decode
+    the consensus."""
     if not members:
         raise EmptyInputError("ensemble requires at least one member")
     if k < 1:

@@ -30,6 +30,14 @@ class ParseError(ValidationError):
     """A file record could not be parsed."""
 
 
+class StoryError(ValidationError):
+    """One story of a batch violates an invariant; row is its index in the batch."""
+
+    def __init__(self, message: str, row: int) -> None:
+        super().__init__(message)
+        self.row = row
+
+
 class FeatureError(ValidationError):
     """Requested features are missing from an element."""
 

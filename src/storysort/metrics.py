@@ -1,9 +1,9 @@
 """Rank metrics comparing predicted orders against gold orders.
 
 Orders are intp rows: pred and gold are (..., n) arrays of the same
-shape, usually (S, n) for S stories, whose rows are permutations of
-0..n-1 (the CLI checks orders where they enter from files), and every
-per-story metric returns one value per row. The three per-story metrics
+shape, usually (S, n) for S stories, whose rows must be permutations of
+0..n-1 (a ValidationError otherwise), and every per-story metric returns
+one value per row. The three per-story metrics
 (Spearman rank correlation, pairwise accuracy, mean absolute
 displacement) are each one exact integer numerator over a constant, so a
 row scores the same alone or in a stack. confusion tallies a position
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EmptyInputError
+from .core import is_permutation
+from .errors import DimensionError, EmptyInputError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,8 @@ def _orders(pred, gold) -> tuple[np.ndarray, np.ndarray]:
     pred, gold = np.asarray(pred), np.asarray(gold)
     if pred.shape != gold.shape:
         raise DimensionError(f"order shapes differ: {pred.shape} vs {gold.shape}")
+    if not (is_permutation(pred).all() and is_permutation(gold).all()):
+        raise ValidationError("orders must be permutations of 0..n-1")
     return pred, gold
 
 

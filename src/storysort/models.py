@@ -14,12 +14,12 @@ Entries hold modules, not functions, so rebinding a module attribute (as
 a profiler does) reaches every caller.
 
 Scoring runs along a story axis: ``scores(model, stories)`` returns an
-(S, n, n) stack for S stories. Orders are intp arrays: predict_stories
-walks a dataset in chunks, each scored with one forward pass and decoded
-in one call, and returns one (S, n) array; top_permutations gives one
-story's (k, n) best orders with their totals. A module's ``predict`` is
-the one-story case of the same scorers and decoders, and returns a
-core.Permutation, the one-story public type.
+(S, n, n) stack for a data.Stories batch of S stories. Orders are intp
+arrays: predict_stories walks a dataset in slices, each scored with one
+forward pass and decoded in one call, and returns one (S, n) array. A
+story is a batch of one: top_permutations gives its (k, n) best orders,
+and a module's ``predict`` passes it to the same scorers and decoders and
+returns a core.Permutation, the one-story public type.
 """
 
 from __future__ import annotations
@@ -28,14 +28,13 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import ModuleType
-from typing import Sequence
 
 import numpy as np
 
 from . import neural, npe, pairwise, unary
 from .assign import topk_assignments
 from .core import MAX_ENUMERATION_N, check_top_k, json_value
-from .data import Story
+from .data import Stories
 from .errors import EnumerationCapError, UsageError, ValidationError
 
 ADDITIVE = "additive"
@@ -111,28 +110,28 @@ def chunk_size(model: AnyModel, n: int) -> int:
     return max(1, CHUNK_FLOATS // per_story)
 
 
-def predict_stories(model: AnyModel, stories: Sequence[Story]) -> np.ndarray:
+def predict_stories(model: AnyModel, stories: Stories) -> np.ndarray:
     """The model's best order for each story as an (S, n) array, scored and decoded
     chunk by chunk.
 
-    Row s equals the module's predict on stories[s] alone. The stories must
-    share n; no stories give a (0, 0) array.
+    Row s equals the module's predict on stories[s] alone; no stories give a
+    (0, 0) array.
     """
     if not stories:
         return np.empty((0, 0), dtype=np.intp)
     spec = spec_for(model)
     decode = unary.decode_unary if spec.score_type == ADDITIVE else pairwise.decode_pairwise
-    size = chunk_size(model, stories[0].n)
+    size = chunk_size(model, stories.n)
     return np.concatenate([decode(spec.module.scores(model, stories[start:start + size]))
                            for start in range(0, len(stories), size)])
 
 
-def top_permutations(model: AnyModel, story: Story, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The model's (k, n) best orders for one story, best first, ties lexicographic, with
-    their (k,) totals."""
+def top_permutations(model: AnyModel, story: Stories, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The model's (k, n) best orders for a batch of one story, best first, ties
+    lexicographic, with their (k,) totals."""
     spec = spec_for(model)
     check_decodable(spec, story.n, k)
-    s = spec.module.scores(model, [story])[0]
+    (s,) = spec.module.scores(model, story)
     rank = topk_assignments if spec.score_type == ADDITIVE else pairwise.rank_permutations
     return rank(s, k)
 

@@ -11,24 +11,23 @@ low penalty means preferred order. In the model registry
 model: it is decoded by the pairwise ordering decoder, and its top-k
 list comes from the same ranking of all orders.
 
-npe_scores runs over a sequence of S stories at once: one forward pass
-embeds every presented element, and the penalties of all ordered pairs
-form an (S, n, n) stack, each matrix bit-identical to scoring its story
-alone. predict is the one-story case and returns a core.Permutation. The
-training loss, the same penalty summed over a story's gold-ordered pairs,
-is neural.npe_order_head.
+npe_scores runs over a data.Stories batch of S stories at once: one
+forward pass embeds every presented element, and the penalties of all
+ordered pairs form an (S, n, n) stack, each matrix bit-identical to
+scoring its story alone. A story is a batch of one: predict takes one and
+returns a core.Permutation. The training loss, the same penalty summed
+over a story's gold-ordered pairs, is neural.npe_order_head.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import neural, pairwise
 from .core import Permutation
-from .data import Story, gold_features, presented_features
+from .data import Stories, gold_features, presented_features
 from .errors import ValidationError
 from .neural import MlpParams, TrainConfig
 
@@ -62,7 +61,7 @@ def _penalties(emb: np.ndarray, alpha: float) -> np.ndarray:
     return np.sum(m * m, axis=-1)
 
 
-def npe_scores(model: NpeModel, stories: Sequence[Story]) -> np.ndarray:
+def npe_scores(model: NpeModel, stories: Stories) -> np.ndarray:
     """(S, n, n) stack of pair score matrices s[k][i][j] = -penalty(i before j)
     over the presented elements of stories[k].
 
@@ -78,12 +77,13 @@ def npe_scores(model: NpeModel, stories: Sequence[Story]) -> np.ndarray:
     return s
 
 
-def predict(model: NpeModel, story: Story) -> Permutation:
-    return Permutation(tuple(pairwise.decode_pairwise(npe_scores(model, [story]))[0]))
+def predict(model: NpeModel, story: Stories) -> Permutation:
+    (order,) = pairwise.decode_pairwise(npe_scores(model, story))
+    return Permutation(tuple(order))
 
 
 def train_npe(
-    stories: Sequence[Story],
+    stories: Stories,
     cfg: TrainConfig,
     use_image: bool = False,
     hidden_units: int = neural.DEFAULT_HIDDEN_UNITS,

@@ -10,24 +10,23 @@ objective, ties going to the lexicographically smallest positions tuple,
 with float objectives that add the pairs row-major in (i, j). Training
 uses a binary hinge on both orientations of every gold pair.
 
-Scoring and decoding run over a sequence of S stories at once:
+Scoring and decoding run over a data.Stories batch of S stories at once:
 pair_scores makes one forward pass over every story's pair rows and
-returns an (S, n, n) stack, each matrix bit-identical to scoring its
-story alone, and decode_pairwise ranks the orders of every matrix in the
-stack in one rank_orders call and returns them as an (S, n) intp array.
-predict is the one-story case and returns a core.Permutation.
+returns an (S, n, n) stack, each matrix bit-identical to scoring its story
+alone, and decode_pairwise ranks them in one rank_orders call and returns
+the orders as an (S, n) intp array. A story is a batch of one: predict
+takes one and returns a core.Permutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import neural
 from .core import Permutation, rank_orders
-from .data import Story, gold_features, presented_features
+from .data import Stories, gold_features, presented_features
 from .errors import ValidationError
 from .neural import MlpParams, TrainConfig
 
@@ -76,7 +75,7 @@ def pair_rows(feats: np.ndarray) -> np.ndarray:
     return np.concatenate([feats[..., i, :], feats[..., j, :]], axis=-1)
 
 
-def pair_scores(model: PairwiseModel, stories: Sequence[Story]) -> np.ndarray:
+def pair_scores(model: PairwiseModel, stories: Stories) -> np.ndarray:
     """(S, n, n) stack; s[k][i][j] = score of presented element i before presented
     element j of stories[k]; diagonals 0.
 
@@ -101,12 +100,13 @@ def decode_pairwise(s) -> np.ndarray:
     return rank_orders(check_pair_matrix(s, ndim=3), 1, pair=True)[0][:, 0]
 
 
-def predict(model: PairwiseModel, story: Story) -> Permutation:
-    return Permutation(tuple(decode_pairwise(pair_scores(model, [story]))[0]))
+def predict(model: PairwiseModel, story: Stories) -> Permutation:
+    (order,) = decode_pairwise(pair_scores(model, story))
+    return Permutation(tuple(order))
 
 
 def train_pairwise(
-    stories: Sequence[Story],
+    stories: Stories,
     cfg: TrainConfig,
     margin: float = DEFAULT_MARGIN,
     use_image: bool = False,

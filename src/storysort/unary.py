@@ -5,25 +5,24 @@ positions; the story-level score of a permutation is the sum of the
 chosen per-element probabilities, maximized exactly by the assignment
 solver. Training is per-element softmax cross-entropy on gold positions.
 
-Scoring runs over a sequence of S stories at once: one (S, n, d) feature
-array and one forward pass give an (S, n, n) stack of probability
-matrices, and each story's matrix is bit-identical to scoring that story
-alone. Decoding stays one assignment solve per story, and decode_unary
-returns the orders as an (S, n) intp array. predict is the one-story
-case and returns a core.Permutation.
+Scoring runs over a data.Stories batch of S stories at once: one
+(S, n, d) feature array and one forward pass give an (S, n, n) stack of
+probability matrices, each bit-identical to scoring its story alone.
+Decoding stays one assignment solve per story, and decode_unary returns
+the orders as an (S, n) intp array. A story is a batch of one: predict
+takes one and returns a core.Permutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import neural
 from .assign import hungarian_max
 from .core import Permutation
-from .data import Story, gold_features, presented_features
+from .data import Stories, gold_features, presented_features
 from .errors import DimensionError, ValidationError
 from .neural import MlpParams, TrainConfig
 
@@ -46,7 +45,7 @@ class UnaryModel:
             )
 
 
-def position_probs(model: UnaryModel, stories: Sequence[Story]) -> np.ndarray:
+def position_probs(model: UnaryModel, stories: Stories) -> np.ndarray:
     """(S, n, n) stack of row-stochastic matrices; row k of matrix s is the
     position distribution of the k-th presented element of stories[s]."""
     feats = presented_features(stories, model.use_image)
@@ -63,12 +62,13 @@ def decode_unary(probs) -> np.ndarray:
     return np.array([hungarian_max(m)[0] for m in a], dtype=np.intp).reshape(a.shape[:2])
 
 
-def predict(model: UnaryModel, story: Story) -> Permutation:
-    return Permutation(tuple(decode_unary(position_probs(model, [story]))[0]))
+def predict(model: UnaryModel, story: Stories) -> Permutation:
+    (order,) = decode_unary(position_probs(model, story))
+    return Permutation(tuple(order))
 
 
 def train_unary(
-    stories: Sequence[Story],
+    stories: Stories,
     cfg: TrainConfig,
     use_image: bool = False,
     hidden_units: int = neural.DEFAULT_HIDDEN_UNITS,

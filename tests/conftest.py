@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from storysort import neural
-from storysort.data import Story, SyntheticSpec, generate_synthetic
+from storysort.data import Stories, SyntheticSpec, generate_synthetic
 from storysort.errors import DimensionError, NumericError, ValidationError
 from storysort.neural import TrainConfig
 from storysort.pairwise import check_pair_matrix
@@ -95,15 +95,28 @@ def perm_pairs_st(max_n: int = 8):
 
 
 def make_story(golds, story_id="s", text=None, image=None, presented=None):
-    """Tiny hand-built story; features default to one-hot of the gold position."""
+    """Tiny hand-built one-story batch; features default to one-hot of the gold position,
+    and the presented order to the listed order."""
     n = len(golds)
-    return Story(
-        story_id=story_id,
-        text=np.eye(n)[list(golds)] if text is None else text,
-        image=image,
-        element_ids=tuple(f"{story_id}-e{idx}" for idx in range(n)),
-        gold=tuple(golds),
-        presented_order=presented,
+    return Stories(
+        story_ids=(story_id,),
+        element_ids=(tuple(f"{story_id}-e{idx}" for idx in range(n)),),
+        gold=[golds],
+        presented=[range(n) if presented is None else presented],
+        text=[np.eye(n)[list(golds)] if text is None else text],
+        image=None if image is None else [image],
+    )
+
+
+def join(*batches):
+    """One batch of the stories of several batches, in order, checked again."""
+    return Stories(
+        story_ids=sum((b.story_ids for b in batches), ()),
+        element_ids=sum((b.element_ids for b in batches), ()),
+        gold=np.concatenate([b.gold for b in batches]),
+        presented=np.concatenate([b.presented for b in batches]),
+        text=np.concatenate([b.text for b in batches]),
+        image=None if batches[0].image is None else np.concatenate([b.image for b in batches]),
     )
 
 

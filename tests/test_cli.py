@@ -113,6 +113,15 @@ class TestTrain:
         payload = json.loads(out.read_text())
         assert payload["model_kind"] == model
 
+    def test_validation_split_keeps_every_story(self, tmp_path, capsys):
+        # int(0.9 * 125) = 112 training stories, so validation takes the other 13
+        data = tmp_path / "data.jsonl"
+        assert run(gen_args(data, stories=125)) == 0
+        capsys.readouterr()
+        assert run(train_args(data, tmp_path / "m.json")) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["train"]["story_count"], report["val"]["story_count"]) == (112, 13)
+
     def test_same_seed_identical_checkpoints(self, dataset, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(train_args(dataset, a))

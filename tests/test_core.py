@@ -54,34 +54,34 @@ class TestInverse:
 
     def test_identity_self_inverse(self):
         story = make_story([0, 1, 2, 3, 4])
-        assert (presented_features([story], False) == gold_features([story], False)).all()
-        assert presented_gold([story]).tolist() == [[0, 1, 2, 3, 4]]
+        assert (presented_features(story, False) == gold_features(story, False)).all()
+        assert presented_gold(story).tolist() == [[0, 1, 2, 3, 4]]
 
     def test_hand_checked_cycle(self):
         # element 0 at position 1, 1 at 2, 2 at 0; so position 0 holds
         # element 2, position 1 holds 0, position 2 holds 1
         story = make_story([0, 1, 2], presented=[1, 2, 0])
-        assert presented_features([story], False)[0].argmax(axis=1).tolist() == [2, 0, 1]
-        assert presented_gold([story]).tolist() == [[2, 0, 1]]
+        assert presented_features(story, False)[0].argmax(axis=1).tolist() == [2, 0, 1]
+        assert presented_gold(story).tolist() == [[2, 0, 1]]
 
     def test_reversal_is_involution(self):
         story = make_story([0, 1, 2, 3, 4], presented=[4, 3, 2, 1, 0])
-        assert (presented_features([story], False)[0] == np.eye(5)[::-1]).all()
-        assert presented_gold([story]).tolist() == [[4, 3, 2, 1, 0]]
+        assert (presented_features(story, False)[0] == np.eye(5)[::-1]).all()
+        assert presented_gold(story).tolist() == [[4, 3, 2, 1, 0]]
 
     @given(permutations_st())
     def test_double_inverse_roundtrip(self, p):
         # elements listed by gold position p and presented by p again show up in gold order
         story = make_story(p, presented=p)
-        assert presented_gold([story]).tolist() == [list(range(len(p)))]
+        assert presented_gold(story).tolist() == [list(range(len(p)))]
 
     @given(permutations_st(5), permutations_st(5))
     def test_apply_then_inverse_restores(self, gold, presented):
         # presenting every element at its gold position turns the presented
         # view into the gold one, whatever the story was presented in before
         story = make_story(gold, text=np.arange(10.0).reshape(5, 2), presented=presented)
-        regold = dataclasses.replace(story, presented_order=gold)
-        assert (presented_features([regold], False) == gold_features([story], False)).all()
+        regold = dataclasses.replace(story, presented=[gold])
+        assert (presented_features(regold, False) == gold_features(story, False)).all()
 
 
 class TestEnumerate:

@@ -9,8 +9,7 @@ import pytest
 from storysort.core import random_permutation
 from storysort.data import (
     SyntheticSpec,
-    _story_to_record,
-    check_dataset,
+    _records,
     generate_synthetic,
     gold_features,
     load_dataset,
@@ -22,7 +21,7 @@ from storysort.data import (
 from storysort.errors import FeatureError, ParseError, ValidationError
 from storysort.metrics import score_story
 from storysort.neural import MlpParams, mlp_from_dict, mlp_to_dict
-from conftest import make_story
+from conftest import join, make_story
 
 
 def write_records(path, records):
@@ -36,10 +35,10 @@ def block(values):
 
 def bad_record_file(tmp_path, **fields):
     """A two-story dataset file whose second story (line 2) has the given fields replaced."""
-    record = _story_to_record(make_story([0, 1], story_id="bad", image=np.zeros((2, 2))))
+    ok, record = _records(join(make_story([0, 1], story_id="ok", image=np.zeros((2, 2))),
+                               make_story([0, 1], story_id="bad", image=np.zeros((2, 2)))))
     path = tmp_path / "bad.jsonl"
-    ok = make_story([0, 1], story_id="ok", image=np.zeros((2, 2)))
-    write_records(path, [_story_to_record(ok), {**record, **fields}])
+    write_records(path, [ok, {**record, **fields}])
     return path
 
 
@@ -49,8 +48,6 @@ class TestStoryInvariants:
             make_story([0, 0, 2])
 
     def test_inconsistent_text_dims_rejected(self, tmp_path):
-        with pytest.raises(ValidationError, match="text feature dims"):
-            make_story([0, 1], text=[np.zeros(3), np.zeros(4)])
         # in a file, rows of 3 and 4 features are 7 floats: no whole width for 2 rows
         path = bad_record_file(tmp_path, text=block([0.0] * 7))
         with pytest.raises(ParseError, match=f"{re.escape(str(path))}:2: .*text must be a "
@@ -88,7 +85,7 @@ class TestStoryInvariants:
     def test_presented_order_length_checked(self, tmp_path):
         with pytest.raises(ValidationError, match="presented_order"):
             make_story([0, 1, 2], presented=[0, 1])
-        record = _story_to_record(make_story([0, 1, 2], story_id="bad"))
+        (record,) = _records(make_story([0, 1, 2], story_id="bad"))
         record["presented_order"] = [1, 0]
         path = tmp_path / "bad.jsonl"
         write_records(path, [record])
@@ -105,23 +102,41 @@ class TestStoryInvariants:
         text = np.eye(2)
         story = make_story([0, 1], text=text)
         text[0, 0] = 5.0
-        assert story.text[0, 0] == 1.0
+        assert story.text[0, 0, 0] == 1.0
         with pytest.raises(ValueError):
-            story.text[0, 0] = 5.0
+            story.text[0, 0, 0] = 5.0
+
+    @pytest.mark.parametrize("index", [slice(1, 3), [2, 0], 1], ids=["slice", "array", "int"])
+    def test_parts_are_read_only_rows_of_the_batch(self, index):
+        batch = generate_synthetic(SyntheticSpec(story_count=4, seed=2))
+        part = batch[index]
+        rows = np.arange(4)[index].reshape(-1)
+        assert part.story_ids == tuple(batch.story_ids[s] for s in rows)
+        assert part.element_ids == tuple(batch.element_ids[s] for s in rows)
+        for name in ("gold", "presented", "text", "image"):
+            array = getattr(part, name)
+            assert np.array_equal(array, getattr(batch, name)[rows])
+            assert not array.flags.writeable
+            if not isinstance(index, list):
+                assert np.shares_memory(array, getattr(batch, name))
+        assert [s.story_id for s in part] == list(part.story_ids)
+        if len(part) != 1:
+            with pytest.raises(ValidationError, match="story_id needs a batch of one story"):
+                part.story_id
 
     def test_presented_views(self):
         # elements listed in gold order; presented_order sends gold g to slot
         story = make_story([0, 1, 2], presented=[2, 0, 1])
-        presented = presented_features([story], use_image=False)[0]
+        presented = presented_features(story, use_image=False)[0]
         assert presented.argmax(axis=1).tolist() == [1, 2, 0]
-        assert presented_gold([story]).tolist() == [[1, 2, 0]]
+        assert presented_gold(story).tolist() == [[1, 2, 0]]
 
     def test_perfect_oracle_invariant_to_jumbling(self):
         story = make_story([0, 1, 2, 3, 4])
         for seed in range(5):
-            jumbled = dataclasses.replace(story, presented_order=random_permutation(5, seed))
-            pred = presented_gold([jumbled])
-            assert score_story(pred, presented_gold([jumbled])).tolist() == [[1.0, 1.0, 0.0]]
+            jumbled = dataclasses.replace(story, presented=[random_permutation(5, seed)])
+            pred = presented_gold(jumbled)
+            assert score_story(pred, presented_gold(jumbled)).tolist() == [[1.0, 1.0, 0.0]]
 
 
 class TestConcatFeatures:
@@ -132,16 +147,16 @@ class TestConcatFeatures:
 
     def test_concat_order(self):
         story = self.story(np.array([[3.0], [6.0]]))
-        assert presented_features([story], use_image=True).tolist() == [
+        assert presented_features(story, use_image=True).tolist() == [
             [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]]
 
     def test_text_only(self):
         story = self.story(np.array([[3.0], [6.0]]))
-        assert presented_features([story], use_image=False).tolist() == [[[1.0, 2.0], [4.0, 5.0]]]
+        assert presented_features(story, use_image=False).tolist() == [[[1.0, 2.0], [4.0, 5.0]]]
 
     def test_missing_image_raises(self):
         with pytest.raises(FeatureError):
-            presented_features([self.story(None)], use_image=True)
+            presented_features(self.story(None), use_image=True)
 
 
 class TestSynthetic:
@@ -149,17 +164,16 @@ class TestSynthetic:
         spec = SyntheticSpec(story_count=5, seed=3)
         a = generate_synthetic(spec)
         b = generate_synthetic(spec)
-        for sa, sb in zip(a, b):
-            assert sa.presented_order == sb.presented_order
-            assert (sa.text == sb.text).all()
-            assert (sa.image == sb.image).all()
+        assert (a.presented == b.presented).all()
+        assert (a.text == b.text).all()
+        assert (a.image == b.image).all()
 
     def test_monotone_signal_orders_projections(self):
         # noiseless features are g * u, so projection on u recovers gold order
         spec = SyntheticSpec(story_count=3, noise_sigma=0.0, seed=8)
         stories = generate_synthetic(spec)
         for story in stories:
-            norms = np.linalg.norm(gold_features([story], use_image=False)[0], axis=1).tolist()
+            norms = np.linalg.norm(gold_features(story, use_image=False)[0], axis=1).tolist()
             assert norms == sorted(norms)
             assert norms[0] == pytest.approx(0.0)
 
@@ -168,8 +182,8 @@ class TestSynthetic:
         stories = generate_synthetic(spec)
         # mean feature norm must not grow with gold position
         by_pos = np.zeros(5)
-        for story in stories:
-            by_pos[list(story.gold)] += np.linalg.norm(story.text, axis=1)
+        for gold, text in zip(stories.gold, stories.text):
+            by_pos[gold] += np.linalg.norm(text, axis=1)
         by_pos /= 200
         assert by_pos.max() - by_pos.min() < 0.2 * by_pos.mean()
 
@@ -185,48 +199,46 @@ class TestSynthetic:
 
 
 class TestSplit:
-    def test_sizes_80_10_10(self):
+    def test_sizes_90_10(self):
         stories = generate_synthetic(SyntheticSpec(story_count=100, text_dim=2, image_dim=2, seed=0))
-        train, val, test = split_dataset(stories, (0.8, 0.1, 0.1), seed=1)
-        assert (len(train), len(val), len(test)) == (80, 10, 10)
+        train, val = split_dataset(stories, 0.1, seed=1)
+        assert (len(train), len(val)) == (90, 10)
 
     def test_disjoint_and_exhaustive(self):
         stories = generate_synthetic(SyntheticSpec(story_count=37, text_dim=2, image_dim=2, seed=0))
-        train, val, test = split_dataset(stories, (0.5, 0.25, 0.25), seed=2)
-        ids = [s.story_id for s in train + val + test]
-        assert sorted(ids) == sorted(s.story_id for s in stories)
+        train, val = split_dataset(stories, 0.25, seed=2)
+        ids = train.story_ids + val.story_ids
+        assert sorted(ids) == sorted(stories.story_ids)
         assert len(set(ids)) == len(ids)
 
     def test_deterministic(self):
         stories = generate_synthetic(SyntheticSpec(story_count=20, text_dim=2, image_dim=2, seed=0))
-        a = split_dataset(stories, (0.8, 0.1, 0.1), seed=5)
-        b = split_dataset(stories, (0.8, 0.1, 0.1), seed=5)
-        assert [s.story_id for s in a[0]] == [s.story_id for s in b[0]]
+        a = split_dataset(stories, 0.1, seed=5)
+        b = split_dataset(stories, 0.1, seed=5)
+        assert a[0].story_ids == b[0].story_ids
 
     def test_bad_fractions(self):
-        with pytest.raises(ValidationError):
-            split_dataset([], (0.5, 0.1, 0.1), seed=0)
+        stories = generate_synthetic(SyntheticSpec(story_count=2, text_dim=2, image_dim=2, seed=0))
+        for val_frac in (-0.1, 1.5):
+            with pytest.raises(ValidationError, match="val_frac must be in"):
+                split_dataset(stories, val_frac, seed=0)
 
 
 class TestDatasetIO:
     def test_empty_file_is_valid(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")
-        assert load_dataset(path) == []
+        assert len(load_dataset(path)) == 0
 
     def test_round_trip_exact(self, tmp_path):
         stories = generate_synthetic(SyntheticSpec(story_count=8, seed=12))
         path = tmp_path / "data.jsonl"
         save_dataset(stories, path)
         loaded = load_dataset(path)
-        assert len(loaded) == len(stories)
-        for a, b in zip(stories, loaded):
-            assert a.story_id == b.story_id
-            assert a.presented_order == b.presented_order
-            assert a.element_ids == b.element_ids
-            assert a.gold == b.gold
-            assert (a.text == b.text).all()
-            assert (a.image == b.image).all()
+        assert loaded.story_ids == stories.story_ids
+        assert loaded.element_ids == stories.element_ids
+        for name in ("gold", "presented", "text", "image"):
+            assert np.array_equal(getattr(loaded, name), getattr(stories, name))
         # and the bytes themselves are reproducible
         path2 = tmp_path / "data2.jsonl"
         save_dataset(loaded, path2)
@@ -235,17 +247,17 @@ class TestDatasetIO:
     def test_float_blocks_keep_every_bit(self, tmp_path):
         extremes = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -1.7976931348623157e308]])
         path = tmp_path / "extremes.jsonl"
-        save_dataset([make_story([0, 1], text=extremes, image=extremes[::-1])], path)
-        (story,) = load_dataset(path)
-        assert (story.text.view(np.uint64) == extremes.view(np.uint64)).all()
-        assert (story.image.view(np.uint64) == extremes[::-1].view(np.uint64)).all()
+        save_dataset(make_story([0, 1], text=extremes, image=extremes[::-1]), path)
+        story = load_dataset(path)
+        assert (story.text[0].view(np.uint64) == extremes.view(np.uint64)).all()
+        assert (story.image[0].view(np.uint64) == extremes[::-1].view(np.uint64)).all()
         params = MlpParams((2, 2), [extremes], [extremes[:, 1]])
         loaded = mlp_from_dict(json.loads(json.dumps(mlp_to_dict(params))))
         assert (loaded.weights[0].view(np.uint64) == extremes.view(np.uint64)).all()
         assert (loaded.biases[0].view(np.uint64) == extremes[:, 1].view(np.uint64)).all()
 
     def test_malformed_line_reports_number(self, tmp_path):
-        good = json.dumps(_story_to_record(make_story([0, 1], story_id="ok")))
+        (good,) = map(json.dumps, _records(make_story([0, 1], story_id="ok")))
         path = tmp_path / "bad.jsonl"
         path.write_text(good + "\nnot json\n", encoding="utf-8")
         with pytest.raises(ParseError, match=":2"):
@@ -262,43 +274,53 @@ class TestDatasetIO:
         }
         path = tmp_path / "dup.jsonl"
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="dup-story"):
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}:1: .*dup-story"):
             load_dataset(path)
 
+    def test_null_presented_order_is_the_listed_order(self, tmp_path):
+        (record,) = _records(make_story([2, 0, 1], presented=[1, 2, 0]))
+        path = tmp_path / "null.jsonl"
+        write_records(path, [{**record, "presented_order": None}])
+        story = load_dataset(path)
+        assert story.presented.tolist() == [[0, 1, 2]]
+        assert presented_gold(story).tolist() == [[2, 0, 1]]
+        resaved = tmp_path / "resaved.jsonl"
+        save_dataset(story, resaved)
+        assert json.loads(resaved.read_text(encoding="utf-8"))["presented_order"] == [0, 1, 2]
+
     def test_repeated_story_id_rejected(self, tmp_path):
-        stories = [make_story([0, 1], story_id="a"), make_story([1, 0], story_id="b"),
-                   make_story([0, 1], story_id="a")]
+        a, b = make_story([0, 1], story_id="a"), make_story([1, 0], story_id="b")
         with pytest.raises(ValidationError, match="story a: repeated story_id"):
-            check_dataset(stories)
+            join(a, b, a)
         path = tmp_path / "dup.jsonl"
-        save_dataset(stories, path)
-        with pytest.raises(ValidationError, match="repeated story_id"):
+        write_records(path, [*_records(join(a, b)), *_records(a)])
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}:3: .*repeated story_id"):
+            load_dataset(path)
+
+    # a batch cannot hold stories that differ in n or feature dims, so only a file can mix them
+    @staticmethod
+    def check_mixed_file(tmp_path, other):
+        path = tmp_path / "mixed.jsonl"
+        write_records(path, [*_records(make_story([0, 1], story_id="a")), *_records(other)])
+        with pytest.raises(ParseError,
+                           match=f"{re.escape(str(path))}:2: story b: .* differs from dataset"):
             load_dataset(path)
 
     def test_mixed_n_rejected(self, tmp_path):
-        stories = [make_story([0, 1], story_id="a"), make_story([0, 1, 2], story_id="b")]
-        # bypass save-level checks by writing records directly
-        path = tmp_path / "mixed.jsonl"
-        with path.open("w", encoding="utf-8") as fh:
-            for s in stories:
-                fh.write(json.dumps(_story_to_record(s)) + "\n")
-        with pytest.raises(ValidationError, match="differs from dataset"):
-            load_dataset(path)
-
+        self.check_mixed_file(tmp_path, make_story([0, 1, 2], story_id="b"))
 
     @pytest.mark.parametrize("other", [
         make_story([0, 1], story_id="b", text=np.zeros((2, 3))),
         make_story([0, 1], story_id="b", image=np.zeros((2, 1))),
     ], ids=["text_dim", "image"])
-    def test_mixed_feature_dims_rejected(self, other):
-        with pytest.raises(ValidationError, match="story b: .* differs from dataset"):
-            check_dataset([make_story([0, 1], story_id="a"), other])
+    def test_mixed_feature_dims_rejected(self, tmp_path, other):
+        self.check_mixed_file(tmp_path, other)
 
 
 class TestFeatureMatrix:
     def test_presented_vs_gold_views(self):
         story = make_story([0, 1, 2], presented=[2, 0, 1])
-        gold_view = gold_features([story], use_image=False)[0]
-        presented_view = presented_features([story], use_image=False)[0]
+        gold_view = gold_features(story, use_image=False)[0]
+        presented_view = presented_features(story, use_image=False)[0]
         assert (gold_view == np.eye(3)).all()
         assert (presented_view == np.eye(3)[[1, 2, 0]]).all()

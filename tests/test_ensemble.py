@@ -49,6 +49,11 @@ class TestAccumulateVotes:
         with pytest.raises(DimensionError):
             accumulate_votes([[identity(3)]])
 
+    @pytest.mark.parametrize("candidates", [[[1, -2]], [[0, 0, 1]], [[0, 1], [2, 0]]])
+    def test_rows_that_are_not_permutations_are_rejected(self, candidates):
+        with pytest.raises(ValidationError, match="candidates must be permutations of 0..n-1"):
+            accumulate_votes(candidates)
+
     def test_vote_conservation(self):
         rng = np.random.default_rng(0)
         cands = np.array([rng.permutation(5) for _ in range(12)])
@@ -103,7 +108,7 @@ class TestDecodeVotes:
 
 @pytest.fixture(scope="module")
 def models(tiny_clean_dataset):
-    train, _, _ = split_dataset(tiny_clean_dataset, (0.75, 0.0, 0.25), seed=0)
+    train, _ = split_dataset(tiny_clean_dataset, 0.25, seed=0)
     cfg = TrainConfig(learning_rate=0.05, epochs=8, batch_size=16, seed=0)
     unary = train_unary(train, cfg, use_image=True)
     pair = train_pairwise(train, cfg, use_image=True)
@@ -123,7 +128,7 @@ class TestEnsembleSort:
         # on clean data all members agree on the gold order
         _, pair, npe = models
         story = tiny_clean_dataset[71]
-        gold = presented_gold([story]).tolist()
+        gold = presented_gold(story).tolist()
         tops_pair = top_permutations(pair, story, 1)[0].tolist()
         tops_npe = top_permutations(npe, story, 1)[0].tolist()
         if tops_pair == gold == tops_npe:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 from storysort.core import random_permutation
-from storysort.errors import DimensionError, EmptyInputError
+from storysort.errors import DimensionError, EmptyInputError, ValidationError
 from storysort.metrics import (
     aggregate,
     avg_distance,
@@ -147,6 +147,17 @@ class TestConfusion:
     def test_empty(self):
         with pytest.raises(EmptyInputError):
             confusion(np.empty((0, 5), dtype=np.intp), np.empty((0, 5), dtype=np.intp))
+
+
+@pytest.mark.parametrize("metric,pred,gold", [
+    (confusion, [[0, -1]], [[0, 1]]),
+    (spearman, [0, 5], [0, 1]),
+    (pairwise_accuracy, [0, 0], [0, 1]),
+    (avg_distance, [0, 1], [1, 1]),
+], ids=["confusion-negative", "spearman-out-of-range", "pairwise-repeated", "gold-repeated"])
+def test_rows_that_are_not_permutations_are_rejected(metric, pred, gold):
+    with pytest.raises(ValidationError, match="orders must be permutations of 0..n-1"):
+        metric(pred, gold)
 
 
 class TestAggregate:

@@ -165,7 +165,7 @@ class TestPredictStories:
         assert preds.tolist() == [list(spec.module.predict(model, s).positions) for s in stories]
         for chunk, stack in chunks:
             for story, s in zip(chunk, stack):
-                assert np.array_equal(s, spec.module.scores(model, [story])[0])
+                assert np.array_equal(s, spec.module.scores(model, story)[0])
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("count", [0, 1])

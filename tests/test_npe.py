@@ -26,7 +26,7 @@ def linear_npe(weight, bias, alpha=1.0):
 def story_loss(model, story):
     """The training loss of one story: npe_order_head on its gold-ordered features."""
     head = neural.npe_order_head(model.alpha)
-    return head(model.mlp, gold_features([story], model.use_image), None)[0]
+    return head(model.mlp, gold_features(story, model.use_image), None)[0]
 
 
 def two_element_penalty(first, second, alpha=1.0):
@@ -36,7 +36,7 @@ def two_element_penalty(first, second, alpha=1.0):
     exactly these embeddings; npe_scores returns the negated penalty.
     """
     model = linear_npe(np.array([first, second]), np.zeros(len(first)), alpha)
-    return -npe_scores(model, [make_story([0, 1])])[0][0, 1]
+    return -npe_scores(model, make_story([0, 1]))[0][0, 1]
 
 
 class TestEmbed:
@@ -80,7 +80,7 @@ class TestPairLoss:
     def test_dim_mismatch(self):
         # features of width 2 against a model that embeds width 3
         with pytest.raises(DimensionError):
-            npe_scores(zero_npe(3, 4), [make_story([0, 1])])
+            npe_scores(zero_npe(3, 4), make_story([0, 1]))
 
     def test_alpha_validated(self):
         with pytest.raises(ValidationError):
@@ -110,7 +110,7 @@ class TestStoryLoss:
         rng = np.random.default_rng(1)
         story = make_story([0, 1], text=[rng.standard_normal(2) for _ in range(2)])
         model = linear_npe(rng.standard_normal((2, 3)), rng.standard_normal(3))
-        penalty = -npe_scores(model, [story])[0][0, 1]
+        penalty = -npe_scores(model, story)[0][0, 1]
         assert story_loss(model, story) == pytest.approx(penalty, rel=1e-12)
 
     def test_uses_gold_order_not_presented(self):
@@ -135,7 +135,7 @@ class TestScores:
     def test_identical_embeddings_tie_to_identity(self):
         story = make_story([0, 1, 2, 3, 4])
         model = zero_npe(5, 4)
-        s = npe_scores(model, [story])[0]
+        s = npe_scores(model, story)[0]
         off_diag = s[~np.eye(5, dtype=bool)]
         assert (off_diag == off_diag[0]).all()
         assert predict(model, story).positions == (0, 1, 2, 3, 4)
@@ -144,34 +144,34 @@ class TestScores:
         story = make_story([0, 1, 2, 3, 4], presented=[2, 0, 4, 1, 3])
         w = np.outer(np.arange(5.0), np.ones(3))
         model = linear_npe(w, np.zeros(3))
-        assert [list(predict(model, story).positions)] == presented_gold([story]).tolist()
+        assert [list(predict(model, story).positions)] == presented_gold(story).tolist()
 
     def test_scores_not_antisymmetric_raw(self):
         rng = np.random.default_rng(3)
         story = make_story([0, 1, 2], text=[rng.standard_normal(3) for _ in range(3)])
         model = linear_npe(rng.standard_normal((3, 4)), rng.standard_normal(4))
-        s = npe_scores(model, [story])[0]
+        s = npe_scores(model, story)[0]
         assert (s[~np.eye(3, dtype=bool)] <= 0.0).all()  # negated penalties
         assert s[0, 1] != -s[1, 0]
 
     def test_diagonal_zero(self):
         story = make_story([0, 1, 2])
         model = zero_npe(3, 4)
-        assert (np.diagonal(npe_scores(model, [story])[0]) == 0.0).all()
+        assert (np.diagonal(npe_scores(model, story)[0]) == 0.0).all()
 
 
 class TestTrainNpe:
     def test_learns_clean_signal(self, tiny_clean_dataset):
-        train, _, test = split_dataset(tiny_clean_dataset, (0.75, 0.0, 0.25), seed=0)
+        train, test = split_dataset(tiny_clean_dataset, 0.25, seed=0)
         cfg = TrainConfig(learning_rate=0.02, epochs=30, batch_size=8, seed=0)
         model = train_npe(train, cfg, embed_dim=16, alpha=1.0)
         report = M.aggregate(
-            [M.score_story(predict(model, s).positions, presented_gold([s])[0]) for s in test]
+            [M.score_story(predict(model, s).positions, presented_gold(s)[0]) for s in test]
         )
         assert report.pairwise_accuracy >= 0.9
 
     def test_loss_decreases_from_init(self, tiny_clean_dataset):
-        train, _, _ = split_dataset(tiny_clean_dataset, (0.75, 0.0, 0.25), seed=0)
+        train, _ = split_dataset(tiny_clean_dataset, 0.25, seed=0)
         base_cfg = TrainConfig(learning_rate=0.02, epochs=50, batch_size=8, seed=0)
         rng = np.random.default_rng(base_cfg.seed)
         dim = gold_features(train, use_image=False).shape[-1]
@@ -200,7 +200,7 @@ class TestTrainNpe:
         assert loaded.alpha == 0.5
         story = tiny_clean_dataset[20]
         assert np.max(np.abs(
-            npe_scores(model, [story]) - npe_scores(loaded, [story])
+            npe_scores(model, story) - npe_scores(loaded, story)
         )) <= 1e-12
 
     def test_config_validation(self, tiny_clean_dataset):

@@ -57,14 +57,14 @@ def objective_oracle(s, sigma):
 class TestPairScores:
     def test_zero_model_all_zero(self):
         story = make_story([0, 1, 2])
-        s = pair_scores(zero_pair_model(3), [story])[0]
+        s = pair_scores(zero_pair_model(3), story)[0]
         assert (s == 0.0).all()
 
     def test_orientations_independent(self):
         rng = np.random.default_rng(0)
         story = make_story([0, 1], text=[rng.standard_normal(2) for _ in range(2)])
         mlp = MlpParams((4, 1), [rng.standard_normal((4, 1))], [rng.standard_normal(1)])
-        s = pair_scores(PairwiseModel(mlp=mlp), [story])[0]
+        s = pair_scores(PairwiseModel(mlp=mlp), story)[0]
         assert s[0, 1] != s[1, 0]
         assert s[0, 0] == 0.0 and s[1, 1] == 0.0
 
@@ -72,7 +72,7 @@ class TestPairScores:
         story = make_story([0, 1], text=[np.array([1.0, 0.0]), np.array([0.0, 2.0])])
         w = np.array([[1.0], [2.0], [3.0], [4.0]])
         mlp = MlpParams((4, 1), [w], [np.array([0.5])])
-        s = pair_scores(PairwiseModel(mlp=mlp), [story])[0]
+        s = pair_scores(PairwiseModel(mlp=mlp), story)[0]
         # s[0][1] = [1, 0, 0, 2] . w + 0.5 ; s[1][0] = [0, 2, 1, 0] . w + 0.5
         assert s[0, 1] == pytest.approx(1.0 + 8.0 + 0.5)
         assert s[1, 0] == pytest.approx(4.0 + 3.0 + 0.5)
@@ -169,11 +169,11 @@ class TestDecode:
 
 class TestTrainPairwise:
     def test_learns_clean_signal(self, tiny_clean_dataset):
-        train, _, test = split_dataset(tiny_clean_dataset, (0.75, 0.0, 0.25), seed=0)
+        train, test = split_dataset(tiny_clean_dataset, 0.25, seed=0)
         cfg = TrainConfig(learning_rate=0.05, epochs=8, batch_size=32, seed=0)
         model = train_pairwise(train, cfg, use_image=True)
         report = M.aggregate(
-            [M.score_story(predict(model, s).positions, presented_gold([s])[0]) for s in test]
+            [M.score_story(predict(model, s).positions, presented_gold(s)[0]) for s in test]
         )
         assert report.pairwise_accuracy == 1.0
         assert report.spearman >= 0.99
@@ -197,7 +197,7 @@ class TestTrainPairwise:
         loaded = load_model(path)
         story = tiny_clean_dataset[20]
         assert np.max(np.abs(
-            pair_scores(model, [story]) - pair_scores(loaded, [story])
+            pair_scores(model, story) - pair_scores(loaded, story)
         )) <= 1e-12
         assert loaded.margin == 2.0
 

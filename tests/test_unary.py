@@ -32,28 +32,28 @@ class TestPositionProbs:
     def test_zero_weights_give_uniform_rows(self):
         story = make_story([0, 1, 2, 3, 4])
         model = zero_model(5, 5)
-        probs = position_probs(model, [story])[0]
+        probs = position_probs(model, story)[0]
         assert probs == pytest.approx(np.full((5, 5), 0.2))
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         story = make_story([0, 1, 2], text=[rng.standard_normal(3) for _ in range(3)])
         mlp = MlpParams((3, 3), [rng.standard_normal((3, 3))], [rng.standard_normal(3)])
-        probs = position_probs(UnaryModel(mlp=mlp, n=3), [story])[0]
+        probs = position_probs(UnaryModel(mlp=mlp, n=3), story)[0]
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_hand_set_single_layer(self):
         # 2 elements, weights pick out feature coordinates directly
         story = make_story([0, 1], text=[np.array([2.0, 0.0]), np.array([0.0, 3.0])])
         mlp = MlpParams((2, 2), [np.eye(2)], [np.zeros(2)])
-        probs = position_probs(UnaryModel(mlp=mlp, n=2), [story])[0]
+        probs = position_probs(UnaryModel(mlp=mlp, n=2), story)[0]
         e2 = np.exp(2.0)
         e0 = np.exp(0.0)
         assert probs[0] == pytest.approx([e2 / (e2 + e0), e0 / (e2 + e0)], abs=1e-12)
 
     def test_wrong_story_size(self):
         with pytest.raises(DimensionError):
-            position_probs(zero_model(5, 5), [make_story([0, 1, 2])])
+            position_probs(zero_model(5, 5), make_story([0, 1, 2]))
 
     def test_output_dim_must_match_n(self):
         mlp = MlpParams((5, 4), [np.zeros((5, 4))], [np.zeros(4)])
@@ -104,11 +104,11 @@ class TestDecodeUnary:
 
 class TestTrainUnary:
     def test_learns_clean_signal(self, tiny_clean_dataset):
-        train, _, test = split_dataset(tiny_clean_dataset, (0.75, 0.0, 0.25), seed=0)
+        train, test = split_dataset(tiny_clean_dataset, 0.25, seed=0)
         cfg = TrainConfig(learning_rate=0.05, epochs=12, batch_size=16, seed=0)
         model = train_unary(train, cfg, use_image=True)
         report = M.aggregate(
-            [M.score_story(predict(model, s).positions, presented_gold([s])[0]) for s in test]
+            [M.score_story(predict(model, s).positions, presented_gold(s)[0]) for s in test]
         )
         assert report.spearman >= 0.95
 
@@ -121,9 +121,9 @@ class TestTrainUnary:
         assert pa.read_bytes() == pb.read_bytes()
 
     @pytest.mark.parametrize("kind", list(REGISTRY))
-    def test_empty_dataset_rejected(self, quick_cfg, kind):
+    def test_empty_dataset_rejected(self, quick_cfg, kind, tiny_clean_dataset):
         with pytest.raises(EmptyInputError):
-            REGISTRY[kind].module.train([], quick_cfg)
+            REGISTRY[kind].module.train(tiny_clean_dataset[:0], quick_cfg)
 
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValidationError):
@@ -136,7 +136,7 @@ class TestTrainUnary:
         loaded = load_model(path)
         story = tiny_clean_dataset[30]
         assert np.max(np.abs(
-            position_probs(model, [story]) - position_probs(loaded, [story])
+            position_probs(model, story) - position_probs(loaded, story)
         )) <= 1e-12
         assert loaded.train_config == quick_cfg
         assert loaded.use_image
@@ -148,4 +148,4 @@ class TestTopPermutations:
         model = zero_model(5, 5)
         tops, totals = top_permutations(model, story, 3)
         assert tops.shape == (3, 5) and totals.shape == (3,)
-        assert tops[0].tolist() == decode_unary(position_probs(model, [story]))[0].tolist()
+        assert tops[0].tolist() == decode_unary(position_probs(model, story))[0].tolist()
