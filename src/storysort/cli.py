@@ -7,7 +7,7 @@ a run can be replayed to byte-identical outputs. Metrics are rounded to
 
 Files are UTF-8 JSON: one object per line in datasets (from generate) and
 predictions (from sort), one object in checkpoints (from train) and eval
---out reports; storysort.data and storysort.neural list the fields. A
+--out reports; storysort.data and storysort.models list the fields. A
 dataset's presented_order may be null, for the listed order; every line
 must have the first line's n and feature widths, and a line that fails a
 check is one ``error: <path>:<line>: ...`` line. Float arrays are float
@@ -44,6 +44,7 @@ Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -60,7 +61,7 @@ from . import metrics as metrics_mod
 from . import models as models_mod
 from .core import is_permutation, json_list, json_value
 from .errors import ParseError, StorySortError, UsageError, ValidationError
-from .neural import TrainConfig
+from .neural import DEFAULT_HIDDEN_UNITS, TrainConfig
 
 # Checkpoint loading under the name perfbench/run.py calls.
 _load_model = models_mod.load_model
@@ -152,6 +153,8 @@ def _apply_config_file(args: argparse.Namespace,
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise UsageError(f"{path}: not UTF-8 text: {e.reason}") from e
+    except OSError as e:
+        raise UsageError(f"config file cannot be read: {e}") from e
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -232,6 +235,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.val is not None:
         val_stories = data_mod.load_dataset(Path(args.val))
         inputs.append(Path(args.val))
+        # a kind whose checkpoint records n scores only stories of that n
+        if "n" in dict(spec.fields) and val_stories and val_stories.n != train_stories.n:
+            raise ValidationError(
+                f"--val {args.val} has n={val_stories.n}, but a {args.model} model trained "
+                f"on --data {data_path} (n={train_stories.n}) scores only n={train_stories.n}"
+            )
     else:
         train_stories, val_stories = data_mod.split_dataset(train_stories, args.val_frac,
                                                             args.seed)
@@ -383,14 +392,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    synthetic = {f.name: f.default for f in dataclasses.fields(data_mod.SyntheticSpec)}
     p_gen = sub.add_parser("generate", help="write a synthetic planted-signal dataset")
     p_gen.add_argument("--stories", type=int, required=True)
-    p_gen.add_argument("--n", type=int, default=5)
-    p_gen.add_argument("--text-dim", type=int, default=32)
-    p_gen.add_argument("--image-dim", type=int, default=16)
-    p_gen.add_argument("--noise", type=float, default=0.1)
-    p_gen.add_argument("--signal", choices=data_mod.SIGNAL_MODES, default="monotone")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--n", type=int, default=synthetic["n"])
+    p_gen.add_argument("--text-dim", type=int, default=synthetic["text_dim"])
+    p_gen.add_argument("--image-dim", type=int, default=synthetic["image_dim"])
+    p_gen.add_argument("--noise", type=float, default=synthetic["noise_sigma"])
+    p_gen.add_argument("--signal", choices=data_mod.SIGNAL_MODES,
+                       default=synthetic["signal_mode"])
+    p_gen.add_argument("--seed", type=int, default=synthetic["seed"])
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--config", default=None)
 
@@ -404,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lr", type=float, default=None)
     p_train.add_argument("--batch-size", type=int, default=None)
     p_train.add_argument("--l2", type=float, default=0.0)
-    p_train.add_argument("--hidden", type=int, default=64)
+    p_train.add_argument("--hidden", type=int, default=DEFAULT_HIDDEN_UNITS)
     for spec in models_mod.REGISTRY.values():
         for name, default in spec.train_args.items():
             p_train.add_argument("--" + name.replace("_", "-"), type=type(default),
@@ -455,11 +466,13 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except StorySortError as e:
+    except (StorySortError, OSError) as e:
+        # OSError: a missing file, or a directory where a file belongs
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except MemoryError as e:
+        # numpy's message names the size of the array it could not allocate
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

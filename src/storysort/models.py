@@ -20,22 +20,33 @@ forward pass and decoded in one call, and returns one (S, n) array. A
 story is a batch of one: top_permutations gives its (k, n) best orders,
 and a module's ``predict`` passes it to the same scorers and decoders and
 returns a core.Permutation, the one-story public type.
+
+This module also owns the checkpoint file: save_model and load_model
+write and read one JSON object of model_kind, the kind's fields (in the
+entry's order), layer_dims, weights, biases and train_config (the
+TrainConfig fields, or null). weights and biases hold one float block
+(core.float_block) per layer k: the (layer_dims[k], layer_dims[k + 1])
+weight matrix and the layer_dims[k + 1] bias vector, each of exactly that
+shape's byte length. Reloaded parameters are bit-identical, so scores are
+too, and a load then save reproduces the file byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import ModuleType
 
 import numpy as np
 
-from . import neural, npe, pairwise, unary
+from . import npe, pairwise, unary
 from .assign import topk_assignments
-from .core import MAX_ENUMERATION_N, check_top_k, json_value
+from .core import MAX_ENUMERATION_N, check_top_k, float_block, json_floats, json_list, json_value
 from .data import Stories
-from .errors import EnumerationCapError, UsageError, ValidationError
+from .errors import EnumerationCapError, ParseError, UsageError, ValidationError
+from .neural import MlpParams, TrainConfig
 
 ADDITIVE = "additive"
 PAIR = "pair"
@@ -137,21 +148,63 @@ def top_permutations(model: AnyModel, story: Stories, k: int) -> tuple[np.ndarra
 
 
 def save_model(model: AnyModel, path: str | Path) -> None:
-    """Write a checkpoint: model_kind, the kind's fields, the MLP, train_config."""
+    """Write a checkpoint as one deterministic JSON object."""
     spec = spec_for(model)
     payload = {
         "model_kind": spec.module.MODEL_KIND,
         **{name: getattr(model, name) for name, _ in spec.fields},
-        **neural.mlp_to_dict(model.mlp),
+        "layer_dims": list(model.mlp.layer_dims),
+        "weights": [float_block(w) for w in model.mlp.weights],
+        "biases": [float_block(b) for b in model.mlp.biases],
         "train_config": None if model.train_config is None
-        else neural.train_config_to_dict(model.train_config),
+        else asdict(model.train_config),
     }
-    neural.save_checkpoint(payload, path)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+
+
+def _mlp(payload: dict) -> MlpParams:
+    """layer_dims must be integers, and weights and biases one float block per layer."""
+    dims = json_list(payload["layer_dims"], (int,), "layer_dims")
+    weights = json_list(payload["weights"], (str,), "weights")
+    biases = json_list(payload["biases"], (str,), "biases")
+    if not len(weights) == len(biases) == len(dims) - 1:
+        raise ValueError(f"layer_dims {dims} need {len(dims) - 1} weight and bias blocks")
+    return MlpParams(
+        tuple(dims),
+        [json_floats(w, shape, "weights") for w, shape in zip(weights, zip(dims, dims[1:]))],
+        [json_floats(b, (width,), "biases") for b, width in zip(biases, dims[1:])],
+    )
+
+
+def _train_config(d: dict) -> TrainConfig:
+    """Reads each field with its exact JSON type: 2.7 epochs or a string rate is a ValueError."""
+    return TrainConfig(
+        learning_rate=float(json_value(d["learning_rate"], (int, float), "learning_rate")),
+        epochs=json_value(d["epochs"], (int,), "epochs"),
+        batch_size=json_value(d["batch_size"], (int,), "batch_size"),
+        seed=json_value(d["seed"], (int,), "seed"),
+        l2=float(json_value(d["l2"], (int, float), "l2")),
+    )
 
 
 def load_model(path: str | Path) -> AnyModel:
-    """Read a checkpoint of any kind; a missing or malformed field raises ValidationError."""
-    payload = neural.load_checkpoint_dict(path)
+    """Read a checkpoint of any kind.
+
+    Text that is not UTF-8 JSON raises ParseError, a missing model_kind or
+    a missing or malformed field ValidationError, and an unknown
+    model_kind UsageError.
+    """
+    path = Path(path)
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path} is not valid JSON: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from e
+    if not isinstance(payload, dict) or "model_kind" not in payload:
+        raise ValidationError(f"{path} is not a model checkpoint (missing model_kind)")
     kind = payload["model_kind"]
     if not isinstance(kind, str) or kind not in REGISTRY:
         raise UsageError(f"unknown model_kind {kind!r} in {path}")
@@ -165,9 +218,9 @@ def load_model(path: str | Path) -> AnyModel:
         except ValueError as e:
             raise ValidationError(f"{path}: bad checkpoint field {name!r}: {e}") from e
     try:
-        mlp = neural.mlp_from_dict(payload)
+        mlp = _mlp(payload)
         cfg = payload.get("train_config")
-        train_config = None if cfg is None else neural.train_config_from_dict(cfg)
+        train_config = None if cfg is None else _train_config(cfg)
         return spec.module.Model(mlp=mlp, train_config=train_config, **fields)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValidationError(f"{path}: bad checkpoint: {type(e).__name__}: {e}") from e

@@ -1,48 +1,34 @@
-"""Minimal trainable MLP with softmax, hinge, and ordered-embedding heads.
+"""One trainable MLP and its mini-batch SGD trainer.
 
-Everything runs on float64 numpy. Hidden layers are affine + ReLU, the
-final layer is affine (an optional terminal ReLU serves the ordered
-embedding head). Gradients are hand-derived; the tests check them against
-central finite differences. The trainer is plain mini-batch SGD
+Everything runs on float64 numpy. Hidden layers are affine + ReLU and the
+final layer is affine. Gradients are hand-derived; the tests check them
+against central finite differences. The trainer is plain mini-batch SGD
 with optional L2 weight decay; all shuffling comes from the config seed,
 so identical inputs produce bit-identical parameters.
 
-Training sets are arrays, built once by the caller: ``X`` holds the
-input rows and ``y`` their targets, row k of one belonging to row k of
-the other. The softmax and hinge heads take ``X`` of shape (batch, d);
-the ordered-embedding head takes ``X`` of shape (batch, n, d), one
-gold-ordered story per row, and ``y = None``. sgd_train checks the
-width d against the model once, then hands each mini-batch to the head
-as ``X[idx]`` and ``y[idx]``.
-
-Checkpoints are single JSON objects holding model_kind, the kind's own
-fields, layer_dims, weights, biases, and the training config used (or
-null). weights and biases hold one float block (core.float_block) per
-layer k: the (layer_dims[k], layer_dims[k + 1]) weight matrix and the
-layer_dims[k + 1] bias vector, each of exactly that shape's byte length.
-Reloaded parameters are bit-identical, so forward outputs are too.
+Training sets are arrays, built once by the caller: ``X`` holds the input
+rows, of shape (rows, d) or (rows, n, d) for rows of n elements, and ``y``
+their targets (or None), row k of one belonging to row k of the other.
+sgd_train checks the width d against the model once, then runs one
+forward and backward pass per mini-batch ``X[idx]``. The model kind's
+loss sees only the network output, shaped as ``X[idx]`` with the output
+width in place of d: ``loss(out, y[idx])`` returns the mean batch loss and
+its gradient with respect to out. Each kind's module holds its own loss;
+this module knows neither model kinds nor files.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import float_block, json_floats, json_list, json_value
-from .errors import (
-    DimensionError,
-    NumericError,
-    ParseError,
-    ValidationError,
-)
+from .errors import DimensionError, NumericError, ValidationError
 
-# head(params, X, y) -> (mean batch loss, (weight grads, bias grads)), on one mini-batch
-LossHead = Callable[["MlpParams", np.ndarray, "np.ndarray | None"], tuple[float, tuple]]
+# loss(out, y) -> (mean batch loss, gradient of that loss w.r.t. out), on one mini-batch
+Loss = Callable[[np.ndarray, "np.ndarray | None"], tuple[float, np.ndarray]]
 
 DEFAULT_HIDDEN_UNITS = 64
 
@@ -134,23 +120,22 @@ def softmax(z) -> np.ndarray:
 
 
 def _forward_cached(
-    params: MlpParams, X: np.ndarray, terminal_relu: bool
+    params: MlpParams, X: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Forward pass keeping activations and pre-activations for backprop."""
+    """Forward pass keeping each layer's input and pre-activation for backprop.
+
+    The network output is the last pre-activation.
+    """
     acts = [X]
     pres = []
-    last = len(params.weights) - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = acts[-1] @ w + b
-        pres.append(z)
-        if k < last or terminal_relu:
-            acts.append(relu(z))
-        else:
-            acts.append(z)
+        if k:
+            acts.append(relu(pres[-1]))
+        pres.append(acts[-1] @ w + b)
     return acts, pres
 
 
-def mlp_forward(params: MlpParams, x, terminal_relu: bool = False) -> np.ndarray:
+def mlp_forward(params: MlpParams, x) -> np.ndarray:
     """Forward pass on a single vector, a (batch, dim) matrix or a (..., batch, dim) stack.
 
     A stack is multiplied one (batch, dim) matrix at a time, so each
@@ -166,8 +151,8 @@ def mlp_forward(params: MlpParams, x, terminal_relu: bool = False) -> np.ndarray
         raise DimensionError(
             f"input dim {a.shape[-1] if a.ndim else '?'} does not match model dim {params.input_dim}"
         )
-    acts, _ = _forward_cached(params, a, terminal_relu)
-    out = acts[-1]
+    _, pres = _forward_cached(params, a)
+    out = pres[-1]
     return out[0] if single else out
 
 
@@ -175,15 +160,13 @@ def _backward(
     params: MlpParams,
     acts: list[np.ndarray],
     pres: list[np.ndarray],
-    d_out: np.ndarray,
-    terminal_relu: bool,
+    dz: np.ndarray,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Backprop from a gradient w.r.t. the network output.
+    """Backprop from dz, the gradient w.r.t. the network output.
 
     ReLU subgradient at exactly zero pre-activation is 0.
     """
     L = len(params.weights)
-    dz = d_out * (pres[-1] > 0) if terminal_relu else d_out
     gws: list = [None] * L
     gbs: list = [None] * L
     for k in reversed(range(L)):
@@ -194,89 +177,24 @@ def _backward(
     return gws, gbs
 
 
-def softmax_ce_head() -> LossHead:
-    """Mean cross-entropy of (batch, d) rows X against integer class targets y."""
+def _loss_and_grads(
+    params: MlpParams, X: np.ndarray, y: np.ndarray | None, loss: Loss
+) -> tuple[float, tuple[list[np.ndarray], list[np.ndarray]]]:
+    """One mini-batch's mean loss and its (weight, bias) gradients.
 
-    def head(params: MlpParams, X: np.ndarray, y: np.ndarray) -> tuple[float, tuple]:
-        y = y.astype(np.int64)
-        acts, pres = _forward_cached(params, X, terminal_relu=False)
-        logits = acts[-1]
-        m = logits.max(axis=1, keepdims=True)
-        # one exp serves the log-sum-exp loss and the softmax of the gradient;
-        # non-finite logits make the loss NaN, which sgd_train reports
-        e = np.exp(logits - m)
-        total = e.sum(axis=1, keepdims=True)
-        rows = np.arange(len(X))
-        loss = float((m[:, 0] + np.log(total[:, 0]) - logits[rows, y]).mean())
-        probs = e / total
-        probs[rows, y] -= 1.0
-        grads = _backward(params, acts, pres, probs / len(X), terminal_relu=False)
-        return loss, grads
-
-    return head
-
-
-def pairwise_hinge_head(margin: float) -> LossHead:
-    """Mean hinge max(0, margin - y*s) of scalar scores of (batch, d) rows X; y is +-1."""
-    if not margin > 0:
-        raise ValidationError(f"hinge margin must be > 0, got {margin}")
-
-    def head(params: MlpParams, X: np.ndarray, y: np.ndarray) -> tuple[float, tuple]:
-        y = y.astype(np.float64)
-        acts, pres = _forward_cached(params, X, terminal_relu=False)
-        scores = acts[-1][:, 0]
-        slack = margin - y * scores
-        active = slack > 0  # subgradient 0 exactly at the kink
-        batch = len(X)
-        loss = float(np.sum(np.where(active, slack, 0.0)) / batch)
-        d_scores = (-y * active) / batch
-        grads = _backward(params, acts, pres, d_scores[:, None], terminal_relu=False)
-        return loss, grads
-
-    return head
-
-
-def order_margins(emb: np.ndarray, alpha: float) -> np.ndarray:
-    """m[..., i, j, :] = max(0, alpha - (e_j - e_i)) for embeddings emb of shape (..., n, k).
-
-    The squared norm of m[..., i, j, :] is the penalty of placing i before j;
-    the result has shape (..., n, n, k).
+    Rows of n elements are flattened into one (rows * n, d) matrix for the
+    forward and backward pass, and loss sees their output as (rows, n, width).
     """
-    return np.maximum(0.0, alpha - (emb[..., None, :, :] - emb[..., :, None, :]))
-
-
-def npe_order_head(alpha: float) -> LossHead:
-    """Mean per-story ordered-embedding penalty; X is (batch, n, d) gold-order stories.
-
-    Each story contributes sum over ordered pairs i<j of
-    ||max(0, alpha - (e_j - e_i))||^2 on terminal-ReLU embeddings.
-    """
-    if not alpha > 0:
-        raise ValidationError(f"alpha must be > 0, got {alpha}")
-
-    def head(params: MlpParams, X: np.ndarray, y: None) -> tuple[float, tuple]:
-        batch, n, d_in = X.shape
-        acts, pres = _forward_cached(params, X.reshape(batch * n, d_in), terminal_relu=True)
-        emb = acts[-1].reshape(batch, n, params.output_dim)
-        earlier = np.triu(np.ones((n, n)), 1)[:, :, None]  # pairs i < j
-        m = order_margins(emb, alpha) * earlier
-        loss = float(np.sum(m * m)) / batch
-        # e_i gains +2m from each later j, e_j gains -2m from each earlier i
-        d_emb = 2.0 * (m.sum(axis=2) - m.sum(axis=1)) / batch
-        grads = _backward(
-            params, acts, pres, d_emb.reshape(batch * n, params.output_dim),
-            terminal_relu=True,
-        )
-        return loss, grads
-
-    return head
+    acts, pres = _forward_cached(params, X.reshape(-1, params.input_dim))
+    value, d_out = loss(pres[-1].reshape(*X.shape[:-1], params.output_dim), y)
+    return value, _backward(params, acts, pres, d_out.reshape(-1, params.output_dim))
 
 
 def sgd_train(
     params: MlpParams,
     X: np.ndarray,
     y: np.ndarray | None,
-    loss_head: LossHead,
+    loss: Loss,
     cfg: TrainConfig,
 ) -> MlpParams:
     """Mini-batch SGD over the rows of X (and y); returns updated copies of the parameters.
@@ -297,8 +215,9 @@ def sgd_train(
         order = rng.permutation(len(X))
         for start in range(0, len(X), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            loss, (gws, gbs) = loss_head(params, X[idx], None if y is None else y[idx])
-            if not np.isfinite(loss):
+            value, (gws, gbs) = _loss_and_grads(params, X[idx], None if y is None else y[idx],
+                                                loss)
+            if not np.isfinite(value):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
                 )
@@ -309,68 +228,3 @@ def sgd_train(
                 params.weights[k] -= cfg.learning_rate * gw
                 params.biases[k] -= cfg.learning_rate * gbs[k]
     return params
-
-
-def train_config_to_dict(cfg: TrainConfig) -> dict:
-    return {
-        "learning_rate": cfg.learning_rate,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "seed": cfg.seed,
-        "l2": cfg.l2,
-    }
-
-
-def train_config_from_dict(d: dict) -> TrainConfig:
-    """Reads each field with its exact JSON type: 2.7 epochs or a string rate is a ValueError."""
-    return TrainConfig(
-        learning_rate=float(json_value(d["learning_rate"], (int, float), "learning_rate")),
-        epochs=json_value(d["epochs"], (int,), "epochs"),
-        batch_size=json_value(d["batch_size"], (int,), "batch_size"),
-        seed=json_value(d["seed"], (int,), "seed"),
-        l2=float(json_value(d["l2"], (int, float), "l2")),
-    )
-
-
-def mlp_to_dict(params: MlpParams) -> dict:
-    return {
-        "layer_dims": list(params.layer_dims),
-        "weights": [float_block(w) for w in params.weights],
-        "biases": [float_block(b) for b in params.biases],
-    }
-
-
-def mlp_from_dict(d: dict) -> MlpParams:
-    """layer_dims must be integers, and weights and biases one float block per layer."""
-    dims = tuple(json_list(d["layer_dims"], (int,), "layer_dims"))
-    weights = json_list(d["weights"], (str,), "weights")
-    biases = json_list(d["biases"], (str,), "biases")
-    if not len(weights) == len(biases) == len(dims) - 1:
-        raise ValueError(f"layer_dims {list(dims)} need {len(dims) - 1} weight and bias blocks")
-    return MlpParams(
-        dims,
-        [json_floats(w, shape, "weights") for w, shape in zip(weights, zip(dims, dims[1:]))],
-        [json_floats(b, (width,), "biases") for b, width in zip(biases, dims[1:])],
-    )
-
-
-def save_checkpoint(payload: dict, path: str | Path) -> None:
-    """Write a checkpoint dict as a single deterministic JSON object."""
-    if "model_kind" not in payload:
-        raise ValidationError("checkpoint payload requires a model_kind")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
-
-
-def load_checkpoint_dict(path: str | Path) -> dict:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path} is not valid JSON: {e}") from e
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from e
-    if not isinstance(payload, dict) or "model_kind" not in payload:
-        raise ValidationError(f"{path} is not a model checkpoint (missing model_kind)")
-    return payload

@@ -8,7 +8,8 @@ reversal by construction. Decoding is exact for n <= 8: core.rank_orders,
 the one ranker of permutation table rows, ranks all n! orders by exact
 objective, ties going to the lexicographically smallest positions tuple,
 with float objectives that add the pairs row-major in (i, j). Training
-uses a binary hinge on both orientations of every gold pair.
+uses a binary hinge on both orientations of every gold pair: hinge is the
+loss neural.sgd_train minimizes, its margin bound by functools.partial.
 
 Scoring and decoding run over a data.Stories batch of S stories at once:
 pair_scores makes one forward pass over every story's pair rows and
@@ -21,6 +22,7 @@ takes one and returns a core.Permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -105,6 +107,16 @@ def predict(model: PairwiseModel, story: Stories) -> Permutation:
     return Permutation(tuple(order))
 
 
+def hinge(out: np.ndarray, labels: np.ndarray, margin: float) -> tuple[float, np.ndarray]:
+    """Mean hinge max(0, margin - y*s) of (batch, 1) scores s against +-1 labels y, and
+    its gradient w.r.t. the scores."""
+    slack = margin - labels * out[:, 0]
+    active = slack > 0  # subgradient 0 exactly at the kink
+    batch = len(out)
+    loss = float(np.sum(np.where(active, slack, 0.0)) / batch)
+    return loss, ((-labels * active) / batch)[:, None]
+
+
 def train_pairwise(
     stories: Stories,
     cfg: TrainConfig,
@@ -129,7 +141,7 @@ def train_pairwise(
     rng = np.random.default_rng(cfg.seed)
     params = neural.init_mlp((width, hidden_units, 1), rng)
     params = neural.sgd_train(params, X.reshape(count * pairs, width), np.tile(labels, count),
-                              neural.pairwise_hinge_head(margin), cfg)
+                              partial(hinge, margin=margin), cfg)
     return PairwiseModel(mlp=params, use_image=use_image, margin=margin, train_config=cfg)
 
 

@@ -3,7 +3,8 @@
 Each element is scored independently with an n-way softmax over
 positions; the story-level score of a permutation is the sum of the
 chosen per-element probabilities, maximized exactly by the assignment
-solver. Training is per-element softmax cross-entropy on gold positions.
+solver. Training is per-element softmax cross-entropy on gold positions:
+cross_entropy is the loss neural.sgd_train minimizes.
 
 Scoring runs over a data.Stories batch of S stories at once: one
 (S, n, d) feature array and one forward pass give an (S, n, n) stack of
@@ -67,6 +68,21 @@ def predict(model: UnaryModel, story: Stories) -> Permutation:
     return Permutation(tuple(order))
 
 
+def cross_entropy(logits: np.ndarray, positions: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy of (batch, n) logits against gold positions, and its
+    gradient w.r.t. the logits."""
+    m = logits.max(axis=1, keepdims=True)
+    # one exp serves the log-sum-exp loss and the softmax of the gradient;
+    # non-finite logits make the loss NaN, which sgd_train reports
+    e = np.exp(logits - m)
+    total = e.sum(axis=1, keepdims=True)
+    rows = np.arange(len(logits))
+    loss = float((m[:, 0] + np.log(total[:, 0]) - logits[rows, positions]).mean())
+    probs = e / total
+    probs[rows, positions] -= 1.0
+    return loss, probs / len(logits)
+
+
 def train_unary(
     stories: Stories,
     cfg: TrainConfig,
@@ -79,7 +95,7 @@ def train_unary(
     rng = np.random.default_rng(cfg.seed)
     params = neural.init_mlp((dim, hidden_units, n), rng)
     params = neural.sgd_train(params, feats.reshape(count * n, dim),
-                              np.tile(np.arange(n), count), neural.softmax_ce_head(), cfg)
+                              np.tile(np.arange(n), count), cross_entropy, cfg)
     return UnaryModel(mlp=params, n=n, use_image=use_image, train_config=cfg)
 
 

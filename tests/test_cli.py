@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from storysort import cli
+from storysort import cli, neural
+from storysort import data as data_mod
 from storysort.core import Permutation
 from storysort.data import load_dataset, presented_gold
 
@@ -886,3 +887,82 @@ class TestCorruptedFiles:
             assert lines[0].startswith(("error: ", "usage error: ")), lines
 
         check()
+
+
+class TestUnusablePaths:
+    """A directory where a file belongs, or an allocation that fails, is one line."""
+
+    @pytest.mark.parametrize("where", ["eval-pred", "sort-ckpt", "sort-data",
+                                       "train-out"])
+    def test_directory_is_one_error_line(self, trained, tmp_path, capsys, where):
+        data, ckpts = trained
+        pred = tmp_path / "pred.jsonl"
+        argv = {
+            "eval-pred": ["eval", "--pred", str(tmp_path), "--data", str(data)],
+            "sort-ckpt": ["sort", "--ckpt", str(tmp_path), "--data", str(data),
+                            "--out", str(pred)],
+            "sort-data": ["sort", "--ckpt", str(ckpts["unary"]), "--data", str(tmp_path),
+                            "--out", str(pred)],
+            "train-out": train_args(data, tmp_path, extra=["--epochs", "1"]),
+        }[where]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert str(tmp_path) in one_error_line(capsys)
+        assert not pred.exists()
+
+    def test_directory_config_is_one_usage_error_line(self, tmp_path, capsys):
+        out = tmp_path / "d.jsonl"
+        capsys.readouterr()
+        assert run(gen_args(out, extra=["--config", str(tmp_path)])) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ") and str(tmp_path) in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_failed_allocation_is_one_error_line(self, trained, tmp_path, capsys, monkeypatch,
+                                                 command):
+        # stands in for numpy failing to allocate the arrays of a huge
+        # --stories or --embed-dim; no real allocation is attempted
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        data, _ = trained
+        out = tmp_path / "out.json"
+        if command == "generate":
+            monkeypatch.setattr(data_mod, "generate_synthetic", no_memory)
+            argv = gen_args(out)
+        else:
+            monkeypatch.setattr(neural, "init_mlp", no_memory)
+            argv = train_args(data, out)
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert one_error_line(capsys) == "error: Unable to allocate 745. GiB for an array"
+        assert not out.exists()
+
+
+class TestValOfAnotherN:
+    @pytest.fixture()
+    def val6(self, tmp_path):
+        val = tmp_path / "val6.jsonl"
+        assert run(gen_args(val, stories=8, extra=["--n", "6"])) == 0
+        return val
+
+    def test_unary_fails_before_training_naming_both_files(self, dataset, val6, tmp_path,
+                                                           capsys, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("trained before --val was checked")
+
+        monkeypatch.setattr(neural, "sgd_train", no_training)
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(train_args(dataset, out, extra=["--val", str(val6)])) == 1
+        line = one_error_line(capsys)
+        assert str(val6) in line and str(dataset) in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["pairwise", "npe"])
+    def test_pair_score_kinds_accept_it(self, dataset, val6, tmp_path, capsys, model):
+        capsys.readouterr()
+        assert run(train_args(dataset, tmp_path / "m.json", model=model,
+                              extra=["--val", str(val6)])) == 0
+        assert json.loads(capsys.readouterr().out)["val"]["story_count"] == 8

@@ -20,7 +20,9 @@ from storysort.data import (
 )
 from storysort.errors import FeatureError, ParseError, ValidationError
 from storysort.metrics import score_story
-from storysort.neural import MlpParams, mlp_from_dict, mlp_to_dict
+from storysort.models import load_model, save_model
+from storysort.neural import MlpParams
+from storysort.unary import UnaryModel
 from conftest import join, make_story
 
 
@@ -252,7 +254,8 @@ class TestDatasetIO:
         assert (story.text[0].view(np.uint64) == extremes.view(np.uint64)).all()
         assert (story.image[0].view(np.uint64) == extremes[::-1].view(np.uint64)).all()
         params = MlpParams((2, 2), [extremes], [extremes[:, 1]])
-        loaded = mlp_from_dict(json.loads(json.dumps(mlp_to_dict(params))))
+        save_model(UnaryModel(mlp=params, n=2), tmp_path / "extremes.json")
+        loaded = load_model(tmp_path / "extremes.json").mlp
         assert (loaded.weights[0].view(np.uint64) == extremes.view(np.uint64)).all()
         assert (loaded.biases[0].view(np.uint64) == extremes[:, 1].view(np.uint64)).all()
 

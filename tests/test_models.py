@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from storysort import core, models, neural
+from storysort import core, models, neural, npe
 from storysort.core import MAX_ENUMERATION_N
 from storysort.data import SyntheticSpec, generate_synthetic
 from storysort.errors import EnumerationCapError, SizeError, ValidationError
@@ -23,6 +23,25 @@ FILE_ORDER = {
                  "train_config"],
     "npe": ["model_kind", "alpha", "use_image", "layer_dims", "weights", "biases",
             "train_config"],
+}
+
+
+# The checkpoints of random_model(kind, n=2) as an earlier save_model wrote them;
+# the file format must stay the same, byte for byte.
+FROZEN = {
+    "unary": '{"model_kind": "unary", "n": 2, "use_image": false, "layer_dims": [2, 2], '
+             '"weights": ["QYTbie0XwD/MRb3pz+jAv22waKRXfuQ/8NSE7Lvauj8="], '
+             '"biases": ["7UPmGDQk4b/m0c6VXyTXPw=="], "train_config": {"learning_rate": 0.05, '
+             '"epochs": 2, "batch_size": 4, "seed": 1, "l2": 0.0}}\n',
+    "pairwise": '{"model_kind": "pairwise", "use_image": false, "margin": 2.0, '
+                '"layer_dims": [4, 1], '
+                '"weights": ["QYTbie0XwD/MRb3pz+jAv22waKRXfuQ/8NSE7Lvauj8="], '
+                '"biases": ["7UPmGDQk4b8="], "train_config": {"learning_rate": 0.05, '
+                '"epochs": 2, "batch_size": 4, "seed": 1, "l2": 0.0}}\n',
+    "npe": '{"model_kind": "npe", "alpha": 0.5, "use_image": false, "layer_dims": [2, 3], '
+           '"weights": ["QYTbie0XwD/MRb3pz+jAv22waKRXfuQ/8NSE7Lvauj/tQ+YYNCThv+bRzpVfJNc/"], '
+           '"biases": ["PBC9Ji/d9D+jvGm8fE7uPyiv2sH/hOa/"], "train_config": '
+           '{"learning_rate": 0.05, "epochs": 2, "batch_size": 4, "seed": 1, "l2": 0.0}}\n',
 }
 
 
@@ -62,6 +81,15 @@ class TestCheckpoint:
         assert type(loaded) is type(model)
         models.save_model(loaded, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_frozen_file_loads_and_saves_byte_for_byte(self, tmp_path, kind):
+        frozen, again = tmp_path / "frozen.json", tmp_path / "again.json"
+        frozen.write_text(FROZEN[kind], encoding="utf-8")
+        models.save_model(models.load_model(frozen), again)
+        assert again.read_text(encoding="utf-8") == FROZEN[kind]
+        models.save_model(random_model(kind, n=2), again)
+        assert again.read_text(encoding="utf-8") == FROZEN[kind]
 
     def test_unknown_model_type(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -125,11 +153,11 @@ class TestPredictStories:
     def recorded(self, monkeypatch):
         """Every chunk scored and the size of every intermediate array, while patched."""
         chunks, sizes = [], []
-        forward, margins, values = neural.mlp_forward, neural.order_margins, core.order_values
+        forward, margins, values = neural.mlp_forward, npe.order_margins, core.order_values
 
-        def record_forward(params, x, terminal_relu=False):
+        def record_forward(params, x):
             sizes.append(np.asarray(x).size // params.input_dim * max(params.layer_dims))
-            return forward(params, x, terminal_relu)
+            return forward(params, x)
 
         def record(fn, part=lambda out: out):
             def wrapped(*args):
@@ -145,7 +173,7 @@ class TestPredictStories:
                 return out
             monkeypatch.setattr(module, "scores", scores)
         monkeypatch.setattr(neural, "mlp_forward", record_forward)
-        monkeypatch.setattr(neural, "order_margins", record(margins))
+        monkeypatch.setattr(npe, "order_margins", record(margins))
         # order_values returns the chunk's (S, n!) table of order values
         monkeypatch.setattr(core, "order_values", record(values))
         return chunks, sizes, monkeypatch

@@ -1,21 +1,24 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from storysort import neural
-from storysort.errors import DimensionError, NumericError, ValidationError
+from storysort import models, neural, npe, pairwise
+from storysort.errors import DimensionError, NumericError, ParseError, ValidationError
 from storysort.neural import (
     MlpParams,
     TrainConfig,
     init_mlp,
     mlp_forward,
+    relu,
     sgd_train,
     softmax,
 )
-from conftest import grad_check
+from storysort.unary import UnaryModel, cross_entropy
+from conftest import grad_check, make_story
 
 GRAD_TOL = 1e-4
 
@@ -28,7 +31,7 @@ def zero_mlp(dims):
     )
 
 
-def kink_slack(params: MlpParams, X, terminal_relu: bool = False) -> float:
+def kink_slack(params: MlpParams, X, relu_output: bool = False) -> float:
     """Smallest |pre-activation| across the ReLU layers of a forward pass.
 
     Central finite differences are only trustworthy when no ReLU (or
@@ -38,20 +41,20 @@ def kink_slack(params: MlpParams, X, terminal_relu: bool = False) -> float:
     a = np.asarray(X, dtype=np.float64)
     if a.ndim == 1:
         a = a[None, :]
-    _, pres = neural._forward_cached(params, a, terminal_relu)
-    relu_pres = pres if terminal_relu else pres[:-1]
+    _, pres = neural._forward_cached(params, a)
+    relu_pres = pres if relu_output else pres[:-1]
     if not relu_pres:
         return np.inf
     return min(float(np.min(np.abs(z))) for z in relu_pres)
 
 
-def mean_loss(params: MlpParams, X, y, loss_head, batch_size: int = 256) -> float:
-    """Dataset mean of the head loss, computed in batches without updates."""
+def mean_loss(params: MlpParams, X, y, loss, batch_size: int = 256) -> float:
+    """Dataset mean of the loss, computed in batches without updates."""
     total = 0.0
     for start in range(0, len(X), batch_size):
         rows = slice(start, start + batch_size)
-        loss, _ = loss_head(params, X[rows], None if y is None else y[rows])
-        total += loss * len(X[rows])
+        value, _ = neural._loss_and_grads(params, X[rows], None if y is None else y[rows], loss)
+        total += value * len(X[rows])
     return total / len(X)
 
 
@@ -92,13 +95,13 @@ def draw_npe_case(seed, alpha=1.0, slack=1e-3, dims=(6, 8, 4), n=5, batch=4):
         params = init_mlp(dims, rng)
         items = [(rng.standard_normal((n, dims[0])), None) for _ in range(batch)]
         X = np.concatenate([x for x, _ in items])
-        emb = mlp_forward(params, X, terminal_relu=True).reshape(batch, n, dims[-1])
+        emb = relu(mlp_forward(params, X)).reshape(batch, n, dims[-1])
         margin_slack = min(
             float(np.min(np.abs(alpha - (emb[:, j] - emb[:, i]))))
             for i in range(n)
             for j in range(i + 1, n)
         )
-        if kink_slack(params, X, terminal_relu=True) > slack and margin_slack > slack:
+        if kink_slack(params, X, relu_output=True) > slack and margin_slack > slack:
             return params, np.stack([x for x, _ in items]), seed
         seed += 1
 
@@ -141,7 +144,7 @@ class TestForward:
     def test_terminal_relu_non_negative(self):
         rng = np.random.default_rng(1)
         params = init_mlp((4, 6, 3), rng)
-        out = mlp_forward(params, rng.standard_normal((20, 4)), terminal_relu=True)
+        out = relu(mlp_forward(params, rng.standard_normal((20, 4))))
         assert (out >= 0.0).all()
 
 
@@ -186,18 +189,20 @@ class TestGradCheck:
 
     def test_softmax_ce(self):
         params, X, y, _ = draw_ce_case(0)
-        head = neural.softmax_ce_head()
-        assert grad_check(lambda p: head(p, X, y), params, eps=1e-5) < GRAD_TOL
+        loss_fn = lambda p: neural._loss_and_grads(p, X, y, cross_entropy)
+        assert grad_check(loss_fn, params, eps=1e-5) < GRAD_TOL
 
     def test_hinge_at_slack_points(self):
         params, X, y, _ = draw_hinge_case(100)
-        head = neural.pairwise_hinge_head(1.0)
-        assert grad_check(lambda p: head(p, X, y), params, eps=1e-3) < GRAD_TOL
+        hinge = partial(pairwise.hinge, margin=1.0)
+        loss_fn = lambda p: neural._loss_and_grads(p, X, y, hinge)
+        assert grad_check(loss_fn, params, eps=1e-3) < GRAD_TOL
 
     def test_npe_story_loss(self):
         params, X, _ = draw_npe_case(200)
-        head = neural.npe_order_head(1.0)
-        assert grad_check(lambda p: head(p, X, None), params, eps=1e-5) < GRAD_TOL
+        order_loss = partial(npe.order_loss, alpha=1.0)
+        loss_fn = lambda p: neural._loss_and_grads(p, X, None, order_loss)
+        assert grad_check(loss_fn, params, eps=1e-5) < GRAD_TOL
 
     def test_eps_bounds(self):
         params = zero_mlp((2, 2))
@@ -206,18 +211,26 @@ class TestGradCheck:
 
 
 class TestHeads:
-    def test_hinge_rejects_zero_margin(self):
-        with pytest.raises(ValidationError):
-            neural.pairwise_hinge_head(0.0)
+    """Each kind's loss on the network output, and the checks of its margin or alpha."""
 
-    def test_npe_rejects_zero_alpha(self):
-        with pytest.raises(ValidationError):
-            neural.npe_order_head(0.0)
+    def test_hinge_rejects_zero_margin(self):
+        with pytest.raises(ValidationError, match="margin"):
+            pairwise.train_pairwise(make_story([0, 1]), TrainConfig(learning_rate=0.1, epochs=1),
+                                    margin=0.0)
+
+    def test_npe_rejects_zero_alpha(self, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("sgd_train ran before alpha was checked")
+
+        monkeypatch.setattr(neural, "sgd_train", no_training)
+        with pytest.raises(ValidationError, match="alpha"):
+            npe.train_npe(make_story([0, 1]), TrainConfig(learning_rate=0.1, epochs=1),
+                          alpha=0.0)
 
     def test_ce_loss_matches_manual(self):
         params = zero_mlp((3, 2))
         X = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        loss, _ = neural.softmax_ce_head()(params, X, np.array([0, 1]))
+        loss, _ = cross_entropy(mlp_forward(params, X), np.array([0, 1]))
         # zero logits: every example costs log(2)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
@@ -232,7 +245,7 @@ class TestSgdTrain:
         params = init_mlp((3, 4, 2), rng)
         cfg = TrainConfig(learning_rate=0.1, epochs=1)
         out = sgd_train(params, np.zeros((0, 3)), np.zeros(0, dtype=int),
-                        neural.softmax_ce_head(), cfg)
+                        cross_entropy, cfg)
         assert all((a == b).all() for a, b in zip(out.weights, params.weights))
 
     @pytest.mark.parametrize("rows,width,targets", [(6, 3, 6), (6, 4, 5)])
@@ -241,7 +254,7 @@ class TestSgdTrain:
         cfg = TrainConfig(learning_rate=0.1, epochs=1)
         with pytest.raises(DimensionError):
             sgd_train(params, np.zeros((rows, width)), np.zeros(targets, dtype=int),
-                      neural.softmax_ce_head(), cfg)
+                      cross_entropy, cfg)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(0)
@@ -251,8 +264,8 @@ class TestSgdTrain:
                 for _ in range(30)]
         X, y = np.stack([x for x, _ in data]), np.array([t for _, t in data])
         cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=8, seed=42)
-        a = sgd_train(params, X, y, neural.softmax_ce_head(), cfg)
-        b = sgd_train(params, X, y, neural.softmax_ce_head(), cfg)
+        a = sgd_train(params, X, y, cross_entropy, cfg)
+        b = sgd_train(params, X, y, cross_entropy, cfg)
         assert all((x == y).all() for x, y in zip(a.weights, b.weights))
         assert all((x == y).all() for x, y in zip(a.biases, b.biases))
 
@@ -266,8 +279,8 @@ class TestSgdTrain:
         X, y = np.stack([x for x, _ in data]), np.array([t for _, t in data])
         params = init_mlp((2, 16, 2), rng)
         cfg = TrainConfig(learning_rate=0.1, epochs=200, batch_size=16, seed=0)
-        trained = sgd_train(params, X, y, neural.softmax_ce_head(), cfg)
-        final_loss = mean_loss(trained, X, y, neural.softmax_ce_head())
+        trained = sgd_train(params, X, y, cross_entropy, cfg)
+        final_loss = mean_loss(trained, X, y, cross_entropy)
         assert final_loss < 0.1
 
     def test_l2_shrinks_weights(self):
@@ -277,8 +290,8 @@ class TestSgdTrain:
         X, y = np.stack([x for x, _ in data]), np.array([t for _, t in data])
         cfg_plain = TrainConfig(learning_rate=0.05, epochs=5, seed=1, l2=0.0)
         cfg_l2 = TrainConfig(learning_rate=0.05, epochs=5, seed=1, l2=0.5)
-        plain = sgd_train(params, X, y, neural.softmax_ce_head(), cfg_plain)
-        decayed = sgd_train(params, X, y, neural.softmax_ce_head(), cfg_l2)
+        plain = sgd_train(params, X, y, cross_entropy, cfg_plain)
+        decayed = sgd_train(params, X, y, cross_entropy, cfg_l2)
         norm = lambda p: sum(float(np.sum(w * w)) for w in p.weights)
         assert norm(decayed) < norm(plain)
 
@@ -287,45 +300,45 @@ class TestCheckpointIO:
     def test_round_trip_reproduces_forward_outputs(self, tmp_path):
         rng = np.random.default_rng(4)
         params = init_mlp((5, 7, 3), rng)
-        payload = {"model_kind": "unary", **neural.mlp_to_dict(params)}
         path = tmp_path / "ck.json"
-        neural.save_checkpoint(payload, path)
-        loaded = neural.mlp_from_dict(neural.load_checkpoint_dict(path))
+        models.save_model(UnaryModel(mlp=params, n=3), path)
+        loaded = models.load_model(path).mlp
         x = rng.standard_normal((10, 5))
         a = mlp_forward(params, x)
         b = mlp_forward(loaded, x)
         assert np.max(np.abs(a - b)) <= 1e-12
 
-    def test_train_config_round_trip(self):
+    def test_train_config_round_trip(self, tmp_path):
         cfg = TrainConfig(learning_rate=0.01, epochs=7, batch_size=3, seed=9, l2=0.125)
-        back = neural.train_config_from_dict(neural.train_config_to_dict(cfg))
+        model = UnaryModel(mlp=init_mlp((2, 2), np.random.default_rng(0)), n=2,
+                           train_config=cfg)
+        models.save_model(model, tmp_path / "ck.json")
+        back = models.load_model(tmp_path / "ck.json").train_config
         assert back == cfg
 
     def test_bad_json_raises_parse_error(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json", encoding="utf-8")
-        from storysort.errors import ParseError
-
         with pytest.raises(ParseError):
-            neural.load_checkpoint_dict(p)
+            models.load_model(p)
 
     def test_missing_kind_rejected(self, tmp_path):
         p = tmp_path / "nokind.json"
         p.write_text(json.dumps({"layer_dims": [2, 2]}), encoding="utf-8")
         with pytest.raises(ValidationError):
-            neural.load_checkpoint_dict(p)
+            models.load_model(p)
 
 
 class TestNumericGuards:
     def test_nan_loss_aborts_with_location(self):
         params = zero_mlp((2, 1))
 
-        def bad_head(p, X, y):
-            return float("nan"), ([np.zeros((2, 1))], [np.zeros(1)])
+        def bad_loss(out, y):
+            return float("nan"), np.zeros_like(out)
 
         cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=2)
         with pytest.raises(NumericError, match="epoch 0"):
-            sgd_train(params, np.zeros((4, 2)), np.zeros(4, dtype=int), bad_head, cfg)
+            sgd_train(params, np.zeros((4, 2)), np.zeros(4, dtype=int), bad_loss, cfg)
 
     def test_softmax_head_overflow_aborts_with_location(self):
         # the first step overflows the weights; the next batch's logits are not finite
@@ -333,4 +346,4 @@ class TestNumericGuards:
         X, y = rng.standard_normal((8, 3)), np.arange(8) % 2
         cfg = TrainConfig(learning_rate=1e300, epochs=1, batch_size=4)
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="epoch 0, batch 1"):
-            sgd_train(init_mlp((3, 4, 2), rng), X, y, neural.softmax_ce_head(), cfg)
+            sgd_train(init_mlp((3, 4, 2), rng), X, y, cross_entropy, cfg)

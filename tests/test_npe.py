@@ -6,8 +6,8 @@ from storysort import neural
 from storysort.data import gold_features, presented_gold, split_dataset
 from storysort.errors import DimensionError, ValidationError
 from storysort.models import load_model, save_model, top_permutations
-from storysort.neural import MlpParams, TrainConfig, mlp_forward
-from storysort.npe import NpeModel, npe_scores, predict, train_npe
+from storysort.neural import MlpParams, TrainConfig, mlp_forward, relu
+from storysort.npe import NpeModel, npe_scores, order_loss, predict, train_npe
 from conftest import make_story
 
 
@@ -24,9 +24,10 @@ def linear_npe(weight, bias, alpha=1.0):
 
 
 def story_loss(model, story):
-    """The training loss of one story: npe_order_head on its gold-ordered features."""
-    head = neural.npe_order_head(model.alpha)
-    return head(model.mlp, gold_features(story, model.use_image), None)[0]
+    """The training loss of one story: order_loss of the MLP output on its gold-ordered
+    features."""
+    out = mlp_forward(model.mlp, gold_features(story, model.use_image))
+    return order_loss(out, None, model.alpha)[0]
 
 
 def two_element_penalty(first, second, alpha=1.0):
@@ -40,28 +41,27 @@ def two_element_penalty(first, second, alpha=1.0):
 
 
 class TestEmbed:
-    """NPE embeds with mlp_forward's terminal ReLU, as npe_scores does."""
+    """NPE embeds with the ReLU of mlp_forward's output, as npe_scores does."""
 
     def test_zero_model_zero_vector(self):
         model = zero_npe(3, 4)
-        assert (mlp_forward(model.mlp, np.array([1.0, -1.0, 2.0]), terminal_relu=True)
-                == 0.0).all()
+        assert (relu(mlp_forward(model.mlp, np.array([1.0, -1.0, 2.0]))) == 0.0).all()
 
     def test_never_negative(self):
         rng = np.random.default_rng(0)
         model = linear_npe(rng.standard_normal((3, 4)), rng.standard_normal(4))
-        out = mlp_forward(model.mlp, rng.standard_normal((50, 3)), terminal_relu=True)
+        out = relu(mlp_forward(model.mlp, rng.standard_normal((50, 3))))
         assert (out >= 0.0).all()
 
     def test_hand_set_single_layer(self):
         model = linear_npe(np.array([[1.0, -1.0]]), np.array([0.5, 0.5]))
-        out = mlp_forward(model.mlp, np.array([2.0]), terminal_relu=True)
+        out = relu(mlp_forward(model.mlp, np.array([2.0])))
         # pre-activations (2.5, -1.5), terminal relu clips the negative one
         assert out.tolist() == [2.5, 0.0]
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
-            mlp_forward(zero_npe(3, 4).mlp, np.zeros(5), terminal_relu=True)
+            relu(mlp_forward(zero_npe(3, 4).mlp, np.zeros(5)))
 
 
 class TestPairLoss:
@@ -86,11 +86,11 @@ class TestPairLoss:
         with pytest.raises(ValidationError):
             NpeModel(mlp=zero_npe(2, 2).mlp, alpha=0.0)
         with pytest.raises(ValidationError):
-            neural.npe_order_head(0.0)
+            train_npe(make_story([0, 1]), TrainConfig(learning_rate=0.1, epochs=1), alpha=0.0)
 
 
 class TestStoryLoss:
-    """The training loss: npe_order_head on a story's gold-ordered features."""
+    """The training loss: order_loss on a story's gold-ordered features."""
 
     def test_identical_embeddings_story(self):
         # all elements embed to the zero vector: 10 pairs x 4 coordinates x 1.0
@@ -105,13 +105,24 @@ class TestStoryLoss:
         model = linear_npe(w, np.zeros(3))
         assert story_loss(model, story) == 0.0
 
-    def test_two_element_story_equals_pair_loss(self):
-        # the training loss of a gold-ordered pair is the penalty npe_scores negates
+    @pytest.mark.parametrize("golds,presented", [
+        ([0, 1], None),
+        ([3, 0, 4, 2, 1], [2, 4, 0, 1, 3]),
+    ], ids=["n2", "n5_jumbled"])
+    def test_two_element_story_equals_pair_loss(self, golds, presented):
+        # the training loss of a story is the sum, over its gold-ordered pairs, of
+        # the penalties npe_scores negates
+        n = len(golds)
         rng = np.random.default_rng(1)
-        story = make_story([0, 1], text=[rng.standard_normal(2) for _ in range(2)])
-        model = linear_npe(rng.standard_normal((2, 3)), rng.standard_normal(3))
-        penalty = -npe_scores(model, story)[0][0, 1]
-        assert story_loss(model, story) == pytest.approx(penalty, rel=1e-12)
+        story = make_story(golds, text=[rng.standard_normal(n) for _ in range(n)],
+                           presented=presented)
+        model = linear_npe(rng.standard_normal((n, 3)), rng.standard_normal(3))
+        penalty = -npe_scores(model, story)[0]
+        (gold,) = presented_gold(story)
+        pairs = [(i, j) for i in range(n) for j in range(n) if gold[i] < gold[j]]
+        assert len(pairs) == n * (n - 1) // 2
+        total = sum(penalty[i, j] for i, j in pairs)
+        assert story_loss(model, story) == pytest.approx(total, rel=1e-12)
 
     def test_uses_gold_order_not_presented(self):
         story = make_story([0, 1, 2, 3, 4], presented=[4, 3, 2, 1, 0])
