@@ -1,9 +1,12 @@
 """Command-line entry point: generate, train, sort, eval.
 
-Every command writes a .manifest.json next to its output recording the
-resolved arguments, seeds, input/output file hashes, and any metrics, so
-a run can be replayed to byte-identical outputs. Metrics are rounded to
-6 decimal places.
+Every command writes a manifest, ``<out>.manifest.json`` beside its
+output, recording every option of its command as parsed (after --config,
+and with train's registry defaults filled in), the seed, input/output
+file hashes and any metrics, so a run can be replayed to byte-identical
+outputs. eval without --out writes ``<pred>.eval.manifest.json``, so the
+manifest sort wrote for the same predictions file stays. Metrics are
+rounded to 6 decimal places.
 
 Files are UTF-8 JSON: one object per line in datasets (from generate) and
 predictions (from sort), one object in checkpoints (from train) and eval
@@ -33,10 +36,11 @@ Errors the CLI handles go to stderr as one line:
 value. Flags that argparse itself rejects print argparse's usage text
 to stderr and also exit 2. A stdout closed by its reader (as in
 ``storysort eval ... | true``) is a runtime failure: one ``error:`` line
-and exit 1. Every command writes its files and manifest before it prints,
-so a closed stdout leaves them complete. ``train`` computes its report
-before it writes the checkpoint, so a model whose scores are not finite
-(training diverged) is one ``error:`` line and leaves no file.
+and exit 1. An --out that is a directory is one ``error:`` line before
+any input is read. Every command writes its files and manifest before it
+prints, so a closed stdout leaves them complete. ``train`` computes its
+report before it writes the checkpoint, so a model whose scores are not
+finite (training diverged) is one ``error:`` line and leaves no file.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 """
@@ -75,23 +79,18 @@ def _sha256(path: Path) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _round6(value):
-    if isinstance(value, float):
-        return round(value, 6)
-    if isinstance(value, dict):
-        return {k: _round6(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_round6(v) for v in value]
-    return value
+def _round6(metrics: dict) -> dict:
+    return {k: round(v, 6) if isinstance(v, float) else v for k, v in metrics.items()}
 
 
-def write_manifest(out_path: Path, command: str, args: dict,
+def write_manifest(out_path: Path, args: argparse.Namespace,
                    inputs: list[Path], outputs: list[Path],
                    metrics: dict | None, started: float) -> Path:
+    recorded = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     manifest = {
-        "command": command,
-        "args": args,
-        "seed": args.get("seed"),
+        "command": args.command,
+        "args": recorded,
+        "seed": recorded.get("seed"),
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
         "outputs": {str(p): _sha256(Path(p)) for p in outputs},
         "metrics": metrics,
@@ -173,10 +172,6 @@ def _apply_config_file(args: argparse.Namespace,
     return args
 
 
-def _resolved_args(args: argparse.Namespace, keys: list[str]) -> dict:
-    return {k: getattr(args, k) for k in keys}
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     started = time.monotonic()
     try:
@@ -194,10 +189,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     stories = data_mod.generate_synthetic(spec)
     out = Path(args.out)
     data_mod.save_dataset(stories, out)
-    resolved = _resolved_args(
-        args, ["stories", "n", "text_dim", "image_dim", "noise", "signal", "seed", "out"]
-    )
-    write_manifest(out, "generate", resolved, [], [out], None, started)
+    write_manifest(out, args, [], [out], None, started)
     print(f"wrote {len(stories)} stories to {out}")
     return 0
 
@@ -212,10 +204,9 @@ def _dataset_report(model, stories) -> metrics_mod.MetricReport:
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.monotonic()
     spec = models_mod.REGISTRY[args.model]
-    defaults = spec.train_defaults
-    epochs = args.epochs if args.epochs is not None else defaults["epochs"]
-    lr = args.lr if args.lr is not None else defaults["lr"]
-    batch_size = args.batch_size if args.batch_size is not None else defaults["batch_size"]
+    for name, default in spec.train_defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     # flags are checked before the datasets are read
     if args.val is None and not 0 < args.val_frac < 1:
         raise UsageError(f"--val-frac must be in (0, 1), got {args.val_frac}")
@@ -226,7 +217,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             rule = "must be >= 1 (a width in layer_dims)" if type(value) is int else "must be > 0"
             raise ValidationError(f"--{name.replace('_', '-')} {rule}, got {value}")
     cfg = TrainConfig(
-        learning_rate=lr, epochs=epochs, batch_size=batch_size,
+        learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size,
         seed=args.seed, l2=args.l2,
     )
     data_path = Path(args.data)
@@ -260,13 +251,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     }
     models_mod.save_model(model, args.out)
     out = Path(args.out)
-    resolved = _resolved_args(
-        args,
-        ["model", "data", "val", "val_frac", "out", "seed", "l2", "hidden",
-         "margin", "alpha", "embed_dim", "use_image"],
-    )
-    resolved.update({"epochs": epochs, "lr": lr, "batch_size": batch_size})
-    write_manifest(out, "train", resolved, inputs, [out], report, started)
+    write_manifest(out, args, inputs, [out], report, started)
     print(json.dumps(report))
     return 0
 
@@ -297,10 +282,7 @@ def cmd_sort(args: argparse.Namespace) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", encoding="utf-8") as fh:
         fh.writelines(lines)
-    resolved = _resolved_args(args, ["data", "out", "topk"])
-    resolved["ckpt"] = [str(p) for p in ckpt_paths]
-    write_manifest(out, "sort", resolved,
-                   ckpt_paths + [Path(args.data)], [out], None, started)
+    write_manifest(out, args, ckpt_paths + [Path(args.data)], [out], None, started)
     print(f"wrote predictions for {len(stories)} stories to {out}")
     return 0
 
@@ -373,10 +355,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         outputs.append(out)
         manifest_anchor = out
     else:
-        manifest_anchor = pred_path
-    resolved = _resolved_args(args, ["pred", "data", "out"])
-    write_manifest(manifest_anchor, "eval", resolved,
-                   [pred_path, data_path], outputs, result["report"], started)
+        manifest_anchor = Path(f"{pred_path}.eval")
+    write_manifest(manifest_anchor, args, [pred_path, data_path], outputs, result["report"],
+                   started)
     print(json.dumps(result["report"]))
     for row in result["confusion"]:
         print(" ".join(str(v) for v in row))
@@ -451,6 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     commands = {"generate": cmd_generate, "train": cmd_train, "sort": cmd_sort, "eval": cmd_eval}
     try:
         args = _apply_config_file(args, parser)
+        # every command takes --out; a directory there fails before any input is read
+        if args.out is not None and Path(args.out).is_dir():
+            raise ValidationError(f"--out {args.out} is a directory, not a file")
         # a non-finite value ends in the check of the code that meets it,
         # not in numpy warnings on stderr
         with np.errstate(all="ignore"):

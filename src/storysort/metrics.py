@@ -14,7 +14,7 @@ handling is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,12 +30,7 @@ class MetricReport:
     story_count: int
 
     def to_json(self) -> dict:
-        return {
-            "spearman": self.spearman,
-            "pairwise_accuracy": self.pairwise_accuracy,
-            "avg_distance": self.avg_distance,
-            "story_count": self.story_count,
-        }
+        return asdict(self)
 
 
 def _orders(pred, gold) -> tuple[np.ndarray, np.ndarray]:

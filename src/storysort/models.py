@@ -1,17 +1,16 @@
 """Model registry: one entry per checkpoint ``model_kind``.
 
 Each model module exposes the same names: ``MODEL_KIND``, ``Model``,
-``scores``, ``score_floats``, ``predict`` and ``train``. An entry holds
-what differs: the module and its score type, the training
-hyperparameters, and the checkpoint fields the kind adds. ADDITIVE
-scores (unary) are an (n, n) element-at-position matrix decoded by
-assignment; PAIR scores (pairwise, NPE) are an (n, n) i-before-j matrix
-decoded by core.rank_orders, the one ranker of permutation-table rows,
-which also gives both types' top-k lists: orders rank by exact total,
-ties going to the lexicographically smallest positions tuple.
-Decoders, top-k lists and decode size limits are keyed by score type.
-Entries hold modules, not functions, so rebinding a module attribute (as
-a profiler does) reaches every caller.
+``scores``, ``predict`` and ``train``. An entry holds what differs: the
+module and its score type, the training hyperparameters, and the
+checkpoint fields the kind adds. ADDITIVE scores (unary) are an (n, n)
+element-at-position matrix decoded by assignment; PAIR scores (pairwise,
+NPE) are an (n, n) i-before-j matrix decoded by core.rank_orders, the one
+ranker of permutation-table rows, which also gives both types' top-k
+lists: orders rank by exact total, ties going to the lexicographically
+smallest positions tuple. Decoders, top-k lists and decode size limits
+are keyed by score type. Entries hold modules, not functions, so
+rebinding a module attribute (as a profiler does) reaches every caller.
 
 Scoring runs along a story axis: ``scores(model, stories)`` returns an
 (S, n, n) stack for a data.Stories batch of S stories. Orders are intp
@@ -113,11 +112,17 @@ def check_decodable(spec: ModelSpec, n: int, k: int | None = None) -> None:
 
 def chunk_size(model: AnyModel, n: int) -> int:
     """Stories per chunk: as many n-element stories as keep each intermediate
-    array within CHUNK_FLOATS, and at least one."""
-    spec = spec_for(model)
-    per_story = spec.module.score_floats(model, n)
-    if spec.score_type == PAIR:
-        per_story = max(per_story, math.factorial(n))
+    array within CHUNK_FLOATS, and at least one.
+
+    With w the widest layer, a story's largest array holds n·w floats for
+    additive scores, and for pair scores n²·w (pair-row activations, NPE
+    margins) or n! (its order values), whichever is larger.
+    """
+    w = max(model.mlp.layer_dims)
+    if spec_for(model).score_type == ADDITIVE:
+        per_story = n * w
+    else:
+        per_story = max(n * n * w, math.factorial(n))
     return max(1, CHUNK_FLOATS // per_story)
 
 

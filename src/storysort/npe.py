@@ -132,12 +132,6 @@ def train_npe(
     return NpeModel(mlp=params, alpha=alpha, use_image=use_image, train_config=cfg)
 
 
-def score_floats(model: NpeModel, n: int) -> int:
-    """Floats in the largest array npe_scores builds per n-element story: the
-    hidden activations or the (n, n, embed_dim) order margins."""
-    return max(n * max(model.mlp.layer_dims), n * n * model.embed_dim)
-
-
 # The names every model module exposes to the registry in storysort.models.
 Model = NpeModel
 scores = npe_scores

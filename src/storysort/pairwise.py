@@ -145,11 +145,6 @@ def train_pairwise(
     return PairwiseModel(mlp=params, use_image=use_image, margin=margin, train_config=cfg)
 
 
-def score_floats(model: PairwiseModel, n: int) -> int:
-    """Floats in the largest array pair_scores builds per n-element story."""
-    return n * (n - 1) * max(model.mlp.layer_dims)
-
-
 # The names every model module exposes to the registry in storysort.models.
 Model = PairwiseModel
 scores = pair_scores

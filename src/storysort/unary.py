@@ -99,11 +99,6 @@ def train_unary(
     return UnaryModel(mlp=params, n=n, use_image=use_image, train_config=cfg)
 
 
-def score_floats(model: UnaryModel, n: int) -> int:
-    """Floats in the largest array position_probs builds per n-element story."""
-    return n * max(model.mlp.layer_dims)
-
-
 # The names every model module exposes to the registry in storysort.models.
 Model = UnaryModel
 scores = position_probs

@@ -18,6 +18,7 @@ from storysort import cli, neural
 from storysort import data as data_mod
 from storysort.core import Permutation
 from storysort.data import load_dataset, presented_gold
+from storysort.models import REGISTRY
 
 
 def run(argv):
@@ -273,6 +274,44 @@ class TestSortAndEval:
         assert set(result) == {"report", "confusion"}
 
 
+def test_eval_keeps_the_sort_manifest_of_its_predictions(trained, tmp_path):
+    data, ckpts = trained
+    pred = tmp_path / "pred.jsonl"
+    assert run(["sort", "--ckpt", str(ckpts["unary"]), "--data", str(data),
+                "--out", str(pred)]) == 0
+    assert run(["eval", "--pred", str(pred), "--data", str(data)]) == 0
+    assert json.loads(Path(f"{pred}.manifest.json").read_text())["command"] == "sort"
+    assert json.loads(Path(f"{pred}.eval.manifest.json").read_text())["command"] == "eval"
+
+
+@pytest.mark.parametrize("command,line", [
+    ("generate", "stories = 7"), ("train", "hidden = 12"), ("sort", "topk = 2"),
+    ("eval", "out = {tmp}/report.json"),
+])
+def test_manifest_records_every_option_of_its_command(trained, tmp_path, command, line):
+    data, ckpts = trained
+    pred = tmp_path / "pred.jsonl"
+    write_predictions(pred, gold_records(load_dataset(data)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line.format(tmp=tmp_path) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "generate": gen_args(out),
+        "train": train_args(data, out),
+        "sort": ["sort", "--ckpt", str(ckpts["unary"]), "--data", str(data), "--out", str(out)],
+        "eval": ["eval", "--pred", str(pred), "--data", str(data)],
+    }[command]
+    assert run([*argv, "--config", str(cfg)]) == 0
+    anchor = tmp_path / "report.json" if command == "eval" else out
+    manifest = json.loads(Path(f"{anchor}.manifest.json").read_text())
+    assert manifest["command"] == command
+    options = [name for name in cli._option_actions(cli.build_parser(), command)
+               if name != "config"]
+    assert list(manifest["args"]) == options
+    key, _, value = line.format(tmp=tmp_path).partition(" = ")
+    assert str(manifest["args"][key]) == value
+
+
 def argv_from_manifest(manifest: dict, overrides: dict) -> list[str]:
     """Rebuild the command line that reproduces a manifest's outputs."""
     args = {**manifest["args"], **overrides}
@@ -303,11 +342,19 @@ class TestManifestReplay:
         run(gen_args(data1, stories=30, seed=9))
         ckpt1 = first / "model.json"
         run(train_args(data1, ckpt1, model="pairwise"))
+        # no --epochs, --lr or --batch-size: the manifest records the registry's defaults
+        defaults1 = first / "defaults.json"
+        run(["train", "--model", "pairwise", "--data", str(data1), "--out", str(defaults1),
+             "--hidden", "16"])
         pred1 = first / "pred.jsonl"
         run(["sort", "--ckpt", str(ckpt1), "--data", str(data1), "--out", str(pred1)])
 
-        for out1, name in ((data1, "data.jsonl"), (ckpt1, "model.json"), (pred1, "pred.jsonl")):
+        for out1, name in ((data1, "data.jsonl"), (ckpt1, "model.json"),
+                           (defaults1, "defaults.json"), (pred1, "pred.jsonl")):
             manifest = json.loads(Path(str(out1) + ".manifest.json").read_text())
+            if name == "defaults.json":
+                defaults = REGISTRY["pairwise"].train_defaults
+                assert {k: manifest["args"][k] for k in defaults} == defaults
             out2 = second / name
             overrides = {"out": str(out2)}
             # replay consumes the first run's earlier outputs as inputs
@@ -893,10 +940,17 @@ class TestUnusablePaths:
     """A directory where a file belongs, or an allocation that fails, is one line."""
 
     @pytest.mark.parametrize("where", ["eval-pred", "sort-ckpt", "sort-data",
-                                       "train-out"])
-    def test_directory_is_one_error_line(self, trained, tmp_path, capsys, where):
+                                       "train-out", "sort-out", "eval-out", "generate-out"])
+    def test_directory_is_one_error_line(self, trained, tmp_path, capsys, monkeypatch, where):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("an input was read before --out was checked")
+
         data, ckpts = trained
         pred = tmp_path / "pred.jsonl"
+        if where.endswith("-out"):
+            for module, name in ((data_mod, "load_dataset"), (data_mod, "generate_synthetic"),
+                                 (cli, "load_predictions"), (cli, "_load_model")):
+                monkeypatch.setattr(module, name, no_reading)
         argv = {
             "eval-pred": ["eval", "--pred", str(tmp_path), "--data", str(data)],
             "sort-ckpt": ["sort", "--ckpt", str(tmp_path), "--data", str(data),
@@ -904,6 +958,11 @@ class TestUnusablePaths:
             "sort-data": ["sort", "--ckpt", str(ckpts["unary"]), "--data", str(tmp_path),
                             "--out", str(pred)],
             "train-out": train_args(data, tmp_path, extra=["--epochs", "1"]),
+            "sort-out": ["sort", "--ckpt", str(ckpts["unary"]), "--data", str(data),
+                         "--out", str(tmp_path)],
+            "eval-out": ["eval", "--pred", str(pred), "--data", str(data),
+                         "--out", str(tmp_path)],
+            "generate-out": gen_args(tmp_path),
         }[where]
         capsys.readouterr()
         assert run(argv) == 1

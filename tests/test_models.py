@@ -140,14 +140,15 @@ class TestPredictStories:
             story_count=max(count, 1), n=n, text_dim=8, image_dim=4, noise_sigma=0.5,
             seed=n))[:count]
         dim = 12 if use_image else 8
-        spec = models.REGISTRY[kind]
         if kind == "unary":
             model = UnaryModel(mlp=init_mlp((dim, 64, n), rng), n=n, use_image=use_image)
         elif kind == "pairwise":
             model = PairwiseModel(mlp=init_mlp((2 * dim, 64, 1), rng), use_image=use_image)
-        else:
+        elif kind == "npe":
             model = NpeModel(mlp=init_mlp((dim, 64, 32), rng), use_image=use_image)
-        return spec, model, stories
+        else:  # embeddings wider than the hidden layer: the margins are the largest array
+            model = NpeModel(mlp=init_mlp((dim, 16, 48), rng), use_image=use_image)
+        return models.spec_for(model), model, stories
 
     @pytest.fixture()
     def recorded(self, monkeypatch):
@@ -178,7 +179,7 @@ class TestPredictStories:
         monkeypatch.setattr(core, "order_values", record(values))
         return chunks, sizes, monkeypatch
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", [*KINDS, "npe_wide"])
     @pytest.mark.parametrize("n", range(2, MAX_ENUMERATION_N + 1))
     @pytest.mark.parametrize("use_image", [False, True], ids=["text", "image"])
     def test_chunks_equal_one_story_path(self, recorded, kind, n, use_image):
