@@ -13,14 +13,15 @@ array operations, so stories share n and feature dims by construction. A
 slice or index array of a batch is a batch of rows already checked, and
 is not checked again; a story is a batch of one.
 
-Datasets are line-delimited JSON, one story per line, so line tools split
-and join them. A line is one object: ``story_id`` (a string), ``element_ids``
-(n strings), ``gold`` (n integers), ``presented_order`` (n integers, or null
-for the listed order, which loads and saves as the identity row), and
-``text`` and ``image`` (or null) as float blocks (core.float_block). n is the
-length of gold; a block's width, its byte length over 8 * n, must be a
-positive whole number, and every line must have the first line's n and
-widths. Save and load are bit-exact, and save deterministic.
+Datasets are line-delimited JSON, one story per "\n"-ended line, so line
+tools split and join them; lines of ASCII whitespace are skipped. A line is
+one object: ``story_id`` (a string), ``element_ids`` (n strings), ``gold``
+(n integers), ``presented_order`` (n integers, or null for the listed order,
+which loads and saves as the identity row), and ``text`` and ``image`` (or
+null) as float blocks (core.float_block). n is the length of gold; a block's
+width, its byte length over 8 * n, must be a positive whole number, and every
+line must have the first line's n and widths. Save and load are bit-exact,
+and save deterministic.
 """
 
 from __future__ import annotations
@@ -61,8 +62,11 @@ def _check_rows(ok: np.ndarray, story_ids, message: str) -> None:
 
 
 def _features(name: str, value, story_ids, shape: tuple[int, int]) -> np.ndarray:
-    """value as a read-only finite float64 copy with one (n, d) matrix per story."""
-    arr = np.array(value, dtype=np.float64)
+    """value as a read-only finite float64 array with one (n, d) matrix per story: a copy,
+    unless value is a read-only float64 array that owns its data, which is taken over."""
+    taken = (type(value) is np.ndarray and value.dtype == np.float64 and value.flags.owndata
+             and not value.flags.writeable)
+    arr = value if taken else np.array(value, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[:2] != shape:
         raise ValidationError(f"{name} features must have shape ({shape[1]}, d) per story, "
                               f"got {arr.shape} for {shape[0]} stories")
@@ -77,8 +81,10 @@ class Stories:
 
     gold and presented are read-only (S, n) intp arrays, text a read-only
     (S, n, d_text) float64 array and image an (S, n, d_image) one or None,
-    all copies of what was passed in. stories[s] is the batch of story s
-    alone, and iterating gives each story as a batch of one.
+    all copies of what was passed in, except that a feature array that is
+    already read-only float64 and owns its data is taken over as it is.
+    stories[s] is the batch of story s alone, and iterating gives each story
+    as a batch of one.
     """
 
     story_ids: tuple[str, ...]
@@ -292,38 +298,50 @@ def load_dataset(path: str | Path) -> Stories:
     """Parse and validate a dataset file; an empty file is a valid empty dataset.
 
     A line that fails a check, its own or the batch's, is a ParseError
-    naming it as <path>:<line>.
+    naming it as <path>:<line>. A first pass counts the stories, so each
+    line's float blocks decode straight into the batch's feature arrays.
     """
     path = Path(path)
-    columns, dims = [], None
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise ParseError(f"{path}:{lineno}: malformed JSON: {e}") from e
-                try:
-                    story_id, *fields, text, image = _record_fields(record)
-                except (KeyError, TypeError, ValueError, OverflowError) as e:
-                    raise ParseError(f"{path}:{lineno}: missing or bad field: {e}") from e
-                line_dims = (len(text), text.shape[1], None if image is None else image.shape[1])
-                if dims not in (None, line_dims):
-                    raise ParseError(f"{path}:{lineno}: story {story_id}: (n, text dim, "
-                                     f"image dim) {line_dims} differs from dataset {dims}")
+    columns, dims, text, image = [], None, np.empty((0, 0, 0)), None
+    with path.open("rb", buffering=1 << 16) as fh:  # a buffer wider than a line reads fastest
+        count = sum(not line.isspace() for line in fh)
+        fh.seek(0)
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            if len(columns) == count:
+                raise ParseError(f"{path}:{lineno}: the file changed while it was read")
+            try:
+                record = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError as e:
+                raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from e
+            except json.JSONDecodeError as e:
+                raise ParseError(f"{path}:{lineno}: malformed JSON: {e}") from e
+            try:
+                story_id, *fields, text_block, image_block = _record_fields(record)
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
+                raise ParseError(f"{path}:{lineno}: missing or bad field: {e}") from e
+            line_dims = (len(text_block), text_block.shape[1],
+                         None if image_block is None else image_block.shape[1])
+            if dims is None:
                 dims = line_dims
-                columns.append((lineno, story_id, *fields, text, image))
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from e
-    n, d_text, d_image = dims or (0, 0, None)
-    linenos, story_ids, element_ids, gold, presented, text, image = (list(zip(*columns))
-                                                                     or [()] * 7)
-    shape = (len(columns), n)
+                text = np.empty((count, *text_block.shape))
+                image = None if image_block is None else np.empty((count, *image_block.shape))
+            elif line_dims != dims:
+                raise ParseError(f"{path}:{lineno}: story {story_id}: (n, text dim, "
+                                 f"image dim) {line_dims} differs from dataset {dims}")
+            text[len(columns)] = text_block
+            if image is not None:
+                image[len(columns)] = image_block
+            # tuples, as the batch keeps them, so each line's JSON lists are freed now
+            columns.append((lineno, story_id, *map(tuple, fields)))
+    if len(columns) != count:
+        raise ParseError(f"{path}: the file changed while it was read")
+    linenos, story_ids, element_ids, gold, presented = list(zip(*columns)) or [()] * 5
+    shape = (len(columns), text.shape[1])
     try:
         return Stories(story_ids, element_ids, np.reshape(gold, shape),
-                       np.reshape(presented, shape), text or np.empty((*shape, d_text)),
-                       None if d_image is None else image)
+                       np.reshape(presented, shape), _read_only(text),
+                       None if image is None else _read_only(image))
     except StoryError as e:
         raise ParseError(f"{path}:{linenos[e.row]}: missing or bad field: {e}") from e

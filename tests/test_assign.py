@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from storysort import assign
 from storysort.assign import (
+    _solve_min,
     additive_score,
     check_score_matrix,
     hungarian_max,
     topk_assignments,
 )
+from storysort.core import exact_ints
 from storysort.errors import EnumerationCapError, SizeError, ValidationError
 from conftest import enumerate_permutations, exact_ranking, identity
 
@@ -27,29 +30,50 @@ def brute_force_max(s):
     return best_perm, best_score
 
 
-def exact_brute_force_max(s):
-    """Exact oracle: Fraction totals, lexicographically first maximum.
+def exact_optima(s):
+    """Exact oracle: every positions tuple of maximal Fraction total, lexicographic.
 
     Visits every positions tuple in lexicographic order, sharing each
-    prefix's partial sum, and keeps the first strict maximum.
+    prefix's partial sum.
     """
     n = s.shape[0]
     exact = [[Fraction(float(x)) for x in row] for row in s]
-    best = None
+    best, optima = None, []
 
     def extend(positions, total):
-        nonlocal best
+        nonlocal best, optima
         i = len(positions)
         if i == n:
-            if best is None or total > best[0]:
-                best = (total, positions)
+            if best is None or total > best:
+                best, optima = total, [positions]
+            elif total == best:
+                optima.append(positions)
             return
         for p in range(n):
             if p not in positions:
                 extend(positions + (p,), total + exact[i][p])
 
     extend((), Fraction(0))
-    return best[1]
+    return optima
+
+
+def exact_brute_force_max(s):
+    """Exact oracle: the lexicographically first order of maximal Fraction total."""
+    return exact_optima(s)[0]
+
+
+@pytest.fixture
+def exact_solves(monkeypatch):
+    """A list that grows by one each time hungarian_max falls back to its exact solve,
+    which starts from core.exact_ints."""
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return exact_ints(a)
+
+    monkeypatch.setattr(assign, "exact_ints", counting)
+    return calls
 
 
 # Tie-heavy kinds: small integers (float sums exact), non-dyadic tenths (float
@@ -117,18 +141,25 @@ class TestHungarianMax:
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("kind", sorted(TIE_KINDS))
-    def test_lexicographic_tie_break_vs_exact_oracle(self, kind, n):
+    def test_lexicographic_tie_break_vs_exact_oracle(self, kind, n, exact_solves):
+        # a tied optimum, or the extreme kind's overflowing scale (+-1e308), must reach
+        # the exact solve
         rng = np.random.default_rng(100 * n + sorted(TIE_KINDS).index(kind))
         for _ in range(1 if n == 8 else 5):
             s = rng.choice(TIE_KINDS[kind], size=(n, n))
+            solves = len(exact_solves)
             perm, score = hungarian_max(s)
-            assert tuple(perm.tolist()) == exact_brute_force_max(s)
+            optima = exact_optima(s)
+            assert tuple(perm.tolist()) == optima[0]
+            if len(optima) > 1 or kind == "extreme":
+                assert len(exact_solves) == solves + 1
             if kind != "extreme":  # the extreme kind's float total overflows
                 assert score == additive_score(s, perm)
 
-    def test_all_equal_matrix_gives_identity(self):
+    def test_all_equal_matrix_gives_identity(self, exact_solves):
         perm, _ = hungarian_max(np.full((5, 5), 0.2))
         assert perm.tolist() == [0, 1, 2, 3, 4]
+        assert len(exact_solves) == 1
 
     def test_row_shift_leaves_argmax(self):
         rng = np.random.default_rng(11)
@@ -147,6 +178,98 @@ class TestHungarianMax:
         assert perm.shape == (16,) and perm.dtype == np.intp
         # score must match the greedy re-sum of the returned assignment
         assert score == additive_score(s, perm)
+
+
+def dominant_softmax(n, seed):
+    """A row-softmax matrix whose logits favour one random permutation, as a trained
+    unary model's position probabilities do."""
+    rng = np.random.default_rng(seed)
+    logits = 3.0 * rng.standard_normal((n, n))
+    logits[np.arange(n), rng.permutation(n)] += 4.0
+    p = np.exp(logits)
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def near_tie(n, seed, delta):
+    """(s, sigma, tau): s scores 1 on the entries of sigma and of tau, sigma with two
+    elements swapped, and -1 to -3 elsewhere, and delta is added to one entry of tau only.
+    So tau wins by delta when it is positive, sigma by -delta when it is negative."""
+    rng = np.random.default_rng(seed)
+    s = -rng.integers(1, 4, size=(n, n)).astype(np.float64)
+    sigma = rng.permutation(n)
+    i, j = rng.choice(n, size=2, replace=False)
+    tau = sigma.copy()
+    tau[[i, j]] = sigma[[j, i]]
+    rows = np.arange(n)
+    s[rows, sigma] = 1.0
+    s[rows, tau] = 1.0
+    s[i, tau[i]] += delta
+    return s, tuple(sigma.tolist()), tuple(tau.tolist())
+
+
+class TestFloatSolveCertificate:
+    """hungarian_max answers from a float solve only where its potentials prove that answer
+    the unique exact optimum; exact_solves counts the fallbacks to the exact solve."""
+
+    def test_learned_scores_need_no_exact_solve(self, exact_solves, monkeypatch):
+        matrices = [dominant_softmax(16, seed) for seed in range(50)]
+        certified = [hungarian_max(s) for s in matrices]
+        assert exact_solves == []
+        monkeypatch.setattr(assign, "_certified_min", lambda a: None)
+        for s, (perm, score) in zip(matrices, certified):
+            exact_perm, exact_score = hungarian_max(s)
+            assert perm.tolist() == exact_perm.tolist() and score == exact_score
+        assert len(exact_solves) == 50
+
+    @pytest.mark.parametrize("n", [*range(2, 9), 16])
+    def test_degenerate_duals_are_certified_by_the_cycle_check(self, n, exact_solves):
+        # element i scores 1 at positions p >= i, so only the identity scores n; the float
+        # duals leave off-identity entries with zero reduced cost, which form a path
+        s = np.triu(np.ones((n, n)))
+        positions, u, v = _solve_min((-s).tolist())
+        assert positions == list(range(n))
+        assert any(-s[i, p] - u[i] - v[p] == 0 for i in range(n) for p in range(n) if p != i)
+        perm, score = hungarian_max(s)
+        assert perm.tolist() == positions and score == n
+        assert exact_solves == []
+        if n <= 8:
+            assert tuple(perm.tolist()) == exact_brute_force_max(s)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("gap", ["round_up", "round_down", "ulp_up", "ulp_down"])
+    def test_near_ties_match_the_exact_oracle(self, gap, n):
+        # round_*: the two float totals round equal while the exact ones differ; ulp_*: the
+        # float totals are exact and differ by about one unit in the last place
+        delta = {"round_up": np.spacing(1.0), "round_down": -np.spacing(1.0) / 2,
+                 "ulp_up": np.spacing(float(n)), "ulp_down": -np.spacing(float(n))}[gap]
+        for seed in range(1 if n == 8 else 3):
+            s, sigma, tau = near_tie(n, 10 * n + seed, delta)
+            rounds_equal = additive_score(s, sigma) == additive_score(s, tau)
+            assert rounds_equal == gap.startswith("round")
+            perm, _ = hungarian_max(s)
+            winner = tau if delta > 0 else sigma
+            assert tuple(perm.tolist()) == exact_brute_force_max(s) == winner
+
+    def test_planted_ties_among_rounded_entries_match_the_exact_oracle(self):
+        # sigma and tau tie exactly but for a few units in the last place of one entry, and
+        # the entries are not short binary fractions, so float reduced costs round near zero
+        rng = np.random.default_rng(31)
+        for _ in range(1000):
+            n = int(rng.integers(2, 6))
+            s = rng.uniform(-1.0, 1.0, (n, n)) * 10.0 ** rng.integers(-2, 3)
+            sigma = rng.permutation(n)
+            i, j = rng.choice(n, size=2, replace=False)
+            tau = sigma.copy()
+            tau[[i, j]] = sigma[[j, i]]
+            rows = np.arange(n)
+            others = sum(Fraction(s[k, tau[k]]) for k in rows if k != i)
+            tie = float(sum(Fraction(s[k, sigma[k]]) for k in rows) - others)
+            s[i, tau[i]] = tie + int(rng.integers(-3, 4)) * np.spacing(tie)
+            off = np.ones((n, n), dtype=bool)
+            off[rows, sigma] = off[rows, tau] = False
+            s[off] -= 50 * np.abs(s).max() + 1  # only sigma and tau can be optimal
+            perm, _ = hungarian_max(s)
+            assert tuple(perm.tolist()) == exact_brute_force_max(s)
 
 
 class TestTopK:

@@ -2,12 +2,14 @@ import base64
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from storysort.core import random_permutation
 from storysort.data import (
+    Stories,
     SyntheticSpec,
     _records,
     generate_synthetic,
@@ -107,6 +109,13 @@ class TestStoryInvariants:
         assert story.text[0, 0, 0] == 1.0
         with pytest.raises(ValueError):
             story.text[0, 0, 0] = 5.0
+        # a read-only view is copied too: its base can still be written
+        base = np.eye(2)[None]
+        view = base[:]
+        view.flags.writeable = False
+        batch = Stories(("s",), (("a", "b"),), [[0, 1]], [[0, 1]], view, None)
+        base[0, 0, 0] = 5.0
+        assert batch.text[0, 0, 0] == 1.0
 
     @pytest.mark.parametrize("index", [slice(1, 3), [2, 0], 1], ids=["slice", "array", "int"])
     def test_parts_are_read_only_rows_of_the_batch(self, index):
@@ -258,6 +267,33 @@ class TestDatasetIO:
         loaded = load_model(tmp_path / "extremes.json").mlp
         assert (loaded.weights[0].view(np.uint64) == extremes.view(np.uint64)).all()
         assert (loaded.biases[0].view(np.uint64) == extremes[:, 1].view(np.uint64)).all()
+
+    def test_blank_lines_and_crlf_endings_are_skipped(self, tmp_path):
+        stories = generate_synthetic(SyntheticSpec(story_count=3, seed=5))
+        lines = [json.dumps(record) for record in _records(stories)]
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes("\r\n".join([lines[0], "", lines[1], " \t", lines[2], ""]).encode())
+        loaded = load_dataset(path)
+        assert loaded.story_ids == stories.story_ids
+        for name in ("gold", "presented", "text", "image"):
+            assert np.array_equal(getattr(loaded, name), getattr(stories, name))
+
+    def test_load_holds_the_features_once(self, tmp_path):
+        # each line's float blocks decode into the batch's own arrays, which the batch takes
+        # over, so a load never holds the features twice
+        stories = generate_synthetic(SyntheticSpec(story_count=1000, n=16, seed=3))
+        feature_bytes = stories.text.nbytes + stories.image.nbytes
+        path = tmp_path / "data.jsonl"
+        save_dataset(stories, path)
+        del stories
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 1000
+        assert peak <= 1.5 * feature_bytes
 
     def test_malformed_line_reports_number(self, tmp_path):
         (good,) = map(json.dumps, _records(make_story([0, 1], story_id="ok")))
