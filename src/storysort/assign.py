@@ -1,18 +1,23 @@
 """Linear assignment: exact maximum-score permutation under additive scores.
 
 A score matrix is a square float64 array where s[i][p] is the score of
-placing element i at position p. The solver is one O(n^3) shortest
-augmenting path / potentials method. hungarian_max runs it first on the
-float costs -s, then proves from its potentials (LP duality) that the
-float answer is the unique exact optimum. Only where that proof fails,
-near a tie or at overflow scale, does it solve again on exact integer
-costs that carry a tie key, so ties among optimal assignments, which are
-exact ties of the real totals, resolve to the smallest positions tuple.
+placing element i at position p. The solver is the O(n^3) shortest
+augmenting path / potentials method. hungarian_max decodes an (S, n, n)
+stack of matrices in three steps. A float solve of the costs -s runs over
+the whole stack in lockstep, one numpy call per step of every matrix's
+search (one matrix at a time on small stacks). One certificate then
+proves from the solve's potentials (LP duality), for the whole stack at
+once, which answers are the unique exact optimum. Only the matrices where
+that proof fails, near a tie or at overflow scale, are solved again, one
+at a time, on exact integer costs that carry a tie key, so ties among
+optimal assignments, which are exact ties of the real totals, resolve to
+the smallest positions tuple.
 
 Top-k lists come from core.rank_orders, the one ranker of permutation
 table rows, with the same exact totals and tie rule. Orders are intp
-rows: hungarian_max returns one (n,) row, topk_assignments a (k, n)
-array. Additive scores are accumulated in element-index order
+arrays: hungarian_max returns (S, n) orders and (S,) totals, as
+pairwise.decode_pairwise and core.rank_orders do, and topk_assignments a
+(k, n) array. Additive scores are accumulated in element-index order
 everywhere, so equal permutations produce bit-identical float totals.
 """
 
@@ -26,16 +31,19 @@ import numpy as np
 from .core import MAX_N, MIN_N, exact_ints, rank_orders
 from .errors import SizeError, ValidationError
 
+EPS = np.finfo(float).eps
 
-def check_score_matrix(s) -> np.ndarray:
-    """Validate a square, finite score matrix with n in [2, 16]."""
+
+def check_score_matrix(s, ndim: int = 2) -> np.ndarray:
+    """Validate a square, finite score matrix with n in [2, 16]; with ndim=3, a stack of them."""
     a = np.asarray(s, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"score matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        what = "matrix" if ndim == 2 else "stack of (n, n) matrices"
+        raise ValidationError(f"score {what} must be square, got shape {a.shape}")
+    n = a.shape[-1]
     if not MIN_N <= n <= MAX_N:
         raise SizeError(f"score matrix size must be in [{MIN_N}, {MAX_N}], got {n}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError("score matrix contains non-finite entries")
     return a
 
@@ -57,7 +65,12 @@ def _solve_min(cost: list[list]) -> tuple[list[int], list, list]:
     reduced cost is exact and the assignment is a true minimum (Kuhn 1955;
     Burkard, Dell'Amico & Martello, Assignment Problems, 2009). A float
     potential would round the large ints that hungarian_max builds. On float
-    costs all of this holds only up to rounding; _certified_min checks it.
+    costs all of this holds only up to rounding; _certified checks it.
+
+    With M = max|cost|, 0 <= u <= M and -2M <= v <= 0: row potentials only
+    rise and column potentials only fall, a column still free keeps v = 0,
+    so u[i] <= cost[i][free] <= M, and a matched column's v is its cost less
+    its row's u. Every reduced cost and step then lies within 3M.
     """
     n = len(cost)
     inf = math.inf
@@ -104,9 +117,71 @@ def _solve_min(cost: list[list]) -> tuple[list[int], list, list]:
     return positions, u[1:], v[1:]
 
 
-def _certified_min(a: np.ndarray) -> list[int] | None:
-    """The order pi minimizing the costs c = -a from a float solve, if the solve's
-    potentials prove it the unique exact minimum, else None.
+def _lockstep_min(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Min-cost assignments of an (S, n, n) stack of float costs, with their potentials.
+
+    The shortest augmenting path method of _solve_min with lazy potential
+    updates (Jonker & Volgenant 1987; Crouse 2016), run on every matrix of
+    the stack in lockstep: each numpy call takes one step of every story's
+    search from the current row, and a story drops out of the row's search
+    once it reaches a free column. The potentials and paths are then updated
+    for the whole stack at once. The column potentials start at the column
+    minima, which is dual feasible and often leaves a free column at zero
+    reduced cost. Returns (S, n) positions and (S, n) row and column
+    potentials, each an exact minimum only up to rounding, as _solve_min's
+    are on float costs.
+
+    With M = max|c|, the potentials stay within 3M and every path length and
+    reduced cost within 6M: a row potential is at most 2M, since a column
+    still free keeps its starting potential of at least -M, and never falls
+    below 0; a matched column's potential is its cost less its row's.
+    """
+    count, n, _ = c.shape
+    stories = np.arange(count)
+    u = np.zeros((count, n + 1))  # slot n takes the updates addressed to row -1 of free columns
+    v = c.min(axis=1)
+    red = c - v[:, None, :]  # the reduced costs c - u - v, renewed after each row's search
+    row4col = np.full((count, n), -1, dtype=np.intp)
+    col4row = np.full((count, n), -1, dtype=np.intp)
+    for root in range(n):
+        searching = np.ones(count, dtype=bool)
+        row = np.full(count, root)  # the tree row each story scans next
+        low = np.zeros(count)  # the length of each story's shortest path to its last column
+        dist = np.full((count, n), np.inf)
+        path = np.zeros((count, n), dtype=np.intp)  # the tree row each column is reached from
+        tree = np.zeros((count, n), dtype=bool)
+        sink = np.zeros(count, dtype=np.intp)  # the free column each story reached
+        while searching.any():
+            r = low[:, None] + red[stories, row]
+            closer = ~tree & (r < dist) & searching[:, None]
+            np.putmask(dist, closer, r)
+            path = np.where(closer, row[:, None], path)
+            j = np.where(tree, np.inf, dist).argmin(axis=1)
+            low = dist[stories, j]
+            tree[stories, j] |= searching
+            row = row4col[stories, j]
+            np.putmask(sink, searching, j)
+            searching &= row >= 0
+        # update the potentials, renew the reduced costs, then flip each augmenting path
+        low = dist[stories, sink]
+        shift = np.subtract(low[:, None], dist, out=np.zeros((count, n)), where=tree)
+        u[stories[:, None], row4col] += shift
+        u[:, root] += low
+        v -= shift
+        red = c - (u[:, :n, None] + v[:, None, :])
+        col, k = sink, stories
+        while k.size:
+            i = path[k, col]
+            row4col[k, col] = i
+            col4row[k, i], col = col, col4row[k, i]
+            keep = i != root
+            k, col = k[keep], col[keep]
+    return col4row, u[:, :n], v
+
+
+def _certified(c: np.ndarray, positions: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether the potentials u, v of a float solve prove its order pi the unique exact
+    minimum of the costs c, as an (S,) bool for an (S, n, n) stack.
 
     For any potentials u, v the exact reduced costs rho = c - u - v give
     C(sigma) - C(pi) = sum_i rho[i, sigma_i] - sum_i rho[i, pi_i] for orders sigma
@@ -119,65 +194,82 @@ def _certified_min(a: np.ndarray) -> list[int] | None:
     pi_i -> p for each such entry (i, p) off pi. Peeling the nodes with no
     successor left (Kahn 1962) empties the graph when it has no cycle, and
     then pi is the only exact minimum, so no tie rule has anything to settle.
+    Each peeling sweep is one boolean matrix product over the whole stack.
     """
-    n = len(a)
-    c = -a
-    scale = float(np.abs(a).max())
-    # the solve keeps its potentials and reduced costs within 8 * max|c|: within each
-    # augmentation its steps sum to between -max|c| and max|c|, and between them a free
-    # column bounds every row potential by max|c|. So it cannot overflow here
-    if not math.isfinite(16 * scale):
-        return None
-    cost = c.tolist()
-    positions, u, v = _solve_min(cost)
-    eps = np.finfo(float).eps
+    count, n, _ = c.shape
+    rows, cols = np.arange(count)[:, None], np.arange(n)
     # r = c - (u + v) rounds twice, each within eps / 2 of its result, so
     # |r - rho| <= eps * (|c| + |u| + |v|) * (1 + eps / 2) <= e
-    r = c - np.add.outer(u, v)
-    e = 4 * eps * (scale + max(map(abs, u)) + max(map(abs, v)))
-    high = max(cost[i][p] - (u[i] + v[p]) for i, p in enumerate(positions))
-    t = e + (n - 1) * (e + max(0.0, -r.min())) + n * max(0.0, high + e)
-    if not math.isfinite(t):
-        return None
+    r = c - (u[:, :, None] + v[:, None, :])
+    e = 4 * EPS * (np.abs(c).max(axis=(1, 2)) + np.abs(u).max(axis=1) + np.abs(v).max(axis=1))
+    high = r[rows, cols, positions].max(axis=1)
+    t = e + (n - 1) * (e - r.min(axis=(1, 2), initial=0.0)) + n * np.maximum(high + e, 0.0)
     # t sums nonnegative terms with six roundings: raised by 8 eps, it bounds its exact value.
-    # succ[pi_i] has bit q for each entry (i, q) off pi with r <= t
-    succ = [0] * n
-    for mask, p in zip(((r <= t * (1 + 8 * eps)) @ (1 << np.arange(n))).tolist(), positions):
-        succ[p] = mask & ~(1 << p)
-    live = (1 << n) - 1
-    for _ in range(n):  # after n sweeps only nodes on or leading to a cycle are left
-        live = sum(1 << p for p in range(n) if succ[p] & live)  # the nodes with a live successor
-        if not live:
-            return positions
-    return None
+    # Node j stands for element j, at position pi_j, so the edges of element i are the
+    # entries (i, pi_j) of row i
+    near = r <= (t * (1 + 8 * EPS))[:, None, None]
+    edges = near[rows[:, :, None], cols[:, None], positions[:, None, :]]
+    edges[:, cols, cols] = False
+    live = edges.any(axis=2, keepdims=True)  # the nodes with a successor
+    for _ in range(n - 1):  # after n sweeps only nodes on or leading to a cycle are left
+        if not live.any():
+            break
+        live = edges @ live  # the nodes with a live successor
+    return ~live.any(axis=(1, 2))
 
 
-def hungarian_max(s) -> tuple[np.ndarray, float]:
-    """The (n,) order maximizing the additive score, with its total.
+# Stacks of at least this many matrices take the lockstep float solve; smaller ones
+# solve one matrix at a time, where numpy's fixed cost per call outweighs the loop.
+# Measured on dominant row-softmax stacks, lockstep starts to win at 14 to 28
+# matrices, depending on n (4 to 16).
+LOCKSTEP_MIN_STORIES = 20
+
+# Both float solves keep their potentials, path lengths and reduced costs within
+# 6 max|a| (see _lockstep_min and _solve_min), and the certificate's t sums 31 such
+# terms, so below this scale nothing they compute overflows.
+FLOAT_SCALE_LIMIT = np.finfo(float).max / 256
+
+
+def hungarian_max(s) -> tuple[np.ndarray, np.ndarray]:
+    """The (S, n) orders maximizing the additive score of each matrix of an (S, n, n)
+    stack, with their (S,) totals.
 
     Among optima whose real totals tie exactly, the lexicographically
-    smallest positions tuple is returned. A float solve of the costs -s
-    gives the order wherever _certified_min proves it the unique exact
-    optimum, so there is no tie to settle. Otherwise, near a tie or at
-    overflow scale, an exact solve decides: over one common denominator
-    (core.exact_ints) the matrix is exact ints A. The cost of placing i at
-    p is -A[i][p] * n**n plus the tie key
+    smallest positions tuple is returned. A float solve of the costs -s,
+    over the whole stack in lockstep (or one matrix at a time below
+    LOCKSTEP_MIN_STORIES), gives the order wherever _certified proves it
+    the unique exact optimum, so there is no tie to settle. Otherwise, near
+    a tie or at overflow scale, an exact solve decides, one matrix at a
+    time: over one common denominator (core.exact_ints) the matrix is exact
+    ints A. The cost of placing i at p is -A[i][p] * n**n plus the tie key
     p * n**(n-1-i): summed over a permutation, the keys read its positions
     tuple as a base-n number, which stays below n**n, one unit of score.
     One exact min-cost solve therefore maximizes the real total first and
-    takes the smallest positions tuple among its ties second. The total is
+    takes the smallest positions tuple among its ties second. Each total is
     the index-order float sum of additive_score.
     """
-    a = check_score_matrix(s)
-    positions = _certified_min(a)
-    if positions is None:
-        n = a.shape[0]
-        unit = n**n
-        positions, _, _ = _solve_min([
+    a = check_score_matrix(s, ndim=3)
+    count, n, _ = a.shape
+    # a matrix at overflow scale is float-solved as zeros instead: a tie of every order,
+    # which the certificate rejects, so the exact solve decides it
+    fits = np.abs(a).max(axis=(1, 2)) < FLOAT_SCALE_LIMIT
+    c = np.where(fits[:, None, None], -a, 0.0)
+    if 0 < count < LOCKSTEP_MIN_STORIES:
+        orders, u, v = (np.array(x) for x in zip(*map(_solve_min, c.tolist())))
+    else:
+        orders, u, v = _lockstep_min(c)
+    exact = ~_certified(c, orders, u, v)
+    unit = n**n
+    for k in np.flatnonzero(exact):
+        orders[k], _, _ = _solve_min([
             [-x * unit + p * n ** (n - 1 - i) for p, x in enumerate(row)]
-            for i, row in enumerate(exact_ints(a).tolist())
+            for i, row in enumerate(exact_ints(a[k]).tolist())
         ])
-    return np.array(positions, dtype=np.intp), additive_score(a, positions)
+    # running sums are sequential, and adding 0.0 turns a -0.0 into the 0.0 that
+    # additive_score's sum from 0.0 gives; overflow-scale totals stay inf or nan, as there
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = np.add.accumulate(a[np.arange(count)[:, None], np.arange(n), orders], axis=1)
+    return orders, totals[:, -1] + 0.0
 
 
 def topk_assignments(s, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -56,7 +56,8 @@ def check_vote_matrix(v) -> np.ndarray:
 
 def decode_votes(v) -> np.ndarray:
     """The (n,) assignment maximizing total votes; ties go to the smallest positions tuple."""
-    return hungarian_max(check_vote_matrix(v).astype(np.float64))[0]
+    (order,), _ = hungarian_max(check_vote_matrix(v).astype(np.float64)[None])
+    return order
 
 
 def ensemble_sort(members: Sequence[models.AnyModel], story: Stories,

@@ -15,7 +15,9 @@ rebinding a module attribute (as a profiler does) reaches every caller.
 Scoring runs along a story axis: ``scores(model, stories)`` returns an
 (S, n, n) stack for a data.Stories batch of S stories. Orders are intp
 arrays: predict_stories walks a dataset in slices, each scored with one
-forward pass and decoded in one call, and returns one (S, n) array. A
+forward pass and decoded in one call (one assign.hungarian_max solve of
+the slice's stack for additive scores, one core.rank_orders ranking for
+pair scores), and returns one (S, n) array. A
 story is a batch of one: top_permutations gives its (k, n) best orders,
 and a module's ``predict`` passes it to the same scorers and decoders and
 returns a core.Permutation, the one-story public type.

@@ -9,9 +9,10 @@ cross_entropy is the loss neural.sgd_train minimizes.
 Scoring runs over a data.Stories batch of S stories at once: one
 (S, n, d) feature array and one forward pass give an (S, n, n) stack of
 probability matrices, each bit-identical to scoring its story alone.
-Decoding stays one assignment solve per story, and decode_unary returns
-the orders as an (S, n) intp array. A story is a batch of one: predict
-takes one and returns a core.Permutation.
+Decoding is one hungarian_max call per stack, which solves its matrices
+together, and decode_unary returns the orders as an (S, n) intp array,
+each row the order its story decodes to alone. A story is a batch of one:
+predict takes one and returns a core.Permutation.
 """
 
 from __future__ import annotations
@@ -57,10 +58,7 @@ def position_probs(model: UnaryModel, stories: Stories) -> np.ndarray:
 
 def decode_unary(probs) -> np.ndarray:
     """(S, n) exact argmax orders of the unary score of the matrices of an (S, n, n) stack."""
-    a = np.asarray(probs, dtype=np.float64)
-    if a.ndim != 3:
-        raise ValidationError(f"expected an (S, n, n) stack of score matrices, got shape {a.shape}")
-    return np.array([hungarian_max(m)[0] for m in a], dtype=np.intp).reshape(a.shape[:2])
+    return hungarian_max(probs)[0]
 
 
 def predict(model: UnaryModel, story: Stories) -> Permutation:

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -62,6 +63,25 @@ def exact_brute_force_max(s):
     return exact_optima(s)[0]
 
 
+def exact_table_max(s):
+    """Exact oracle for n up to 8: the first lexicographic order of maximal total, with the
+    entries scaled to Python ints over their common denominator."""
+    n = s.shape[0]
+    exact = [[Fraction(float(x)) for x in row] for row in s]
+    denom = math.lcm(*(x.denominator for row in exact for x in row))
+    ints = np.array([[x.numerator * (denom // x.denominator) for x in row] for row in exact],
+                    dtype=object)
+    table = np.array(list(enumerate_permutations(n)))
+    totals = ints[np.arange(n), table].sum(axis=1)
+    return tuple(table[max(range(len(table)), key=totals.__getitem__)].tolist())
+
+
+def hungarian_one(s):
+    """hungarian_max on a stack of one matrix: its (n,) order and its total."""
+    (perm,), (score,) = hungarian_max(np.asarray(s)[None])
+    return perm, score
+
+
 @pytest.fixture
 def exact_solves(monkeypatch):
     """A list that grows by one each time hungarian_max falls back to its exact solve,
@@ -74,6 +94,27 @@ def exact_solves(monkeypatch):
 
     monkeypatch.setattr(assign, "exact_ints", counting)
     return calls
+
+
+@pytest.fixture
+def verdicts(monkeypatch):
+    """A list of the (S,) bool arrays that _certified returns, one per call: False marks a
+    matrix the certificate rejects, which the exact solve then decides."""
+    calls = []
+    certified = assign._certified
+
+    def recording(*args):
+        calls.append(certified(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(assign, "_certified", recording)
+    return calls
+
+
+def reject_all(monkeypatch):
+    """Make the certificate reject every matrix, so the exact solve decides each one."""
+    monkeypatch.setattr(assign, "_certified",
+                        lambda c, positions, u, v: np.zeros(len(c), dtype=bool))
 
 
 # Tie-heavy kinds: small integers (float sums exact), non-dyadic tenths (float
@@ -89,19 +130,27 @@ TIE_KINDS = {
 class TestValidation:
     def test_non_square(self):
         with pytest.raises(ValidationError):
-            hungarian_max(np.zeros((2, 3)))
+            hungarian_max(np.zeros((1, 2, 3)))
+
+    def test_one_matrix_is_not_a_stack(self):
+        with pytest.raises(ValidationError):
+            hungarian_max(np.eye(3))
 
     def test_non_finite(self):
-        m = np.zeros((3, 3))
-        m[0, 0] = np.nan
+        m = np.zeros((2, 3, 3))
+        m[1, 0, 0] = np.nan
         with pytest.raises(ValidationError):
             hungarian_max(m)
 
     def test_size_bounds(self):
         with pytest.raises(SizeError):
-            hungarian_max(np.zeros((1, 1)))
+            hungarian_max(np.zeros((1, 1, 1)))
         with pytest.raises(SizeError):
-            hungarian_max(np.zeros((17, 17)))
+            hungarian_max(np.zeros((1, 17, 17)))
+
+    def test_empty_stack(self):
+        orders, totals = hungarian_max(np.zeros((0, 4, 4)))
+        assert orders.shape == (0, 4) and totals.shape == (0,)
 
     def test_check_returns_float64(self):
         a = check_score_matrix([[0, 1], [1, 0]])
@@ -110,12 +159,12 @@ class TestValidation:
 
 class TestHungarianMax:
     def test_identity_matrix(self):
-        perm, score = hungarian_max(np.eye(5))
+        perm, score = hungarian_one(np.eye(5))
         assert perm.tolist() == [0, 1, 2, 3, 4]
         assert score == 5.0
 
     def test_forced_swap_2x2(self):
-        perm, score = hungarian_max(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        perm, score = hungarian_one(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert perm.tolist() == [1, 0]
         assert score == 2.0
 
@@ -123,7 +172,7 @@ class TestHungarianMax:
         rng = np.random.default_rng(42)
         for _ in range(200):
             s = rng.uniform(-1.0, 1.0, size=(5, 5))
-            perm, score = hungarian_max(s)
+            perm, score = hungarian_one(s)
             oracle_perm, oracle_score = brute_force_max(s)
             assert score == oracle_score
             assert tuple(perm.tolist()) == oracle_perm
@@ -134,7 +183,7 @@ class TestHungarianMax:
         for _ in range(150):
             n = int(rng.integers(2, 7))
             s = rng.integers(0, 3, size=(n, n)).astype(np.float64)
-            perm, score = hungarian_max(s)
+            perm, score = hungarian_one(s)
             oracle_perm, oracle_score = brute_force_max(s)
             assert score == oracle_score
             assert tuple(perm.tolist()) == oracle_perm
@@ -148,7 +197,7 @@ class TestHungarianMax:
         for _ in range(1 if n == 8 else 5):
             s = rng.choice(TIE_KINDS[kind], size=(n, n))
             solves = len(exact_solves)
-            perm, score = hungarian_max(s)
+            perm, score = hungarian_one(s)
             optima = exact_optima(s)
             assert tuple(perm.tolist()) == optima[0]
             if len(optima) > 1 or kind == "extreme":
@@ -157,7 +206,7 @@ class TestHungarianMax:
                 assert score == additive_score(s, perm)
 
     def test_all_equal_matrix_gives_identity(self, exact_solves):
-        perm, _ = hungarian_max(np.full((5, 5), 0.2))
+        perm, _ = hungarian_one(np.full((5, 5), 0.2))
         assert perm.tolist() == [0, 1, 2, 3, 4]
         assert len(exact_solves) == 1
 
@@ -165,16 +214,16 @@ class TestHungarianMax:
         rng = np.random.default_rng(11)
         for _ in range(20):
             s = rng.uniform(-1.0, 1.0, size=(5, 5))
-            base, _ = hungarian_max(s)
+            base, _ = hungarian_one(s)
             shifted = s.copy()
             shifted[2, :] += 3.7
-            after, _ = hungarian_max(shifted)
+            after, _ = hungarian_one(shifted)
             assert base.tolist() == after.tolist()
 
     def test_supports_n16(self):
         rng = np.random.default_rng(3)
         s = rng.uniform(0.0, 1.0, size=(16, 16))
-        perm, score = hungarian_max(s)
+        perm, score = hungarian_one(s)
         assert perm.shape == (16,) and perm.dtype == np.intp
         # score must match the greedy re-sum of the returned assignment
         assert score == additive_score(s, perm)
@@ -212,13 +261,12 @@ class TestFloatSolveCertificate:
     the unique exact optimum; exact_solves counts the fallbacks to the exact solve."""
 
     def test_learned_scores_need_no_exact_solve(self, exact_solves, monkeypatch):
-        matrices = [dominant_softmax(16, seed) for seed in range(50)]
-        certified = [hungarian_max(s) for s in matrices]
+        stack = np.stack([dominant_softmax(16, seed) for seed in range(50)])
+        orders, totals = hungarian_max(stack)
         assert exact_solves == []
-        monkeypatch.setattr(assign, "_certified_min", lambda a: None)
-        for s, (perm, score) in zip(matrices, certified):
-            exact_perm, exact_score = hungarian_max(s)
-            assert perm.tolist() == exact_perm.tolist() and score == exact_score
+        reject_all(monkeypatch)
+        exact_orders, exact_totals = hungarian_max(stack)
+        assert np.array_equal(orders, exact_orders) and np.array_equal(totals, exact_totals)
         assert len(exact_solves) == 50
 
     @pytest.mark.parametrize("n", [*range(2, 9), 16])
@@ -229,7 +277,7 @@ class TestFloatSolveCertificate:
         positions, u, v = _solve_min((-s).tolist())
         assert positions == list(range(n))
         assert any(-s[i, p] - u[i] - v[p] == 0 for i in range(n) for p in range(n) if p != i)
-        perm, score = hungarian_max(s)
+        perm, score = hungarian_one(s)
         assert perm.tolist() == positions and score == n
         assert exact_solves == []
         if n <= 8:
@@ -246,7 +294,7 @@ class TestFloatSolveCertificate:
             s, sigma, tau = near_tie(n, 10 * n + seed, delta)
             rounds_equal = additive_score(s, sigma) == additive_score(s, tau)
             assert rounds_equal == gap.startswith("round")
-            perm, _ = hungarian_max(s)
+            perm, _ = hungarian_one(s)
             winner = tau if delta > 0 else sigma
             assert tuple(perm.tolist()) == exact_brute_force_max(s) == winner
 
@@ -268,8 +316,72 @@ class TestFloatSolveCertificate:
             off = np.ones((n, n), dtype=bool)
             off[rows, sigma] = off[rows, tau] = False
             s[off] -= 50 * np.abs(s).max() + 1  # only sigma and tau can be optimal
-            perm, _ = hungarian_max(s)
+            perm, _ = hungarian_one(s)
             assert tuple(perm.tolist()) == exact_brute_force_max(s)
+
+
+def mixed_stack(n, count, seed):
+    """(stack, kinds): count matrices of size n, in shuffled turns of int012, tenths and
+    extreme tie-heavy matrices and dominant_softmax ones, with every extreme matrix at
+    overflow scale, and the kind of each."""
+    rng = np.random.default_rng(seed)
+    kinds = [*sorted(TIE_KINDS), "softmax"]
+    kinds = rng.permutation([kinds[k % len(kinds)] for k in range(count)])
+    stack = np.empty((count, n, n))
+    for k, kind in enumerate(kinds):
+        if kind == "softmax":
+            stack[k] = dominant_softmax(n, int(rng.integers(2**31)))
+        else:
+            stack[k] = rng.choice(TIE_KINDS[kind], size=(n, n))
+            if kind == "extreme":
+                stack[k, rng.integers(n), rng.integers(n)] = 1e308
+    return stack, kinds
+
+
+# stack sizes on both sides of the cut-off between one-at-a-time and lockstep float solves
+SIDES = {"one_at_a_time": assign.LOCKSTEP_MIN_STORIES - 1,
+         "lockstep": assign.LOCKSTEP_MIN_STORIES + 2}
+
+
+class TestStacks:
+    """A stack's rows are decoded as each matrix alone would be, whichever float solve runs,
+    and the exact solve runs on exactly the rows that the certificate rejects."""
+
+    @pytest.mark.parametrize("side", sorted(SIDES))
+    @pytest.mark.parametrize("n", [*range(2, 9), 16])
+    def test_rows_match_the_exact_oracle(self, n, side, exact_solves, verdicts, monkeypatch):
+        stack, kinds = mixed_stack(n, SIDES[side], seed=10 * n + len(side))
+        orders, totals = hungarian_max(stack)
+        assert orders.shape == (len(stack), n) and orders.dtype == np.intp
+        (certified,) = verdicts
+        assert len(exact_solves) == np.count_nonzero(~certified)
+        assert not certified[kinds == "extreme"].any() and certified[kinds == "softmax"].all()
+        if n <= 8:
+            expected = [exact_table_max(s) for s in stack]
+        else:
+            reject_all(monkeypatch)
+            expected = list(map(tuple, hungarian_max(stack)[0].tolist()))
+        assert list(map(tuple, orders.tolist())) == expected
+        finite = kinds != "extreme"  # overflow-scale totals are inf or nan
+        assert [additive_score(s, p) for s, p in zip(stack[finite], orders[finite])] == \
+            totals[finite].tolist()
+
+    @pytest.mark.parametrize("side", sorted(SIDES))
+    @pytest.mark.parametrize("n", [5, 16])
+    def test_overflow_scale_rows_raise_no_warning(self, n, side):
+        stack, _ = mixed_stack(n, SIDES[side], seed=n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            orders, totals = hungarian_max(stack)
+            alone = [hungarian_one(s) for s in stack]
+        assert np.array_equal(orders, [perm for perm, _ in alone])
+        np.testing.assert_array_equal(totals, [total for _, total in alone])
+
+    def test_totals_add_in_index_order_from_zero(self):
+        # the running sum starts at 0.0, as additive_score's does, so -0.0 entries total 0.0
+        orders, totals = hungarian_max(np.full((2, 3, 3), -0.0))
+        assert orders.tolist() == [[0, 1, 2]] * 2
+        assert [math.copysign(1.0, t) for t in totals] == [1.0, 1.0]
 
 
 class TestTopK:
@@ -292,7 +404,7 @@ class TestTopK:
         for _ in range(50):
             s = rng.uniform(-1.0, 1.0, size=(5, 5))
             orders, totals = topk_assignments(s, 3)
-            h_perm, h_score = hungarian_max(s)
+            h_perm, h_score = hungarian_one(s)
             assert orders[0].tolist() == h_perm.tolist()
             assert totals[0] == h_score
 
@@ -309,7 +421,7 @@ class TestTopK:
             orders, totals = topk_assignments(s, 5)
             assert list(map(tuple, orders.tolist())) == oracle[:5]
             assert all(total == additive_score(s, p) for p, total in zip(orders, totals))
-            assert orders[0].tolist() == hungarian_max(s)[0].tolist()
+            assert orders[0].tolist() == hungarian_one(s)[0].tolist()
 
     def test_k_too_large(self):
         with pytest.raises(SizeError):
@@ -341,7 +453,7 @@ def test_500_matrix_oracle_equivalence_under_one_second():
     start = time.monotonic()
     for _ in range(500):
         s = rng.uniform(-1.0, 1.0, size=(5, 5))
-        _, score = hungarian_max(s)
+        _, score = hungarian_one(s)
         _, oracle = brute_force_max(s)
         assert score == oracle
     assert time.monotonic() - start < 1.0

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from storysort import metrics as M
-from storysort.assign import additive_score
+from storysort import models, unary
+from storysort.assign import additive_score, hungarian_max
 from storysort.data import presented_gold, split_dataset
 from storysort.errors import DimensionError, EmptyInputError, ValidationError
-from storysort.models import REGISTRY, load_model, save_model, top_permutations
+from storysort.models import REGISTRY, load_model, predict_stories, save_model, top_permutations
 from storysort.neural import MlpParams, TrainConfig
 from storysort.unary import (
     UnaryModel,
@@ -92,6 +93,24 @@ class TestDecodeUnary:
         for probs, decoded in zip(stack, decode_unary(stack)):
             best = max(enumerate_permutations(5), key=lambda p: additive_score(probs, p))
             assert additive_score(probs, decoded) == additive_score(probs, best)
+
+    def test_one_assignment_solve_per_chunk(self, tiny_clean_dataset, monkeypatch):
+        # decode_unary calls hungarian_max by this module's name, once per stack: a
+        # profiler that rebinds unary.hungarian_max sees every chunk
+        shapes = []
+
+        def counting(s):
+            shapes.append(np.shape(s))
+            return hungarian_max(s)
+
+        monkeypatch.setattr(unary, "hungarian_max", counting)
+        stories = tiny_clean_dataset[:10]
+        model = zero_model(stories.n, stories.text.shape[2])
+        whole = predict_stories(model, stories)
+        assert shapes == [(10, stories.n, stories.n)]
+        monkeypatch.setattr(models, "CHUNK_FLOATS", 4 * stories.n * stories.text.shape[2])
+        assert np.array_equal(predict_stories(model, stories), whole)
+        assert shapes[1:] == [(4, stories.n, stories.n)] * 2 + [(2, stories.n, stories.n)]
 
     def test_relabel_equivariance(self):
         rng = np.random.default_rng(33)
