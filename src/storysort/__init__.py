@@ -8,7 +8,7 @@ package holds only what the pipeline runs: the brute-force references
 that the decoders are checked against live with the tests.
 """
 
-from .assign import additive_score, hungarian_max, topk_assignments
+from .assign import hungarian_max, topk_assignments
 from .core import Permutation, random_permutation
 from .data import (
     Stories,

@@ -13,18 +13,18 @@ at a time, on exact integer costs that carry a tie key, so ties among
 optimal assignments, which are exact ties of the real totals, resolve to
 the smallest positions tuple.
 
-Top-k lists come from core.rank_orders, the one ranker of permutation
-table rows, with the same exact totals and tie rule. Orders are intp
-arrays: hungarian_max returns (S, n) orders and (S,) totals, as
-pairwise.decode_pairwise and core.rank_orders do, and topk_assignments a
-(k, n) array. Additive scores are accumulated in element-index order
-everywhere, so equal permutations produce bit-identical float totals.
+check_score_matrix, hungarian_max and topk_assignments take an (S, n, n)
+stack, one matrix per story, and orders are intp arrays: hungarian_max
+returns (S, n) orders and (S,) totals, and topk_assignments (S, k, n)
+orders and (S, k) totals, which core.rank_orders ranks with the same exact
+totals and tie rule. An order's total adds s[i][order[i]] in
+element-index order i = 0..n-1, starting from 0.0, everywhere, so equal
+permutations produce bit-identical float totals.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -34,26 +34,17 @@ from .errors import SizeError, ValidationError
 EPS = np.finfo(float).eps
 
 
-def check_score_matrix(s, ndim: int = 2) -> np.ndarray:
-    """Validate a square, finite score matrix with n in [2, 16]; with ndim=3, a stack of them."""
+def check_score_matrix(s) -> np.ndarray:
+    """Validate an (S, n, n) stack of square, finite score matrices with n in [2, 16]."""
     a = np.asarray(s, dtype=np.float64)
-    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
-        what = "matrix" if ndim == 2 else "stack of (n, n) matrices"
-        raise ValidationError(f"score {what} must be square, got shape {a.shape}")
+    if a.ndim != 3 or a.shape[-1] != a.shape[-2]:
+        raise ValidationError(f"score stack must hold square (n, n) matrices, got shape {a.shape}")
     n = a.shape[-1]
     if not MIN_N <= n <= MAX_N:
         raise SizeError(f"score matrix size must be in [{MIN_N}, {MAX_N}], got {n}")
     if not np.isfinite(a).all():
         raise ValidationError("score matrix contains non-finite entries")
     return a
-
-
-def additive_score(s: np.ndarray, positions: Sequence[int]) -> float:
-    """Sum s[i][positions[i]] in index order i = 0..n-1."""
-    total = 0.0
-    for i, p in enumerate(positions):
-        total += float(s[i, p])
-    return total
 
 
 def _solve_min(cost: list[list]) -> tuple[list[int], list, list]:
@@ -246,9 +237,9 @@ def hungarian_max(s) -> tuple[np.ndarray, np.ndarray]:
     tuple as a base-n number, which stays below n**n, one unit of score.
     One exact min-cost solve therefore maximizes the real total first and
     takes the smallest positions tuple among its ties second. Each total is
-    the index-order float sum of additive_score.
+    the float sum of the order's entries in element-index order.
     """
-    a = check_score_matrix(s, ndim=3)
+    a = check_score_matrix(s)
     count, n, _ = a.shape
     # a matrix at overflow scale is float-solved as zeros instead: a tie of every order,
     # which the certificate rejects, so the exact solve decides it
@@ -265,17 +256,17 @@ def hungarian_max(s) -> tuple[np.ndarray, np.ndarray]:
             [-x * unit + p * n ** (n - 1 - i) for p, x in enumerate(row)]
             for i, row in enumerate(exact_ints(a[k]).tolist())
         ])
-    # running sums are sequential, and adding 0.0 turns a -0.0 into the 0.0 that
-    # additive_score's sum from 0.0 gives; overflow-scale totals stay inf or nan, as there
+    # running sums are sequential, and adding 0.0 turns a -0.0 into the 0.0 that a sum
+    # from 0.0 gives; overflow-scale totals stay inf or nan
     with np.errstate(over="ignore", invalid="ignore"):
         totals = np.add.accumulate(a[np.arange(count)[:, None], np.arange(n), orders], axis=1)
     return orders, totals[:, -1] + 0.0
 
 
 def topk_assignments(s, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (k, n) best orders by additive score, with their (k,) additive_score totals.
+    """The (S, k, n) best orders of each matrix of an (S, n, n) stack by additive score,
+    with their (S, k) totals.
 
-    core.rank_orders ranks them as hungarian_max does, so the first is its choice.
+    core.rank_orders ranks them as hungarian_max does, so each list starts with its choice.
     """
-    orders, totals = rank_orders(check_score_matrix(s)[None], k, pair=False)
-    return orders[0], totals[0]
+    return rank_orders(check_score_matrix(s), k, pair=False)

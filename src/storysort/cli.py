@@ -201,6 +201,12 @@ def _dataset_report(model, stories) -> metrics_mod.MetricReport:
     )
 
 
+def _feature_dims(stories, use_image: bool) -> str:
+    """The widths of the features a model reads from stories, as text."""
+    image = "none" if stories.image is None else stories.image.shape[2]
+    return f"text dim {stories.text.shape[2]}" + (f", image dim {image}" if use_image else "")
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.monotonic()
     spec = models_mod.REGISTRY[args.model]
@@ -210,7 +216,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     # flags are checked before the datasets are read
     if args.val is None and not 0 < args.val_frac < 1:
         raise UsageError(f"--val-frac must be in (0, 1), got {args.val_frac}")
-    for name in ("hidden", *spec.train_args):
+    # every kind's options are parsed, and recorded in the manifest, whatever --model is
+    kind_args = [name for entry in models_mod.REGISTRY.values() for name in entry.train_args]
+    for name in ("hidden", *kind_args):
         value = getattr(args, name)
         if not value > 0:
             # --hidden and --embed-dim are integer layer widths
@@ -232,6 +240,14 @@ def cmd_train(args: argparse.Namespace) -> int:
                 f"--val {args.val} has n={val_stories.n}, but a {args.model} model trained "
                 f"on --data {data_path} (n={train_stories.n}) scores only n={train_stories.n}"
             )
+        # the model's input width is --data's, so --val must have the same features
+        if val_stories and train_stories:
+            got, want = (_feature_dims(s, args.use_image) for s in (val_stories, train_stories))
+            if got != want:
+                raise ValidationError(
+                    f"--val {args.val} has {got}, but a {args.model} model trained on "
+                    f"--data {data_path} reads {want}"
+                )
     else:
         train_stories, val_stories = data_mod.split_dataset(train_stories, args.val_frac,
                                                             args.seed)

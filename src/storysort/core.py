@@ -99,9 +99,9 @@ def exact_ints(a: np.ndarray) -> np.ndarray:
 def _term_index(n: int, pair: bool) -> np.ndarray:
     """Read-only (n!, m) flat indices into an (n, n) term matrix: each table row's terms.
 
-    Additive totals add a[i, σᵢ] for i = 0..n-1, as additive_score does. Pair
-    totals add, for i < j row-major as pairwise_objective does, (a - aᵀ)[i, j]
-    when the row puts i first, else (a - aᵀ)[j, i], which is exactly its negation.
+    Additive totals add a[i, σᵢ] for i = 0..n-1, as hungarian_max does. Pair
+    totals add, for i < j row-major, (a - aᵀ)[i, j] when the row puts i first,
+    else (a - aᵀ)[j, i], which is exactly its negation.
     Column-major, as order_values reads a column of n! indices at a time.
     """
     table = permutation_table(n)
@@ -114,7 +114,8 @@ def _term_index(n: int, pair: bool) -> np.ndarray:
 
 def order_values(a: np.ndarray, pair: bool) -> np.ndarray:
     """(S, n!) float totals of every permutation_table row, for each matrix of an (S, n, n)
-    stack, adding terms in _term_index's order as additive_score or pairwise_objective do."""
+    stack, adding each row's terms in _term_index's order, element-index order for additive
+    scores and row-major pair order for pair scores."""
     index = _term_index(a.shape[-1], pair)
     terms = (a - a.transpose(0, 2, 1) if pair else a).reshape(-1, a.shape[-1] ** 2).T.copy()
     values = np.zeros((len(index), len(a)))  # a story per column, so gathers copy rows

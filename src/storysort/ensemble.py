@@ -3,13 +3,13 @@
 Members may be of any registered model kind (storysort.models). A
 member's top-k list is keyed by its score type: additive position scores
 (unary) give the k best assignments, pair scores (pairwise, NPE) the k
-best orders by the ordering objective. Candidates are the rows of an
-(m, n) intp array of orders; every candidate casts one vote per element
-for the position it assigns, and the consensus order is the assignment
-maximizing total votes received. Votes are unweighted, so a member's
-first and third choice count the same. ensemble_sort takes one story, a
-data.Stories batch of one, and returns a core.Permutation, the one-story
-public type.
+best orders by the ordering objective. A story's candidates are an
+(m, n) intp array of orders, a batch's an (S, m, n) one; every candidate
+casts one vote per element for the position it assigns, and the
+consensus order is the assignment maximizing total votes received. Votes
+are unweighted, so a member's first and third choice count the same.
+ensemble_sort takes one story, a data.Stories batch of one, and returns
+a core.Permutation, the one-story public type.
 """
 
 from __future__ import annotations
@@ -28,36 +28,30 @@ DEFAULT_TOP_K = 3
 
 
 def accumulate_votes(candidates) -> np.ndarray:
-    """Vote matrix v[i][j] = number of rows of an (m, n) candidate array placing element i
-    at position j. Rows that are not permutations of 0..n-1 raise ValidationError."""
+    """(S, n, n) votes of (S, m, n) candidates: v[s][i][j] counts story s's rows placing
+    element i at position j. Rows that are not permutations raise ValidationError."""
     cands = np.asarray(candidates)
     if not cands.size:
         raise EmptyInputError("accumulate_votes requires at least one candidate")
-    if cands.ndim != 2:
-        raise DimensionError(f"candidates must be an (m, n) array of orders, got {cands.shape}")
+    if cands.ndim != 3:
+        raise DimensionError(f"candidates must be an (S, m, n) array of orders, got {cands.shape}")
     if not is_permutation(cands).all():
         raise ValidationError("candidates must be permutations of 0..n-1")
-    n = cands.shape[1]
-    votes = np.zeros((n, n), dtype=np.int64)
-    np.add.at(votes, (np.arange(n), cands), 1)
+    count, _, n = cands.shape
+    votes = np.zeros((count, n, n), dtype=np.int64)
+    np.add.at(votes, (np.arange(count)[:, None, None], np.arange(n), cands), 1)
     return votes
 
 
-def check_vote_matrix(v) -> np.ndarray:
+def decode_votes(v) -> np.ndarray:
+    """The (S, n) assignments maximizing the total votes of each matrix of an (S, n, n)
+    stack of non-negative integer vote counts; ties go to the smallest positions tuple."""
     a = np.asarray(v)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"vote matrix must be square, got shape {a.shape}")
     if not np.issubdtype(a.dtype, np.integer):
         raise ValidationError(f"vote matrix must be integer, got dtype {a.dtype}")
     if np.any(a < 0):
         raise ValidationError("vote matrix entries must be non-negative")
-    return a
-
-
-def decode_votes(v) -> np.ndarray:
-    """The (n,) assignment maximizing total votes; ties go to the smallest positions tuple."""
-    (order,), _ = hungarian_max(check_vote_matrix(v).astype(np.float64)[None])
-    return order
+    return hungarian_max(a)[0]
 
 
 def ensemble_sort(members: Sequence[models.AnyModel], story: Stories,
@@ -77,4 +71,5 @@ def ensemble_sort(members: Sequence[models.AnyModel], story: Stories,
                 f"member {idx} ({type(member).__name__}) failed on story "
                 f"{story.story_id}: {e}"
             ) from e
-    return Permutation(tuple(decode_votes(accumulate_votes(np.concatenate(candidates)))))
+    (order,) = decode_votes(accumulate_votes(np.concatenate(candidates, axis=1)))
+    return Permutation(tuple(order))

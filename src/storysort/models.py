@@ -13,14 +13,13 @@ are keyed by score type. Entries hold modules, not functions, so
 rebinding a module attribute (as a profiler does) reaches every caller.
 
 Scoring runs along a story axis: ``scores(model, stories)`` returns an
-(S, n, n) stack for a data.Stories batch of S stories. Orders are intp
-arrays: predict_stories walks a dataset in slices, each scored with one
-forward pass and decoded in one call (one assign.hungarian_max solve of
-the slice's stack for additive scores, one core.rank_orders ranking for
-pair scores), and returns one (S, n) array. A
-story is a batch of one: top_permutations gives its (k, n) best orders,
-and a module's ``predict`` passes it to the same scorers and decoders and
-returns a core.Permutation, the one-story public type.
+(S, n, n) stack for a data.Stories batch of S stories, and every decoder
+and top-k list takes that stack. predict_stories walks a dataset in
+slices, each scored with one forward pass and decoded in one call, into
+one (S, n) intp array of orders; top_permutations gives a batch's
+(S, k, n) best orders. A story is a batch of one: a module's ``predict``
+passes it to the same scorers and decoders and returns a
+core.Permutation, the one-story public type.
 
 This module also owns the checkpoint file: save_model and load_model
 write and read one JSON object of model_kind, the kind's fields (in the
@@ -144,14 +143,13 @@ def predict_stories(model: AnyModel, stories: Stories) -> np.ndarray:
                            for start in range(0, len(stories), size)])
 
 
-def top_permutations(model: AnyModel, story: Stories, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The model's (k, n) best orders for a batch of one story, best first, ties
-    lexicographic, with their (k,) totals."""
+def top_permutations(model: AnyModel, stories: Stories, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The model's (S, k, n) best orders for a batch of S stories, best first, ties
+    lexicographic, with their (S, k) totals; row s is that of stories[s] alone."""
     spec = spec_for(model)
-    check_decodable(spec, story.n, k)
-    (s,) = spec.module.scores(model, story)
+    check_decodable(spec, stories.n, k)
     rank = topk_assignments if spec.score_type == ADDITIVE else pairwise.rank_permutations
-    return rank(s, k)
+    return rank(spec.module.scores(model, stories), k)
 
 
 def save_model(model: AnyModel, path: str | Path) -> None:

@@ -6,9 +6,11 @@ against central finite differences. The trainer is plain mini-batch SGD
 with optional L2 weight decay; all shuffling comes from the config seed,
 so identical inputs produce bit-identical parameters.
 
-Training sets are arrays, built once by the caller: ``X`` holds the input
-rows, of shape (rows, d) or (rows, n, d) for rows of n elements, and ``y``
-their targets (or None), row k of one belonging to row k of the other.
+Inputs are matrices or stacks of them, never single vectors: mlp_forward
+takes a (batch, d) matrix or a (..., batch, d) stack. Training sets are
+arrays, built once by the caller: ``X`` holds the input rows, of shape
+(rows, d) or (rows, n, d) for rows of n elements, and ``y`` their targets
+(or None), row k of one belonging to row k of the other.
 sgd_train checks the width d against the model once, then runs one
 forward and backward pass per mini-batch ``X[idx]``. The model kind's
 loss sees only the network output, shaped as ``X[idx]`` with the output
@@ -136,7 +138,7 @@ def _forward_cached(
 
 
 def mlp_forward(params: MlpParams, x) -> np.ndarray:
-    """Forward pass on a single vector, a (batch, dim) matrix or a (..., batch, dim) stack.
+    """Forward pass on a (batch, dim) matrix or a (..., batch, dim) stack.
 
     A stack is multiplied one (batch, dim) matrix at a time, so each
     matrix's output is bit-identical to a call on that matrix alone: BLAS
@@ -144,16 +146,11 @@ def mlp_forward(params: MlpParams, x) -> np.ndarray:
     matrix changes the last bits of some rows.
     """
     a = np.asarray(x, dtype=np.float64)
-    single = a.ndim == 1
-    if single:
-        a = a[None, :]
-    if a.ndim < 2 or a.shape[-1] != params.input_dim:
-        raise DimensionError(
-            f"input dim {a.shape[-1] if a.ndim else '?'} does not match model dim {params.input_dim}"
-        )
-    _, pres = _forward_cached(params, a)
-    out = pres[-1]
-    return out[0] if single else out
+    if a.ndim < 2:
+        raise DimensionError(f"input must be a (batch, dim) matrix or a stack, got {a.shape}")
+    if a.shape[-1] != params.input_dim:
+        raise DimensionError(f"input dim {a.shape[-1]} does not match model dim {params.input_dim}")
+    return _forward_cached(params, a)[1][-1]
 
 
 def _backward(

@@ -52,10 +52,6 @@ class NpeModel:
         if not self.alpha > 0:
             raise ValidationError(f"alpha must be > 0, got {self.alpha}")
 
-    @property
-    def embed_dim(self) -> int:
-        return self.mlp.output_dim
-
 
 def order_margins(emb: np.ndarray, alpha: float) -> np.ndarray:
     """m[..., i, j, :] = max(0, alpha - (e_j - e_i)) for embeddings emb of shape (..., n, k).

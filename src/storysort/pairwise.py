@@ -14,9 +14,10 @@ loss neural.sgd_train minimizes, its margin bound by functools.partial.
 Scoring and decoding run over a data.Stories batch of S stories at once:
 pair_scores makes one forward pass over every story's pair rows and
 returns an (S, n, n) stack, each matrix bit-identical to scoring its story
-alone, and decode_pairwise ranks them in one rank_orders call and returns
-the orders as an (S, n) intp array. A story is a batch of one: predict
-takes one and returns a core.Permutation.
+alone. decode_pairwise and rank_permutations take that stack and rank it
+in one rank_orders call: the (S, n) intp array of best orders, and the
+(S, k, n) k-best lists. A story is a batch of one: predict takes one and
+returns a core.Permutation.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from functools import partial
 import numpy as np
 
 from . import neural
+from .assign import check_score_matrix
 from .core import Permutation, rank_orders
 from .data import Stories, gold_features, presented_features
 from .errors import ValidationError
@@ -55,14 +57,9 @@ class PairwiseModel:
             raise ValidationError(f"margin must be > 0, got {self.margin}")
 
 
-def check_pair_matrix(s, ndim: int = 2) -> np.ndarray:
-    """Square, finite, zero-diagonal matrix of ordered-pair scores; with ndim=3, a stack of them."""
-    a = np.asarray(s, dtype=np.float64)
-    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
-        what = "matrix" if ndim == 2 else "stack of (n, n) matrices"
-        raise ValidationError(f"pair score {what} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("pair score matrix contains non-finite entries")
+def check_pair_matrix(s) -> np.ndarray:
+    """assign.check_score_matrix's (S, n, n) stack, each diagonal fixed at 0."""
+    a = check_score_matrix(s)
     if np.any(np.diagonal(a, axis1=-2, axis2=-1) != 0.0):
         raise ValidationError("pair score matrix diagonal must be fixed at 0")
     return a
@@ -91,15 +88,14 @@ def pair_scores(model: PairwiseModel, stories: Stories) -> np.ndarray:
 
 
 def rank_permutations(s, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (k, n) best orders by objective, with their (k,) objectives, ranked by
-    core.rank_orders."""
-    orders, totals = rank_orders(check_pair_matrix(s)[None], k, pair=True)
-    return orders[0], totals[0]
+    """The (S, k, n) best orders of each matrix of an (S, n, n) stack by objective, with
+    their (S, k) objectives, ranked by core.rank_orders."""
+    return rank_orders(check_pair_matrix(s), k, pair=True)
 
 
 def decode_pairwise(s) -> np.ndarray:
     """The (S, n) best orders of the matrices of an (S, n, n) stack, ranked by core.rank_orders."""
-    return rank_orders(check_pair_matrix(s, ndim=3), 1, pair=True)[0][:, 0]
+    return rank_orders(check_pair_matrix(s), 1, pair=True)[0][:, 0]
 
 
 def predict(model: PairwiseModel, story: Stories) -> Permutation:

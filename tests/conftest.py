@@ -34,10 +34,19 @@ def exact_ranking(n, total):
     return sorted(enumerate_permutations(n), key=lambda pos: (-total(pos), pos))
 
 
+def additive_score(s, positions):
+    """Test reference: sum s[i][positions[i]] in index order i = 0..n-1, from 0.0, as the
+    additive decoders' totals do."""
+    total = 0.0
+    for i, p in enumerate(positions):
+        total += float(s[i, p])
+    return total
+
+
 def pairwise_objective(s, positions):
     """Test reference: for each unordered pair i < j, row-major, add the score difference
     of the orientation the order chooses, as the pair decoders' totals do."""
-    a = check_pair_matrix(s)
+    (a,) = check_pair_matrix(np.asarray(s)[None])
     n = a.shape[0]
     if len(positions) != n:
         raise DimensionError(f"order n={len(positions)} does not match matrix n={n}")

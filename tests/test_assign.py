@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 from storysort import assign
 from storysort.assign import (
     _solve_min,
-    additive_score,
     check_score_matrix,
     hungarian_max,
     topk_assignments,
 )
 from storysort.core import exact_ints
 from storysort.errors import EnumerationCapError, SizeError, ValidationError
-from conftest import enumerate_permutations, exact_ranking, identity
+from conftest import additive_score, enumerate_permutations, exact_ranking, identity
 
 
 def brute_force_max(s):
@@ -153,7 +152,7 @@ class TestValidation:
         assert orders.shape == (0, 4) and totals.shape == (0,)
 
     def test_check_returns_float64(self):
-        a = check_score_matrix([[0, 1], [1, 0]])
+        a = check_score_matrix([[[0, 1], [1, 0]]])
         assert a.dtype == np.float64
 
 
@@ -386,14 +385,14 @@ class TestStacks:
 
 class TestTopK:
     def test_identity_k1(self):
-        orders, totals = topk_assignments(np.eye(3), 1)
+        (orders,), (totals,) = topk_assignments(np.eye(3)[None], 1)
         assert orders.tolist() == [[0, 1, 2]]
         assert totals.tolist() == [3.0]
 
     def test_k_equals_factorial_exhaustive_sorted(self):
         rng = np.random.default_rng(0)
         s = rng.uniform(size=(3, 3))
-        orders, totals = topk_assignments(s, 6)
+        (orders,), (totals,) = topk_assignments(s[None], 6)
         assert orders.shape == (6, 3) and totals.shape == (6,)
         scores = totals.tolist()
         assert scores == sorted(scores, reverse=True)
@@ -403,7 +402,7 @@ class TestTopK:
         rng = np.random.default_rng(9)
         for _ in range(50):
             s = rng.uniform(-1.0, 1.0, size=(5, 5))
-            orders, totals = topk_assignments(s, 3)
+            (orders,), (totals,) = topk_assignments(s[None], 3)
             h_perm, h_score = hungarian_one(s)
             assert orders[0].tolist() == h_perm.tolist()
             assert totals[0] == h_score
@@ -418,22 +417,22 @@ class TestTopK:
             s = rng.choice([0.0, 0.1, 0.2, 0.3], size=(n, n))
             exact = [[Fraction(float(x)) for x in row] for row in s]
             oracle = exact_ranking(n, lambda pos: sum(exact[i][p] for i, p in enumerate(pos)))
-            orders, totals = topk_assignments(s, 5)
+            (orders,), (totals,) = topk_assignments(s[None], 5)
             assert list(map(tuple, orders.tolist())) == oracle[:5]
             assert all(total == additive_score(s, p) for p, total in zip(orders, totals))
             assert orders[0].tolist() == hungarian_one(s)[0].tolist()
 
     def test_k_too_large(self):
         with pytest.raises(SizeError):
-            topk_assignments(np.eye(3), 7)
+            topk_assignments(np.eye(3)[None], 7)
 
     def test_k_too_small(self):
         with pytest.raises(SizeError):
-            topk_assignments(np.eye(3), 0)
+            topk_assignments(np.eye(3)[None], 0)
 
     def test_enumeration_cap(self):
         with pytest.raises(EnumerationCapError):
-            topk_assignments(np.eye(9), 1)
+            topk_assignments(np.eye(9)[None], 1)
 
 
 class TestAdditiveScore:

@@ -192,6 +192,23 @@ class TestTrain:
         assert run(train_args(bad, tmp_path / "m.json", model=model, extra=[flag, "0"])) == 1
         assert one_error_line(capsys) == f"error: {message}"
 
+    @pytest.mark.parametrize("model", ["unary", "pairwise", "npe"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--alpha", "-1", "--alpha must be > 0, got -1.0"),
+        ("--margin", "0", "--margin must be > 0, got 0.0"),
+        ("--embed-dim", "-3", "--embed-dim must be >= 1 (a width in layer_dims), got -3"),
+    ])
+    def test_other_kinds_flags_are_checked_too(self, tmp_path, capsys, model, flag, value,
+                                               message):
+        # the manifest records every kind's options, so none may hold a value out of range
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("not json\n", encoding="utf-8")
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(train_args(bad, out, model=model, extra=[flag, value])) == 1
+        assert one_error_line(capsys) == f"error: {message}"
+        assert not Path(str(out) + ".manifest.json").exists()
+
 
 class TestSortAndEval:
     @pytest.fixture()
@@ -1024,4 +1041,47 @@ class TestValOfAnotherN:
         capsys.readouterr()
         assert run(train_args(dataset, tmp_path / "m.json", model=model,
                               extra=["--val", str(val6)])) == 0
+        assert json.loads(capsys.readouterr().out)["val"]["story_count"] == 8
+
+
+class TestValOfOtherWidths:
+    """--data has text dim 6 and image dim 3 (gen_args)."""
+
+    @staticmethod
+    def val_set(tmp_path, text_dim, image_dim):
+        val = tmp_path / f"val-{text_dim}-{image_dim}.jsonl"
+        assert run(gen_args(val, stories=8, extra=["--text-dim", str(text_dim),
+                                                   "--image-dim", str(image_dim)])) == 0
+        return val
+
+    @pytest.mark.parametrize("model", ["unary", "pairwise", "npe"])
+    @pytest.mark.parametrize("text_dim,image_dim,use_image,got", [
+        (4, 3, False, "text dim 4"),
+        (4, 3, True, "text dim 4, image dim 3"),
+        (6, 2, True, "text dim 6, image dim 2"),
+    ])
+    def test_fails_before_training_naming_both_files(self, dataset, tmp_path, capsys,
+                                                     monkeypatch, model, text_dim, image_dim,
+                                                     use_image, got):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before --val was checked")
+
+        monkeypatch.setattr(REGISTRY[model].module, "train", no_training)
+        val = self.val_set(tmp_path, text_dim, image_dim)
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        extra = ["--val", str(val), *(["--use-image"] if use_image else [])]
+        assert run(train_args(dataset, out, model=model, extra=extra)) == 1
+        want = "text dim 6, image dim 3" if use_image else "text dim 6"
+        assert one_error_line(capsys) == (
+            f"error: --val {val} has {got}, but a {model} model trained on --data {dataset} "
+            f"reads {want}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["unary", "pairwise", "npe"])
+    def test_image_width_is_free_without_use_image(self, dataset, tmp_path, capsys, model):
+        val = self.val_set(tmp_path, 6, 2)
+        capsys.readouterr()
+        assert run(train_args(dataset, tmp_path / "m.json", model=model,
+                              extra=["--val", str(val)])) == 0
         assert json.loads(capsys.readouterr().out)["val"]["story_count"] == 8

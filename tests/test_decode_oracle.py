@@ -16,10 +16,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from storysort.assign import additive_score, topk_assignments
+from storysort.assign import topk_assignments
 from storysort.errors import SizeError
 from storysort.pairwise import decode_pairwise, rank_permutations
-from conftest import enumerate_permutations, exact_ranking, pairwise_objective
+from conftest import additive_score, enumerate_permutations, exact_ranking, pairwise_objective
 
 KINDS = ("float", "ties", "zeros")
 TENTHS = (0.0, 0.1, 0.2, 0.3)
@@ -81,8 +81,9 @@ def ks(n):
 
 
 def as_pairs(ranked):
-    """A ranker's (orders, totals) arrays as a list of (positions tuple, total)."""
-    orders, totals = ranked
+    """A ranker's (orders, totals) arrays for a stack of one matrix as a list of
+    (positions tuple, total)."""
+    (orders,), (totals,) = ranked
     return list(zip(map(tuple, orders.tolist()), totals.tolist()))
 
 
@@ -94,9 +95,9 @@ def test_pair_decoders_equal_reference(kind, n):
         scored = reference_scores(s, pairwise_objective)
         expected = reference_ranking(scored)
         argmaxes.append(reference_argmax(scored))
-        assert as_pairs(rank_permutations(s, math.factorial(n))) == expected
+        assert as_pairs(rank_permutations(s[None], math.factorial(n))) == expected
         for k in ks(n):
-            assert as_pairs(rank_permutations(s, k)) == expected[:k]
+            assert as_pairs(rank_permutations(s[None], k)) == expected[:k]
     assert list(map(tuple, decode_pairwise(np.stack(matrices)).tolist())) == argmaxes
 
 
@@ -106,15 +107,15 @@ def test_topk_assignments_equal_reference(kind, n):
         _, s = case(kind, n, index)
         scored = reference_scores(s, additive_score)
         expected = reference_ranking(scored)
-        assert tuple(topk_assignments(s, 1)[0][0].tolist()) == reference_argmax(scored)
+        assert tuple(topk_assignments(s[None], 1)[0][0, 0].tolist()) == reference_argmax(scored)
         for k in ks(n):
-            assert as_pairs(topk_assignments(s, k)) == expected[:k]
+            assert as_pairs(topk_assignments(s[None], k)) == expected[:k]
 
 
 @pytest.mark.parametrize("k", [0, 7])
 def test_rank_permutations_k_out_of_range(k):
     with pytest.raises(SizeError):
-        rank_permutations(np.zeros((3, 3)), k)
+        rank_permutations(np.zeros((1, 3, 3)), k)
 
 
 @pytest.mark.parametrize("entries", [TENTHS, HUGE], ids=["tenths", "overflow"])
@@ -135,7 +136,7 @@ def test_pair_decoders_rank_by_exact_totals(entries, n):
     with np.errstate(over="ignore", invalid="ignore"):
         for s, oracle in zip(stack, oracles):
             for k in (1, 3):
-                orders, totals = rank_permutations(s, k)
+                (orders,), (totals,) = rank_permutations(s[None], k)
                 assert list(map(tuple, orders.tolist())) == oracle[:k]
                 assert np.array_equal(totals, [pairwise_objective(s, p) for p in orders],
                                       equal_nan=True)

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from storysort.assign import additive_score
 from storysort.data import presented_gold, split_dataset
 from storysort.ensemble import (
     accumulate_votes,
-    check_vote_matrix,
     decode_votes,
     ensemble_sort,
 )
@@ -20,21 +18,21 @@ from storysort.neural import TrainConfig
 from storysort.npe import train_npe
 from storysort.pairwise import train_pairwise
 from storysort.unary import train_unary
-from conftest import enumerate_permutations, identity, make_story
+from conftest import additive_score, enumerate_permutations, identity, make_story
 
 
 class TestAccumulateVotes:
     def test_three_identity_candidates(self):
-        v = accumulate_votes([identity(5)] * 3)
+        (v,) = accumulate_votes([[identity(5)] * 3])
         assert (v == np.diag([3] * 5)).all()
 
     def test_symmetric_split_n2(self):
-        v = accumulate_votes([(0, 1), (1, 0)])
+        (v,) = accumulate_votes([[(0, 1), (1, 0)]])
         assert (v == np.ones((2, 2), dtype=np.int64)).all()
 
     def test_three_candidate_tally(self):
         cands = [(0, 1, 2), (0, 2, 1), (1, 0, 2)]
-        v = accumulate_votes(cands)
+        (v,) = accumulate_votes([cands])
         expected = np.array([[2, 1, 0], [1, 1, 1], [0, 1, 2]])
         assert (v == expected).all()
 
@@ -43,21 +41,21 @@ class TestAccumulateVotes:
             accumulate_votes([])
 
     def test_mixed_n_rejected(self):
-        # candidates are the rows of one (m, n) array, so anything else is rejected
+        # candidates are one (S, m, n) array, so anything else is rejected
         with pytest.raises(DimensionError):
             accumulate_votes(identity(3))
         with pytest.raises(DimensionError):
-            accumulate_votes([[identity(3)]])
+            accumulate_votes([[[identity(3)]]])
 
     @pytest.mark.parametrize("candidates", [[[1, -2]], [[0, 0, 1]], [[0, 1], [2, 0]]])
     def test_rows_that_are_not_permutations_are_rejected(self, candidates):
         with pytest.raises(ValidationError, match="candidates must be permutations of 0..n-1"):
-            accumulate_votes(candidates)
+            accumulate_votes([candidates])
 
     def test_vote_conservation(self):
         rng = np.random.default_rng(0)
         cands = np.array([rng.permutation(5) for _ in range(12)])
-        assert accumulate_votes(cands).sum() == 12 * 5
+        assert accumulate_votes(cands[None]).sum() == 12 * 5
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_stack_equals_row_by_row(self, n):
@@ -65,21 +63,30 @@ class TestAccumulateVotes:
         cands = np.argsort(rng.random((40, n)), axis=1)
         expected = np.zeros((n, n), dtype=np.int64)
         for row in cands:
-            expected += accumulate_votes(row[None])
-        votes = accumulate_votes(cands)
+            expected += accumulate_votes(row[None, None])[0]
+        (votes,) = accumulate_votes(cands[None])
         assert votes.dtype == np.int64 and np.array_equal(votes, expected)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_stories_tally_alone(self, n):
+        rng = np.random.default_rng(10 + n)
+        cands = np.argsort(rng.random((6, 9, n)), axis=2)
+        votes = accumulate_votes(cands)
+        assert votes.shape == (6, n, n) and votes.dtype == np.int64
+        for story_votes, story_cands in zip(votes, cands):
+            assert np.array_equal(story_votes, accumulate_votes(story_cands[None])[0])
 
 
 class TestDecodeVotes:
     def test_diagonal_matrix(self):
-        assert decode_votes(np.diag([3] * 5)).tolist() == [0, 1, 2, 3, 4]
+        assert decode_votes(np.diag([3] * 5)[None]).tolist() == [[0, 1, 2, 3, 4]]
 
     def test_all_equal_votes_tie_break(self):
-        assert decode_votes(np.ones((5, 5), dtype=np.int64)).tolist() == [0, 1, 2, 3, 4]
+        assert decode_votes(np.ones((1, 5, 5), dtype=np.int64)).tolist() == [[0, 1, 2, 3, 4]]
 
     def test_three_candidate_matrix_against_enumeration(self):
-        v = accumulate_votes([(0, 1, 2), (0, 2, 1), (1, 0, 2)])
-        decoded = decode_votes(v)
+        (v,) = accumulate_votes([[(0, 1, 2), (0, 2, 1), (1, 0, 2)]])
+        (decoded,) = decode_votes(v[None])
         vf = v.astype(np.float64)
         best = max(additive_score(vf, p) for p in enumerate_permutations(3))
         assert decoded.tolist() == [0, 1, 2]
@@ -89,21 +96,38 @@ class TestDecodeVotes:
         rng = np.random.default_rng(1)
         for _ in range(10):
             p = rng.permutation(5)
-            assert decode_votes(accumulate_votes([p] * 6)).tolist() == p.tolist()
+            assert decode_votes(accumulate_votes([[p] * 6])).tolist() == [p.tolist()]
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_stack_equals_stacks_of_one(self, n):
+        rng = np.random.default_rng(20 + n)
+        tallies = accumulate_votes(np.argsort(rng.random((6, 3, n)), axis=2))
+        # all-ones and all-zeros matrices tie every order; the others tie some
+        votes = np.concatenate([tallies, np.ones((2, n, n), dtype=np.int64),
+                                np.zeros((1, n, n), dtype=np.int64),
+                                rng.integers(0, 2, size=(3, n, n))])
+        decoded = decode_votes(votes)
+        assert decoded.shape == (12, n)
+        assert decoded.tolist() == [decode_votes(v[None])[0].tolist() for v in votes]
+        assert decoded[6:9].tolist() == [list(range(n))] * 3
+
+    def test_rejects_float_or_negative_stack(self):
+        votes = np.ones((4, 3, 3), dtype=np.int64)
+        with pytest.raises(ValidationError):
+            decode_votes(votes.astype(np.float64))
+        votes[2, 1, 0] = -1
+        with pytest.raises(ValidationError):
+            decode_votes(votes)
 
     def test_rejects_float_matrix(self):
         with pytest.raises(ValidationError):
-            decode_votes(np.ones((3, 3)))
+            decode_votes(np.ones((1, 3, 3)))
 
     def test_rejects_negative(self):
-        v = np.zeros((3, 3), dtype=np.int64)
-        v[0, 0] = -1
+        v = np.zeros((1, 3, 3), dtype=np.int64)
+        v[0, 0, 0] = -1
         with pytest.raises(ValidationError):
             decode_votes(v)
-
-    def test_check_returns_array(self):
-        v = check_vote_matrix([[1, 0], [0, 1]])
-        assert v.shape == (2, 2)
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +145,7 @@ class TestEnsembleSort:
     def test_single_member_k1_is_member_top(self, models, tiny_clean_dataset):
         unary, _, _ = models
         story = tiny_clean_dataset[70]
-        expected = top_permutations(unary, story, 1)[0]
+        (expected,) = top_permutations(unary, story, 1)[0]
         assert [list(ensemble_sort([unary], story, k=1).positions)] == expected.tolist()
 
     def test_unanimous_members_return_that_permutation(self, models, tiny_clean_dataset):
@@ -129,8 +153,8 @@ class TestEnsembleSort:
         _, pair, npe = models
         story = tiny_clean_dataset[71]
         gold = presented_gold(story).tolist()
-        tops_pair = top_permutations(pair, story, 1)[0].tolist()
-        tops_npe = top_permutations(npe, story, 1)[0].tolist()
+        tops_pair = top_permutations(pair, story, 1)[0][0].tolist()
+        tops_npe = top_permutations(npe, story, 1)[0][0].tolist()
         if tops_pair == gold == tops_npe:
             assert [list(ensemble_sort([pair, npe], story, k=1).positions)] == gold
 
@@ -138,9 +162,9 @@ class TestEnsembleSort:
         _, pair, npe = models
         for story in tiny_clean_dataset[60:75]:
             pred = ensemble_sort([pair, npe], story, k=3)
-            cands = np.concatenate([top_permutations(pair, story, 3)[0],
-                                    top_permutations(npe, story, 3)[0]])
-            v = accumulate_votes(cands).astype(np.float64)
+            cands = np.concatenate([top_permutations(pair, story, 3)[0][0],
+                                    top_permutations(npe, story, 3)[0][0]])
+            v = accumulate_votes(cands[None])[0].astype(np.float64)
             best = max(additive_score(v, p) for p in enumerate_permutations(5))
             assert additive_score(v, pred.positions) == best
 

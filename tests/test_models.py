@@ -11,7 +11,7 @@ from storysort.neural import MlpParams, TrainConfig, init_mlp
 from storysort.npe import NpeModel
 from storysort.pairwise import PairwiseModel
 from storysort.unary import UnaryModel
-from conftest import make_story
+from conftest import join, make_story
 
 KINDS = ("unary", "pairwise", "npe")
 
@@ -107,11 +107,26 @@ class TestTopPermutations:
     @pytest.mark.parametrize("kind", KINDS)
     def test_k_equals_factorial_lists_every_order(self, kind):
         story = make_story([0, 1, 2])
-        tops, totals = models.top_permutations(random_model(kind, n=3), story, 6)
+        (tops,), (totals,) = models.top_permutations(random_model(kind, n=3), story, 6)
         assert len(set(map(tuple, tops.tolist()))) == 6 and totals.shape == (6,)
         spec = models.REGISTRY[kind]
         best = spec.module.predict(random_model(kind, n=3), story)
         assert tops[0].tolist() == list(best.positions)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("k", [1, 3, 120])
+    def test_rows_equal_one_story_calls(self, kind, k):
+        # all-zero features score every element alike: a story of ties
+        tied = make_story([2, 0, 4, 1, 3], story_id="tied", text=np.zeros((5, 5)))
+        stories = join(tied, generate_synthetic(SyntheticSpec(
+            story_count=7, n=5, text_dim=5, image_dim=2, noise_sigma=0.5, seed=3)))
+        model = random_model(kind)
+        orders, totals = models.top_permutations(model, stories, k)
+        assert orders.shape == (8, k, 5) and totals.shape == (8, k)
+        for s, story in enumerate(stories):
+            alone_orders, alone_totals = models.top_permutations(model, story, k)
+            assert np.array_equal(orders[s], alone_orders[0])
+            assert np.array_equal(totals[s], alone_totals[0])
 
 
 class TestCheckDecodable:

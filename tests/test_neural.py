@@ -109,11 +109,11 @@ def draw_npe_case(seed, alpha=1.0, slack=1e-3, dims=(6, 8, 4), n=5, batch=4):
 class TestForward:
     def test_zero_params_give_zero_output(self):
         params = zero_mlp((3, 4, 2))
-        assert (mlp_forward(params, np.array([1.0, -2.0, 0.5])) == 0.0).all()
+        assert (mlp_forward(params, np.array([1.0, -2.0, 0.5])[None]) == 0.0).all()
 
     def test_single_affine_identity(self):
         params = MlpParams((2, 2), [np.eye(2)], [np.zeros(2)])
-        out = mlp_forward(params, np.array([1.0, -2.0]))
+        (out,) = mlp_forward(params, np.array([1.0, -2.0])[None])
         assert out.tolist() == [1.0, -2.0]
 
     def test_hand_computed_2_2_2(self):
@@ -124,13 +124,16 @@ class TestForward:
             [np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]])],
             [np.array([0.5, -0.5]), np.array([0.0, 1.0])],
         )
-        out = mlp_forward(params, np.array([1.0, 2.0]))
+        (out,) = mlp_forward(params, np.array([1.0, 2.0])[None])
         assert out.tolist() == [3.0, 1.0]
 
     def test_dimension_mismatch(self):
         params = zero_mlp((3, 2))
         with pytest.raises(DimensionError):
-            mlp_forward(params, np.zeros(4))
+            mlp_forward(params, np.zeros(4)[None])
+        # a single vector is not a (batch, dim) matrix
+        with pytest.raises(DimensionError):
+            mlp_forward(params, np.zeros(3))
 
     def test_batch_matches_single(self):
         # BLAS may pick different kernels per shape, so only ulp-level agreement
@@ -139,7 +142,7 @@ class TestForward:
         X = rng.standard_normal((5, 4))
         batch_out = mlp_forward(params, X)
         for i in range(5):
-            assert batch_out[i] == pytest.approx(mlp_forward(params, X[i]), abs=1e-12)
+            assert batch_out[i] == pytest.approx(mlp_forward(params, X[i][None])[0], abs=1e-12)
 
     def test_terminal_relu_non_negative(self):
         rng = np.random.default_rng(1)

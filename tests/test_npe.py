@@ -45,7 +45,7 @@ class TestEmbed:
 
     def test_zero_model_zero_vector(self):
         model = zero_npe(3, 4)
-        assert (relu(mlp_forward(model.mlp, np.array([1.0, -1.0, 2.0]))) == 0.0).all()
+        assert (relu(mlp_forward(model.mlp, np.array([1.0, -1.0, 2.0])[None])) == 0.0).all()
 
     def test_never_negative(self):
         rng = np.random.default_rng(0)
@@ -55,13 +55,13 @@ class TestEmbed:
 
     def test_hand_set_single_layer(self):
         model = linear_npe(np.array([[1.0, -1.0]]), np.array([0.5, 0.5]))
-        out = relu(mlp_forward(model.mlp, np.array([2.0])))
+        (out,) = relu(mlp_forward(model.mlp, np.array([2.0])[None]))
         # pre-activations (2.5, -1.5), terminal relu clips the negative one
         assert out.tolist() == [2.5, 0.0]
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
-            relu(mlp_forward(zero_npe(3, 4).mlp, np.zeros(5)))
+            relu(mlp_forward(zero_npe(3, 4).mlp, np.zeros(5)[None]))
 
 
 class TestPairLoss:
@@ -227,5 +227,5 @@ class TestTopPermutations:
         cfg = TrainConfig(learning_rate=0.02, epochs=3, batch_size=8, seed=4)
         model = train_npe(tiny_clean_dataset[:15], cfg, embed_dim=8)
         story = tiny_clean_dataset[20]
-        tops, _ = top_permutations(model, story, 3)
+        (tops,), _ = top_permutations(model, story, 3)
         assert tops[0].tolist() == list(predict(model, story).positions)

@@ -161,7 +161,7 @@ class TestDecode:
     def test_rank_permutations_sorted(self):
         rng = np.random.default_rng(2)
         s = random_pair_matrix(rng, 4)
-        orders, totals = rank_permutations(s, math.factorial(4))
+        (orders,), (totals,) = rank_permutations(s[None], math.factorial(4))
         values = totals.tolist()
         assert values == sorted(values, reverse=True)
         assert orders.shape == (24, 4) and len(values) == 24
@@ -206,6 +206,6 @@ class TestTopPermutations:
     def test_top1_matches_decode(self, tiny_clean_dataset, quick_cfg):
         model = train_pairwise(tiny_clean_dataset[:15], quick_cfg)
         story = tiny_clean_dataset[20]
-        tops, totals = top_permutations(model, story, 3)
+        (tops,), (totals,) = top_permutations(model, story, 3)
         assert tops[0].tolist() == list(predict(model, story).positions)
         assert tops.shape == (3, 5) and totals.shape == (3,)

@@ -3,7 +3,7 @@ import pytest
 
 from storysort import metrics as M
 from storysort import models, unary
-from storysort.assign import additive_score, hungarian_max
+from storysort.assign import hungarian_max
 from storysort.data import presented_gold, split_dataset
 from storysort.errors import DimensionError, EmptyInputError, ValidationError
 from storysort.models import REGISTRY, load_model, predict_stories, save_model, top_permutations
@@ -15,7 +15,7 @@ from storysort.unary import (
     predict,
     train_unary,
 )
-from conftest import enumerate_permutations, make_story
+from conftest import additive_score, enumerate_permutations, make_story
 
 
 def zero_model(n, dim):
@@ -165,6 +165,6 @@ class TestTopPermutations:
     def test_best_first_matches_decode(self):
         story = make_story([0, 1, 2, 3, 4])
         model = zero_model(5, 5)
-        tops, totals = top_permutations(model, story, 3)
+        (tops,), (totals,) = top_permutations(model, story, 3)
         assert tops.shape == (3, 5) and totals.shape == (3,)
         assert tops[0].tolist() == decode_unary(position_probs(model, story))[0].tolist()
