@@ -14,12 +14,10 @@ optimal assignments, which are exact ties of the real totals, resolve to
 the smallest positions tuple.
 
 check_score_matrix, hungarian_max and topk_assignments take an (S, n, n)
-stack, one matrix per story, and orders are intp arrays: hungarian_max
-returns (S, n) orders and (S,) totals, and topk_assignments (S, k, n)
-orders and (S, k) totals, which core.rank_orders ranks with the same exact
-totals and tie rule. An order's total adds s[i][order[i]] in
-element-index order i = 0..n-1, starting from 0.0, everywhere, so equal
-permutations produce bit-identical float totals.
+stack, one matrix per story, and return orders only, as intp arrays:
+hungarian_max the (S, n) best orders, and topk_assignments the (S, k, n)
+best lists, which core.rank_orders ranks by the same exact totals and tie
+rule.
 """
 
 from __future__ import annotations
@@ -221,9 +219,8 @@ LOCKSTEP_MIN_STORIES = 20
 FLOAT_SCALE_LIMIT = np.finfo(float).max / 256
 
 
-def hungarian_max(s) -> tuple[np.ndarray, np.ndarray]:
-    """The (S, n) orders maximizing the additive score of each matrix of an (S, n, n)
-    stack, with their (S,) totals.
+def hungarian_max(s) -> np.ndarray:
+    """The (S, n) orders maximizing the additive score of each matrix of an (S, n, n) stack.
 
     Among optima whose real totals tie exactly, the lexicographically
     smallest positions tuple is returned. A float solve of the costs -s,
@@ -236,8 +233,7 @@ def hungarian_max(s) -> tuple[np.ndarray, np.ndarray]:
     p * n**(n-1-i): summed over a permutation, the keys read its positions
     tuple as a base-n number, which stays below n**n, one unit of score.
     One exact min-cost solve therefore maximizes the real total first and
-    takes the smallest positions tuple among its ties second. Each total is
-    the float sum of the order's entries in element-index order.
+    takes the smallest positions tuple among its ties second.
     """
     a = check_score_matrix(s)
     count, n, _ = a.shape
@@ -256,17 +252,10 @@ def hungarian_max(s) -> tuple[np.ndarray, np.ndarray]:
             [-x * unit + p * n ** (n - 1 - i) for p, x in enumerate(row)]
             for i, row in enumerate(exact_ints(a[k]).tolist())
         ])
-    # running sums are sequential, and adding 0.0 turns a -0.0 into the 0.0 that a sum
-    # from 0.0 gives; overflow-scale totals stay inf or nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        totals = np.add.accumulate(a[np.arange(count)[:, None], np.arange(n), orders], axis=1)
-    return orders, totals[:, -1] + 0.0
+    return orders
 
 
-def topk_assignments(s, k: int) -> tuple[np.ndarray, np.ndarray]:
+def topk_assignments(s, k: int) -> np.ndarray:
     """The (S, k, n) best orders of each matrix of an (S, n, n) stack by additive score,
-    with their (S, k) totals.
-
-    core.rank_orders ranks them as hungarian_max does, so each list starts with its choice.
-    """
+    ranked by core.rank_orders with hungarian_max's tie rule, so each starts with its choice."""
     return rank_orders(check_score_matrix(s), k, pair=False)

@@ -18,6 +18,15 @@ blocks, base64 of little-endian float64 bytes, so floats are kept exactly,
 and a bad block (not a string, not base64, the wrong byte length, or
 holding NaN or ±inf) is one ``error:`` line.
 
+A --config file holds one ``key = value`` per line; blank and ``#`` lines
+are skipped. Keys are option names, with ``-`` or ``_``. A value is read
+as JSON, else as text, then typed and checked as its flag is: on/off
+flags take true or false, null is allowed only for options that default
+to null, and a list only for sort's --ckpt, with at least one path.
+Config values override the flags given on the command line. A bad line
+is one ``usage error: <file>:<line>: ...`` line with exit 2, which quotes
+a bad value as the file wrote it.
+
 Stdout contract, one command per call:
   generate  one human status line: ``wrote <count> stories to <out>``
   sort      one human status line:
@@ -116,13 +125,16 @@ def _config_value(action: argparse.Action, raw: str):
         value = raw
     if action.nargs == 0:  # an on/off flag such as --use-image
         if not isinstance(value, bool):
-            raise ValueError(f"expected true or false, got {value!r}")
+            raise ValueError(f"expected true or false, got {raw!r}")
         return value
     if value is None:
         if action.required or action.default is not None:
             raise ValueError("null is allowed only for options that default to null")
         return None
+    value = value if isinstance(value, (str, list, dict)) else raw  # a number or bool, as written
     if isinstance(action, argparse._AppendAction):  # a repeatable flag such as --ckpt
+        if value == []:
+            raise ValueError(f"expected at least one value, got {raw!r}")
         return [_flag_value(action, v) for v in (value if isinstance(value, list) else [value])]
     return _flag_value(action, value)
 
@@ -130,7 +142,7 @@ def _config_value(action: argparse.Action, raw: str):
 def _flag_value(action: argparse.Action, value):
     """One value converted and checked as argparse does the text after its flag."""
     if isinstance(value, (list, dict)):
-        raise ValueError(f"expected a single value, got {value!r}")
+        raise ValueError(f"expected a single value, got {json.dumps(value)}")
     value = (action.type or str)(str(value))
     if action.choices is not None and value not in action.choices:
         raise ValueError(

@@ -99,7 +99,7 @@ def exact_ints(a: np.ndarray) -> np.ndarray:
 def _term_index(n: int, pair: bool) -> np.ndarray:
     """Read-only (n!, m) flat indices into an (n, n) term matrix: each table row's terms.
 
-    Additive totals add a[i, σᵢ] for i = 0..n-1, as hungarian_max does. Pair
+    Additive totals add a[i, σᵢ] for i = 0..n-1. Pair
     totals add, for i < j row-major, (a - aᵀ)[i, j] when the row puts i first,
     else (a - aᵀ)[j, i], which is exactly its negation.
     Column-major, as order_values reads a column of n! indices at a time.
@@ -114,8 +114,7 @@ def _term_index(n: int, pair: bool) -> np.ndarray:
 
 def order_values(a: np.ndarray, pair: bool) -> np.ndarray:
     """(S, n!) float totals of every permutation_table row, for each matrix of an (S, n, n)
-    stack, adding each row's terms in _term_index's order, element-index order for additive
-    scores and row-major pair order for pair scores."""
+    stack, by which rank_orders ranks before it settles near ties exactly."""
     index = _term_index(a.shape[-1], pair)
     terms = (a - a.transpose(0, 2, 1) if pair else a).reshape(-1, a.shape[-1] ** 2).T.copy()
     values = np.zeros((len(index), len(a)))  # a story per column, so gathers copy rows
@@ -124,9 +123,8 @@ def order_values(a: np.ndarray, pair: bool) -> np.ndarray:
     return values.T.copy()
 
 
-def rank_orders(a: np.ndarray, k: int, pair: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The k best orders of each matrix of an (S, n, n) stack, as an (S, k, n) array, with
-    their (S, k) order_values totals.
+def rank_orders(a: np.ndarray, k: int, pair: bool) -> np.ndarray:
+    """The k best orders of each matrix of an (S, n, n) stack, as an (S, k, n) array.
 
     Orders are ranked by exact total, taken for pair scores from a's own
     entries rather than their rounded differences; ties go to the lowest
@@ -158,7 +156,7 @@ def rank_orders(a: np.ndarray, k: int, pair: bool) -> tuple[np.ndarray, np.ndarr
             exact = (exact - exact.T if pair else exact).ravel()[index[rows]].sum(axis=1)
             rows = [r for _, r in sorted(zip(-exact, rows.tolist()))]
         ranked[s] = rows[:k]
-    return permutation_table(n)[ranked], np.take_along_axis(values, ranked, axis=1)
+    return permutation_table(n)[ranked]
 
 
 def random_permutation(n: int, seed: int | np.random.Generator) -> tuple[int, ...]:

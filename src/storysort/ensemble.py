@@ -51,7 +51,7 @@ def decode_votes(v) -> np.ndarray:
         raise ValidationError(f"vote matrix must be integer, got dtype {a.dtype}")
     if np.any(a < 0):
         raise ValidationError("vote matrix entries must be non-negative")
-    return hungarian_max(a)[0]
+    return hungarian_max(a)
 
 
 def ensemble_sort(members: Sequence[models.AnyModel], story: Stories,
@@ -65,7 +65,7 @@ def ensemble_sort(members: Sequence[models.AnyModel], story: Stories,
     candidates = []
     for idx, member in enumerate(members):
         try:
-            candidates.append(models.top_permutations(member, story, k)[0])
+            candidates.append(models.top_permutations(member, story, k))
         except Exception as e:
             raise MemberError(
                 f"member {idx} ({type(member).__name__}) failed on story "

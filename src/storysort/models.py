@@ -143,10 +143,12 @@ def predict_stories(model: AnyModel, stories: Stories) -> np.ndarray:
                            for start in range(0, len(stories), size)])
 
 
-def top_permutations(model: AnyModel, stories: Stories, k: int) -> tuple[np.ndarray, np.ndarray]:
+def top_permutations(model: AnyModel, stories: Stories, k: int) -> np.ndarray:
     """The model's (S, k, n) best orders for a batch of S stories, best first, ties
-    lexicographic, with their (S, k) totals; row s is that of stories[s] alone."""
+    lexicographic; row s is that of stories[s] alone. No stories give (0, k, n) for k >= 1."""
     spec = spec_for(model)
+    if not stories and k >= 1:
+        return np.empty((0, k, stories.n), dtype=np.intp)
     check_decodable(spec, stories.n, k)
     rank = topk_assignments if spec.score_type == ADDITIVE else pairwise.rank_permutations
     return rank(spec.module.scores(model, stories), k)

@@ -6,10 +6,9 @@ permutation's objective sums, over every unordered pair, the score
 difference of the orientation it chooses, so it is antisymmetric under
 reversal by construction. Decoding is exact for n <= 8: core.rank_orders,
 the one ranker of permutation table rows, ranks all n! orders by exact
-objective, ties going to the lexicographically smallest positions tuple,
-with float objectives that add the pairs row-major in (i, j). Training
-uses a binary hinge on both orientations of every gold pair: hinge is the
-loss neural.sgd_train minimizes, its margin bound by functools.partial.
+objective, ties going to the lexicographically smallest positions tuple.
+Training uses a binary hinge on both orientations of every gold pair: hinge
+is the loss neural.sgd_train minimizes, its margin bound by functools.partial.
 
 Scoring and decoding run over a data.Stories batch of S stories at once:
 pair_scores makes one forward pass over every story's pair rows and
@@ -87,15 +86,14 @@ def pair_scores(model: PairwiseModel, stories: Stories) -> np.ndarray:
     return s
 
 
-def rank_permutations(s, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (S, k, n) best orders of each matrix of an (S, n, n) stack by objective, with
-    their (S, k) objectives, ranked by core.rank_orders."""
+def rank_permutations(s, k: int) -> np.ndarray:
+    """The (S, k, n) best orders of each matrix of an (S, n, n) stack by objective."""
     return rank_orders(check_pair_matrix(s), k, pair=True)
 
 
 def decode_pairwise(s) -> np.ndarray:
     """The (S, n) best orders of the matrices of an (S, n, n) stack, ranked by core.rank_orders."""
-    return rank_orders(check_pair_matrix(s), 1, pair=True)[0][:, 0]
+    return rank_orders(check_pair_matrix(s), 1, pair=True)[:, 0]
 
 
 def predict(model: PairwiseModel, story: Stories) -> Permutation:

@@ -58,7 +58,7 @@ def position_probs(model: UnaryModel, stories: Stories) -> np.ndarray:
 
 def decode_unary(probs) -> np.ndarray:
     """(S, n) exact argmax orders of the unary score of the matrices of an (S, n, n) stack."""
-    return hungarian_max(probs)[0]
+    return hungarian_max(probs)
 
 
 def predict(model: UnaryModel, story: Stories) -> Permutation:

@@ -35,8 +35,7 @@ def exact_ranking(n, total):
 
 
 def additive_score(s, positions):
-    """Test reference: sum s[i][positions[i]] in index order i = 0..n-1, from 0.0, as the
-    additive decoders' totals do."""
+    """Test reference: sum s[i][positions[i]] in index order i = 0..n-1, from 0.0."""
     total = 0.0
     for i, p in enumerate(positions):
         total += float(s[i, p])
@@ -45,7 +44,7 @@ def additive_score(s, positions):
 
 def pairwise_objective(s, positions):
     """Test reference: for each unordered pair i < j, row-major, add the score difference
-    of the orientation the order chooses, as the pair decoders' totals do."""
+    of the orientation the order chooses, from 0.0."""
     (a,) = check_pair_matrix(np.asarray(s)[None])
     n = a.shape[0]
     if len(positions) != n:

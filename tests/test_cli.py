@@ -726,28 +726,62 @@ class TestEvalCoverage:
         assert not out.exists()
 
 
+# the message of each bad value, which quotes it as the config file wrote it
+BAD_CONFIG_VALUES = {
+    'epochs = "abc"': "invalid literal for int() with base 10: 'abc'",
+    "epochs = 2.5": "invalid literal for int() with base 10: '2.5'",
+    "lr = fast": "could not convert string to float: 'fast'",
+    "lr = [0.1]": "expected a single value, got [0.1]",
+    "use_image = 1e0": "expected true or false, got '1e0'",
+    'stories = "abc"': "invalid literal for int() with base 10: 'abc'",
+    "stories = true": "invalid literal for int() with base 10: 'true'",
+    "stories = 1e3": "invalid literal for int() with base 10: '1e3'",
+    "noise = true": "could not convert string to float: 'true'",
+    "ckpt = []": "expected at least one value, got '[]'",
+}
+
+
 @pytest.mark.parametrize("command,line", [
     ("train", 'epochs = "abc"'),
     ("train", "epochs = 2.5"),
     ("train", "lr = fast"),
     ("train", "lr = [0.1]"),
+    ("train", "use_image = 1e0"),
     ("generate", 'stories = "abc"'),
     ("generate", "stories = true"),
+    ("generate", "stories = 1e3"),
+    ("generate", "noise = true"),
+    ("sort", "ckpt = []"),
 ])
 def test_bad_config_value_is_one_usage_error_line(trained, tmp_path, capsys, command, line):
-    data, _ = trained
+    data, ckpts = trained
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
     out = tmp_path / "out"
     inputs = {"train": ["--model", "unary", "--data", str(data)],
-              "generate": ["--stories", "5"]}[command]
+              "generate": ["--stories", "5"],
+              "sort": ["--ckpt", str(ckpts["unary"]), "--data", str(data)]}[command]
     capsys.readouterr()
     assert run([command, *inputs, "--out", str(out), "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "Traceback" not in err
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"usage error: {cfg}:1: bad value for "), err
+    key = line.partition(" =")[0]
+    assert err == f"usage error: {cfg}:1: bad value for {key!r}: {BAD_CONFIG_VALUES[line]}\n"
     assert not out.exists()
+
+
+def test_empty_ckpt_list_in_config_fails_on_an_empty_dataset(trained, tmp_path, capsys):
+    # with no stories to sort, no member would be asked for, so the list itself must fail
+    _, ckpts = trained
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    cfg = tmp_path / "sort.cfg"
+    cfg.write_text("ckpt = []\n", encoding="utf-8")
+    out = tmp_path / "pred.jsonl"
+    capsys.readouterr()
+    assert run(["sort", "--ckpt", str(ckpts["unary"]), "--data", str(empty), "--out", str(out),
+                "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"usage error: {cfg}:1: bad value for 'ckpt': ")
+    assert set(tmp_path.iterdir()) == {empty, cfg}  # no predictions and no manifest
 
 
 @pytest.mark.parametrize("command", ["sort", "eval"])

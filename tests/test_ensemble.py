@@ -145,7 +145,7 @@ class TestEnsembleSort:
     def test_single_member_k1_is_member_top(self, models, tiny_clean_dataset):
         unary, _, _ = models
         story = tiny_clean_dataset[70]
-        (expected,) = top_permutations(unary, story, 1)[0]
+        (expected,) = top_permutations(unary, story, 1)
         assert [list(ensemble_sort([unary], story, k=1).positions)] == expected.tolist()
 
     def test_unanimous_members_return_that_permutation(self, models, tiny_clean_dataset):
@@ -153,8 +153,8 @@ class TestEnsembleSort:
         _, pair, npe = models
         story = tiny_clean_dataset[71]
         gold = presented_gold(story).tolist()
-        tops_pair = top_permutations(pair, story, 1)[0][0].tolist()
-        tops_npe = top_permutations(npe, story, 1)[0][0].tolist()
+        tops_pair = top_permutations(pair, story, 1)[0].tolist()
+        tops_npe = top_permutations(npe, story, 1)[0].tolist()
         if tops_pair == gold == tops_npe:
             assert [list(ensemble_sort([pair, npe], story, k=1).positions)] == gold
 
@@ -162,8 +162,8 @@ class TestEnsembleSort:
         _, pair, npe = models
         for story in tiny_clean_dataset[60:75]:
             pred = ensemble_sort([pair, npe], story, k=3)
-            cands = np.concatenate([top_permutations(pair, story, 3)[0][0],
-                                    top_permutations(npe, story, 3)[0][0]])
+            cands = np.concatenate([top_permutations(pair, story, 3)[0],
+                                    top_permutations(npe, story, 3)[0]])
             v = accumulate_votes(cands[None])[0].astype(np.float64)
             best = max(additive_score(v, p) for p in enumerate_permutations(5))
             assert additive_score(v, pred.positions) == best

@@ -5,7 +5,7 @@ import pytest
 
 from storysort import core, models, neural, npe
 from storysort.core import MAX_ENUMERATION_N
-from storysort.data import SyntheticSpec, generate_synthetic
+from storysort.data import SyntheticSpec, generate_synthetic, load_dataset
 from storysort.errors import EnumerationCapError, SizeError, ValidationError
 from storysort.neural import MlpParams, TrainConfig, init_mlp
 from storysort.npe import NpeModel
@@ -107,8 +107,8 @@ class TestTopPermutations:
     @pytest.mark.parametrize("kind", KINDS)
     def test_k_equals_factorial_lists_every_order(self, kind):
         story = make_story([0, 1, 2])
-        (tops,), (totals,) = models.top_permutations(random_model(kind, n=3), story, 6)
-        assert len(set(map(tuple, tops.tolist()))) == 6 and totals.shape == (6,)
+        (tops,) = models.top_permutations(random_model(kind, n=3), story, 6)
+        assert tops.shape == (6, 3) and len(set(map(tuple, tops.tolist()))) == 6
         spec = models.REGISTRY[kind]
         best = spec.module.predict(random_model(kind, n=3), story)
         assert tops[0].tolist() == list(best.positions)
@@ -121,12 +121,25 @@ class TestTopPermutations:
         stories = join(tied, generate_synthetic(SyntheticSpec(
             story_count=7, n=5, text_dim=5, image_dim=2, noise_sigma=0.5, seed=3)))
         model = random_model(kind)
-        orders, totals = models.top_permutations(model, stories, k)
-        assert orders.shape == (8, k, 5) and totals.shape == (8, k)
+        orders = models.top_permutations(model, stories, k)
+        assert orders.shape == (8, k, 5)
         for s, story in enumerate(stories):
-            alone_orders, alone_totals = models.top_permutations(model, story, k)
-            assert np.array_equal(orders[s], alone_orders[0])
-            assert np.array_equal(totals[s], alone_totals[0])
+            assert np.array_equal(orders[s], models.top_permutations(model, story, k)[0])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("source", ["slice", "empty_file"])
+    def test_empty_batch_lists_nothing(self, kind, k, source, tmp_path):
+        # a slice of no stories keeps its n; an empty file's batch has n = 0
+        if source == "slice":
+            batch = generate_synthetic(SyntheticSpec(story_count=2, n=5, text_dim=5, seed=3))[0:0]
+        else:
+            (tmp_path / "empty.jsonl").write_text("")
+            batch = load_dataset(tmp_path / "empty.jsonl")
+        orders = models.top_permutations(random_model(kind), batch, k)
+        assert orders.shape == (0, k, batch.n) and orders.dtype == np.intp
+        with pytest.raises(SizeError):
+            models.top_permutations(random_model(kind), batch, 0)
 
 
 class TestCheckDecodable:

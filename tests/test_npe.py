@@ -227,5 +227,5 @@ class TestTopPermutations:
         cfg = TrainConfig(learning_rate=0.02, epochs=3, batch_size=8, seed=4)
         model = train_npe(tiny_clean_dataset[:15], cfg, embed_dim=8)
         story = tiny_clean_dataset[20]
-        (tops,), _ = top_permutations(model, story, 3)
+        (tops,) = top_permutations(model, story, 3)
         assert tops[0].tolist() == list(predict(model, story).positions)
