@@ -31,8 +31,9 @@ Stdout contract, one command per call:
   generate  one human status line: ``wrote <count> stories to <out>``
   sort      one human status line:
             ``wrote predictions for <count> stories to <out>``
-  train     one JSON report line: model, and the train and val metric
-            reports (val is null when the split leaves none)
+  train     one JSON report line: model, and val, the metric report of
+            the validation stories (null when there are none); the
+            training stories are not decoded
   eval      one JSON report line (spearman, pairwise_accuracy,
             avg_distance, story_count), then n confusion rows of n
             space-separated integer counts
@@ -47,9 +48,10 @@ to stderr and also exit 2. A stdout closed by its reader (as in
 ``storysort eval ... | true``) is a runtime failure: one ``error:`` line
 and exit 1. An --out that is a directory is one ``error:`` line before
 any input is read. Every command writes its files and manifest before it
-prints, so a closed stdout leaves them complete. ``train`` computes its
-report before it writes the checkpoint, so a model whose scores are not
-finite (training diverged) is one ``error:`` line and leaves no file.
+prints, so a closed stdout leaves them complete. ``train`` checks the
+training stories' scores, and computes its report, before it writes the
+checkpoint, so a model whose scores are not finite (training diverged)
+is one ``error:`` line and leaves no file.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 """
@@ -73,7 +75,7 @@ from . import ensemble as ensemble_mod
 from . import metrics as metrics_mod
 from . import models as models_mod
 from .core import is_permutation, json_list, json_value
-from .errors import ParseError, StorySortError, UsageError, ValidationError
+from .errors import NumericError, ParseError, StorySortError, UsageError, ValidationError
 from .neural import DEFAULT_HIDDEN_UNITS, TrainConfig
 
 # Checkpoint loading under the name perfbench/run.py calls.
@@ -174,6 +176,8 @@ def _apply_config_file(args: argparse.Namespace,
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key = key.strip().replace("-", "_")
+        if key == "config":
+            raise UsageError(f"{path}:{lineno}: a config file cannot name another config file")
         if key not in actions:
             raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
         try:
@@ -263,18 +267,22 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         train_stories, val_stories = data_mod.split_dataset(train_stories, args.val_frac,
                                                             args.seed)
-    # the report decodes every story, so check the size limit before training
+    # the val report decodes every validation story, and sort will decode stories of
+    # --data's n, so both size limits are checked before training
     for n in {train_stories.n, val_stories.n}:
         models_mod.check_decodable(spec, n)
     model = spec.module.train(
         train_stories, cfg, use_image=args.use_image, hidden_units=args.hidden,
         **{name: getattr(args, name) for name in spec.train_args},
     )
-    # the report is computed before the checkpoint is written: a model that
-    # diverged fails the decoders' finiteness checks and leaves no file
+    # before the checkpoint is written, the training stories are scored (not decoded):
+    # a model that diverged has non-finite scores and leaves no file
+    for scores in models_mod.score_chunks(model, train_stories):
+        if not np.isfinite(scores).all():
+            raise NumericError(f"training diverged: the {args.model} model gives non-finite "
+                               f"scores on the training stories of --data {data_path}")
     report = {
         "model": args.model,
-        "train": _round6(_dataset_report(model, train_stories).to_json()),
         "val": _round6(_dataset_report(model, val_stories).to_json()) if val_stories else None,
     }
     models_mod.save_model(model, args.out)

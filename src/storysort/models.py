@@ -14,10 +14,11 @@ rebinding a module attribute (as a profiler does) reaches every caller.
 
 Scoring runs along a story axis: ``scores(model, stories)`` returns an
 (S, n, n) stack for a data.Stories batch of S stories, and every decoder
-and top-k list takes that stack. predict_stories walks a dataset in
-slices, each scored with one forward pass and decoded in one call, into
-one (S, n) intp array of orders; top_permutations gives a batch's
-(S, k, n) best orders. A story is a batch of one: a module's ``predict``
+and top-k list takes that stack. score_chunks walks a dataset in slices
+of chunk_size stories, each scored with one forward pass;
+predict_stories decodes each slice's stack in one call, into one (S, n)
+intp array of orders; top_permutations gives a batch's (S, k, n) best
+orders. A story is a batch of one: a module's ``predict``
 passes it to the same scorers and decoders and returns a
 core.Permutation, the one-story public type.
 
@@ -38,6 +39,7 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import ModuleType
+from typing import Iterator
 
 import numpy as np
 
@@ -127,6 +129,17 @@ def chunk_size(model: AnyModel, n: int) -> int:
     return max(1, CHUNK_FLOATS // per_story)
 
 
+def score_chunks(model: AnyModel, stories: Stories) -> Iterator[np.ndarray]:
+    """The model's score stacks of consecutive chunks of stories, chunk_size stories
+    each, one forward pass per chunk; no stories give none."""
+    if not stories:
+        return
+    scores = spec_for(model).module.scores
+    size = chunk_size(model, stories.n)
+    for start in range(0, len(stories), size):
+        yield scores(model, stories[start:start + size])
+
+
 def predict_stories(model: AnyModel, stories: Stories) -> np.ndarray:
     """The model's best order for each story as an (S, n) array, scored and decoded
     chunk by chunk.
@@ -136,11 +149,9 @@ def predict_stories(model: AnyModel, stories: Stories) -> np.ndarray:
     """
     if not stories:
         return np.empty((0, 0), dtype=np.intp)
-    spec = spec_for(model)
-    decode = unary.decode_unary if spec.score_type == ADDITIVE else pairwise.decode_pairwise
-    size = chunk_size(model, stories.n)
-    return np.concatenate([decode(spec.module.scores(model, stories[start:start + size]))
-                           for start in range(0, len(stories), size)])
+    decode = (unary.decode_unary if spec_for(model).score_type == ADDITIVE
+              else pairwise.decode_pairwise)
+    return np.concatenate([decode(s) for s in score_chunks(model, stories)])
 
 
 def top_permutations(model: AnyModel, stories: Stories, k: int) -> np.ndarray:

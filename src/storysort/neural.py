@@ -133,7 +133,9 @@ def _forward_cached(
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
         if k:
             acts.append(relu(pres[-1]))
-        pres.append(acts[-1] @ w + b)
+        p = acts[-1] @ w
+        p += b
+        pres.append(p)
     return acts, pres
 
 
@@ -168,9 +170,10 @@ def _backward(
     gbs: list = [None] * L
     for k in reversed(range(L)):
         gws[k] = acts[k].T @ dz
-        gbs[k] = dz.sum(axis=0)
+        gbs[k] = np.add.reduce(dz, axis=0)  # dz.sum(axis=0), without its wrapper
         if k > 0:
-            dz = (dz @ params.weights[k].T) * (pres[k - 1] > 0)
+            dz = dz @ params.weights[k].T
+            dz *= pres[k - 1] > 0
     return gws, gbs
 
 
@@ -208,20 +211,22 @@ def sgd_train(
     if len(X) == 0:
         return params
     rng = np.random.default_rng(cfg.seed)
+    lr, l2, batch_size = cfg.learning_rate, cfg.l2, cfg.batch_size
+    weights, biases = params.weights, params.biases
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(X))
-        for start in range(0, len(X), cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
+        for start in range(0, len(X), batch_size):
+            idx = order[start:start + batch_size]
             value, (gws, gbs) = _loss_and_grads(params, X[idx], None if y is None else y[idx],
                                                 loss)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise NumericError(
-                    f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
+                    f"non-finite loss at epoch {epoch}, batch {start // batch_size}"
                 )
-            for k in range(len(params.weights)):
-                gw = gws[k]
-                if cfg.l2 > 0:
-                    gw = gw + cfg.l2 * params.weights[k]
-                params.weights[k] -= cfg.learning_rate * gw
-                params.biases[k] -= cfg.learning_rate * gbs[k]
+            # each update rounds as w -= lr * (gw + l2 * w) does; gw is this step's own array
+            for w, b, gw, gb in zip(weights, biases, gws, gbs):
+                if l2 > 0:
+                    gw += l2 * w
+                w -= lr * gw
+                b -= lr * gb
     return params

@@ -23,7 +23,7 @@ both, so scoring and training cannot drift apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -68,6 +68,14 @@ def _penalties(emb: np.ndarray, alpha: float) -> np.ndarray:
     return np.sum(m * m, axis=-1)
 
 
+@lru_cache(maxsize=8)
+def _earlier(n: int) -> np.ndarray:
+    """(n, n, 1) read-only mask of the gold-ordered pairs i < j, built once per n."""
+    mask = np.triu(np.ones((n, n)), 1)[:, :, None]
+    mask.flags.writeable = False
+    return mask
+
+
 def order_loss(out: np.ndarray, y: None, alpha: float) -> tuple[float, np.ndarray]:
     """Mean per-story penalty of the gold order, and its gradient w.r.t. the MLP output.
 
@@ -76,11 +84,11 @@ def order_loss(out: np.ndarray, y: None, alpha: float) -> tuple[float, np.ndarra
     ordered pairs i < j of ||max(0, alpha - (e_j - e_i))||^2.
     """
     batch, n, _ = out.shape
-    earlier = np.triu(np.ones((n, n)), 1)[:, :, None]  # pairs i < j
-    m = order_margins(neural.relu(out), alpha) * earlier
-    loss = float(np.sum(m * m)) / batch
+    m = order_margins(neural.relu(out), alpha) * _earlier(n)
+    # the reductions of np.sum and .sum(), called without their wrappers
+    loss = float(np.add.reduce(m * m, axis=None)) / batch
     # e_i gains +2m from each later j, e_j gains -2m from each earlier i
-    d_emb = 2.0 * (m.sum(axis=2) - m.sum(axis=1)) / batch
+    d_emb = 2.0 * (np.add.reduce(m, axis=2) - np.add.reduce(m, axis=1)) / batch
     return loss, d_emb * (out > 0)
 
 

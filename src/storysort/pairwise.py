@@ -107,7 +107,7 @@ def hinge(out: np.ndarray, labels: np.ndarray, margin: float) -> tuple[float, np
     slack = margin - labels * out[:, 0]
     active = slack > 0  # subgradient 0 exactly at the kink
     batch = len(out)
-    loss = float(np.sum(np.where(active, slack, 0.0)) / batch)
+    loss = float(np.add.reduce(np.where(active, slack, 0.0)) / batch)  # np.sum's reduction
     return loss, ((-labels * active) / batch)[:, None]
 
 

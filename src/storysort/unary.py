@@ -18,6 +18,7 @@ predict takes one and returns a core.Permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,16 +67,26 @@ def predict(model: UnaryModel, story: Stories) -> Permutation:
     return Permutation(tuple(order))
 
 
+@lru_cache(maxsize=8)
+def _row_index(count: int) -> np.ndarray:
+    """np.arange(count), read-only: built once per batch size and shared by every step."""
+    rows = np.arange(count)
+    rows.flags.writeable = False
+    return rows
+
+
 def cross_entropy(logits: np.ndarray, positions: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy of (batch, n) logits against gold positions, and its
     gradient w.r.t. the logits."""
-    m = logits.max(axis=1, keepdims=True)
+    # the reductions of .max(), .sum() and .mean(), called without their wrappers
+    m = np.maximum.reduce(logits, axis=1, keepdims=True)
     # one exp serves the log-sum-exp loss and the softmax of the gradient;
     # non-finite logits make the loss NaN, which sgd_train reports
     e = np.exp(logits - m)
-    total = e.sum(axis=1, keepdims=True)
-    rows = np.arange(len(logits))
-    loss = float((m[:, 0] + np.log(total[:, 0]) - logits[rows, positions]).mean())
+    total = np.add.reduce(e, axis=1, keepdims=True)
+    rows = _row_index(len(logits))
+    loss = float(np.add.reduce(m[:, 0] + np.log(total[:, 0]) - logits[rows, positions])
+                 / len(logits))
     probs = e / total
     probs[rows, positions] -= 1.0
     return loss, probs / len(logits)

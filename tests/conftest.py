@@ -89,6 +89,44 @@ def grad_check(loss_fn, params, eps=1e-5):
     return max_rel
 
 
+def reference_sgd(params, X, y, loss, cfg):
+    """Test reference: mini-batch SGD with neural.sgd_train's shuffling and update rule,
+    written plainly, with no in-place step; returns the trained (weights, biases) lists.
+
+    Each batch X[idx] is flattened to (rows, d), passed forward through affine layers
+    with a ReLU between them, and back from loss's gradient; every layer is then
+    updated by w -= lr * (gw + l2 * w) and b -= lr * gb.
+    """
+    weights = [w.copy() for w in params.weights]
+    biases = [b.copy() for b in params.biases]
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(X))
+        for start in range(0, len(X), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            batch = X[idx]
+            acts, pres = [batch.reshape(-1, batch.shape[-1])], []
+            for k, (w, b) in enumerate(zip(weights, biases)):
+                if k:
+                    acts.append(np.maximum(pres[-1], 0.0))
+                pres.append(acts[-1] @ w + b)
+            width = pres[-1].shape[-1]
+            _, dz = loss(pres[-1].reshape(*batch.shape[:-1], width),
+                         None if y is None else y[idx])
+            dz = dz.reshape(-1, width)
+            grads = [None] * len(weights)
+            for k in reversed(range(len(weights))):
+                grads[k] = (acts[k].T @ dz, dz.sum(axis=0))
+                if k > 0:
+                    dz = (dz @ weights[k].T) * (pres[k - 1] > 0)
+            for k, (gw, gb) in enumerate(grads):
+                if cfg.l2 > 0:
+                    gw = gw + cfg.l2 * weights[k]
+                weights[k] -= cfg.learning_rate * gw
+                biases[k] -= cfg.learning_rate * gb
+    return weights, biases
+
+
 def permutations_st(n: int | None = None):
     """Hypothesis strategy for positions tuples of size n (or 2..8)."""
     sizes = st.just(n) if n is not None else st.integers(min_value=2, max_value=8)

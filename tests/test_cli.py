@@ -82,6 +82,17 @@ class TestGenerate:
             f"usage error: noise_sigma must be >= 0 and finite, got {float(noise)}"]
         assert not out.exists()
 
+    def test_config_key_in_a_config_file_is_one_usage_error_line(self, tmp_path, capsys):
+        # the file it names would never be read
+        out = tmp_path / "g.jsonl"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("stories = 3\nconfig = nothere.cfg\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["generate", "--stories", "3", "--out", str(out), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {cfg}:2: a config file cannot name another config file\n")
+        assert set(tmp_path.iterdir()) == {cfg}
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         out = tmp_path / "d.jsonl"
         cfg = tmp_path / "gen.cfg"
@@ -115,14 +126,25 @@ class TestTrain:
         payload = json.loads(out.read_text())
         assert payload["model_kind"] == model
 
-    def test_validation_split_keeps_every_story(self, tmp_path, capsys):
+    def test_validation_split_keeps_every_story(self, tmp_path, capsys, monkeypatch):
         # int(0.9 * 125) = 112 training stories, so validation takes the other 13
         data = tmp_path / "data.jsonl"
         assert run(gen_args(data, stories=125)) == 0
         capsys.readouterr()
+        module = REGISTRY["unary"].module
+        trained_on = []
+
+        def recording_train(stories, *args, **kwargs):
+            trained_on.append(len(stories))
+            return train(stories, *args, **kwargs)
+
+        train = module.train
+        monkeypatch.setattr(module, "train", recording_train)
         assert run(train_args(data, tmp_path / "m.json")) == 0
         report = json.loads(capsys.readouterr().out)
-        assert (report["train"]["story_count"], report["val"]["story_count"]) == (112, 13)
+        # the report holds no train block: the training stories are not decoded
+        assert set(report) == {"model", "val"}
+        assert (trained_on, report["val"]["story_count"]) == ([112], 13)
 
     def test_same_seed_identical_checkpoints(self, dataset, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -154,6 +176,28 @@ class TestTrain:
         assert "non-finite" in one_error_line(capsys)
         assert not out.exists()
         assert not Path(str(out) + ".manifest.json").exists()
+
+    @pytest.mark.parametrize("model", ["unary", "pairwise", "npe"])
+    def test_diverging_training_fails_with_no_validation_stories(self, tmp_path, capsys,
+                                                                 model):
+        # an empty --val decodes nothing, so only the check of the training stories'
+        # scores stands between a diverged model and its checkpoint: after the one
+        # overflowing step the weights can still be finite (unary), and the training
+        # loss can ignore the overflowing scores (a hinge met with +inf, and NPE's
+        # reverse-order penalties)
+        data, val = tmp_path / "data.jsonl", tmp_path / "val.jsonl"
+        assert run(gen_args(data, stories=30)) == 0
+        val.write_text("", encoding="utf-8")
+        out = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        argv = train_args(data, out, model=model,
+                          extra=["--val", str(val), "--lr", "1e305", "--epochs", "1",
+                                 "--batch-size", "1000"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 1
+        assert "non-finite" in one_error_line(capsys)
+        assert set(tmp_path.iterdir()) == {data, Path(str(data) + ".manifest.json"), val}
 
     def test_missing_dataset_fails_with_code_1(self, tmp_path):
         code = run(train_args(tmp_path / "nope.jsonl", tmp_path / "m.json"))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -18,7 +19,7 @@ from storysort.neural import (
     softmax,
 )
 from storysort.unary import UnaryModel, cross_entropy
-from conftest import grad_check, make_story
+from conftest import grad_check, make_story, reference_sgd
 
 GRAD_TOL = 1e-4
 
@@ -297,6 +298,45 @@ class TestSgdTrain:
         decayed = sgd_train(params, X, y, cross_entropy, cfg_l2)
         norm = lambda p: sum(float(np.sum(w * w)) for w in p.weights)
         assert norm(decayed) < norm(plain)
+
+    @pytest.mark.parametrize("l2", [0.0, 0.03])
+    @pytest.mark.parametrize("kind", ["unary", "pairwise", "npe"])
+    def test_matches_the_plain_reference_loop(self, kind, l2):
+        # 53 rows in batches of 8: the last batch of each epoch holds 5
+        rng = np.random.default_rng(17)
+        if kind == "unary":
+            X, y = rng.standard_normal((53, 6)), rng.integers(0, 4, 53)
+            loss, dims = cross_entropy, (6, 9, 4)
+        elif kind == "pairwise":
+            X, y = rng.standard_normal((53, 12)), rng.choice([-1.0, 1.0], 53)
+            loss, dims = partial(pairwise.hinge, margin=1.0), (12, 9, 1)
+        else:  # rows of 4 elements
+            X, y = rng.standard_normal((53, 4, 6)), None
+            loss, dims = partial(npe.order_loss, alpha=0.5), (6, 9, 3)
+        params = init_mlp(dims, rng)
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=8, seed=4, l2=l2)
+        trained = sgd_train(params, X, y, loss, cfg)
+        weights, biases = reference_sgd(params, X, y, loss, cfg)
+        as_bytes = lambda arrays: [a.tobytes() for a in arrays]
+        assert as_bytes(trained.weights) == as_bytes(weights)
+        assert as_bytes(trained.biases) == as_bytes(biases)
+        assert as_bytes(trained.weights) != as_bytes(params.weights)  # the loop trained
+
+    def test_peak_memory_stays_below_half_the_training_set(self):
+        # a pairwise-width set: rows of two 32-wide elements; a per-epoch copy of X
+        # (a shuffled X[order]) alone would hold X.nbytes
+        rng = np.random.default_rng(0)
+        X, y = rng.standard_normal((4000, 64)), rng.choice([-1.0, 1.0], 4000)
+        params = init_mlp((64, neural.DEFAULT_HIDDEN_UNITS, 1), rng)
+        cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=64, seed=0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sgd_train(params, X, y, partial(pairwise.hinge, margin=1.0), cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 2, peak / X.nbytes
 
 
 class TestCheckpointIO:
