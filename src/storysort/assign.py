@@ -5,13 +5,16 @@ placing element i at position p. The solver is the O(n^3) shortest
 augmenting path / potentials method. hungarian_max decodes an (S, n, n)
 stack of matrices in three steps. A float solve of the costs -s runs over
 the whole stack in lockstep, one numpy call per step of every matrix's
-search (one matrix at a time on small stacks). One certificate then
-proves from the solve's potentials (LP duality), for the whole stack at
-once, which answers are the unique exact optimum. Only the matrices where
-that proof fails, near a tie or at overflow scale, are solved again, one
-at a time, on exact integer costs that carry a tie key, so ties among
-optimal assignments, which are exact ties of the real totals, resolve to
-the smallest positions tuple.
+search (one matrix at a time on small stacks). It starts from column
+reduction, each row taking a column whose minimum it holds, so only the
+rows it leaves free search: 1 to 4 of 16 on a trained unary model's
+position probabilities at n = 16. One certificate then proves from the
+solve's potentials (LP duality), for the whole stack at once, which
+answers are the unique exact optimum. Only the matrices where that proof
+fails, near a tie or at overflow scale, are solved again, one at a time,
+on exact integer costs that carry a tie key, so ties among optimal
+assignments, which are exact ties of the real totals, resolve to the
+smallest positions tuple.
 
 check_score_matrix, hungarian_max and topk_assignments take an (S, n, n)
 stack, one matrix per story, and return orders only, as intp arrays:
@@ -111,30 +114,44 @@ def _lockstep_min(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The shortest augmenting path method of _solve_min with lazy potential
     updates (Jonker & Volgenant 1987; Crouse 2016), run on every matrix of
-    the stack in lockstep: each numpy call takes one step of every story's
-    search from the current row, and a story drops out of the row's search
-    once it reaches a free column. The potentials and paths are then updated
-    for the whole stack at once. The column potentials start at the column
-    minima, which is dual feasible and often leaves a free column at zero
-    reduced cost. Returns (S, n) positions and (S, n) row and column
-    potentials, each an exact minimum only up to rounding, as _solve_min's
-    are on float costs.
+    the stack in lockstep, from Jonker & Volgenant's column reduction: the
+    column potentials start at the column minima and the row potentials at
+    0, which is dual feasible, and each row takes the first column whose
+    minimum it holds, at zero reduced cost. Only the rows this leaves free
+    search. Round t searches from the t-th free row of every story that has
+    one; each numpy call takes one step of each such story's search, and a
+    story drops out once it reaches a free column. The potentials and paths
+    are then updated for the whole stack at once, where a story that sat
+    the round out adds zeros. Returns (S, n) positions and (S, n) row and
+    column potentials, each an exact minimum only up to rounding, as
+    _solve_min's are on float costs.
 
     With M = max|c|, the potentials stay within 3M and every path length and
     reduced cost within 6M: a row potential is at most 2M, since a column
     still free keeps its starting potential of at least -M, and never falls
-    below 0; a matched column's potential is its cost less its row's.
+    below 0; a matched column's potential is its cost less its row's. A row
+    the column reduction assigns starts as a search leaves its rows: at a
+    potential of 0 on a tight entry, so the bounds hold for it too.
     """
     count, n, _ = c.shape
     stories = np.arange(count)
     u = np.zeros((count, n + 1))  # slot n takes the updates addressed to row -1 of free columns
     v = c.min(axis=1)
-    red = c - v[:, None, :]  # the reduced costs c - u - v, renewed after each row's search
-    row4col = np.full((count, n), -1, dtype=np.intp)
-    col4row = np.full((count, n), -1, dtype=np.intp)
-    for root in range(n):
-        searching = np.ones(count, dtype=bool)
-        row = np.full(count, root)  # the tree row each story scans next
+    red = c - v[:, None, :]  # the reduced costs c - u - v, renewed after each round
+    # column j's minimum is held by row holder[s, j] (the first such row on ties), and
+    # each row takes the first column it holds
+    holder = red.argmin(axis=1)
+    holds = holder[:, None, :] == np.arange(n)[:, None]
+    col4row = np.where(holds.any(axis=2), holds.argmax(axis=2), -1)
+    row4col = np.where(np.take_along_axis(col4row, holder, axis=1) == np.arange(n), holder, -1)
+    free = col4row < 0
+    free_rows = np.argsort(~free, axis=1, kind="stable")  # each story's free rows first
+    free_count = free.sum(axis=1)
+    for t in range(free_count.max(initial=0)):
+        searched = t < free_count  # the stories with a t-th free row
+        searching = searched.copy()
+        root = free_rows[:, t]
+        row = root  # the tree row each story scans next
         low = np.zeros(count)  # the length of each story's shortest path to its last column
         dist = np.full((count, n), np.inf)
         path = np.zeros((count, n), dtype=np.intp)  # the tree row each column is reached from
@@ -151,19 +168,21 @@ def _lockstep_min(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             row = row4col[stories, j]
             np.putmask(sink, searching, j)
             searching &= row >= 0
-        # update the potentials, renew the reduced costs, then flip each augmenting path
-        low = dist[stories, sink]
+        # update the potentials of the stories that searched, renew the reduced costs,
+        # then flip each augmenting path
+        low = np.where(searched, dist[stories, sink], 0.0)
         shift = np.subtract(low[:, None], dist, out=np.zeros((count, n)), where=tree)
         u[stories[:, None], row4col] += shift
-        u[:, root] += low
+        u[stories, root] += low
         v -= shift
         red = c - (u[:, :n, None] + v[:, None, :])
-        col, k = sink, stories
+        k = stories[searched]
+        col = sink[k]
         while k.size:
             i = path[k, col]
             row4col[k, col] = i
             col4row[k, i], col = col, col4row[k, i]
-            keep = i != root
+            keep = i != root[k]
             k, col = k[keep], col[keep]
     return col4row, u[:, :n], v
 
@@ -209,8 +228,11 @@ def _certified(c: np.ndarray, positions: np.ndarray, u: np.ndarray, v: np.ndarra
 
 # Stacks of at least this many matrices take the lockstep float solve; smaller ones
 # solve one matrix at a time, where numpy's fixed cost per call outweighs the loop.
-# Measured on dominant row-softmax stacks, lockstep starts to win at 14 to 28
-# matrices, depending on n (4 to 16).
+# Measured at each n = 4..16 (2-core VM; mean over 8 stacks of the best of 5 runs):
+# on dominant row-softmax stacks the lockstep wins at every n from 10 matrices (from
+# 4 at n >= 14). On stacks of vote matrices (9 candidates each, 0-90% agreeing) it
+# wins at every n but 11 and 12 (by 3% and 6%) from 20 matrices, and at every n from
+# 24; a single vote matrix takes 16-111 us alone against 49-329 us in lockstep.
 LOCKSTEP_MIN_STORIES = 20
 
 # Both float solves keep their potentials, path lengths and reduced costs within

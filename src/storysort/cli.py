@@ -276,11 +276,15 @@ def cmd_train(args: argparse.Namespace) -> int:
         **{name: getattr(args, name) for name in spec.train_args},
     )
     # before the checkpoint is written, the training stories are scored (not decoded):
-    # a model that diverged has non-finite scores and leaves no file
-    for scores in models_mod.score_chunks(model, train_stories):
-        if not np.isfinite(scores).all():
-            raise NumericError(f"training diverged: the {args.model} model gives non-finite "
-                               f"scores on the training stories of --data {data_path}")
+    # a model that diverged has non-finite scores, or non-finite logits that unary's
+    # softmax refuses, and leaves no file
+    try:
+        finite = all(np.isfinite(s).all() for s in models_mod.score_chunks(model, train_stories))
+    except NumericError:
+        finite = False
+    if not finite:
+        raise NumericError(f"training diverged: the {args.model} model gives non-finite "
+                           f"scores on the training stories of --data {data_path}")
     report = {
         "model": args.model,
         "val": _round6(_dataset_report(model, val_stories).to_json()) if val_stories else None,

@@ -115,7 +115,7 @@ def softmax(z) -> np.ndarray:
     """Stable softmax over the last axis; shift-invariant, rows sum to 1."""
     a = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(a)):
-        raise ValidationError("softmax input contains non-finite entries")
+        raise NumericError("softmax input contains non-finite entries")
     shifted = a - np.max(a, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=-1, keepdims=True)

@@ -371,6 +371,59 @@ class TestStacks:
         assert np.array_equal(orders, alone)
 
 
+def warm_start_stack(n, count, seed):
+    """count matrices of size n, in shuffled turns of uniform floats, int012 and tenths
+    matrices, dominant_softmax ones, and the two extremes of the lockstep solve's column
+    reduction: "assigned" matrices, where each row holds the maximum of one column, so every
+    row is assigned before any search, and "one_holder" ones, where one row holds the
+    maximum of every column, so n - 1 rows search."""
+    rng = np.random.default_rng(seed)
+    kinds = ["float", "int012", "tenths", "softmax", "assigned", "one_holder"]
+    stack = np.empty((count, n, n))
+    for k, kind in enumerate(rng.permutation([kinds[k % len(kinds)] for k in range(count)])):
+        if kind == "float":
+            stack[k] = rng.uniform(-1.0, 1.0, (n, n))
+        elif kind in TIE_KINDS:
+            stack[k] = rng.choice(TIE_KINDS[kind], size=(n, n))
+        elif kind == "softmax":
+            stack[k] = dominant_softmax(n, int(rng.integers(2**31)))
+        else:
+            stack[k] = rng.uniform(-1.0, 0.0, (n, n))
+            if kind == "assigned":
+                stack[k, np.arange(n), rng.permutation(n)] = 1.0
+            else:
+                stack[k, rng.integers(n)] = 1.0
+    return stack
+
+
+class TestLockstepInvariants:
+    """On stacks that take the lockstep float solve, its potentials are dual feasible and
+    tight on the order it returns, up to rounding, whichever rows its column reduction
+    leaves to search, and hungarian_max's orders are the exact oracle's."""
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_potentials_are_feasible_and_tight(self, n, monkeypatch):
+        stack = warm_start_stack(n, assign.LOCKSTEP_MIN_STORIES + 4, seed=n)
+        c = -stack
+        positions, u, v = assign._lockstep_min(c)
+        assert positions.shape == (len(c), n)
+        assert (np.sort(positions, axis=1) == np.arange(n)).all()
+        r = c - (u[:, :, None] + v[:, None, :])
+        # the rounding allowance of _certified
+        tol = 4 * assign.EPS * (np.abs(c).max(axis=(1, 2)) + np.abs(u).max(axis=1)
+                                + np.abs(v).max(axis=1))
+        assert (r >= -tol[:, None, None]).all()
+        assert (np.abs(np.take_along_axis(r, positions[:, :, None], axis=2)[..., 0])
+                <= tol[:, None]).all()
+        orders = hungarian_max(stack)
+        if n <= 8:
+            expected = [exact_table_max(s) for s in stack]
+        else:
+            reject_all(monkeypatch)
+            expected = list(map(tuple, hungarian_max(stack).tolist()))
+        assert list(map(tuple, orders.tolist())) == expected
+
+
 class TestTopK:
     def test_identity_k1(self):
         (orders,) = topk_assignments(np.eye(3)[None], 1)

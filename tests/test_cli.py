@@ -173,7 +173,9 @@ class TestTrain:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning would be a line on stderr
             assert run(argv) == 1
-        assert "non-finite" in one_error_line(capsys)
+        assert one_error_line(capsys) == (f"error: training diverged: the {model} model gives "
+                                          f"non-finite scores on the training stories of "
+                                          f"--data {data}")
         assert not out.exists()
         assert not Path(str(out) + ".manifest.json").exists()
 
@@ -196,7 +198,9 @@ class TestTrain:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(argv) == 1
-        assert "non-finite" in one_error_line(capsys)
+        assert one_error_line(capsys) == (f"error: training diverged: the {model} model gives "
+                                          f"non-finite scores on the training stories of "
+                                          f"--data {data}")
         assert set(tmp_path.iterdir()) == {data, Path(str(data) + ".manifest.json"), val}
 
     def test_missing_dataset_fails_with_code_1(self, tmp_path):

@@ -167,7 +167,7 @@ class TestSoftmax:
         assert out == pytest.approx([1 / 6, 2 / 6, 3 / 6], abs=1e-12)
 
     def test_rejects_nan(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(NumericError, match="softmax input contains non-finite entries"):
             softmax(np.array([np.nan, 0.0]))
 
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=8))
