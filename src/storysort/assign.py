@@ -3,9 +3,9 @@
 A score matrix is a square float64 array where s[i][p] is the score of
 placing element i at position p. The solver is the O(n^3) shortest
 augmenting path / potentials method. hungarian_max decodes an (S, n, n)
-stack of matrices in three steps. A float solve of the costs -s runs over
-the whole stack in lockstep, one numpy call per step of every matrix's
-search (one matrix at a time on small stacks). It starts from column
+stack of matrices in three steps. One float solve of the costs -s runs
+over the whole stack in lockstep, one numpy call per step of every
+matrix's search, whatever the stack's size. It starts from column
 reduction, each row taking a column whose minimum it holds, so only the
 rows it leaves free search: 1 to 4 of 16 on a trained unary model's
 position probabilities at n = 16. One certificate then proves from the
@@ -48,21 +48,15 @@ def check_score_matrix(s) -> np.ndarray:
     return a
 
 
-def _solve_min(cost: list[list]) -> tuple[list[int], list, list]:
-    """Min-cost assignment via shortest augmenting paths with dual potentials.
+def _solve_min(cost: list[list[int]]) -> list[int]:
+    """Min-cost assignment of one matrix of Python int costs via shortest augmenting paths.
 
-    Returns positions[i] = column assigned to row i, with the row and column
-    potentials u and v: u[i] + v[j] <= cost[i][j], with equality on the
-    assignment. On Python int costs the potentials stay ints, so every
-    reduced cost is exact and the assignment is a true minimum (Kuhn 1955;
-    Burkard, Dell'Amico & Martello, Assignment Problems, 2009). A float
-    potential would round the large ints that hungarian_max builds. On float
-    costs all of this holds only up to rounding; _certified checks it.
-
-    With M = max|cost|, 0 <= u <= M and -2M <= v <= 0: row potentials only
-    rise and column potentials only fall, a column still free keeps v = 0,
-    so u[i] <= cost[i][free] <= M, and a matched column's v is its cost less
-    its row's u. Every reduced cost and step then lies within 3M.
+    Returns positions[i] = column assigned to row i. The row and column
+    potentials u and v keep u[i] + v[j] <= cost[i][j], with equality on the
+    assignment. On int costs they stay ints, so every reduced cost is exact
+    and the assignment is a true minimum (Kuhn 1955; Burkard, Dell'Amico &
+    Martello, Assignment Problems, 2009). This is hungarian_max's exact
+    solve; a float potential would round the large ints it builds.
     """
     n = len(cost)
     inf = math.inf
@@ -106,25 +100,26 @@ def _solve_min(cost: list[list]) -> tuple[list[int], list, list]:
     positions = [0] * n
     for j in range(1, n + 1):
         positions[match[j] - 1] = j - 1
-    return positions, u[1:], v[1:]
+    return positions
 
 
 def _lockstep_min(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Min-cost assignments of an (S, n, n) stack of float costs, with their potentials.
 
-    The shortest augmenting path method of _solve_min with lazy potential
-    updates (Jonker & Volgenant 1987; Crouse 2016), run on every matrix of
-    the stack in lockstep, from Jonker & Volgenant's column reduction: the
-    column potentials start at the column minima and the row potentials at
-    0, which is dual feasible, and each row takes the first column whose
-    minimum it holds, at zero reduced cost. Only the rows this leaves free
-    search. Round t searches from the t-th free row of every story that has
-    one; each numpy call takes one step of each such story's search, and a
-    story drops out once it reaches a free column. The potentials and paths
-    are then updated for the whole stack at once, where a story that sat
-    the round out adds zeros. Returns (S, n) positions and (S, n) row and
-    column potentials, each an exact minimum only up to rounding, as
-    _solve_min's are on float costs.
+    hungarian_max's float solve: the shortest augmenting path method with
+    lazy potential updates (Jonker & Volgenant 1987; Crouse 2016), run on
+    every matrix of the stack in lockstep, from Jonker & Volgenant's column
+    reduction: the column potentials start at the column minima and the row
+    potentials at 0, which is dual feasible, and each row takes the first
+    column whose minimum it holds, at zero reduced cost. Only the rows this
+    leaves free search. Round t searches from the t-th free row of every
+    story that has one; each numpy call takes one step of each such story's
+    search, and a story drops out once it reaches a free column. The
+    potentials and paths are then updated for the whole stack at once,
+    where a story that sat the round out adds zeros. Returns (S, n)
+    positions and (S, n) row and column potentials. They are dual feasible
+    and tight on the positions only up to rounding, so each order is an
+    exact minimum only where _certified proves it one.
 
     With M = max|c|, the potentials stay within 3M and every path length and
     reduced cost within 6M: a row potential is at most 2M, since a column
@@ -226,18 +221,9 @@ def _certified(c: np.ndarray, positions: np.ndarray, u: np.ndarray, v: np.ndarra
     return ~live.any(axis=(1, 2))
 
 
-# Stacks of at least this many matrices take the lockstep float solve; smaller ones
-# solve one matrix at a time, where numpy's fixed cost per call outweighs the loop.
-# Measured at each n = 4..16 (2-core VM; mean over 8 stacks of the best of 5 runs):
-# on dominant row-softmax stacks the lockstep wins at every n from 10 matrices (from
-# 4 at n >= 14). On stacks of vote matrices (9 candidates each, 0-90% agreeing) it
-# wins at every n but 11 and 12 (by 3% and 6%) from 20 matrices, and at every n from
-# 24; a single vote matrix takes 16-111 us alone against 49-329 us in lockstep.
-LOCKSTEP_MIN_STORIES = 20
-
-# Both float solves keep their potentials, path lengths and reduced costs within
-# 6 max|a| (see _lockstep_min and _solve_min), and the certificate's t sums 31 such
-# terms, so below this scale nothing they compute overflows.
+# The float solve keeps its potentials, path lengths and reduced costs within 6 max|a|
+# (see _lockstep_min), and the certificate's t sums 31 such terms, so below this scale
+# nothing they compute overflows.
 FLOAT_SCALE_LIMIT = np.finfo(float).max / 256
 
 
@@ -245,32 +231,29 @@ def hungarian_max(s) -> np.ndarray:
     """The (S, n) orders maximizing the additive score of each matrix of an (S, n, n) stack.
 
     Among optima whose real totals tie exactly, the lexicographically
-    smallest positions tuple is returned. A float solve of the costs -s,
-    over the whole stack in lockstep (or one matrix at a time below
-    LOCKSTEP_MIN_STORIES), gives the order wherever _certified proves it
-    the unique exact optimum, so there is no tie to settle. Otherwise, near
-    a tie or at overflow scale, an exact solve decides, one matrix at a
-    time: over one common denominator (core.exact_ints) the matrix is exact
-    ints A. The cost of placing i at p is -A[i][p] * n**n plus the tie key
-    p * n**(n-1-i): summed over a permutation, the keys read its positions
-    tuple as a base-n number, which stays below n**n, one unit of score.
-    One exact min-cost solve therefore maximizes the real total first and
-    takes the smallest positions tuple among its ties second.
+    smallest positions tuple is returned. One float solve of the costs -s,
+    _lockstep_min over the whole stack, gives the order wherever _certified
+    proves it the unique exact optimum, so there is no tie to settle.
+    Otherwise, near a tie or at overflow scale, the exact solve _solve_min
+    decides, one matrix at a time: over one common denominator
+    (core.exact_ints) the matrix is exact ints A. The cost of placing i at
+    p is -A[i][p] * n**n plus the tie key p * n**(n-1-i): summed over a
+    permutation, the keys read its positions tuple as a base-n number,
+    which stays below n**n, one unit of score. One exact min-cost solve
+    therefore maximizes the real total first and takes the smallest
+    positions tuple among its ties second.
     """
     a = check_score_matrix(s)
-    count, n, _ = a.shape
+    n = a.shape[-1]
     # a matrix at overflow scale is float-solved as zeros instead: a tie of every order,
     # which the certificate rejects, so the exact solve decides it
     fits = np.abs(a).max(axis=(1, 2)) < FLOAT_SCALE_LIMIT
     c = np.where(fits[:, None, None], -a, 0.0)
-    if 0 < count < LOCKSTEP_MIN_STORIES:
-        orders, u, v = (np.array(x) for x in zip(*map(_solve_min, c.tolist())))
-    else:
-        orders, u, v = _lockstep_min(c)
+    orders, u, v = _lockstep_min(c)
     exact = ~_certified(c, orders, u, v)
     unit = n**n
     for k in np.flatnonzero(exact):
-        orders[k], _, _ = _solve_min([
+        orders[k] = _solve_min([
             [-x * unit + p * n ** (n - 1 - i) for p, x in enumerate(row)]
             for i, row in enumerate(exact_ints(a[k]).tolist())
         ])

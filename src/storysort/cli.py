@@ -47,11 +47,14 @@ value. Flags that argparse itself rejects print argparse's usage text
 to stderr and also exit 2. A stdout closed by its reader (as in
 ``storysort eval ... | true``) is a runtime failure: one ``error:`` line
 and exit 1. An --out that is a directory is one ``error:`` line before
-any input is read. Every command writes its files and manifest before it
-prints, so a closed stdout leaves them complete. ``train`` checks the
-training stories' scores, and computes its report, before it writes the
-checkpoint, so a model whose scores are not finite (training diverged)
-is one ``error:`` line and leaves no file.
+any input is read. ``train`` with no training stories, an empty --data
+or a --val-frac that leaves none, is one ``error: no training stories:
+...`` line, before --val is read and before any model is built. Every
+command writes its files and manifest before it prints, so a closed
+stdout leaves them complete. ``train`` checks the training stories'
+scores, and computes its report, before it writes the checkpoint, so a
+model whose scores are not finite (training diverged) is one ``error:``
+line and leaves no file.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 """
@@ -75,7 +78,9 @@ from . import ensemble as ensemble_mod
 from . import metrics as metrics_mod
 from . import models as models_mod
 from .core import is_permutation, json_list, json_value
-from .errors import NumericError, ParseError, StorySortError, UsageError, ValidationError
+from .errors import (
+    EmptyInputError, NumericError, ParseError, StorySortError, UsageError, ValidationError,
+)
 from .neural import DEFAULT_HIDDEN_UNITS, TrainConfig
 
 # Checkpoint loading under the name perfbench/run.py calls.
@@ -247,6 +252,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     data_path = Path(args.data)
     train_stories = data_mod.load_dataset(data_path)
     inputs = [data_path]
+    count, rest = len(train_stories), ""
+    if args.val is None:
+        train_stories, val_stories = data_mod.split_dataset(train_stories, args.val_frac,
+                                                            args.seed)
+        rest = f", and --val-frac {args.val_frac} leaves none for training"
+    if not train_stories:
+        raise EmptyInputError(
+            f"no training stories: --data {data_path} has {count} stories{rest}")
     if args.val is not None:
         val_stories = data_mod.load_dataset(Path(args.val))
         inputs.append(Path(args.val))
@@ -257,16 +270,13 @@ def cmd_train(args: argparse.Namespace) -> int:
                 f"on --data {data_path} (n={train_stories.n}) scores only n={train_stories.n}"
             )
         # the model's input width is --data's, so --val must have the same features
-        if val_stories and train_stories:
+        if val_stories:
             got, want = (_feature_dims(s, args.use_image) for s in (val_stories, train_stories))
             if got != want:
                 raise ValidationError(
                     f"--val {args.val} has {got}, but a {args.model} model trained on "
                     f"--data {data_path} reads {want}"
                 )
-    else:
-        train_stories, val_stories = data_mod.split_dataset(train_stories, args.val_frac,
-                                                            args.seed)
     # the val report decodes every validation story, and sort will decode stories of
     # --data's n, so both size limits are checked before training
     for n in {train_stories.n, val_stories.n}:

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from storysort import assign
 from storysort.assign import (
-    _solve_min,
+    _lockstep_min,
     check_score_matrix,
     hungarian_max,
     topk_assignments,
 )
 from storysort.core import exact_ints
+from storysort.ensemble import accumulate_votes
 from storysort.errors import EnumerationCapError, SizeError, ValidationError
 from conftest import additive_score, enumerate_permutations, exact_ranking, identity
 
@@ -271,11 +272,11 @@ class TestFloatSolveCertificate:
         # element i scores 1 at positions p >= i, so only the identity scores n; the float
         # duals leave off-identity entries with zero reduced cost, which form a path
         s = np.triu(np.ones((n, n)))
-        positions, u, v = _solve_min((-s).tolist())
-        assert positions == list(range(n))
+        (positions,), (u,), (v,) = _lockstep_min(-s[None])
+        assert positions.tolist() == list(range(n))
         assert any(-s[i, p] - u[i] - v[p] == 0 for i in range(n) for p in range(n) if p != i)
         perm = hungarian_one(s)
-        assert perm.tolist() == positions and additive_score(s, perm) == n
+        assert perm.tolist() == positions.tolist() and additive_score(s, perm) == n
         assert exact_solves == []
         if n <= 8:
             assert tuple(perm.tolist()) == exact_brute_force_max(s)
@@ -318,12 +319,13 @@ class TestFloatSolveCertificate:
 
 
 def mixed_stack(n, count, seed):
-    """(stack, kinds): count matrices of size n, in shuffled turns of int012, tenths and
-    extreme tie-heavy matrices and dominant_softmax ones, with every extreme matrix at
-    overflow scale, and the kind of each."""
+    """(stack, kinds): count matrices of size n, in shuffled turns (from a seeded first
+    kind) of int012, tenths and extreme tie-heavy matrices and dominant_softmax ones, with
+    every extreme matrix at overflow scale, and the kind of each."""
     rng = np.random.default_rng(seed)
     kinds = [*sorted(TIE_KINDS), "softmax"]
-    kinds = rng.permutation([kinds[k % len(kinds)] for k in range(count)])
+    first = rng.integers(len(kinds))
+    kinds = rng.permutation([kinds[(first + k) % len(kinds)] for k in range(count)])
     stack = np.empty((count, n, n))
     for k, kind in enumerate(kinds):
         if kind == "softmax":
@@ -335,19 +337,34 @@ def mixed_stack(n, count, seed):
     return stack, kinds
 
 
-# stack sizes on both sides of the cut-off between one-at-a-time and lockstep float solves
-SIDES = {"one_at_a_time": assign.LOCKSTEP_MIN_STORIES - 1,
-         "lockstep": assign.LOCKSTEP_MIN_STORIES + 2}
+def vote_stack(n, count, seed):
+    """(stack, kinds): count integer vote matrices of size n, as ensemble.decode_votes gets
+    them, each tallied by ensemble.accumulate_votes from 6 candidate rows (two members' top-3
+    lists) drawn with repeats from 2 to 4 random orders, so that totals often tie; and
+    "votes" as the kind of each."""
+    rng = np.random.default_rng(seed)
+    pools = [np.array([rng.permutation(n) for _ in range(rng.integers(2, 5))])
+             for _ in range(count)]
+    candidates = np.stack([pool[rng.integers(len(pool), size=6)] for pool in pools])
+    return accumulate_votes(candidates), np.array(["votes"] * count)
+
+
+# stacks of one, as the per-story ensemble sends, and of a few and of many matrices, as
+# chunked unary decodes send: every size takes the one float solve
+STACKS = [(mixed_stack, 1), (mixed_stack, 5), (mixed_stack, 22), (vote_stack, 1),
+          (vote_stack, 22)]
 
 
 class TestStacks:
-    """A stack's rows are decoded as each matrix alone would be, whichever float solve runs,
+    """A stack's rows are decoded as each matrix alone would be, whatever the stack's size,
     and the exact solve runs on exactly the rows that the certificate rejects."""
 
-    @pytest.mark.parametrize("side", sorted(SIDES))
+    @pytest.mark.parametrize("make,size", STACKS,
+                             ids=[f"{make.__name__}-{size}" for make, size in STACKS])
     @pytest.mark.parametrize("n", [*range(2, 9), 16])
-    def test_rows_match_the_exact_oracle(self, n, side, exact_solves, verdicts, monkeypatch):
-        stack, kinds = mixed_stack(n, SIDES[side], seed=10 * n + len(side))
+    def test_rows_match_the_exact_oracle(self, n, make, size, exact_solves, verdicts,
+                                         monkeypatch):
+        stack, kinds = make(n, size, seed=100 * n + size)
         orders = hungarian_max(stack)
         assert orders.shape == (len(stack), n) and orders.dtype == np.intp
         (certified,) = verdicts
@@ -360,10 +377,10 @@ class TestStacks:
             expected = list(map(tuple, hungarian_max(stack).tolist()))
         assert list(map(tuple, orders.tolist())) == expected
 
-    @pytest.mark.parametrize("side", sorted(SIDES))
+    @pytest.mark.parametrize("size", [1, 5, 22])
     @pytest.mark.parametrize("n", [5, 16])
-    def test_overflow_scale_rows_raise_no_warning(self, n, side):
-        stack, _ = mixed_stack(n, SIDES[side], seed=n)
+    def test_overflow_scale_rows_raise_no_warning(self, n, size):
+        stack, _ = mixed_stack(n, size, seed=n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             orders = hungarian_max(stack)
@@ -372,15 +389,17 @@ class TestStacks:
 
 
 def warm_start_stack(n, count, seed):
-    """count matrices of size n, in shuffled turns of uniform floats, int012 and tenths
-    matrices, dominant_softmax ones, and the two extremes of the lockstep solve's column
-    reduction: "assigned" matrices, where each row holds the maximum of one column, so every
-    row is assigned before any search, and "one_holder" ones, where one row holds the
-    maximum of every column, so n - 1 rows search."""
+    """count matrices of size n, in shuffled turns (from a seeded first kind) of uniform
+    floats, int012 and tenths matrices, dominant_softmax ones, and the two extremes of the
+    lockstep solve's column reduction: "assigned" matrices, where each row holds the maximum
+    of one column, so every row is assigned before any search, and "one_holder" ones, where
+    one row holds the maximum of every column, so n - 1 rows search."""
     rng = np.random.default_rng(seed)
     kinds = ["float", "int012", "tenths", "softmax", "assigned", "one_holder"]
+    first = rng.integers(len(kinds))
     stack = np.empty((count, n, n))
-    for k, kind in enumerate(rng.permutation([kinds[k % len(kinds)] for k in range(count)])):
+    for k, kind in enumerate(rng.permutation([kinds[(first + k) % len(kinds)]
+                                              for k in range(count)])):
         if kind == "float":
             stack[k] = rng.uniform(-1.0, 1.0, (n, n))
         elif kind in TIE_KINDS:
@@ -397,15 +416,16 @@ def warm_start_stack(n, count, seed):
 
 
 class TestLockstepInvariants:
-    """On stacks that take the lockstep float solve, its potentials are dual feasible and
-    tight on the order it returns, up to rounding, whichever rows its column reduction
-    leaves to search, and hungarian_max's orders are the exact oracle's."""
+    """On a stack of one matrix and on a stack of many, the lockstep float solve's potentials
+    are dual feasible and tight on the order it returns, up to rounding, whichever rows its
+    column reduction leaves to search, and hungarian_max's orders are the exact oracle's."""
 
+    @pytest.mark.parametrize("size", [1, 24])
     @pytest.mark.parametrize("n", range(2, 17))
-    def test_potentials_are_feasible_and_tight(self, n, monkeypatch):
-        stack = warm_start_stack(n, assign.LOCKSTEP_MIN_STORIES + 4, seed=n)
+    def test_potentials_are_feasible_and_tight(self, n, size, monkeypatch):
+        stack = warm_start_stack(n, size, seed=100 * n + size)
         c = -stack
-        positions, u, v = assign._lockstep_min(c)
+        positions, u, v = _lockstep_min(c)
         assert positions.shape == (len(c), n)
         assert (np.sort(positions, axis=1) == np.arange(n)).all()
         r = c - (u[:, :, None] + v[:, None, :])

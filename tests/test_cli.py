@@ -203,6 +203,33 @@ class TestTrain:
                                           f"--data {data}")
         assert set(tmp_path.iterdir()) == {data, Path(str(data) + ".manifest.json"), val}
 
+    @pytest.mark.parametrize("model", ["unary", "pairwise", "npe"])
+    @pytest.mark.parametrize("case", ["val_frac_leaves_none", "empty_data",
+                                      "empty_data_with_val"])
+    def test_no_training_stories_is_one_error_line_and_leaves_no_file(
+            self, tmp_path, capsys, monkeypatch, model, case):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained with no training stories")
+
+        monkeypatch.setattr(REGISTRY[model].module, "train", no_training)
+        three, empty = tmp_path / "three.jsonl", tmp_path / "empty.jsonl"
+        assert run(gen_args(three, stories=3)) == 0
+        empty.write_text("", encoding="utf-8")
+        # int((1 - 0.9) * 3) = 0 training stories
+        data, extra, message = {
+            "val_frac_leaves_none": (three, ["--val-frac", "0.9"], f"--data {three} has 3 "
+                                     f"stories, and --val-frac 0.9 leaves none for training"),
+            "empty_data": (empty, [], f"--data {empty} has 0 stories, and --val-frac 0.1 "
+                                      f"leaves none for training"),
+            "empty_data_with_val": (empty, ["--val", str(three)], f"--data {empty} has 0 "
+                                                                   f"stories"),
+        }[case]
+        out = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        assert run(train_args(data, out, model=model, extra=extra)) == 1
+        assert capsys.readouterr().err == f"error: no training stories: {message}\n"
+        assert set(tmp_path.iterdir()) == {three, Path(str(three) + ".manifest.json"), empty}
+
     def test_missing_dataset_fails_with_code_1(self, tmp_path):
         code = run(train_args(tmp_path / "nope.jsonl", tmp_path / "m.json"))
         assert code == 1
