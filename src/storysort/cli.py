@@ -43,18 +43,20 @@ command's stdout separately; the first line is only that command's own.
 Errors the CLI handles go to stderr as one line:
 ``error: <message>`` with exit 1 for a runtime or validation failure,
 ``usage error: <message>`` with exit 2 for a bad argument or config
-value. Flags that argparse itself rejects print argparse's usage text
-to stderr and also exit 2. A stdout closed by its reader (as in
-``storysort eval ... | true``) is a runtime failure: one ``error:`` line
-and exit 1. An --out that is a directory is one ``error:`` line before
-any input is read. ``train`` with no training stories, an empty --data
-or a --val-frac that leaves none, is one ``error: no training stories:
-...`` line, before --val is read and before any model is built. Every
-command writes its files and manifest before it prints, so a closed
-stdout leaves them complete. ``train`` checks the training stories'
-scores, and computes its report, before it writes the checkpoint, so a
-model whose scores are not finite (training diverged) is one ``error:``
-line and leaves no file.
+value. A value out of its option's range is one too, naming the option
+by its flag whether the flag or a config file set it: ``usage error:
+--lr must be > 0 and finite, got 0.0``. Flags that argparse itself
+rejects print argparse's usage text to stderr and also exit 2. A stdout
+closed by its reader (as in ``storysort eval ... | true``) is a runtime
+failure: one ``error:`` line and exit 1. An --out that is a directory is
+one ``error:`` line before any input is read. ``train`` with no training
+stories, an empty --data or a --val-frac that leaves none, is one
+``error: no training stories: ...`` line, before --val is read and
+before any model is built. Every command writes its files and manifest
+before it prints, so a closed stdout leaves them complete. ``train``
+checks the training stories' scores, and computes its report, before it
+writes the checkpoint, so a model whose scores are not finite (training
+diverged) is one ``error:`` line and leaves no file.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 """
@@ -228,6 +230,11 @@ def _feature_dims(stories, use_image: bool) -> str:
     return f"text dim {stories.text.shape[2]}" + (f", image dim {image}" if use_image else "")
 
 
+# the train flag that sets each TrainConfig field
+TRAIN_CONFIG_FLAGS = {"learning_rate": "lr", "epochs": "epochs", "batch_size": "batch-size",
+                      "l2": "l2"}
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.monotonic()
     spec = models_mod.REGISTRY[args.model]
@@ -244,11 +251,16 @@ def cmd_train(args: argparse.Namespace) -> int:
         if not value > 0:
             # --hidden and --embed-dim are integer layer widths
             rule = "must be >= 1 (a width in layer_dims)" if type(value) is int else "must be > 0"
-            raise ValidationError(f"--{name.replace('_', '-')} {rule}, got {value}")
-    cfg = TrainConfig(
-        learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size,
-        seed=args.seed, l2=args.l2,
-    )
+            raise UsageError(f"--{name.replace('_', '-')} {rule}, got {value}")
+    try:
+        cfg = TrainConfig(
+            learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size,
+            seed=args.seed, l2=args.l2,
+        )
+    except ValidationError as e:
+        # TrainConfig's message starts with the name of the field its flag sets
+        field, _, rule = str(e).partition(" ")
+        raise UsageError(f"--{TRAIN_CONFIG_FLAGS[field]} {rule}") from e
     data_path = Path(args.data)
     train_stories = data_mod.load_dataset(data_path)
     inputs = [data_path]

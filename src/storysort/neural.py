@@ -7,16 +7,31 @@ with optional L2 weight decay; all shuffling comes from the config seed,
 so identical inputs produce bit-identical parameters.
 
 Inputs are matrices or stacks of them, never single vectors: mlp_forward
-takes a (batch, d) matrix or a (..., batch, d) stack. Training sets are
-arrays, built once by the caller: ``X`` holds the input rows, of shape
-(rows, d) or (rows, n, d) for rows of n elements, and ``y`` their targets
-(or None), row k of one belonging to row k of the other.
-sgd_train checks the width d against the model once, then runs one
-forward and backward pass per mini-batch ``X[idx]``. The model kind's
-loss sees only the network output, shaped as ``X[idx]`` with the output
-width in place of d: ``loss(out, y[idx])`` returns the mean batch loss and
-its gradient with respect to out. Each kind's module holds its own loss;
-this module knows neither model kinds nor files.
+takes a (batch, d) matrix or a (..., batch, d) stack. A training set is
+built once by the caller: ``X`` holds the input rows, of shape (rows, d)
+or (rows, n, d) for rows of n elements, and ``y`` their targets (or
+None), row k of one belonging to row k of the other. ``X`` is an array,
+or a row source that gathers its rows on demand (pairwise.PairRowSource,
+which never holds all its rows at once): anything with ``shape``,
+``ndim``, ``len`` and ``X[idx]`` for an index array idx, returning the
+C-contiguous rows an array would. sgd_train checks the width d against
+the model once, then runs one forward and backward pass per mini-batch
+``X[idx]``. The model kind's loss sees only the network output, shaped
+as ``X[idx]`` with the output width in place of d: ``loss(out, y[idx])``
+returns the mean batch loss and its gradient with respect to out. Each
+kind's module holds its own loss; this module knows neither model kinds
+nor files.
+
+During training the parameters live in one flat buffer, every weight
+matrix and then every bias vector, and the trained MlpParams holds views
+of it. The gradients live in a second buffer of the same layout, written
+in place by the backward pass, so an update is two numpy calls on whole
+buffers. A step whose update cannot move a parameter ends after its
+loss: with no L2 decay, an all-zero output gradient, and finite layer
+inputs and output, every gradient is ±0 and w - lr * (±0) is w. (A
+weight of -0.0 could turn +0.0; init and updates never make one.) A
+batch whose pairs all meet the pairwise hinge's margin, or whose NPE
+penalty sits wholly on ReLU-closed coordinates, gives such a step.
 """
 
 from __future__ import annotations
@@ -99,12 +114,17 @@ def init_mlp(layer_dims: Sequence[int], rng: np.random.Generator) -> MlpParams:
     return MlpParams(dims, weights, biases)
 
 
-def clone_params(params: MlpParams) -> MlpParams:
-    return MlpParams(
-        params.layer_dims,
-        [w.copy() for w in params.weights],
-        [b.copy() for b in params.biases],
-    )
+def _layer_views(dims: tuple[int, ...], flat: np.ndarray) -> tuple[list, list]:
+    """Views of flat as the weight matrices and the bias vectors of an MLP of
+    layer_dims dims: flat holds every weight matrix, then every bias vector."""
+    shapes = [*zip(dims[:-1], dims[1:]), *((d,) for d in dims[1:])]
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    layers = len(dims) - 1
+    return views[:layers], views[layers:]
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -160,73 +180,72 @@ def _backward(
     acts: list[np.ndarray],
     pres: list[np.ndarray],
     dz: np.ndarray,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Backprop from dz, the gradient w.r.t. the network output.
+    gws: list[np.ndarray],
+    gbs: list[np.ndarray],
+) -> None:
+    """Backprop from dz, the gradient w.r.t. the network output, into the weight
+    and bias gradient arrays gws and gbs, in place.
 
     ReLU subgradient at exactly zero pre-activation is 0.
     """
-    L = len(params.weights)
-    gws: list = [None] * L
-    gbs: list = [None] * L
-    for k in reversed(range(L)):
-        gws[k] = acts[k].T @ dz
-        gbs[k] = np.add.reduce(dz, axis=0)  # dz.sum(axis=0), without its wrapper
+    for k in reversed(range(len(params.weights))):
+        np.matmul(acts[k].T, dz, out=gws[k])
+        np.add.reduce(dz, axis=0, out=gbs[k])  # dz.sum(axis=0), without its wrapper
         if k > 0:
             dz = dz @ params.weights[k].T
             dz *= pres[k - 1] > 0
-    return gws, gbs
-
-
-def _loss_and_grads(
-    params: MlpParams, X: np.ndarray, y: np.ndarray | None, loss: Loss
-) -> tuple[float, tuple[list[np.ndarray], list[np.ndarray]]]:
-    """One mini-batch's mean loss and its (weight, bias) gradients.
-
-    Rows of n elements are flattened into one (rows * n, d) matrix for the
-    forward and backward pass, and loss sees their output as (rows, n, width).
-    """
-    acts, pres = _forward_cached(params, X.reshape(-1, params.input_dim))
-    value, d_out = loss(pres[-1].reshape(*X.shape[:-1], params.output_dim), y)
-    return value, _backward(params, acts, pres, d_out.reshape(-1, params.output_dim))
 
 
 def sgd_train(
     params: MlpParams,
-    X: np.ndarray,
+    X,
     y: np.ndarray | None,
     loss: Loss,
     cfg: TrainConfig,
 ) -> MlpParams:
-    """Mini-batch SGD over the rows of X (and y); returns updated copies of the parameters.
+    """Mini-batch SGD over the rows of X (and y); returns trained copies of the parameters.
 
-    Shuffling is driven by cfg.seed only. L2 decay applies to weight
-    matrices, not biases, and is not included in the reported loss.
+    X is an array or a row source (see the module docstring). Shuffling is
+    driven by cfg.seed only. L2 decay applies to weight matrices, not
+    biases, and is not included in the reported loss.
     """
-    params = clone_params(params)
-    if X.ndim < 2 or X.shape[-1] != params.input_dim or (y is not None and len(y) != len(X)):
+    dims = params.layer_dims
+    if X.ndim < 2 or X.shape[-1] != dims[0] or (y is not None and len(y) != len(X)):
         raise DimensionError(
             f"training set X {X.shape}, y {None if y is None else len(y)} rows "
-            f"does not match model dim {params.input_dim}"
+            f"does not match model dim {dims[0]}"
         )
+    theta = np.concatenate([*(w.ravel() for w in params.weights), *params.biases])
+    params = MlpParams(dims, *_layer_views(dims, theta))
     if len(X) == 0:
         return params
+    grad = np.empty_like(theta)
+    gws, gbs = _layer_views(dims, grad)
+    # the weight matrices lead both buffers: L2 decay applies to this prefix only
+    decayed = sum(w.size for w in gws)
+    theta_w, grad_w = theta[:decayed], grad[:decayed]
     rng = np.random.default_rng(cfg.seed)
-    lr, l2, batch_size = cfg.learning_rate, cfg.l2, cfg.batch_size
-    weights, biases = params.weights, params.biases
+    lr, l2, batch_size, width = cfg.learning_rate, cfg.l2, cfg.batch_size, dims[-1]
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(X))
         for start in range(0, len(X), batch_size):
             idx = order[start:start + batch_size]
-            value, (gws, gbs) = _loss_and_grads(params, X[idx], None if y is None else y[idx],
-                                                loss)
+            batch = X[idx]
+            acts, pres = _forward_cached(params, batch.reshape(-1, dims[0]))
+            value, d_out = loss(pres[-1].reshape(*batch.shape[:-1], width),
+                                None if y is None else y[idx])
             if not math.isfinite(value):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {start // batch_size}"
                 )
-            # each update rounds as w -= lr * (gw + l2 * w) does; gw is this step's own array
-            for w, b, gw, gb in zip(weights, biases, gws, gbs):
-                if l2 > 0:
-                    gw += l2 * w
-                w -= lr * gw
-                b -= lr * gb
+            # the skip rule of the module docstring: this step moves no parameter
+            if (not l2 and not d_out.any()
+                    and all(np.isfinite(a).all() for a in (*acts, pres[-1]))):
+                continue
+            _backward(params, acts, pres, d_out.reshape(-1, width), gws, gbs)
+            # rounds as w -= lr * (gw + l2 * w) and b -= lr * gb do
+            if l2 > 0:
+                grad_w += l2 * theta_w
+            grad *= lr
+            theta -= grad
     return params

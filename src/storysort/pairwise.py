@@ -9,6 +9,11 @@ the one ranker of permutation table rows, ranks all n! orders by exact
 objective, ties going to the lexicographically smallest positions tuple.
 Training uses a binary hinge on both orientations of every gold pair: hinge
 is the loss neural.sgd_train minimizes, its margin bound by functools.partial.
+The training set's pair rows are gathered per mini-batch, never all at once:
+PairRowSource holds the gold-order element features and, per pair row, the
+indices of its two elements, 16 bytes a row where the row itself holds 2d
+floats. pair_rows (scoring) and PairRowSource (training) take their pairs
+from one table, _pairs, so the two cannot drift apart.
 
 Scoring and decoding run over a data.Stories batch of S stories at once:
 pair_scores makes one forward pass over every story's pair rows and
@@ -22,7 +27,7 @@ returns a core.Permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -64,13 +69,47 @@ def check_pair_matrix(s) -> np.ndarray:
     return a
 
 
+@lru_cache(maxsize=8)
+def _pairs(n: int) -> np.ndarray:
+    """(n(n-1), 2) read-only table of the ordered pairs (i, j), i != j, row-major in
+    (i, j): the order of pair rows, built once per n."""
+    pairs = np.argwhere(~np.eye(n, dtype=bool))
+    pairs.flags.writeable = False
+    return pairs
+
+
 def pair_rows(feats: np.ndarray) -> np.ndarray:
     """Rows [x_i, x_j] for every ordered pair i != j, row-major in (i, j).
 
     feats has shape (..., n, d); the result has shape (..., n(n-1), 2d).
     """
-    i, j = np.nonzero(~np.eye(feats.shape[-2], dtype=bool))
-    return np.concatenate([feats[..., i, :], feats[..., j, :]], axis=-1)
+    *lead, n, d = feats.shape
+    return feats[..., _pairs(n), :].reshape(*lead, n * (n - 1), 2 * d)
+
+
+class PairRowSource:
+    """The rows of pair_rows(feats) for an (S, n, d) stack, as one (S·n(n-1), 2d)
+    training set whose rows are gathered per mini-batch.
+
+    It holds feats as (S·n, d) element rows and an (S·n(n-1), 2) table of
+    the element rows of each pair row. source[idx] equals
+    pair_rows(feats).reshape(-1, 2d)[idx], float for float and C-contiguous,
+    from one take; it is the row source neural.sgd_train accepts for X.
+    """
+
+    ndim = 2
+
+    def __init__(self, feats: np.ndarray) -> None:
+        count, n, d = feats.shape
+        self._elements = feats.reshape(count * n, d)
+        self._table = (np.arange(0, count * n, n)[:, None, None] + _pairs(n)).reshape(-1, 2)
+        self.shape = (len(self._table), 2 * d)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, idx: np.ndarray) -> np.ndarray:
+        return self._elements.take(self._table[idx], axis=0).reshape(-1, self.shape[1])
 
 
 def pair_scores(model: PairwiseModel, stories: Stories) -> np.ndarray:
@@ -127,14 +166,13 @@ def train_pairwise(
     feats = gold_features(stories, use_image)
     if not margin > 0:
         raise ValidationError(f"margin must be > 0, got {margin}")
-    X = pair_rows(feats)
-    count, pairs, width = X.shape
+    X = PairRowSource(feats)
     # in gold order the pair (i, j) is +1 exactly when i < j
-    i, j = pair_rows(np.arange(feats.shape[1])[:, None]).T
+    i, j = _pairs(feats.shape[1]).T
     labels = np.where(i < j, 1.0, -1.0)
     rng = np.random.default_rng(cfg.seed)
-    params = neural.init_mlp((width, hidden_units, 1), rng)
-    params = neural.sgd_train(params, X.reshape(count * pairs, width), np.tile(labels, count),
+    params = neural.init_mlp((X.shape[1], hidden_units, 1), rng)
+    params = neural.sgd_train(params, X, np.tile(labels, len(feats)),
                               partial(hinge, margin=margin), cfg)
     return PairwiseModel(mlp=params, use_image=use_image, margin=margin, train_config=cfg)
 

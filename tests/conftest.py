@@ -57,6 +57,27 @@ def pairwise_objective(s, positions):
     return float(total)
 
 
+def clone_params(params):
+    """Test helper: an MlpParams holding copies of params' arrays."""
+    return neural.MlpParams(params.layer_dims, [w.copy() for w in params.weights],
+                            [b.copy() for b in params.biases])
+
+
+def loss_and_grads(params, X, y, loss):
+    """Test helper: one mini-batch's mean loss and its (weight, bias) gradients, from the
+    production forward and backward passes, neural._forward_cached and neural._backward.
+
+    Rows of n elements are flattened into one (rows * n, d) matrix for the
+    forward and backward pass, and loss sees their output as (rows, n, width).
+    """
+    acts, pres = neural._forward_cached(params, X.reshape(-1, params.input_dim))
+    value, d_out = loss(pres[-1].reshape(*X.shape[:-1], params.output_dim), y)
+    gws = [np.empty_like(w) for w in params.weights]
+    gbs = [np.empty_like(b) for b in params.biases]
+    neural._backward(params, acts, pres, d_out.reshape(-1, params.output_dim), gws, gbs)
+    return value, (gws, gbs)
+
+
 def grad_check(loss_fn, params, eps=1e-5):
     """Test oracle: max relative error between analytic gradients and central differences.
 
@@ -68,7 +89,7 @@ def grad_check(loss_fn, params, eps=1e-5):
     base_loss, (gws, gbs) = loss_fn(params)
     if not np.isfinite(base_loss):
         raise NumericError(f"loss is non-finite: {base_loss}")
-    work = neural.clone_params(params)
+    work = clone_params(params)
     max_rel = 0.0
     for arrays, grads in ((work.weights, gws), (work.biases, gbs)):
         for arr, g in zip(arrays, grads):

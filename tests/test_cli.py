@@ -156,8 +156,8 @@ class TestTrain:
     def test_bad_hidden_is_one_error_line(self, dataset, tmp_path, capsys, hidden):
         out = tmp_path / "m.json"
         capsys.readouterr()
-        assert run(train_args(dataset, out, extra=["--hidden", hidden])) == 1
-        assert "layer_dims" in one_error_line(capsys)
+        assert run(train_args(dataset, out, extra=["--hidden", hidden])) == 2
+        assert "layer_dims" in one_error_line(capsys, "usage error: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("model", ["unary", "pairwise", "npe"])
@@ -234,24 +234,28 @@ class TestTrain:
         code = run(train_args(tmp_path / "nope.jsonl", tmp_path / "m.json"))
         assert code == 1
 
-    @pytest.mark.parametrize("flag,value,code,message", [
-        ("--epochs", "0", 1, "epochs must be >= 1"),
-        ("--lr", "0", 1, "learning_rate must be > 0"),
-        ("--lr", "inf", 1, "learning_rate must be > 0 and finite, got inf"),
-        ("--lr", "nan", 1, "learning_rate must be > 0 and finite, got nan"),
-        ("--l2", "nan", 1, "l2 must be >= 0 and finite, got nan"),
-        ("--l2", "inf", 1, "l2 must be >= 0 and finite, got inf"),
-        ("--batch-size", "0", 1, "batch_size must be >= 1"),
-        ("--val-frac", "1.5", 2, "--val-frac must be in (0, 1)"),
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--epochs", "0", "--epochs must be >= 1, got 0"),
+        ("--lr", "0", "--lr must be > 0 and finite, got 0.0"),
+        ("--lr", "inf", "--lr must be > 0 and finite, got inf"),
+        ("--lr", "nan", "--lr must be > 0 and finite, got nan"),
+        ("--l2", "-1", "--l2 must be >= 0 and finite, got -1.0"),
+        ("--l2", "nan", "--l2 must be >= 0 and finite, got nan"),
+        ("--l2", "inf", "--l2 must be >= 0 and finite, got inf"),
+        ("--batch-size", "0", "--batch-size must be >= 1, got 0"),
+        ("--val-frac", "1.5", "--val-frac must be in (0, 1), got 1.5"),
     ])
     def test_bad_flag_is_reported_before_the_dataset_is_read(self, tmp_path, capsys, flag,
-                                                             value, code, message):
-        bad = tmp_path / "bad.jsonl"
+                                                             value, message, via):
+        bad, cfg = tmp_path / "bad.jsonl", tmp_path / "train.cfg"
         bad.write_text("not json\n", encoding="utf-8")
+        # a config file's value is named by its flag too
+        cfg.write_text(f"{flag[2:]} = {value}\n", encoding="utf-8")
+        extra = [flag, value] if via == "flag" else ["--config", str(cfg)]
         capsys.readouterr()
-        assert run(train_args(bad, tmp_path / "m.json", extra=[flag, value])) == code
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and message in err[0], err
+        assert run(train_args(bad, tmp_path / "m.json", extra=extra)) == 2
+        assert one_error_line(capsys, "usage error: ") == f"usage error: {message}"
 
     @pytest.mark.parametrize("model,flag,message", [
         ("unary", "--hidden", "--hidden must be >= 1 (a width in layer_dims), got 0"),
@@ -264,8 +268,8 @@ class TestTrain:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n", encoding="utf-8")
         capsys.readouterr()
-        assert run(train_args(bad, tmp_path / "m.json", model=model, extra=[flag, "0"])) == 1
-        assert one_error_line(capsys) == f"error: {message}"
+        assert run(train_args(bad, tmp_path / "m.json", model=model, extra=[flag, "0"])) == 2
+        assert one_error_line(capsys, "usage error: ") == f"usage error: {message}"
 
     @pytest.mark.parametrize("model", ["unary", "pairwise", "npe"])
     @pytest.mark.parametrize("flag,value,message", [
@@ -280,8 +284,8 @@ class TestTrain:
         bad.write_text("not json\n", encoding="utf-8")
         out = tmp_path / "m.json"
         capsys.readouterr()
-        assert run(train_args(bad, out, model=model, extra=[flag, value])) == 1
-        assert one_error_line(capsys) == f"error: {message}"
+        assert run(train_args(bad, out, model=model, extra=[flag, value])) == 2
+        assert one_error_line(capsys, "usage error: ") == f"usage error: {message}"
         assert not Path(str(out) + ".manifest.json").exists()
 
 
@@ -480,11 +484,11 @@ def test_main_runs_the_current_command_binding(monkeypatch):
     assert calls == ["p.jsonl"]
 
 
-def one_error_line(capsys):
+def one_error_line(capsys, prefix="error: "):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert len(lines) == 1 and lines[0].startswith(prefix), err
     return lines[0]
 
 

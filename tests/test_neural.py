@@ -19,7 +19,7 @@ from storysort.neural import (
     softmax,
 )
 from storysort.unary import UnaryModel, cross_entropy
-from conftest import grad_check, make_story, reference_sgd
+from conftest import grad_check, loss_and_grads, make_story, reference_sgd
 
 GRAD_TOL = 1e-4
 
@@ -54,7 +54,7 @@ def mean_loss(params: MlpParams, X, y, loss, batch_size: int = 256) -> float:
     total = 0.0
     for start in range(0, len(X), batch_size):
         rows = slice(start, start + batch_size)
-        value, _ = neural._loss_and_grads(params, X[rows], None if y is None else y[rows], loss)
+        value, _ = loss_and_grads(params, X[rows], None if y is None else y[rows], loss)
         total += value * len(X[rows])
     return total / len(X)
 
@@ -193,19 +193,19 @@ class TestGradCheck:
 
     def test_softmax_ce(self):
         params, X, y, _ = draw_ce_case(0)
-        loss_fn = lambda p: neural._loss_and_grads(p, X, y, cross_entropy)
+        loss_fn = lambda p: loss_and_grads(p, X, y, cross_entropy)
         assert grad_check(loss_fn, params, eps=1e-5) < GRAD_TOL
 
     def test_hinge_at_slack_points(self):
         params, X, y, _ = draw_hinge_case(100)
         hinge = partial(pairwise.hinge, margin=1.0)
-        loss_fn = lambda p: neural._loss_and_grads(p, X, y, hinge)
+        loss_fn = lambda p: loss_and_grads(p, X, y, hinge)
         assert grad_check(loss_fn, params, eps=1e-3) < GRAD_TOL
 
     def test_npe_story_loss(self):
         params, X, _ = draw_npe_case(200)
         order_loss = partial(npe.order_loss, alpha=1.0)
-        loss_fn = lambda p: neural._loss_and_grads(p, X, None, order_loss)
+        loss_fn = lambda p: loss_and_grads(p, X, None, order_loss)
         assert grad_check(loss_fn, params, eps=1e-5) < GRAD_TOL
 
     def test_eps_bounds(self):
@@ -237,6 +237,58 @@ class TestHeads:
         loss, _ = cross_entropy(mlp_forward(params, X), np.array([0, 1]))
         # zero logits: every example costs log(2)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
+
+
+# reference_case kinds that hold batches whose output gradient is all zero
+ZERO_GRADIENT_CASES = ("pairwise, separable", "npe, closed", "pairwise, overflow",
+                       "pairwise, infinite input")
+
+
+def reference_case(kind):
+    """X, y, loss, initial parameters and TrainConfig step arguments of one case of
+    TestSgdTrain.test_matches_the_plain_reference_loop."""
+    hinge = partial(pairwise.hinge, margin=1.0)
+    one_batch = dict(learning_rate=0.05, epochs=1, batch_size=8, seed=4)
+    if kind == "pairwise, overflow":
+        # hidden activations overflow to +inf and every row is scored +inf on its
+        # correct side: loss and output gradient are 0, but the reference's backward
+        # makes inf * 0 = NaN in the output layer's weights
+        params = MlpParams((2, 2, 1), [np.full((2, 2), 1e200), np.ones((2, 1))],
+                           [np.zeros(2), np.zeros(1)])
+        return np.full((4, 2), 1e200), np.ones(4), hinge, params, one_batch
+    if kind == "pairwise, infinite input":
+        # rows holding +inf make every hidden pre-activation -inf: the ReLU closes and
+        # the output bias alone scores each row beyond the margin, so the output is
+        # finite, but the reference's backward makes inf * 0 = NaN in the first layer
+        params = MlpParams((2, 2, 1), [-np.ones((2, 2)), np.ones((2, 1))],
+                           [np.zeros(2), np.full(1, 5.0)])
+        return np.array([[np.inf, 0.0]] * 4), np.ones(4), hinge, params, one_batch
+    rng = np.random.default_rng(17)
+    y = None
+    if kind == "unary":
+        X, y = rng.standard_normal((53, 6)), rng.integers(0, 4, 53)
+        loss, dims = cross_entropy, (6, 9, 4)
+    elif kind.startswith("pairwise"):
+        X, y = rng.standard_normal((53, 12)), rng.choice([-1.0, 1.0], 53)
+        loss, dims = hinge, (12, 9, 1)
+        if kind == "pairwise, separable":
+            # pairs ordered by their first feature, 3 apart: batches the model already
+            # scores beyond the margin have a hinge gradient of exactly zero
+            y = np.where(X[:, 0] > 0, 1.0, -1.0)
+            X[:, 0] += 3.0 * y
+    else:  # rows of 4 elements
+        X = rng.standard_normal((53, 4, 6))
+        loss, dims = partial(npe.order_loss, alpha=0.5), (6, 9, 3)
+        if kind == "npe, closed":
+            # small features and a negative output bias close the output ReLU: such a
+            # story's penalty is alpha^2 per pair and coordinate, its gradient zero
+            X[rng.random(53) < 0.8] *= 0.1
+            X *= 2.0
+    params = init_mlp(dims, rng)
+    if kind == "npe, closed":
+        params = MlpParams(dims, params.weights, [params.biases[0], params.biases[1] - 2.0])
+    # 53 rows in batches of 8: the last batch of each epoch holds 5
+    return X, y, loss, params, dict(learning_rate=0.05, epochs=3, batch_size=8, seed=4)
 
 
 class TestSgdTrain:
@@ -300,27 +352,26 @@ class TestSgdTrain:
         assert norm(decayed) < norm(plain)
 
     @pytest.mark.parametrize("l2", [0.0, 0.03])
-    @pytest.mark.parametrize("kind", ["unary", "pairwise", "npe"])
+    @pytest.mark.parametrize("kind", ["unary", "pairwise", "npe", *ZERO_GRADIENT_CASES])
     def test_matches_the_plain_reference_loop(self, kind, l2):
-        # 53 rows in batches of 8: the last batch of each epoch holds 5
-        rng = np.random.default_rng(17)
-        if kind == "unary":
-            X, y = rng.standard_normal((53, 6)), rng.integers(0, 4, 53)
-            loss, dims = cross_entropy, (6, 9, 4)
-        elif kind == "pairwise":
-            X, y = rng.standard_normal((53, 12)), rng.choice([-1.0, 1.0], 53)
-            loss, dims = partial(pairwise.hinge, margin=1.0), (12, 9, 1)
-        else:  # rows of 4 elements
-            X, y = rng.standard_normal((53, 4, 6)), None
-            loss, dims = partial(npe.order_loss, alpha=0.5), (6, 9, 3)
-        params = init_mlp(dims, rng)
-        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=8, seed=4, l2=l2)
-        trained = sgd_train(params, X, y, loss, cfg)
-        weights, biases = reference_sgd(params, X, y, loss, cfg)
+        X, y, loss, params, steps = reference_case(kind)
+        cfg = TrainConfig(**steps, l2=l2)
+        zero_gradient = []  # per batch: is the loss's output gradient all zero?
+
+        def counted(out, targets):
+            value, d_out = loss(out, targets)
+            zero_gradient.append(not d_out.any())
+            return value, d_out
+
+        with np.errstate(all="ignore"):  # two cases make inf and NaN on purpose
+            trained = sgd_train(params, X, y, counted, cfg)
+            weights, biases = reference_sgd(params, X, y, loss, cfg)
         as_bytes = lambda arrays: [a.tobytes() for a in arrays]
         assert as_bytes(trained.weights) == as_bytes(weights)
         assert as_bytes(trained.biases) == as_bytes(biases)
         assert as_bytes(trained.weights) != as_bytes(params.weights)  # the loop trained
+        if kind in ZERO_GRADIENT_CASES:  # built to hold batches that sgd_train skips at l2 0
+            assert any(zero_gradient), zero_gradient
 
     def test_peak_memory_stays_below_half_the_training_set(self):
         # a pairwise-width set: rows of two 32-wide elements; a per-epoch copy of X

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,17 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storysort import metrics as M
-from storysort.data import presented_gold, split_dataset
+from storysort.data import (
+    SyntheticSpec,
+    generate_synthetic,
+    gold_features,
+    presented_gold,
+    split_dataset,
+)
 from storysort.errors import (
     DimensionError,
     EnumerationCapError,
     ValidationError,
 )
 from storysort.models import load_model, save_model, top_permutations
-from storysort.neural import MlpParams, TrainConfig
+from storysort.neural import MlpParams, TrainConfig, init_mlp
 from storysort.pairwise import (
+    PairRowSource,
     PairwiseModel,
     decode_pairwise,
+    hinge,
+    pair_rows,
     pair_scores,
     predict,
     rank_permutations,
@@ -28,6 +39,7 @@ from conftest import (
     mirror,
     pairwise_objective,
     permutations_st,
+    reference_sgd,
 )
 
 
@@ -200,6 +212,53 @@ class TestTrainPairwise:
             pair_scores(model, story) - pair_scores(loaded, story)
         )) <= 1e-12
         assert loaded.margin == 2.0
+
+
+class TestPairRowGather:
+    """Training gathers pair rows per batch; it must train as the materialized rows do."""
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_batches_equal_the_materialized_rows(self, n):
+        feats = gold_features(generate_synthetic(SyntheticSpec(story_count=7, n=n, seed=n)),
+                              True)
+        rows = pair_rows(feats).reshape(-1, 2 * feats.shape[2])
+        source = PairRowSource(feats)
+        assert (source.shape, source.ndim, len(source)) == (rows.shape, 2, len(rows))
+        idx = np.random.default_rng(n).permutation(len(rows))[:11]
+        batch = source[idx]
+        assert batch.flags.c_contiguous and batch.tobytes() == rows[idx].tobytes()
+
+    @pytest.mark.parametrize("use_image", [False, True])
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_trains_as_the_reference_loop_on_materialized_rows(self, n, use_image):
+        stories = generate_synthetic(SyntheticSpec(story_count=12, n=n, noise_sigma=0.5,
+                                                   seed=n))
+        cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=16, seed=3)
+        model = train_pairwise(stories, cfg, margin=0.5, use_image=use_image, hidden_units=8)
+        feats = gold_features(stories, use_image)
+        X = pair_rows(feats).reshape(-1, 2 * feats.shape[2])
+        # in gold order, pair row (i, j) is labeled +1 exactly when i precedes j
+        labels = [1.0 if i < j else -1.0 for i in range(n) for j in range(n) if i != j]
+        y = np.tile(labels, len(stories))
+        init = init_mlp((X.shape[1], 8, 1), np.random.default_rng(cfg.seed))
+        weights, biases = reference_sgd(init, X, y, partial(hinge, margin=0.5), cfg)
+        as_bytes = lambda arrays: [a.tobytes() for a in arrays]
+        assert as_bytes(model.mlp.weights) == as_bytes(weights)
+        assert as_bytes(model.mlp.biases) == as_bytes(biases)
+
+    def test_peak_memory_stays_below_a_quarter_of_the_pair_rows(self):
+        # 200 stories of 8 elements: the pair-row matrix holds 200 * 56 rows of 64 floats
+        stories = generate_synthetic(SyntheticSpec(story_count=200, n=8, seed=2))
+        pair_row_bytes = 200 * 56 * 2 * stories.text.shape[2] * 8
+        cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=64, seed=0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_pairwise(stories, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < pair_row_bytes / 4, peak / pair_row_bytes
 
 
 class TestTopPermutations:
