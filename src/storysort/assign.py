@@ -2,19 +2,20 @@
 
 A score matrix is a square float64 array where s[i][p] is the score of
 placing element i at position p. The solver is the O(n^3) shortest
-augmenting path / potentials method. hungarian_max decodes an (S, n, n)
-stack of matrices in three steps. One float solve of the costs -s runs
-over the whole stack in lockstep, one numpy call per step of every
-matrix's search, whatever the stack's size. It starts from column
-reduction, each row taking a column whose minimum it holds, so only the
-rows it leaves free search: 1 to 4 of 16 on a trained unary model's
-position probabilities at n = 16. One certificate then proves from the
-solve's potentials (LP duality), for the whole stack at once, which
-answers are the unique exact optimum. Only the matrices where that proof
-fails, near a tie or at overflow scale, are solved again, one at a time,
-on exact integer costs that carry a tie key, so ties among optimal
-assignments, which are exact ties of the real totals, resolve to the
-smallest positions tuple.
+augmenting path / potentials method, one implementation, _lockstep_min,
+which runs on float costs and on exact integer costs alike. hungarian_max
+decodes an (S, n, n) stack of matrices in three steps. One float solve of
+the costs -s runs over the whole stack in lockstep, one numpy call per
+step of every matrix's search, whatever the stack's size. It starts from
+column reduction, each row taking a column whose minimum it holds, so
+only the rows it leaves free search: 1 to 4 of 16 on a trained unary
+model's position probabilities at n = 16. One certificate then proves
+from the solve's potentials (LP duality), for the whole stack at once,
+which answers are the unique exact optimum. The matrices where that proof
+fails, near a tie or at overflow scale, are solved again together, by the
+same lockstep solve on exact Python int costs that carry a tie key, so
+ties among optimal assignments, which are exact ties of the real totals,
+resolve to the smallest positions tuple.
 
 check_score_matrix, hungarian_max and topk_assignments take an (S, n, n)
 stack, one matrix per story, and return orders only, as intp arrays:
@@ -24,8 +25,6 @@ rule.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -48,65 +47,10 @@ def check_score_matrix(s) -> np.ndarray:
     return a
 
 
-def _solve_min(cost: list[list[int]]) -> list[int]:
-    """Min-cost assignment of one matrix of Python int costs via shortest augmenting paths.
-
-    Returns positions[i] = column assigned to row i. The row and column
-    potentials u and v keep u[i] + v[j] <= cost[i][j], with equality on the
-    assignment. On int costs they stay ints, so every reduced cost is exact
-    and the assignment is a true minimum (Kuhn 1955; Burkard, Dell'Amico &
-    Martello, Assignment Problems, 2009). This is hungarian_max's exact
-    solve; a float potential would round the large ints it builds.
-    """
-    n = len(cost)
-    inf = math.inf
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    match = [0] * (n + 1)  # match[j] = row assigned to column j, 1-based, 0 = free
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta = inf
-            j1 = -1
-            row = cost[i0 - 1]
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = row[j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    positions = [0] * n
-    for j in range(1, n + 1):
-        positions[match[j] - 1] = j - 1
-    return positions
-
-
 def _lockstep_min(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Min-cost assignments of an (S, n, n) stack of float costs, with their potentials.
+    """Min-cost assignments of an (S, n, n) stack of costs, with their potentials.
 
-    hungarian_max's float solve: the shortest augmenting path method with
+    hungarian_max's one solve: the shortest augmenting path method with
     lazy potential updates (Jonker & Volgenant 1987; Crouse 2016), run on
     every matrix of the stack in lockstep, from Jonker & Volgenant's column
     reduction: the column potentials start at the column minima and the row
@@ -117,20 +61,27 @@ def _lockstep_min(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     search, and a story drops out once it reaches a free column. The
     potentials and paths are then updated for the whole stack at once,
     where a story that sat the round out adds zeros. Returns (S, n)
-    positions and (S, n) row and column potentials. They are dual feasible
-    and tight on the positions only up to rounding, so each order is an
-    exact minimum only where _certified proves it one.
+    positions and (S, n) row and column potentials.
+
+    Every array it computes takes c's dtype. On float costs the potentials
+    are dual feasible and tight on the positions only up to rounding, so
+    each order is an exact minimum only where _certified proves it one. On
+    an object array of Python ints every step is exact, and so is every
+    order it returns.
 
     With M = max|c|, the potentials stay within 3M and every path length and
-    reduced cost within 6M: a row potential is at most 2M, since a column
-    still free keeps its starting potential of at least -M, and never falls
-    below 0; a matched column's potential is its cost less its row's. A row
-    the column reduction assigns starts as a search leaves its rows: at a
-    potential of 0 on a tight entry, so the bounds hold for it too.
+    reduced cost within 6M, which keeps a float solve below overflow: a row
+    potential is at most 2M, since a column still free keeps its starting
+    potential of at least -M, and never falls below 0; a matched column's
+    potential is its cost less its row's. A row the column reduction assigns
+    starts as a search leaves its rows: at a potential of 0 on a tight
+    entry, so the bounds hold for it too.
     """
     count, n, _ = c.shape
     stories = np.arange(count)
-    u = np.zeros((count, n + 1))  # slot n takes the updates addressed to row -1 of free columns
+    zero = np.zeros(n, dtype=c.dtype)
+    # slot n of u takes the updates addressed to row -1 of free columns
+    u = np.zeros((count, n + 1), dtype=c.dtype)
     v = c.min(axis=1)
     red = c - v[:, None, :]  # the reduced costs c - u - v, renewed after each round
     # column j's minimum is held by row holder[s, j] (the first such row on ties), and
@@ -147,8 +98,10 @@ def _lockstep_min(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         searching = searched.copy()
         root = free_rows[:, t]
         row = root  # the tree row each story scans next
-        low = np.zeros(count)  # the length of each story's shortest path to its last column
-        dist = np.full((count, n), np.inf)
+        low = np.zeros(count, dtype=c.dtype)  # each story's shortest path to its last column
+        # a story that sits the round out keeps zero distances: inf plus an int beyond
+        # float range would raise
+        dist = np.where(searched[:, None], np.inf, zero)
         path = np.zeros((count, n), dtype=np.intp)  # the tree row each column is reached from
         tree = np.zeros((count, n), dtype=bool)
         sink = np.zeros(count, dtype=np.intp)  # the free column each story reached
@@ -165,8 +118,8 @@ def _lockstep_min(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             searching &= row >= 0
         # update the potentials of the stories that searched, renew the reduced costs,
         # then flip each augmenting path
-        low = np.where(searched, dist[stories, sink], 0.0)
-        shift = np.subtract(low[:, None], dist, out=np.zeros((count, n)), where=tree)
+        low = np.where(searched, dist[stories, sink], 0)
+        shift = np.subtract(low[:, None], dist, out=np.zeros((count, n), c.dtype), where=tree)
         u[stories[:, None], row4col] += shift
         u[stories, root] += low
         v -= shift
@@ -233,15 +186,15 @@ def hungarian_max(s) -> np.ndarray:
     Among optima whose real totals tie exactly, the lexicographically
     smallest positions tuple is returned. One float solve of the costs -s,
     _lockstep_min over the whole stack, gives the order wherever _certified
-    proves it the unique exact optimum, so there is no tie to settle.
-    Otherwise, near a tie or at overflow scale, the exact solve _solve_min
-    decides, one matrix at a time: over one common denominator
-    (core.exact_ints) the matrix is exact ints A. The cost of placing i at
-    p is -A[i][p] * n**n plus the tie key p * n**(n-1-i): summed over a
-    permutation, the keys read its positions tuple as a base-n number,
-    which stays below n**n, one unit of score. One exact min-cost solve
-    therefore maximizes the real total first and takes the smallest
-    positions tuple among its ties second.
+    proves it the unique exact optimum, so there is no tie to settle. The
+    matrices it does not prove, near a tie or at overflow scale, are
+    decided by one more _lockstep_min call, on exact ints: over one common
+    denominator (core.exact_ints) each matrix is exact ints A. The cost of
+    placing i at p is -A[i][p] * n**n plus the tie key p * n**(n-1-i):
+    summed over a permutation, the keys read its positions tuple as a
+    base-n number, which stays below n**n, one unit of score. One exact
+    min-cost solve therefore maximizes the real total first and takes the
+    smallest positions tuple among its ties second.
     """
     a = check_score_matrix(s)
     n = a.shape[-1]
@@ -251,12 +204,11 @@ def hungarian_max(s) -> np.ndarray:
     c = np.where(fits[:, None, None], -a, 0.0)
     orders, u, v = _lockstep_min(c)
     exact = ~_certified(c, orders, u, v)
-    unit = n**n
-    for k in np.flatnonzero(exact):
-        orders[k] = _solve_min([
-            [-x * unit + p * n ** (n - 1 - i) for p, x in enumerate(row)]
-            for i, row in enumerate(exact_ints(a[k]).tolist())
-        ])
+    if exact.any():
+        i = np.arange(n, dtype=object)  # Python ints: at n = 16 the tie keys pass 2**63
+        key = n ** (n - 1 - i)[:, None] * i
+        ints = np.stack([exact_ints(a[k]) for k in np.flatnonzero(exact)])
+        orders[exact] = _lockstep_min(key - ints * n**n)[0]
     return orders
 
 

@@ -195,6 +195,20 @@ def _apply_config_file(args: argparse.Namespace,
     return args
 
 
+# the flag that sets each field of data.SyntheticSpec (generate) and neural.TrainConfig (train)
+FIELD_FLAGS = {"story_count": "stories", "n": "n", "text_dim": "text-dim",
+               "image_dim": "image-dim", "noise_sigma": "noise", "signal_mode": "signal",
+               "seed": "seed", "learning_rate": "lr", "epochs": "epochs",
+               "batch_size": "batch-size", "l2": "l2"}
+
+
+def _flag_error(e: ValidationError) -> UsageError:
+    """A SyntheticSpec or TrainConfig range error, whose message starts with the field's
+    name, as a usage error that names the field's flag instead."""
+    field, _, rule = str(e).partition(" ")
+    return UsageError(f"--{FIELD_FLAGS[field]} {rule}")
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     started = time.monotonic()
     try:
@@ -207,8 +221,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             signal_mode=args.signal,
             seed=args.seed,
         )
-    except StorySortError as e:
-        raise UsageError(str(e)) from e
+    except ValidationError as e:
+        raise _flag_error(e) from e
     stories = data_mod.generate_synthetic(spec)
     out = Path(args.out)
     data_mod.save_dataset(stories, out)
@@ -228,11 +242,6 @@ def _feature_dims(stories, use_image: bool) -> str:
     """The widths of the features a model reads from stories, as text."""
     image = "none" if stories.image is None else stories.image.shape[2]
     return f"text dim {stories.text.shape[2]}" + (f", image dim {image}" if use_image else "")
-
-
-# the train flag that sets each TrainConfig field
-TRAIN_CONFIG_FLAGS = {"learning_rate": "lr", "epochs": "epochs", "batch_size": "batch-size",
-                      "l2": "l2"}
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -258,9 +267,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             seed=args.seed, l2=args.l2,
         )
     except ValidationError as e:
-        # TrainConfig's message starts with the name of the field its flag sets
-        field, _, rule = str(e).partition(" ")
-        raise UsageError(f"--{TRAIN_CONFIG_FLAGS[field]} {rule}") from e
+        raise _flag_error(e) from e
     data_path = Path(args.data)
     train_stories = data_mod.load_dataset(data_path)
     inputs = [data_path]

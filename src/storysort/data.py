@@ -209,14 +209,18 @@ class SyntheticSpec:
             raise ValidationError(f"story_count must be >= 1, got {self.story_count}")
         if not MIN_N <= self.n <= MAX_N:
             raise ValidationError(f"n must be in [{MIN_N}, {MAX_N}], got {self.n}")
-        if self.text_dim < 1 or self.image_dim < 1:
-            raise ValidationError("feature dims must be >= 1")
+        if self.text_dim < 1:
+            raise ValidationError(f"text_dim must be >= 1, got {self.text_dim}")
+        if self.image_dim < 1:
+            raise ValidationError(f"image_dim must be >= 1, got {self.image_dim}")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValidationError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
         if self.signal_mode not in SIGNAL_MODES:
             raise ValidationError(
                 f"signal_mode must be one of {SIGNAL_MODES}, got {self.signal_mode!r}"
             )
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def _unit_direction(rng: np.random.Generator, dim: int) -> np.ndarray:

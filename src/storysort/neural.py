@@ -97,6 +97,8 @@ class TrainConfig:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.l2 < math.inf:
             raise ValidationError(f"l2 must be >= 0 and finite, got {self.l2}")
 

@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +34,77 @@ def exact_ranking(n, total):
     total(positions) must be exact, such as a sum of Fractions.
     """
     return sorted(enumerate_permutations(n), key=lambda pos: (-total(pos), pos))
+
+
+def solve_min(cost):
+    """Test oracle: the min-cost assignment of one matrix of Python int costs, a list of
+    rows, by shortest augmenting paths, one row at a time in plain Python.
+
+    Returns positions[i] = column assigned to row i. The row and column
+    potentials u and v keep u[i] + v[j] <= cost[i][j], with equality on the
+    assignment. On int costs they stay ints, so every reduced cost is exact
+    and the assignment is a true minimum (Kuhn 1955; Burkard, Dell'Amico &
+    Martello, Assignment Problems, 2009).
+    """
+    n = len(cost)
+    inf = math.inf
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    match = [0] * (n + 1)  # match[j] = row assigned to column j, 1-based, 0 = free
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        match[0] = i
+        j0 = 0
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            delta = inf
+            j1 = -1
+            row = cost[i0 - 1]
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = row[j - 1] - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+                    if minv[j] < delta:
+                        delta = minv[j]
+                        j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    positions = [0] * n
+    for j in range(1, n + 1):
+        positions[match[j] - 1] = j - 1
+    return positions
+
+
+def tie_keyed_max(s):
+    """Test oracle for any n: the positions tuple of maximal exact total of an (n, n) score
+    matrix, the lexicographically smallest among ties, from solve_min on tie-keyed costs.
+
+    Over their common denominator the entries are exact ints A. Placing i at
+    p costs -A[i][p] * n**n + p * n**(n-1-i): over a permutation the keys
+    read its positions tuple as a base-n number, below n**n, one unit of
+    score, so the unique minimum is the best total with the smallest tuple.
+    """
+    n = len(s)
+    exact = [[Fraction(float(x)) for x in row] for row in s]
+    denom = math.lcm(*(x.denominator for row in exact for x in row))
+    return tuple(solve_min([[-int(x * denom) * n**n + p * n ** (n - 1 - i)
+                             for p, x in enumerate(row)] for i, row in enumerate(exact)]))
 
 
 def additive_score(s, positions):

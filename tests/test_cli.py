@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from storysort import cli, neural
+from storysort import assign, cli, neural
 from storysort import data as data_mod
 from storysort.core import Permutation
 from storysort.data import load_dataset, presented_gold
@@ -79,7 +80,26 @@ class TestGenerate:
         capsys.readouterr()
         assert run(gen_args(out, extra=["--noise", noise])) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"usage error: noise_sigma must be >= 0 and finite, got {float(noise)}"]
+            f"usage error: --noise must be >= 0 and finite, got {float(noise)}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--stories", "0", "--stories must be >= 1, got 0"),
+        ("--n", "1", "--n must be in [2, 16], got 1"),
+        ("--text-dim", "0", "--text-dim must be >= 1, got 0"),
+        ("--image-dim", "0", "--image-dim must be >= 1, got 0"),
+        ("--noise", "-1", "--noise must be >= 0 and finite, got -1.0"),
+        ("--seed", "-1", "--seed must be >= 0, got -1"),
+    ])
+    def test_out_of_range_option_names_its_flag(self, tmp_path, capsys, flag, value,
+                                                message, via):
+        out, cfg = tmp_path / "d.jsonl", tmp_path / "gen.cfg"
+        cfg.write_text(f"{flag[2:]} = {value}\n", encoding="utf-8")
+        extra = [flag, value] if via == "flag" else ["--config", str(cfg)]
+        capsys.readouterr()
+        assert run(gen_args(out, extra=extra)) == 2
+        assert one_error_line(capsys, "usage error: ") == f"usage error: {message}"
         assert not out.exists()
 
     def test_config_key_in_a_config_file_is_one_usage_error_line(self, tmp_path, capsys):
@@ -244,6 +264,7 @@ class TestTrain:
         ("--l2", "nan", "--l2 must be >= 0 and finite, got nan"),
         ("--l2", "inf", "--l2 must be >= 0 and finite, got inf"),
         ("--batch-size", "0", "--batch-size must be >= 1, got 0"),
+        ("--seed", "-1", "--seed must be >= 0, got -1"),
         ("--val-frac", "1.5", "--val-frac must be in (0, 1), got 1.5"),
     ])
     def test_bad_flag_is_reported_before_the_dataset_is_read(self, tmp_path, capsys, flag,
@@ -316,6 +337,32 @@ class TestSortAndEval:
                     "--data", str(dataset), "--out", str(pred), "--topk", "3"])
         assert code == 0
         assert len(pred.read_text().splitlines()) == 40
+
+    def test_tied_votes_take_the_exact_solve(self, tmp_path, monkeypatch):
+        # at noise 1.0 the three members often disagree, so some stories' vote matrices
+        # tie and the certificate rejects them; the predictions are pinned byte for byte
+        data = tmp_path / "noisy.jsonl"
+        assert run(["generate", "--stories", "20", "--n", "5", "--text-dim", "6",
+                    "--image-dim", "3", "--noise", "1.0", "--seed", "3",
+                    "--out", str(data)]) == 0
+        ckpts = []
+        for model in REGISTRY:
+            assert run(train_args(data, tmp_path / f"{model}.json", model=model)) == 0
+            ckpts += ["--ckpt", str(tmp_path / f"{model}.json")]
+        rejected = []
+        certified = assign._certified
+
+        def counting(*args):
+            verdict = certified(*args)
+            rejected.append(np.count_nonzero(~verdict))
+            return verdict
+
+        monkeypatch.setattr(assign, "_certified", counting)
+        pred = tmp_path / "pred.jsonl"
+        assert run(["sort", *ckpts, "--data", str(data), "--out", str(pred)]) == 0
+        assert sum(rejected) >= 1
+        assert hashlib.sha256(pred.read_bytes()).hexdigest() == (
+            "e5c7921e0b0e982965190635851aa061740b1bc94adb452527c10a840f31a498")
 
     def test_oracle_predictions_are_fixed_point(self, dataset, tmp_path, capsys):
         capsys.readouterr()  # drop the dataset fixture's generate status line
