@@ -27,7 +27,7 @@ from .metrics import (
     pairwise_accuracy,
     spearman,
 )
-from .neural import MlpParams, TrainConfig, mlp_forward, sgd_train, softmax
+from .neural import MlpParams, TrainConfig, mlp_forward, sgd_train
 from .npe import NpeModel, npe_scores, train_npe
 from .pairwise import PairwiseModel, decode_pairwise, pair_scores, train_pairwise
 from .unary import UnaryModel, decode_unary, position_probs, train_unary

@@ -53,10 +53,16 @@ one ``error:`` line before any input is read. ``train`` with no training
 stories, an empty --data or a --val-frac that leaves none, is one
 ``error: no training stories: ...`` line, before --val is read and
 before any model is built. Every command writes its files and manifest
-before it prints, so a closed stdout leaves them complete. ``train``
-checks the training stories' scores, and computes its report, before it
-writes the checkpoint, so a model whose scores are not finite (training
-diverged) is one ``error:`` line and leaves no file.
+before it prints, so a closed stdout leaves them complete. Training that
+diverges is one ``error: training diverged: the <kind> model ...`` line
+naming --data, and leaves no file: either a training batch's loss is not
+finite (the line names its epoch and batch), or, checked with the report
+before the checkpoint is written, the training stories' scores are not.
+
+sort with several --ckpt votes: each member lists its --topk best orders,
+by default 3 but fewer than n! (1 for stories of n = 2, where a list of
+both orders would tie every vote). An explicit --topk above n! is an
+``error:`` line.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 """
@@ -300,20 +306,20 @@ def cmd_train(args: argparse.Namespace) -> int:
     # --data's n, so both size limits are checked before training
     for n in {train_stories.n, val_stories.n}:
         models_mod.check_decodable(spec, n)
-    model = spec.module.train(
-        train_stories, cfg, use_image=args.use_image, hidden_units=args.hidden,
-        **{name: getattr(args, name) for name in spec.train_args},
-    )
-    # before the checkpoint is written, the training stories are scored (not decoded):
-    # a model that diverged has non-finite scores, or non-finite logits that unary's
-    # softmax refuses, and leaves no file
+    diverged = f"training diverged: the {args.model} model"
     try:
-        finite = all(np.isfinite(s).all() for s in models_mod.score_chunks(model, train_stories))
-    except NumericError:
-        finite = False
-    if not finite:
-        raise NumericError(f"training diverged: the {args.model} model gives non-finite "
-                           f"scores on the training stories of --data {data_path}")
+        model = spec.module.train(
+            train_stories, cfg, use_image=args.use_image, hidden_units=args.hidden,
+            **{name: getattr(args, name) for name in spec.train_args},
+        )
+    except NumericError as e:  # sgd_train's non-finite loss, which names its epoch and batch
+        raise NumericError(f"{diverged} has a {e} on the training stories of "
+                           f"--data {data_path}") from e
+    # before the checkpoint is written, the training stories are scored (not decoded):
+    # a model that diverged has non-finite scores, and leaves no file
+    if not all(np.isfinite(s).all() for s in models_mod.score_chunks(model, train_stories)):
+        raise NumericError(f"{diverged} gives non-finite scores on the training stories "
+                           f"of --data {data_path}")
     report = {
         "model": args.model,
         "val": _round6(_dataset_report(model, val_stories).to_json()) if val_stories else None,
@@ -327,13 +333,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_sort(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    if args.topk < 1:
+    if args.topk is not None and args.topk < 1:
         raise UsageError(f"--topk must be >= 1, got {args.topk}")
     ckpt_paths = [Path(p) for p in args.ckpt]
     models = [_load_model(p) for p in ckpt_paths]
     stories = data_mod.load_dataset(Path(args.data))
     specs = [models_mod.spec_for(m) for m in models]
-    topk = None if len(models) == 1 else args.topk
+    topk = None
+    if len(models) > 1:
+        topk = ensemble_mod.top_k(stories.n) if args.topk is None else args.topk
     if stories:
         for spec in specs:
             models_mod.check_decodable(spec, stories.n, topk)
@@ -478,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sort.add_argument("--ckpt", action="append", required=True)
     p_sort.add_argument("--data", required=True)
     p_sort.add_argument("--out", required=True)
-    p_sort.add_argument("--topk", type=int, default=ensemble_mod.DEFAULT_TOP_K)
+    p_sort.add_argument("--topk", type=int, default=None,
+                        help="orders each member lists (default: min(3, n! - 1))")
     p_sort.add_argument("--config", default=None)
 
     p_eval = sub.add_parser("eval", help="score predictions against gold orders")

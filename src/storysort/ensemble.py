@@ -8,12 +8,17 @@ best orders by the ordering objective. A story's candidates are an
 casts one vote per element for the position it assigns, and the
 consensus order is the assignment maximizing total votes received. Votes
 are unweighted, so a member's first and third choice count the same.
-ensemble_sort takes one story, a data.Stories batch of one, and returns
-a core.Permutation, the one-story public type.
+Each member lists top_k(n) orders unless k is given: DEFAULT_TOP_K, but
+fewer than n!, because a list of all n! orders gives every element the
+same votes at every position, a full tie that ignores the members; at
+n = 2 each member lists its best order only. ensemble_sort takes one story, a
+data.Stories batch of one, and returns a core.Permutation, the one-story
+public type.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +30,11 @@ from .data import Stories
 from .errors import DimensionError, EmptyInputError, MemberError, ValidationError
 
 DEFAULT_TOP_K = 3
+
+
+def top_k(n: int) -> int:
+    """The length of each member's list when no k is given: DEFAULT_TOP_K, at most n! - 1."""
+    return min(DEFAULT_TOP_K, math.factorial(n) - 1)
 
 
 def accumulate_votes(candidates) -> np.ndarray:
@@ -55,11 +65,13 @@ def decode_votes(v) -> np.ndarray:
 
 
 def ensemble_sort(members: Sequence[models.AnyModel], story: Stories,
-                  k: int = DEFAULT_TOP_K) -> Permutation:
+                  k: int | None = None) -> Permutation:
     """Pool each member's top-k candidates for a batch of one story, tally votes, decode
-    the consensus."""
+    the consensus; k defaults to top_k(n)."""
     if not members:
         raise EmptyInputError("ensemble requires at least one member")
+    if k is None:
+        k = top_k(story.n)
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     candidates = []

@@ -19,8 +19,8 @@ the model once, then runs one forward and backward pass per mini-batch
 ``X[idx]``. The model kind's loss sees only the network output, shaped
 as ``X[idx]`` with the output width in place of d: ``loss(out, y[idx])``
 returns the mean batch loss and its gradient with respect to out. Each
-kind's module holds its own loss; this module knows neither model kinds
-nor files.
+kind's module holds its own loss, and turns the output into its scores
+(unary's softmax too); this module knows neither model kinds nor files.
 
 During training the parameters live in one flat buffer, every weight
 matrix and then every bias vector, and the trained MlpParams holds views
@@ -131,16 +131,6 @@ def _layer_views(dims: tuple[int, ...], flat: np.ndarray) -> tuple[list, list]:
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
-
-
-def softmax(z) -> np.ndarray:
-    """Stable softmax over the last axis; shift-invariant, rows sum to 1."""
-    a = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise NumericError("softmax input contains non-finite entries")
-    shifted = a - np.max(a, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def _forward_cached(

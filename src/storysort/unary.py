@@ -4,7 +4,10 @@ Each element is scored independently with an n-way softmax over
 positions; the story-level score of a permutation is the sum of the
 chosen per-element probabilities, maximized exactly by the assignment
 solver. Training is per-element softmax cross-entropy on gold positions:
-cross_entropy is the loss neural.sgd_train minimizes.
+cross_entropy is the loss neural.sgd_train minimizes. Both take the one
+softmax, _softmax_parts, which checks nothing: non-finite logits give
+non-finite probabilities, which hungarian_max rejects, and a NaN loss,
+which sgd_train reports.
 
 Scoring runs over a data.Stories batch of S stories at once: one
 (S, n, d) feature array and one forward pass give an (S, n, n) stack of
@@ -48,13 +51,23 @@ class UnaryModel:
             )
 
 
+def _softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's max m, e = exp(logits - m) and the row sums of e, over the last axis,
+    keeping that axis: the softmax is e / sums, and its log-sum-exp m + log(sums)."""
+    # the reductions of np.max and np.sum, called without their wrappers
+    m = np.maximum.reduce(logits, axis=-1, keepdims=True)
+    e = np.exp(logits - m)
+    return m, e, np.add.reduce(e, axis=-1, keepdims=True)
+
+
 def position_probs(model: UnaryModel, stories: Stories) -> np.ndarray:
     """(S, n, n) stack of row-stochastic matrices; row k of matrix s is the
     position distribution of the k-th presented element of stories[s]."""
     feats = presented_features(stories, model.use_image)
     if feats.shape[1] != model.n:
         raise DimensionError(f"story has n={feats.shape[1]}, model expects n={model.n}")
-    return neural.softmax(neural.mlp_forward(model.mlp, feats))
+    _, e, total = _softmax_parts(neural.mlp_forward(model.mlp, feats))
+    return e / total
 
 
 def decode_unary(probs) -> np.ndarray:
@@ -78,13 +91,10 @@ def _row_index(count: int) -> np.ndarray:
 def cross_entropy(logits: np.ndarray, positions: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy of (batch, n) logits against gold positions, and its
     gradient w.r.t. the logits."""
-    # the reductions of .max(), .sum() and .mean(), called without their wrappers
-    m = np.maximum.reduce(logits, axis=1, keepdims=True)
-    # one exp serves the log-sum-exp loss and the softmax of the gradient;
-    # non-finite logits make the loss NaN, which sgd_train reports
-    e = np.exp(logits - m)
-    total = np.add.reduce(e, axis=1, keepdims=True)
+    # one exp serves the log-sum-exp loss and the softmax of the gradient
+    m, e, total = _softmax_parts(logits)
     rows = _row_index(len(logits))
+    # .mean()'s reduction, called without its wrapper
     loss = float(np.add.reduce(m[:, 0] + np.log(total[:, 0]) - logits[rows, positions])
                  / len(logits))
     probs = e / total

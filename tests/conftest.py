@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from storysort import neural
-from storysort.data import Stories, SyntheticSpec, generate_synthetic
+from storysort.data import Stories, SyntheticSpec, generate_synthetic, presented_features
 from storysort.errors import DimensionError, NumericError, ValidationError
 from storysort.neural import TrainConfig
 from storysort.pairwise import check_pair_matrix
@@ -105,6 +105,40 @@ def tie_keyed_max(s):
     denom = math.lcm(*(x.denominator for row in exact for x in row))
     return tuple(solve_min([[-int(x * denom) * n**n + p * n ** (n - 1 - i)
                              for p, x in enumerate(row)] for i, row in enumerate(exact)]))
+
+
+def softmax(z):
+    """Test reference: the stable softmax over the last axis, a row's exp(z - max) over
+    its sum, from np.max and np.sum."""
+    a = np.asarray(z, dtype=np.float64)
+    e = np.exp(a - np.max(a, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def planted_directions(spec):
+    """Test reference: the unit directions u_text and u_image of a SyntheticSpec, re-drawn
+    from its seed as the first two draws data.generate_synthetic makes."""
+    rng = np.random.default_rng(spec.seed)
+    u_text = rng.standard_normal(spec.text_dim)
+    u_text = u_text / np.linalg.norm(u_text)
+    u_image = rng.standard_normal(spec.image_dim)
+    return u_text, u_image / np.linalg.norm(u_image)
+
+
+def map_orders(spec, stories, use_image=False):
+    """Test oracle: the (S, n) most likely orders of a monotone dataset, given its planted
+    directions.
+
+    An element at gold position g is x = g·u + σ·ε, so the log-likelihood of
+    an order placing element i at p_i is Σ p_i (x_i·u) / σ² plus a constant;
+    by the rearrangement inequality the best order sorts the elements by
+    x·u (with image features, x_text·u_text + x_image·u_image). No scorer of
+    these features beats it beyond sampling noise.
+    """
+    u_text, u_image = planted_directions(spec)
+    u = np.concatenate([u_text, u_image]) if use_image else u_text
+    statistic = presented_features(stories, use_image) @ u
+    return np.argsort(np.argsort(statistic, axis=1, kind="stable"), axis=1)
 
 
 def additive_score(s, positions):

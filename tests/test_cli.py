@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -200,6 +201,27 @@ class TestTrain:
         assert not Path(str(out) + ".manifest.json").exists()
 
     @pytest.mark.parametrize("model", ["unary", "pairwise", "npe"])
+    def test_non_finite_training_loss_is_the_same_diverged_line(self, tmp_path, capsys,
+                                                                 model):
+        # one row per batch: the first steps overflow the weights, and sgd_train stops at the
+        # first batch whose loss is not finite, early in epoch 0
+        data = tmp_path / "data.jsonl"
+        assert run(gen_args(data, stories=30)) == 0
+        out = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        argv = train_args(data, out, model=model,
+                          extra=["--lr", "1e305", "--epochs", "3", "--batch-size", "1"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 1
+        line = one_error_line(capsys)
+        assert re.fullmatch(f"error: training diverged: the {model} model has a non-finite "
+                            f"loss at epoch 0, batch [1-9] on the training stories of "
+                            f"--data {re.escape(str(data))}", line), line
+        assert not out.exists()
+        assert not Path(str(out) + ".manifest.json").exists()
+
+    @pytest.mark.parametrize("model", ["unary", "pairwise", "npe"])
     def test_diverging_training_fails_with_no_validation_stories(self, tmp_path, capsys,
                                                                  model):
         # an empty --val decodes nothing, so only the check of the training stories'
@@ -337,6 +359,36 @@ class TestSortAndEval:
                     "--data", str(dataset), "--out", str(pred), "--topk", "3"])
         assert code == 0
         assert len(pred.read_text().splitlines()) == 40
+
+    def test_default_ensemble_follows_its_members_on_n2_stories(self, tmp_path, capsys):
+        # an n = 2 story has 2 orders: a list of both would tie every vote, so by default
+        # each member lists its best order (the run equals --topk 1), the ensemble keeps
+        # every order its members agree on, and an explicit --topk 3 is still out of range
+        data = tmp_path / "n2.jsonl"
+        assert run(["generate", "--stories", "12", "--n", "2", "--text-dim", "4",
+                    "--image-dim", "2", "--noise", "0.5", "--seed", "4",
+                    "--out", str(data)]) == 0
+        ckpts, members = [], []
+        for model in ("unary", "pairwise"):
+            ckpt, pred = tmp_path / f"{model}.json", tmp_path / f"{model}.jsonl"
+            assert run(train_args(data, ckpt, model=model)) == 0
+            assert run(["sort", "--ckpt", str(ckpt), "--data", str(data),
+                        "--out", str(pred)]) == 0
+            ckpts += ["--ckpt", str(ckpt)]
+            members.append(cli.load_predictions(pred))
+        default, one, three = (tmp_path / f"{name}.jsonl" for name in ("default", "one", "three"))
+        assert run(["sort", *ckpts, "--data", str(data), "--out", str(default)]) == 0
+        assert run(["sort", *ckpts, "--data", str(data), "--out", str(one), "--topk", "1"]) == 0
+        assert default.read_bytes() == one.read_bytes()
+        ensemble = cli.load_predictions(default)
+        agreed = {sid: order for sid, order in members[0].items() if members[1][sid] == order}
+        assert {tuple(order) for order in agreed.values()} == {(0, 1), (1, 0)}
+        assert all(ensemble[sid] == order for sid, order in agreed.items())
+        capsys.readouterr()
+        assert run(["sort", *ckpts, "--data", str(data), "--out", str(three),
+                    "--topk", "3"]) == 1
+        assert "k=3 out of range for n=2" in one_error_line(capsys)
+        assert not three.exists()
 
     def test_tied_votes_take_the_exact_solve(self, tmp_path, monkeypatch):
         # at noise 1.0 the three members often disagree, so some stories' vote matrices

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from storysort.core import Permutation
 from storysort.data import presented_gold, split_dataset
 from storysort.ensemble import (
     accumulate_votes,
@@ -17,7 +18,7 @@ from storysort.models import top_permutations
 from storysort.neural import TrainConfig
 from storysort.npe import train_npe
 from storysort.pairwise import train_pairwise
-from storysort.unary import train_unary
+from storysort.unary import predict as predict_unary, train_unary
 from conftest import additive_score, enumerate_permutations, identity, make_story
 
 
@@ -177,6 +178,17 @@ class TestEnsembleSort:
     def test_empty_members(self, tiny_clean_dataset):
         with pytest.raises(EmptyInputError):
             ensemble_sort([], tiny_clean_dataset[0])
+
+    def test_default_k_follows_the_members_at_n2(self):
+        # an n = 2 story has 2 orders: a list of both would tie every vote, so by default
+        # each member lists its best order, and k = 3 is out of range
+        story = make_story([1, 0], text=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        unary = train_unary(story, TrainConfig(learning_rate=0.1, epochs=2, batch_size=2))
+        own = predict_unary(unary, story)
+        assert own != Permutation(identity(2))
+        assert ensemble_sort([unary], story) == ensemble_sort([unary, unary], story) == own
+        with pytest.raises(MemberError, match="k=3 out of range for n=2"):
+            ensemble_sort([unary], story, k=3)
 
     def test_bad_k(self, models, tiny_clean_dataset):
         unary, _, _ = models

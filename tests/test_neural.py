@@ -4,8 +4,6 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from storysort import models, neural, npe, pairwise
 from storysort.errors import DimensionError, NumericError, ParseError, ValidationError
@@ -16,7 +14,6 @@ from storysort.neural import (
     mlp_forward,
     relu,
     sgd_train,
-    softmax,
 )
 from storysort.unary import UnaryModel, cross_entropy
 from conftest import grad_check, loss_and_grads, make_story, reference_sgd
@@ -150,33 +147,6 @@ class TestForward:
         params = init_mlp((4, 6, 3), rng)
         out = relu(mlp_forward(params, rng.standard_normal((20, 4))))
         assert (out >= 0.0).all()
-
-
-class TestSoftmax:
-    def test_uniform_on_zeros(self):
-        assert softmax(np.zeros(5)).tolist() == [0.2] * 5
-
-    def test_large_logit_stable(self):
-        out = softmax(np.array([1000.0, 0.0]))
-        assert np.isfinite(out).all()
-        assert out[0] == pytest.approx(1.0)
-        assert out[1] == pytest.approx(0.0, abs=1e-300)
-
-    def test_log_integers(self):
-        out = softmax(np.log(np.array([1.0, 2.0, 3.0])))
-        assert out == pytest.approx([1 / 6, 2 / 6, 3 / 6], abs=1e-12)
-
-    def test_rejects_nan(self):
-        with pytest.raises(NumericError, match="softmax input contains non-finite entries"):
-            softmax(np.array([np.nan, 0.0]))
-
-    @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=8))
-    def test_sums_to_one_and_shift_invariant(self, logits):
-        z = np.array(logits)
-        out = softmax(z)
-        assert abs(out.sum() - 1.0) <= 1e-12
-        shifted = softmax(z + 13.25)
-        assert shifted == pytest.approx(out, abs=1e-12)
 
 
 class TestGradCheck:

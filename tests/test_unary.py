@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from storysort import metrics as M
 from storysort import models, unary
@@ -15,7 +17,7 @@ from storysort.unary import (
     predict,
     train_unary,
 )
-from conftest import additive_score, enumerate_permutations, make_story
+from conftest import additive_score, enumerate_permutations, make_story, softmax
 
 
 def zero_model(n, dim):
@@ -60,6 +62,51 @@ class TestPositionProbs:
         mlp = MlpParams((5, 4), [np.zeros((5, 4))], [np.zeros(4)])
         with pytest.raises(ValidationError):
             UnaryModel(mlp=mlp, n=5)
+
+
+def probs_of_logits(logits):
+    """position_probs of a one-layer model whose logits are the rows of an (n, n) matrix:
+    element i's text features are row i, and the weights are the identity, so the
+    forward pass gives the rows exactly."""
+    z = np.asarray(logits, dtype=np.float64)
+    n = len(z)
+    mlp = MlpParams((n, n), [np.eye(n)], [np.zeros(n)])
+    return position_probs(UnaryModel(mlp=mlp, n=n), make_story(range(n), text=z))[0]
+
+
+class TestSoftmax:
+    """position_probs is the softmax of the logits, bit for bit the conftest reference's."""
+
+    def test_large_logit_stable(self):
+        z = [[1000.0, 0.0], [0.0, 1000.0]]
+        out = probs_of_logits(z)
+        assert np.array_equal(out, softmax(z))
+        assert np.isfinite(out).all()
+        assert out[0, 0] == pytest.approx(1.0)
+        assert out[0, 1] == pytest.approx(0.0, abs=1e-300)
+
+    def test_log_integers(self):
+        z = np.log([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0], [2.0, 3.0, 1.0]])
+        out = probs_of_logits(z)
+        assert np.array_equal(out, softmax(z))
+        assert out[0] == pytest.approx([1 / 6, 2 / 6, 3 / 6], abs=1e-12)
+
+    @given(st.integers(min_value=2, max_value=8).flatmap(
+        lambda n: st.lists(st.floats(min_value=-50, max_value=50), min_size=n * n,
+                           max_size=n * n).map(lambda z: np.reshape(z, (n, n)))))
+    def test_sums_to_one_and_shift_invariant(self, z):
+        out = probs_of_logits(z)
+        assert np.array_equal(out, softmax(z))
+        assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12
+        assert probs_of_logits(z + 13.25) == pytest.approx(out, abs=1e-12)
+
+    def test_overflowing_logits_are_rejected_by_the_decoder(self):
+        # nothing checks the softmax's input: logits that overflow to inf give NaN
+        # probabilities, which hungarian_max's check of its scores refuses
+        story = make_story([0, 1], text=np.array([[1e308, 0.0], [0.0, 1.0]]))
+        mlp = MlpParams((2, 2), [np.full((2, 2), 10.0)], [np.zeros(2)])
+        with np.errstate(all="ignore"), pytest.raises(ValidationError, match="non-finite"):
+            predict(UnaryModel(mlp=mlp, n=2), story)
 
 
 class TestUnaryScore:
