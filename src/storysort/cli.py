@@ -61,7 +61,7 @@ before the checkpoint is written, the training stories' scores are not.
 
 sort with several --ckpt votes: each member lists its --topk best orders,
 by default 3 but fewer than n! (1 for stories of n = 2, where a list of
-both orders would tie every vote). An explicit --topk above n! is an
+both orders would tie every vote). An explicit --topk of n! or more is an
 ``error:`` line.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.

@@ -62,6 +62,12 @@ class Permutation:
             raise ValidationError(f"positions {pos} are not a bijection on 0..{n - 1}")
 
 
+def check_enumeration_cap(n: int) -> None:
+    """Raise EnumerationCapError unless n <= MAX_ENUMERATION_N."""
+    if n > MAX_ENUMERATION_N:
+        raise EnumerationCapError(f"enumeration capped at n <= {MAX_ENUMERATION_N}, got {n}")
+
+
 @functools.lru_cache(maxsize=MAX_ENUMERATION_N)
 def permutation_table(n: int) -> np.ndarray:
     """All n! permutations as a read-only (n!, n) integer array, built once per n.
@@ -71,8 +77,7 @@ def permutation_table(n: int) -> np.ndarray:
     """
     if n < MIN_N:
         raise SizeError(f"n must be at least {MIN_N}, got {n}")
-    if n > MAX_ENUMERATION_N:
-        raise EnumerationCapError(f"enumeration capped at n <= {MAX_ENUMERATION_N}, got {n}")
+    check_enumeration_cap(n)
     table = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     table.flags.writeable = False
     return table

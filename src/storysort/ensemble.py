@@ -8,12 +8,12 @@ best orders by the ordering objective. A story's candidates are an
 casts one vote per element for the position it assigns, and the
 consensus order is the assignment maximizing total votes received. Votes
 are unweighted, so a member's first and third choice count the same.
-Each member lists top_k(n) orders unless k is given: DEFAULT_TOP_K, but
-fewer than n!, because a list of all n! orders gives every element the
-same votes at every position, a full tie that ignores the members; at
-n = 2 each member lists its best order only. ensemble_sort takes one story, a
-data.Stories batch of one, and returns a core.Permutation, the one-story
-public type.
+Each member lists k orders, 1 <= k < n!, and top_k(n) by default:
+DEFAULT_TOP_K, at most n! - 1. A list of all n! orders would give every
+element the same votes at every position, a full tie that ignores the
+members, so k = n! is refused; at n = 2 each member lists its best order
+only. ensemble_sort takes one story, a data.Stories batch of one, and
+returns a core.Permutation, the one-story public type.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import models
 from .assign import hungarian_max
 from .core import Permutation, is_permutation
 from .data import Stories
-from .errors import DimensionError, EmptyInputError, MemberError, ValidationError
+from .errors import DimensionError, EmptyInputError, MemberError, SizeError, ValidationError
 
 DEFAULT_TOP_K = 3
 
@@ -67,13 +67,15 @@ def decode_votes(v) -> np.ndarray:
 def ensemble_sort(members: Sequence[models.AnyModel], story: Stories,
                   k: int | None = None) -> Permutation:
     """Pool each member's top-k candidates for a batch of one story, tally votes, decode
-    the consensus; k defaults to top_k(n)."""
+    the consensus; k defaults to top_k(n), and k >= n! raises SizeError."""
     if not members:
         raise EmptyInputError("ensemble requires at least one member")
     if k is None:
         k = top_k(story.n)
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
+    if k >= math.factorial(story.n):  # a list of all n! orders ties every vote
+        raise SizeError(f"k={k} out of range for n={story.n}")
     candidates = []
     for idx, member in enumerate(members):
         try:

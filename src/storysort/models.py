@@ -5,12 +5,14 @@ Each model module exposes the same names: ``MODEL_KIND``, ``Model``,
 module and its score type, the training hyperparameters, and the
 checkpoint fields the kind adds. ADDITIVE scores (unary) are an (n, n)
 element-at-position matrix decoded by assignment; PAIR scores (pairwise,
-NPE) are an (n, n) i-before-j matrix decoded by core.rank_orders, the one
-ranker of permutation-table rows, which also gives both types' top-k
-lists: orders rank by exact total, ties going to the lexicographically
-smallest positions tuple. Decoders, top-k lists and decode size limits
-are keyed by score type. Entries hold modules, not functions, so
-rebinding a module attribute (as a profiler does) reaches every caller.
+NPE) are an (n, n) i-before-j matrix decoded by pairwise.decode_pairwise,
+which certifies the stories whose preferences are transitive and ranks
+the rest with core.rank_orders, the one ranker of permutation-table rows.
+rank_orders also gives both types' top-k lists: orders rank by exact
+total, ties going to the lexicographically smallest positions tuple.
+Decoders, top-k lists and decode size limits are keyed by score type.
+Entries hold modules, not functions, so rebinding a module attribute (as
+a profiler does) reaches every caller.
 
 Scoring runs along a story axis: ``scores(model, stories)`` returns an
 (S, n, n) stack for a data.Stories batch of S stories, and every decoder
@@ -100,8 +102,10 @@ def spec_for(model) -> ModelSpec:
 def check_decodable(spec: ModelSpec, n: int, k: int | None = None) -> None:
     """Raise SizeError unless n-element stories decode, as k-best lists when k is given.
 
-    Pair scores and k-best lists rank all n! orders, so both stop at
-    MAX_ENUMERATION_N; additive scores decode by assignment at every n.
+    k-best lists rank all n! orders, and pair scores rank them for every story
+    the transitive-tournament certificate does not settle, which is known only
+    after scoring, so both stop at MAX_ENUMERATION_N; additive scores decode by
+    assignment at every n.
     """
     if (spec.score_type == PAIR or k is not None) and n > MAX_ENUMERATION_N:
         what = "pair-score" if k is None else f"top-{k}"

@@ -8,7 +8,8 @@ training pushes later elements farther from the origin. At test time the
 penalty of orienting i before j is negated into a pair score matrix:
 low penalty means preferred order. In the model registry
 (storysort.models) NPE is therefore a pair-score kind, like the pairwise
-model: it is decoded by the pairwise ordering decoder, and its top-k
+model: it is decoded by the pairwise ordering decoder, which certifies
+transitive stories and ranks all orders only for the rest, and its top-k
 list comes from the same ranking of all orders.
 
 npe_scores runs over a data.Stories batch of S stories at once: one

@@ -4,9 +4,12 @@ A pair scorer maps the concatenated features of an ordered element pair
 (i, j) to a scalar s[i][j], the score for putting i before j. A
 permutation's objective sums, over every unordered pair, the score
 difference of the orientation it chooses, so it is antisymmetric under
-reversal by construction. Decoding is exact for n <= 8: core.rank_orders,
-the one ranker of permutation table rows, ranks all n! orders by exact
-objective, ties going to the lexicographically smallest positions tuple.
+reversal by construction. Decoding is exact for n <= 8. A story whose
+pair preferences form a transitive tournament is certified in O(n²): the
+order of its win counts is the unique exact optimum. Only the other
+stories go to core.rank_orders, the one ranker of permutation table rows,
+which ranks all n! orders by exact objective, ties going to the
+lexicographically smallest positions tuple.
 Training uses a binary hinge on both orientations of every gold pair: hinge
 is the loss neural.sgd_train minimizes, its margin bound by functools.partial.
 The training set's pair rows are gathered per mini-batch, never all at once:
@@ -18,10 +21,12 @@ from one table, _pairs, so the two cannot drift apart.
 Scoring and decoding run over a data.Stories batch of S stories at once:
 pair_scores makes one forward pass over every story's pair rows and
 returns an (S, n, n) stack, each matrix bit-identical to scoring its story
-alone. decode_pairwise and rank_permutations take that stack and rank it
-in one rank_orders call: the (S, n) intp array of best orders, and the
-(S, k, n) k-best lists. A story is a batch of one: predict takes one and
-returns a core.Permutation.
+alone. decode_pairwise and rank_permutations take that stack.
+decode_pairwise gives the (S, n) intp array of best orders: the certified
+stories' from one pass of win counts, the rest from one rank_orders call.
+rank_permutations gives the (S, k, n) k-best lists, always from
+rank_orders. A story is a batch of one: predict takes one and returns a
+core.Permutation.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 
 from . import neural
 from .assign import check_score_matrix
-from .core import Permutation, rank_orders
+from .core import Permutation, check_enumeration_cap, rank_orders
 from .data import Stories, gold_features, presented_features
 from .errors import ValidationError
 from .neural import MlpParams, TrainConfig
@@ -131,8 +136,23 @@ def rank_permutations(s, k: int) -> np.ndarray:
 
 
 def decode_pairwise(s) -> np.ndarray:
-    """The (S, n) best orders of the matrices of an (S, n, n) stack, ranked by core.rank_orders."""
-    return rank_orders(check_pair_matrix(s), 1, pair=True)[:, 0]
+    """The (S, n) best orders of the matrices of an (S, n, n) stack.
+
+    A story whose preferences (i beats j when s[i, j] > s[j, i]) form a
+    transitive tournament, win counts 0..n-1, is certified: the order of its
+    wins takes every pair term at its strict maximum, so it is the unique
+    exact optimum. Only the other stories are ranked by core.rank_orders.
+    The n <= MAX_ENUMERATION_N cap holds for every stack.
+    """
+    a = check_pair_matrix(s)
+    n = a.shape[-1]
+    check_enumeration_cap(n)
+    wins = (a > a.transpose(0, 2, 1)).sum(axis=2, dtype=np.intp)  # compares, never subtracts
+    orders = n - 1 - wins
+    rest = np.flatnonzero(~(np.sort(wins, axis=1) == np.arange(n)).all(axis=1))
+    if len(rest):
+        orders[rest] = rank_orders(a[rest], 1, pair=True)[:, 0]
+    return orders
 
 
 def predict(model: PairwiseModel, story: Stories) -> Permutation:

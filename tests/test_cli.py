@@ -718,7 +718,7 @@ class TestDecodeLimits:
         assert "capped at n <= 8" in one_error_line(capsys)
         assert not pred.exists()
 
-    @pytest.mark.parametrize("topk", [121])
+    @pytest.mark.parametrize("topk", [120, 121])
     def test_ensemble_k_out_of_range(self, trained, tmp_path, capsys, topk):
         data, ckpts = trained
         pred = tmp_path / "pred.jsonl"

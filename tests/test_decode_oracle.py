@@ -22,7 +22,7 @@ from storysort.errors import SizeError
 from storysort.pairwise import decode_pairwise, rank_permutations
 from conftest import additive_score, enumerate_permutations, exact_ranking, pairwise_objective
 
-KINDS = ("float", "ties", "zeros")
+KINDS = ("float", "ties", "zeros", "certified")
 TENTHS = (0.0, 0.1, 0.2, 0.3)
 HUGE = (-1.7e308, -1e308, 1e308, 1.7e308)  # the difference of two entries can overflow
 
@@ -50,10 +50,11 @@ def matrix_count(kind, n):
     """How many matrices one (kind, n) case checks.
 
     A reference pass over the 8! orders takes seconds, so n = 8 checks only
-    the tie-heavy matrix, which exercises the tie-break most.
+    the tie-heavy matrix, which exercises the tie-break most, and one
+    certified matrix.
     """
     if n == 8:
-        return 1 if kind == "ties" else 0
+        return 1 if kind in ("ties", "certified") else 0
     if kind == "zeros":
         return 1
     return 2 if n == 7 else 5
@@ -64,10 +65,17 @@ CASES = [(n, kind) for n in range(2, 9) for kind in KINDS if matrix_count(kind, 
 
 @functools.cache
 def case(kind, n, index):
-    """(pair matrix, additive matrix) of one kind, seeded by (n, index)."""
+    """(pair matrix, additive matrix) of one kind, seeded by (n, index).
+
+    A certified matrix is near a potential, x_i - x_j with the x_i a permutation of
+    0..n-1, plus noise far below the spacing: its pair preferences are transitive.
+    """
     rng = np.random.default_rng(1000 * n + index)
     if kind == "float":
         m = rng.standard_normal((n, n))
+    elif kind == "certified":
+        x = rng.permutation(n)
+        m = x[:, None] - x[None, :] + 0.01 * rng.standard_normal((n, n))
     elif kind == "ties":
         m = rng.integers(-1, 2, size=(n, n)).astype(np.float64)
     else:

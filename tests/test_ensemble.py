@@ -12,6 +12,7 @@ from storysort.errors import (
     DimensionError,
     EmptyInputError,
     MemberError,
+    SizeError,
     ValidationError,
 )
 from storysort.models import top_permutations
@@ -187,8 +188,16 @@ class TestEnsembleSort:
         own = predict_unary(unary, story)
         assert own != Permutation(identity(2))
         assert ensemble_sort([unary], story) == ensemble_sort([unary, unary], story) == own
-        with pytest.raises(MemberError, match="k=3 out of range for n=2"):
+        with pytest.raises(SizeError, match="k=3 out of range for n=2"):
             ensemble_sort([unary], story, k=3)
+
+    @pytest.mark.parametrize("k", [120, 121])
+    def test_k_of_n_factorial_or_more_is_out_of_range(self, models, tiny_clean_dataset, k):
+        # a list of all 5! orders gives every element the same votes at every position,
+        # so the vote would return the identity whatever the members say
+        with pytest.raises(SizeError, match=f"k={k} out of range for n=5"):
+            ensemble_sort(list(models), tiny_clean_dataset[0], k=k)
+        ensemble_sort(list(models), tiny_clean_dataset[0], k=119)
 
     def test_bad_k(self, models, tiny_clean_dataset):
         unary, _, _ = models

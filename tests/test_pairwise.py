@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storysort import metrics as M
+from storysort.core import rank_orders
 from storysort.data import (
     SyntheticSpec,
     generate_synthetic,
@@ -169,6 +170,47 @@ class TestDecode:
     def test_enumeration_cap(self):
         with pytest.raises(EnumerationCapError):
             decode_pairwise(np.zeros((1, 9, 9)))
+        x = np.arange(9.0)  # a transitive story is certified, but the cap is a size limit
+        with pytest.raises(EnumerationCapError):
+            decode_pairwise((x[:, None] - x[None, :])[None])
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_transitive_stacks_never_reach_the_ranker(self, monkeypatch, n):
+        # near-potential stories, x_i - x_j plus small noise, are transitive tournaments:
+        # the win counts certify each order, the element of largest x first
+        rng = np.random.default_rng(n)
+        x = np.stack([rng.permutation(n) for _ in range(6)])
+        stack = x[:, :, None] - x[:, None, :] + 0.01 * rng.standard_normal((6, n, n))
+        stack[:, range(n), range(n)] = 0.0
+        expected = rank_orders(stack, 1, pair=True)[:, 0]
+        assert (expected == n - 1 - x).all()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certified story reached rank_orders")
+
+        monkeypatch.setattr("storysort.pairwise.rank_orders", refuse)
+        decoded = decode_pairwise(stack)
+        assert decoded.dtype == np.intp and decoded.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("tie", [(0.0, 0.0), (0.0, -0.0), (2.5, 2.5)],
+                             ids=["zeros", "signed-zeros", "equal"])
+    def test_a_tied_pair_goes_to_the_ranker(self, monkeypatch, tie):
+        # elements 1 and 2 tie, and the ranker breaks the tie to the smallest positions
+        # tuple, not to the order of the potential; the transitive story is certified
+        x = np.array([[4.0, 2.0, 3.0, 1.0, 0.0]] * 2)
+        stack = x[:, :, None] - x[:, None, :]
+        stack[1, 1, 2], stack[1, 2, 1] = tie
+        ranked = []
+
+        def record(a, k, pair):
+            ranked.append(a.copy())
+            return rank_orders(a, k, pair)
+
+        monkeypatch.setattr("storysort.pairwise.rank_orders", record)
+        decoded = decode_pairwise(stack)
+        assert len(ranked) == 1 and np.array_equal(ranked[0], stack[1:])
+        assert decoded.tolist() == [[0, 2, 1, 3, 4], [0, 1, 2, 3, 4]]
+        assert decoded[1:].tolist() == rank_orders(stack[1:], 1, pair=True)[:, 0].tolist()
 
     def test_rank_permutations_sorted(self):
         rng = np.random.default_rng(2)
