@@ -31,9 +31,18 @@ Stdout contract, one command per call:
   generate  one human status line: ``wrote <count> stories to <out>``
   sort      one human status line:
             ``wrote predictions for <count> stories to <out>``
-  train     one JSON report line: model, and val, the metric report of
-            the validation stories (null when there are none); the
-            training stories are not decoded
+  train     one JSON report line: model; val, the metric report of
+            the validation stories (null when there are none); and
+            epochs, {run, best, train_loss, val_loss}: the epochs run,
+            the 1-based epoch whose parameters the checkpoint holds, and
+            per epoch run the mean training loss (batch losses weighted
+            by batch size) and the mean validation loss, rounded to 6
+            places. The training stories are not decoded. --epochs is a
+            cap: training stops PATIENCE = 3 epochs after the best
+            validation loss (storysort.neural), and keeps the best
+            epoch. With no validation stories every epoch runs, best
+            equals run and val_loss is empty. The manifest's metrics
+            hold the same report; the checkpoint holds no epochs
   eval      one JSON report line (spearman, pairwise_accuracy,
             avg_distance, story_count), then n confusion rows of n
             space-separated integer counts
@@ -56,7 +65,8 @@ before any model is built. Every command writes its files and manifest
 before it prints, so a closed stdout leaves them complete. Training that
 diverges is one ``error: training diverged: the <kind> model ...`` line
 naming --data, and leaves no file: either a training batch's loss is not
-finite (the line names its epoch and batch), or, checked with the report
+finite (the line names its epoch and batch), or the validation loss after
+an epoch is not (the line names the epoch), or, checked with the report
 before the checkpoint is written, the training stories' scores are not.
 
 sort with several --ckpt votes: each member lists its --topk best orders,
@@ -310,19 +320,24 @@ def cmd_train(args: argparse.Namespace) -> int:
     try:
         model = spec.module.train(
             train_stories, cfg, use_image=args.use_image, hidden_units=args.hidden,
-            **{name: getattr(args, name) for name in spec.train_args},
+            val=val_stories, **{name: getattr(args, name) for name in spec.train_args},
         )
-    except NumericError as e:  # sgd_train's non-finite loss, which names its epoch and batch
-        raise NumericError(f"{diverged} has a {e} on the training stories of "
-                           f"--data {data_path}") from e
+    except NumericError as e:  # sgd_train's non-finite training or validation loss
+        with_val = "" if args.val is None else f" with --val {args.val}"
+        raise NumericError(f"{diverged} has a {e}, training on --data {data_path}{with_val}"
+                           ) from e
     # before the checkpoint is written, the training stories are scored (not decoded):
     # a model that diverged has non-finite scores, and leaves no file
     if not all(np.isfinite(s).all() for s in models_mod.score_chunks(model, train_stories)):
         raise NumericError(f"{diverged} gives non-finite scores on the training stories "
                            f"of --data {data_path}")
+    log = model.epoch_log
     report = {
         "model": args.model,
         "val": _round6(_dataset_report(model, val_stories).to_json()) if val_stories else None,
+        "epochs": {"run": log.run, "best": log.best,
+                   "train_loss": [round(v, 6) for v in log.train_loss],
+                   "val_loss": [round(v, 6) for v in log.val_loss]},
     }
     models_mod.save_model(model, args.out)
     out = Path(args.out)
@@ -469,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--val", default=None, help="separate validation dataset")
     p_train.add_argument("--val-frac", type=float, default=0.1)
     p_train.add_argument("--out", required=True)
-    p_train.add_argument("--epochs", type=int, default=None)
+    p_train.add_argument("--epochs", type=int, default=None,
+                         help="most epochs to run; training stops early on the validation loss")
     p_train.add_argument("--lr", type=float, default=None)
     p_train.add_argument("--batch-size", type=int, default=None)
     p_train.add_argument("--l2", type=float, default=0.0)

@@ -68,7 +68,7 @@ AnyModel = unary.UnaryModel | pairwise.PairwiseModel | npe.NpeModel
 class ModelSpec:
     module: ModuleType
     score_type: str
-    train_defaults: dict[str, float]  # epochs, lr, batch_size
+    train_defaults: dict[str, float]  # epochs (a cap: training stops early), lr, batch_size
     train_args: dict[str, float]  # kind-specific train keyword -> default
     fields: tuple[tuple[str, tuple], ...]  # checkpoint (name, accepted JSON types), file order
 

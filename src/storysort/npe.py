@@ -32,7 +32,7 @@ from . import neural, pairwise
 from .core import Permutation
 from .data import Stories, gold_features, presented_features
 from .errors import ValidationError
-from .neural import MlpParams, TrainConfig
+from .neural import EpochLog, MlpParams, TrainConfig
 
 MODEL_KIND = "npe"
 
@@ -48,6 +48,7 @@ class NpeModel:
     alpha: float = DEFAULT_ALPHA
     use_image: bool = False
     train_config: TrainConfig | None = None
+    epoch_log: EpochLog | None = None  # from training; checkpoints do not hold it
 
     def __post_init__(self) -> None:
         if not self.alpha > 0:
@@ -121,8 +122,10 @@ def train_npe(
     hidden_units: int = neural.DEFAULT_HIDDEN_UNITS,
     embed_dim: int = DEFAULT_EMBED_DIM,
     alpha: float = DEFAULT_ALPHA,
+    val: Stories | None = None,
 ) -> NpeModel:
-    """Minimize the mean per-story ordered-embedding penalty by SGD.
+    """Minimize the mean per-story ordered-embedding penalty by SGD, stopped early on
+    the val stories if any.
 
     Each training row is one story's gold-ordered feature matrix;
     gradients flow through the elementwise margin max and the ReLU with
@@ -133,8 +136,10 @@ def train_npe(
     X = gold_features(stories, use_image)
     rng = np.random.default_rng(cfg.seed)
     params = neural.init_mlp((X.shape[-1], hidden_units, embed_dim), rng)
-    params = neural.sgd_train(params, X, None, partial(order_loss, alpha=alpha), cfg)
-    return NpeModel(mlp=params, alpha=alpha, use_image=use_image, train_config=cfg)
+    params, log = neural.sgd_train(params, X, None, partial(order_loss, alpha=alpha), cfg,
+                                   val=(gold_features(val, use_image), None) if val else None)
+    return NpeModel(mlp=params, alpha=alpha, use_image=use_image, train_config=cfg,
+                    epoch_log=log)
 
 
 # The names every model module exposes to the registry in storysort.models.

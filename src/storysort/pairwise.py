@@ -41,7 +41,7 @@ from .assign import check_score_matrix
 from .core import Permutation, check_enumeration_cap, rank_orders
 from .data import Stories, gold_features, presented_features
 from .errors import ValidationError
-from .neural import MlpParams, TrainConfig
+from .neural import EpochLog, MlpParams, TrainConfig
 
 MODEL_KIND = "pairwise"
 
@@ -56,6 +56,7 @@ class PairwiseModel:
     use_image: bool = False
     margin: float = DEFAULT_MARGIN
     train_config: TrainConfig | None = None
+    epoch_log: EpochLog | None = None  # from training; checkpoints do not hold it
 
     def __post_init__(self) -> None:
         if self.mlp.output_dim != 1:
@@ -170,31 +171,38 @@ def hinge(out: np.ndarray, labels: np.ndarray, margin: float) -> tuple[float, np
     return loss, ((-labels * active) / batch)[:, None]
 
 
+def _rows(stories: Stories, use_image: bool) -> tuple[PairRowSource, np.ndarray]:
+    """Training rows: every ordered element pair of every story, labeled +1 when its
+    first element's gold position precedes its second's, otherwise -1."""
+    feats = gold_features(stories, use_image)
+    # in gold order the pair (i, j) is +1 exactly when i < j
+    i, j = _pairs(feats.shape[1]).T
+    return PairRowSource(feats), np.tile(np.where(i < j, 1.0, -1.0), len(feats))
+
+
 def train_pairwise(
     stories: Stories,
     cfg: TrainConfig,
     margin: float = DEFAULT_MARGIN,
     use_image: bool = False,
     hidden_units: int = neural.DEFAULT_HIDDEN_UNITS,
+    val: Stories | None = None,
 ) -> PairwiseModel:
-    """Hinge-train on every ordered element pair of every story.
+    """Hinge-train on every ordered element pair of every story, stopped early on the
+    val stories if any.
 
-    The pair (a, b) is labeled +1 when a's gold position precedes b's,
-    otherwise -1; both orientations appear as separate examples so the
-    two directed scores are learned independently.
+    Both orientations of a pair appear as separate examples, so the two
+    directed scores are learned independently.
     """
-    feats = gold_features(stories, use_image)
     if not margin > 0:
         raise ValidationError(f"margin must be > 0, got {margin}")
-    X = PairRowSource(feats)
-    # in gold order the pair (i, j) is +1 exactly when i < j
-    i, j = _pairs(feats.shape[1]).T
-    labels = np.where(i < j, 1.0, -1.0)
+    X, y = _rows(stories, use_image)
     rng = np.random.default_rng(cfg.seed)
     params = neural.init_mlp((X.shape[1], hidden_units, 1), rng)
-    params = neural.sgd_train(params, X, np.tile(labels, len(feats)),
-                              partial(hinge, margin=margin), cfg)
-    return PairwiseModel(mlp=params, use_image=use_image, margin=margin, train_config=cfg)
+    params, log = neural.sgd_train(params, X, y, partial(hinge, margin=margin), cfg,
+                                   val=_rows(val, use_image) if val else None)
+    return PairwiseModel(mlp=params, use_image=use_image, margin=margin, train_config=cfg,
+                         epoch_log=log)
 
 
 # The names every model module exposes to the registry in storysort.models.

@@ -30,7 +30,7 @@ from .assign import hungarian_max
 from .core import Permutation
 from .data import Stories, gold_features, presented_features
 from .errors import DimensionError, ValidationError
-from .neural import MlpParams, TrainConfig
+from .neural import EpochLog, MlpParams, TrainConfig
 
 MODEL_KIND = "unary"
 
@@ -43,6 +43,7 @@ class UnaryModel:
     n: int
     use_image: bool = False
     train_config: TrainConfig | None = None
+    epoch_log: EpochLog | None = None  # from training; checkpoints do not hold it
 
     def __post_init__(self) -> None:
         if self.mlp.output_dim != self.n:
@@ -102,20 +103,28 @@ def cross_entropy(logits: np.ndarray, positions: np.ndarray) -> tuple[float, np.
     return loss, probs / len(logits)
 
 
+def _rows(stories: Stories, use_image: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Training rows: each element's features, labeled with its gold position."""
+    feats = gold_features(stories, use_image)
+    count, n, dim = feats.shape
+    return feats.reshape(count * n, dim), np.tile(np.arange(n), count)
+
+
 def train_unary(
     stories: Stories,
     cfg: TrainConfig,
     use_image: bool = False,
     hidden_units: int = neural.DEFAULT_HIDDEN_UNITS,
+    val: Stories | None = None,
 ) -> UnaryModel:
-    """Fit position classification: each element's features, labeled with its gold position."""
-    feats = gold_features(stories, use_image)
-    count, n, dim = feats.shape
+    """Fit position classification by SGD, stopped early on the val stories if any."""
+    X, y = _rows(stories, use_image)
+    n = stories.n
     rng = np.random.default_rng(cfg.seed)
-    params = neural.init_mlp((dim, hidden_units, n), rng)
-    params = neural.sgd_train(params, feats.reshape(count * n, dim),
-                              np.tile(np.arange(n), count), cross_entropy, cfg)
-    return UnaryModel(mlp=params, n=n, use_image=use_image, train_config=cfg)
+    params = neural.init_mlp((X.shape[1], hidden_units, n), rng)
+    params, log = neural.sgd_train(params, X, y, cross_entropy, cfg,
+                                   val=_rows(val, use_image) if val else None)
+    return UnaryModel(mlp=params, n=n, use_image=use_image, train_config=cfg, epoch_log=log)
 
 
 # The names every model module exposes to the registry in storysort.models.

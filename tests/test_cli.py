@@ -156,7 +156,7 @@ class TestTrain:
         trained_on = []
 
         def recording_train(stories, *args, **kwargs):
-            trained_on.append(len(stories))
+            trained_on.append((len(stories), len(kwargs["val"])))
             return train(stories, *args, **kwargs)
 
         train = module.train
@@ -164,8 +164,9 @@ class TestTrain:
         assert run(train_args(data, tmp_path / "m.json")) == 0
         report = json.loads(capsys.readouterr().out)
         # the report holds no train block: the training stories are not decoded
-        assert set(report) == {"model", "val"}
-        assert (trained_on, report["val"]["story_count"]) == ([112], 13)
+        assert set(report) == {"model", "val", "epochs"}
+        # training stops early on the same 13 stories that the val report decodes
+        assert (trained_on, report["val"]["story_count"]) == ([(112, 13)], 13)
 
     def test_same_seed_identical_checkpoints(self, dataset, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -188,15 +189,19 @@ class TestTrain:
         assert run(gen_args(data, stories=30)) == 0
         out = tmp_path / "m.ckpt"
         capsys.readouterr()
-        # one batch per epoch: the step overflows the weights and nothing trains after it
+        # one batch per epoch: the step overflows the weights and nothing trains after it.
+        # The validation loss after that epoch is not finite for unary and NPE; pairwise
+        # meets its 3 validation stories' hinge with +inf, and the training stories' scores
+        # are checked next
         argv = train_args(data, out, model=model,
                           extra=["--lr", "1e305", "--epochs", "1", "--batch-size", "1000"])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning would be a line on stderr
             assert run(argv) == 1
-        assert one_error_line(capsys) == (f"error: training diverged: the {model} model gives "
-                                          f"non-finite scores on the training stories of "
-                                          f"--data {data}")
+        what = ("gives non-finite scores on the training stories of" if model == "pairwise"
+                else "has a non-finite validation loss at epoch 0, training on")
+        assert one_error_line(capsys) == (f"error: training diverged: the {model} model "
+                                          f"{what} --data {data}")
         assert not out.exists()
         assert not Path(str(out) + ".manifest.json").exists()
 
@@ -216,7 +221,7 @@ class TestTrain:
             assert run(argv) == 1
         line = one_error_line(capsys)
         assert re.fullmatch(f"error: training diverged: the {model} model has a non-finite "
-                            f"loss at epoch 0, batch [1-9] on the training stories of "
+                            f"loss at epoch 0, batch [1-9], training on "
                             f"--data {re.escape(str(data))}", line), line
         assert not out.exists()
         assert not Path(str(out) + ".manifest.json").exists()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from storysort import models, neural, npe, pairwise
+from storysort.data import SyntheticSpec, generate_synthetic
 from storysort.errors import DimensionError, NumericError, ParseError, ValidationError
 from storysort.neural import (
     MlpParams,
@@ -270,7 +271,7 @@ class TestSgdTrain:
         rng = np.random.default_rng(0)
         params = init_mlp((3, 4, 2), rng)
         cfg = TrainConfig(learning_rate=0.1, epochs=1)
-        out = sgd_train(params, np.zeros((0, 3)), np.zeros(0, dtype=int),
+        out, _ = sgd_train(params, np.zeros((0, 3)), np.zeros(0, dtype=int),
                         cross_entropy, cfg)
         assert all((a == b).all() for a, b in zip(out.weights, params.weights))
 
@@ -290,8 +291,8 @@ class TestSgdTrain:
                 for _ in range(30)]
         X, y = np.stack([x for x, _ in data]), np.array([t for _, t in data])
         cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=8, seed=42)
-        a = sgd_train(params, X, y, cross_entropy, cfg)
-        b = sgd_train(params, X, y, cross_entropy, cfg)
+        a, _ = sgd_train(params, X, y, cross_entropy, cfg)
+        b, _ = sgd_train(params, X, y, cross_entropy, cfg)
         assert all((x == y).all() for x, y in zip(a.weights, b.weights))
         assert all((x == y).all() for x, y in zip(a.biases, b.biases))
 
@@ -305,7 +306,7 @@ class TestSgdTrain:
         X, y = np.stack([x for x, _ in data]), np.array([t for _, t in data])
         params = init_mlp((2, 16, 2), rng)
         cfg = TrainConfig(learning_rate=0.1, epochs=200, batch_size=16, seed=0)
-        trained = sgd_train(params, X, y, cross_entropy, cfg)
+        trained, _ = sgd_train(params, X, y, cross_entropy, cfg)
         final_loss = mean_loss(trained, X, y, cross_entropy)
         assert final_loss < 0.1
 
@@ -316,8 +317,8 @@ class TestSgdTrain:
         X, y = np.stack([x for x, _ in data]), np.array([t for _, t in data])
         cfg_plain = TrainConfig(learning_rate=0.05, epochs=5, seed=1, l2=0.0)
         cfg_l2 = TrainConfig(learning_rate=0.05, epochs=5, seed=1, l2=0.5)
-        plain = sgd_train(params, X, y, cross_entropy, cfg_plain)
-        decayed = sgd_train(params, X, y, cross_entropy, cfg_l2)
+        plain, _ = sgd_train(params, X, y, cross_entropy, cfg_plain)
+        decayed, _ = sgd_train(params, X, y, cross_entropy, cfg_l2)
         norm = lambda p: sum(float(np.sum(w * w)) for w in p.weights)
         assert norm(decayed) < norm(plain)
 
@@ -334,7 +335,7 @@ class TestSgdTrain:
             return value, d_out
 
         with np.errstate(all="ignore"):  # two cases make inf and NaN on purpose
-            trained = sgd_train(params, X, y, counted, cfg)
+            trained, _ = sgd_train(params, X, y, counted, cfg)
             weights, biases = reference_sgd(params, X, y, loss, cfg)
         as_bytes = lambda arrays: [a.tobytes() for a in arrays]
         assert as_bytes(trained.weights) == as_bytes(weights)
@@ -342,6 +343,80 @@ class TestSgdTrain:
         assert as_bytes(trained.weights) != as_bytes(params.weights)  # the loop trained
         if kind in ZERO_GRADIENT_CASES:  # built to hold batches that sgd_train skips at l2 0
             assert any(zero_gradient), zero_gradient
+
+    @pytest.mark.parametrize("kind", ["unary", "pairwise", "npe"])
+    def test_stops_after_patience_epochs_and_keeps_the_best(self, kind):
+        # the validation set is the first 3 rows, and every training batch holds 8 or 5:
+        # a 3-row output is the validation pass, which reads its loss from the script
+        X, y, loss, params, steps = reference_case(kind)
+        best = 0.9
+        script = iter([1.0, best, best * (1 - neural.TOL / 2), best * (1 - 2 * neural.TOL),
+                       best, best, best, best])
+
+        def scripted(out, targets):
+            value, d_out = loss(out, targets)
+            return (next(script) if len(out) == 3 else value), d_out
+
+        cfg = TrainConfig(**{**steps, "epochs": 8})
+        val = (X[:3], None if y is None else y[:3])
+        trained, log = sgd_train(params, X, y, scripted, cfg, val=val)
+        # epoch 3 improves on 0.9 by less than TOL, epoch 4 by more; then PATIENCE more run
+        assert (log.run, log.best) == (4 + neural.PATIENCE, 4)
+        assert len(log.train_loss) == len(log.val_loss) == log.run
+        # epochs share one shuffle stream, so the best epoch's parameters are a 4-epoch run's
+        weights, biases = reference_sgd(params, X, y, loss, TrainConfig(**{**steps, "epochs": 4}))
+        as_bytes = lambda arrays: [a.tobytes() for a in arrays]
+        assert as_bytes(trained.weights) == as_bytes(weights)
+        assert as_bytes(trained.biases) == as_bytes(biases)
+
+    def test_empty_validation_set_trains_every_epoch(self):
+        X, y, loss, params, steps = reference_case("unary")
+        cfg = TrainConfig(**steps)
+        trained, log = sgd_train(params, X, y, loss, cfg, val=(X[:0], y[:0]))
+        weights, biases = reference_sgd(params, X, y, loss, cfg)
+        as_bytes = lambda arrays: [a.tobytes() for a in arrays]
+        assert as_bytes(trained.weights) == as_bytes(weights)
+        assert as_bytes(trained.biases) == as_bytes(biases)
+        assert (log.run, log.best, log.val_loss) == (cfg.epochs, cfg.epochs, ())
+
+    def test_training_loss_is_the_batch_weighted_epoch_mean(self):
+        # 53 rows in batches of 8: six batches of 8 and one of 5, seven per epoch
+        X, y, loss, params, steps = reference_case("unary")
+        batches = []
+
+        def recorded(out, targets):
+            value, d_out = loss(out, targets)
+            batches.append((value, len(out)))
+            return value, d_out
+
+        _, log = sgd_train(params, X, y, recorded, TrainConfig(**steps))
+        per_epoch = [batches[k:k + 7] for k in range(0, len(batches), 7)]
+        assert log.train_loss == tuple(sum(v * rows for v, rows in epoch) / len(X)
+                                       for epoch in per_epoch)
+
+    @pytest.mark.parametrize("kind", list(models.REGISTRY))
+    def test_validation_pass_multiplies_no_matrix_taller_than_a_training_batch(
+            self, monkeypatch, kind):
+        # one tall matrix (360 pair rows) can wake OpenBLAS's worker threads, and the
+        # training after it ran about 2x slower on a 2-core machine; 30 validation stories
+        # hold 150 unary rows, 600 pair rows and 30 NPE stories, each over one batch
+        stories = generate_synthetic(SyntheticSpec(story_count=70, n=5, text_dim=6, seed=2))
+        train, val = stories[:40], stories[40:]
+        cfg = TrainConfig(learning_rate=0.01, epochs=2, batch_size=16, seed=0)
+        heights = []
+        forward = neural._forward_cached
+
+        def recording(params, X):
+            heights.append(X.shape[-2])
+            return forward(params, X)
+
+        monkeypatch.setattr(neural, "_forward_cached", recording)
+        module = models.REGISTRY[kind].module
+        module.train(train, cfg, hidden_units=8)
+        tallest_batch, heights = max(heights), []
+        model = module.train(train, cfg, hidden_units=8, val=val)
+        assert model.epoch_log.val_loss  # the validation pass ran
+        assert max(heights) == tallest_batch
 
     def test_peak_memory_stays_below_half_the_training_set(self):
         # a pairwise-width set: rows of two 32-wide elements; a per-epoch copy of X
@@ -403,6 +478,18 @@ class TestNumericGuards:
         cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=2)
         with pytest.raises(NumericError, match="epoch 0"):
             sgd_train(params, np.zeros((4, 2)), np.zeros(4, dtype=int), bad_loss, cfg)
+
+    def test_non_finite_validation_loss_aborts_with_its_epoch(self):
+        X, y, loss, params, steps = reference_case("unary")
+        script = iter([1.0, 0.5, float("nan")])
+
+        def scripted(out, targets):
+            value, d_out = loss(out, targets)
+            return (next(script) if len(out) == 3 else value), d_out
+
+        cfg = TrainConfig(**{**steps, "epochs": 5})
+        with pytest.raises(NumericError, match="non-finite validation loss at epoch 2"):
+            sgd_train(params, X, y, scripted, cfg, val=(X[:3], y[:3]))
 
     def test_softmax_head_overflow_aborts_with_location(self):
         # the first step overflows the weights; the next batch's logits are not finite
