@@ -72,7 +72,9 @@ before the checkpoint is written, the training stories' scores are not.
 sort with several --ckpt votes: each member lists its --topk best orders,
 by default 3 but fewer than n! (1 for stories of n = 2, where a list of
 both orders would tie every vote). An explicit --topk of n! or more is an
-``error:`` line.
+``error:`` line. With one --ckpt, sort writes that model's best order for
+each story, and --topk, from the flag or --config, is a usage error
+before any file is read.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 """
@@ -350,6 +352,9 @@ def cmd_sort(args: argparse.Namespace) -> int:
     started = time.monotonic()
     if args.topk is not None and args.topk < 1:
         raise UsageError(f"--topk must be >= 1, got {args.topk}")
+    if args.topk is not None and len(args.ckpt) == 1:
+        raise UsageError(f"--topk sets each ensemble member's list and needs two or more "
+                         f"--ckpt, got --topk {args.topk} with one")
     ckpt_paths = [Path(p) for p in args.ckpt]
     models = [_load_model(p) for p in ckpt_paths]
     stories = data_mod.load_dataset(Path(args.data))

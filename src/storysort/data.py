@@ -150,9 +150,15 @@ class Stories:
     @property
     def story_id(self) -> str:
         """The id of a batch of one story."""
-        if len(self) != 1:
-            raise ValidationError(f"story_id needs a batch of one story, got {len(self)}")
-        return self.story_ids[0]
+        return one_story(self, "story_id").story_ids[0]
+
+
+def one_story(stories: Stories, caller: str) -> Stories:
+    """stories, if it is a batch of one story; otherwise ValidationError naming caller
+    and S. The check of every entry point that takes one story."""
+    if len(stories) != 1:
+        raise ValidationError(f"{caller} needs a batch of one story, got S = {len(stories)}")
+    return stories
 
 
 def _feature_stack(stories: Stories, use_image: bool, positions: np.ndarray) -> np.ndarray:

@@ -12,8 +12,9 @@ Each member lists k orders, 1 <= k < n!, and top_k(n) by default:
 DEFAULT_TOP_K, at most n! - 1. A list of all n! orders would give every
 element the same votes at every position, a full tie that ignores the
 members, so k = n! is refused; at n = 2 each member lists its best order
-only. ensemble_sort takes one story, a data.Stories batch of one, and
-returns a core.Permutation, the one-story public type.
+only. ensemble_sort takes one story, a data.Stories batch of one (any
+other batch is a ValidationError naming S), and returns a
+core.Permutation, the one-story public type.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import models
 from .assign import hungarian_max
 from .core import Permutation, is_permutation
-from .data import Stories
+from .data import Stories, one_story
 from .errors import DimensionError, EmptyInputError, MemberError, SizeError, ValidationError
 
 DEFAULT_TOP_K = 3
@@ -70,6 +71,7 @@ def ensemble_sort(members: Sequence[models.AnyModel], story: Stories,
     the consensus; k defaults to top_k(n), and k >= n! raises SizeError."""
     if not members:
         raise EmptyInputError("ensemble requires at least one member")
+    one_story(story, "ensemble_sort")
     if k is None:
         k = top_k(story.n)
     if k < 1:

@@ -49,12 +49,15 @@ The validation pass draws nothing from the shuffle generator, so epoch k's
 parameters equal those of a run of k epochs, byte for byte. Its rows are
 gathered once, into a stack of blocks no taller than a training batch,
 and each epoch scores the stack in one forward pass and takes one loss
-over all its rows. One tall matrix (say 360 pair rows by 64) can wake
+over all its rows; a stack is multiplied one matrix at a time (see
+mlp_forward). One tall matrix (say 360 pair rows by 64) can wake
 OpenBLAS's worker threads, and on a 2-core machine the training run after
-it then took about twice as long; a stack is multiplied one matrix at a
-time (see mlp_forward). A non-finite validation loss raises NumericError naming its
-epoch. With no validation set, or an empty one, every epoch runs and the
-last one's parameters are returned.
+it then took about twice as long. Importing storysort starts OpenBLAS on
+one thread (see the package docstring), so the CLI has none to wake; a
+library caller that imports numpy before storysort, as tests/conftest.py
+does, keeps them, and the blocks stay for it. A non-finite validation
+loss raises NumericError naming its epoch. With no validation set, or an
+empty one, every epoch runs and the last one's parameters are returned.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import neural, pairwise
 from .core import Permutation
-from .data import Stories, gold_features, presented_features
+from .data import Stories, gold_features, one_story, presented_features
 from .errors import ValidationError
 from .neural import EpochLog, MlpParams, TrainConfig
 
@@ -111,7 +111,7 @@ def npe_scores(model: NpeModel, stories: Stories) -> np.ndarray:
 
 
 def predict(model: NpeModel, story: Stories) -> Permutation:
-    (order,) = pairwise.decode_pairwise(npe_scores(model, story))
+    (order,) = pairwise.decode_pairwise(npe_scores(model, one_story(story, "npe.predict")))
     return Permutation(tuple(order))
 
 

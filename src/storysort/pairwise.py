@@ -39,7 +39,7 @@ import numpy as np
 from . import neural
 from .assign import check_score_matrix
 from .core import Permutation, check_enumeration_cap, rank_orders
-from .data import Stories, gold_features, presented_features
+from .data import Stories, gold_features, one_story, presented_features
 from .errors import ValidationError
 from .neural import EpochLog, MlpParams, TrainConfig
 
@@ -157,7 +157,7 @@ def decode_pairwise(s) -> np.ndarray:
 
 
 def predict(model: PairwiseModel, story: Stories) -> Permutation:
-    (order,) = decode_pairwise(pair_scores(model, story))
+    (order,) = decode_pairwise(pair_scores(model, one_story(story, "pairwise.predict")))
     return Permutation(tuple(order))
 
 

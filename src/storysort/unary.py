@@ -28,7 +28,7 @@ import numpy as np
 from . import neural
 from .assign import hungarian_max
 from .core import Permutation
-from .data import Stories, gold_features, presented_features
+from .data import Stories, gold_features, one_story, presented_features
 from .errors import DimensionError, ValidationError
 from .neural import EpochLog, MlpParams, TrainConfig
 
@@ -77,7 +77,7 @@ def decode_unary(probs) -> np.ndarray:
 
 
 def predict(model: UnaryModel, story: Stories) -> Permutation:
-    (order,) = decode_unary(position_probs(model, story))
+    (order,) = decode_unary(position_probs(model, one_story(story, "unary.predict")))
     return Permutation(tuple(order))
 
 

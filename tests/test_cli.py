@@ -498,7 +498,8 @@ def test_manifest_records_every_option_of_its_command(trained, tmp_path, command
     argv = {
         "generate": gen_args(out),
         "train": train_args(data, out),
-        "sort": ["sort", "--ckpt", str(ckpts["unary"]), "--data", str(data), "--out", str(out)],
+        "sort": ["sort", "--ckpt", str(ckpts["unary"]), "--ckpt", str(ckpts["pairwise"]),
+                 "--data", str(data), "--out", str(out)],
         "eval": ["eval", "--pred", str(pred), "--data", str(data)],
     }[command]
     assert run([*argv, "--config", str(cfg)]) == 0
@@ -744,6 +745,22 @@ class TestDecodeLimits:
                     "--topk", "0"]) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == ["usage error: --topk must be >= 1, got 0"], err
+        assert not pred.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_topk_with_one_ckpt_is_a_usage_error_before_any_file_is_read(
+            self, tmp_path, capsys, source):
+        # one model's orders are its own best ones, so a --topk would do nothing
+        pred, cfg = tmp_path / "pred.jsonl", tmp_path / "run.cfg"
+        cfg.write_text("topk = 2\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["sort", "--ckpt", str(tmp_path / "missing.json"),
+                    "--data", str(tmp_path / "missing.jsonl"), "--out", str(pred),
+                    *{"flag": ["--topk", "2"], "config": ["--config", str(cfg)]}[source]]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "usage error: --topk sets each ensemble member's list and needs two or more "
+            "--ckpt, got --topk 2 with one"], err
         assert not pred.exists()
 
     def test_failing_story_leaves_no_out(self, trained, data_n10, tmp_path, capsys):

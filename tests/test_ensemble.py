@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from storysort import npe as npe_mod, pairwise as pairwise_mod, unary as unary_mod
 from storysort.core import Permutation
 from storysort.data import presented_gold, split_dataset
 from storysort.ensemble import (
@@ -175,6 +176,23 @@ class TestEnsembleSort:
         wrong_story = make_story([0, 1, 2])  # wrong feature dim for the model
         with pytest.raises(MemberError, match="member 0"):
             ensemble_sort([pair], wrong_story, k=3)
+
+    @pytest.mark.parametrize("count", [0, 2])
+    @pytest.mark.parametrize("entry", [
+        "ensemble_sort", "unary.predict", "pairwise.predict", "npe.predict"])
+    def test_a_batch_of_other_than_one_story_is_one_validation_error(
+            self, models, tiny_clean_dataset, entry, count):
+        unary, pair, npe = models
+        batch = tiny_clean_dataset[:count]
+        call = {
+            "ensemble_sort": lambda: ensemble_sort([unary, pair], batch),
+            "unary.predict": lambda: unary_mod.predict(unary, batch),
+            "pairwise.predict": lambda: pairwise_mod.predict(pair, batch),
+            "npe.predict": lambda: npe_mod.predict(npe, batch),
+        }[entry]
+        with pytest.raises(ValidationError) as e:
+            call()
+        assert str(e.value) == f"{entry} needs a batch of one story, got S = {count}"
 
     def test_empty_members(self, tiny_clean_dataset):
         with pytest.raises(EmptyInputError):
