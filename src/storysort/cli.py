@@ -10,13 +10,24 @@ rounded to 6 decimal places.
 
 Files are UTF-8 JSON: one object per line in datasets (from generate) and
 predictions (from sort), one object in checkpoints (from train) and eval
---out reports; storysort.data and storysort.models list the fields. A
-dataset's presented_order may be null, for the listed order; every line
-must have the first line's n and feature widths, and a line that fails a
-check is one ``error: <path>:<line>: ...`` line. Float arrays are float
-blocks, base64 of little-endian float64 bytes, so floats are kept exactly,
-and a bad block (not a string, not base64, the wrong byte length, or
-holding NaN or ±inf) is one ``error:`` line.
+--out reports; storysort.data and storysort.models list the fields.
+Datasets and predictions are read by one rule: a line ends at a line feed
+(so CRLF endings read, and a carriage return alone ends no line), and a
+line of ASCII whitespace is skipped; any other line, one of U+00A0 alone
+included, must be JSON. The readers of these files and of checkpoints
+parse through core.parse_json, so a bad file is one of three lines:
+  ``error: <path>: not UTF-8 text: <reason>``
+  ``error: <path>:<line>: malformed JSON: <error>``, with no line for a
+    checkpoint
+  ``error: <path>:<line>: ...`` for JSON that fails its reader's field
+    checks, naming the field: ``missing or bad field`` in a dataset,
+    ``bad prediction record`` in predictions (a checkpoint's line names
+    the file and the field)
+A dataset's presented_order may be null, for the listed order, and every
+line must have the first line's n and feature widths. Float arrays are
+float blocks, base64 of little-endian float64 bytes, so floats are kept
+exactly, and a bad block (not a string, not base64, the wrong byte
+length, or holding NaN or ±inf) is one ``error:`` line.
 
 A --config file holds one ``key = value`` per line; blank and ``#`` lines
 are skipped. Keys are option names, with ``-`` or ``_``. A value is read
@@ -68,6 +79,12 @@ naming --data, and leaves no file: either a training batch's loss is not
 finite (the line names its epoch and batch), or the validation loss after
 an epoch is not (the line names the epoch), or, checked with the report
 before the checkpoint is written, the training stories' scores are not.
+Training that collapses is one ``error: training collapsed: the <kind>
+model scores every order of <t> of <S> training stories the same,
+training on --data <path>`` line, and leaves no file: in the same check,
+more than COLLAPSED_SHARE of the training stories have a score matrix
+that ties every order (a == aᵀ for pair scores, every row equal for
+additive scores).
 
 sort with several --ckpt votes: each member lists its --topk best orders,
 by default 3 but fewer than n! (1 for stories of n = 2, where a list of
@@ -97,7 +114,7 @@ from . import data as data_mod
 from . import ensemble as ensemble_mod
 from . import metrics as metrics_mod
 from . import models as models_mod
-from .core import is_permutation, json_list, json_value
+from .core import is_permutation, json_list, json_value, parse_json
 from .errors import (
     EmptyInputError, NumericError, ParseError, StorySortError, UsageError, ValidationError,
 )
@@ -105,6 +122,13 @@ from .neural import DEFAULT_HIDDEN_UNITS, TrainConfig
 
 # Checkpoint loading under the name perfbench/run.py calls.
 _load_model = models_mod.load_model
+
+# train refuses a model that scores every order the same on more than this share of its
+# training stories. Measured on 450 training stories per seed (seeds 7–11): NPE at lr
+# 0.01, n = 8, noise 1.0 collapsed on seeds 7, 9 and 11 and tied 449, 450 and 450 of them;
+# every other model tied none (unary, pairwise and NPE at lr 0.01 and 0.0025; n = 8 and
+# 5 at noise 1.0, n = 4 at noise 0.1).
+COLLAPSED_SHARE = 0.5
 
 
 def _sha256(path: Path) -> str:
@@ -329,10 +353,19 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise NumericError(f"{diverged} has a {e}, training on --data {data_path}{with_val}"
                            ) from e
     # before the checkpoint is written, the training stories are scored (not decoded):
-    # a model that diverged has non-finite scores, and leaves no file
-    if not all(np.isfinite(s).all() for s in models_mod.score_chunks(model, train_stories)):
+    # a model that diverged has non-finite scores, and one that collapsed scores every
+    # order of most stories the same; either leaves no file
+    finite, tied = True, 0
+    for scores in models_mod.score_chunks(model, train_stories):
+        finite = finite and bool(np.isfinite(scores).all())
+        tied += int(models_mod.full_ties(spec, scores).sum())
+    if not finite:
         raise NumericError(f"{diverged} gives non-finite scores on the training stories "
                            f"of --data {data_path}")
+    if tied > COLLAPSED_SHARE * len(train_stories):
+        raise ValidationError(
+            f"training collapsed: the {args.model} model scores every order of {tied} of "
+            f"{len(train_stories)} training stories the same, training on --data {data_path}")
     log = model.epoch_log
     report = {
         "model": args.model,
@@ -385,23 +418,21 @@ def cmd_sort(args: argparse.Namespace) -> int:
 
 
 def load_predictions(path: Path) -> dict[str, list[int]]:
+    """Each story_id's predicted_order, read as load_dataset reads lines."""
     preds = {}
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    story_id = json_value(record["story_id"], (str,), "story_id")
-                    order = json_list(record["predicted_order"], (int,), "predicted_order")
-                except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
-                    raise ParseError(f"{path}:{lineno}: bad prediction record: {e}") from e
-                if story_id in preds:
-                    raise ParseError(f"{path}:{lineno}: repeated story_id {story_id!r}")
-                preds[story_id] = order
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from e
+    with path.open("rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.isspace():
+                continue
+            record = parse_json(line, path, lineno)
+            try:
+                story_id = json_value(record["story_id"], (str,), "story_id")
+                order = json_list(record["predicted_order"], (int,), "predicted_order")
+            except (KeyError, TypeError, ValueError) as e:
+                raise ParseError(f"{path}:{lineno}: bad prediction record: {e}") from e
+            if story_id in preds:
+                raise ParseError(f"{path}:{lineno}: repeated story_id {story_id!r}")
+            preds[story_id] = order
     return preds
 
 

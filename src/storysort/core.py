@@ -1,4 +1,4 @@
-"""Orders, the one ranker of permutation-table rows, and exact JSON field checks.
+"""Orders, the one ranker of permutation-table rows, and the one JSON parse and field checks.
 
 Positions are 0-based everywhere. An order maps element index i to the
 position ``order[i]``. Inside the pipeline an order is an integer row, and
@@ -12,8 +12,10 @@ alike: by exact total, ties going to the lowest row, which is the
 lexicographically smallest positions tuple. All operations here are pure,
 and every source of randomness is an explicitly seeded generator.
 
-Float arrays on disk are float blocks, one codec for all: a JSON string of
-padded base64 of the array's little-endian float64 (``<f8``) bytes in C order.
+Every file of JSON (a dataset or predictions line, a checkpoint) is parsed by
+parse_json, which owns its two error lines. Float arrays on disk are float
+blocks, one codec for all: a JSON string of padded base64 of the array's
+little-endian float64 (``<f8``) bytes in C order.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ from __future__ import annotations
 import base64
 import functools
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationCapError, SizeError, ValidationError
+from .errors import EnumerationCapError, ParseError, SizeError, ValidationError
 
 MIN_N = 2
 MAX_N = 16
@@ -174,6 +177,21 @@ def random_permutation(n: int, seed: int | np.random.Generator) -> tuple[int, ..
         j = int(rng.integers(0, i + 1))
         items[i], items[j] = items[j], items[i]
     return tuple(items)
+
+
+def parse_json(raw: bytes, path, lineno: int | None = None):
+    """The JSON value of raw, UTF-8 bytes of a whole file or of its line lineno.
+
+    Bytes that are not UTF-8 raise ParseError ``<path>: not UTF-8 text:
+    <reason>``, and text that is not JSON ``<path>[:<lineno>]: malformed
+    JSON: <error>``.
+    """
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from e
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}{f':{lineno}' if lineno else ''}: malformed JSON: {e}") from e
 
 
 def json_value(value, types: tuple[type, ...], name: str):

@@ -14,7 +14,8 @@ slice or index array of a batch is a batch of rows already checked, and
 is not checked again; a story is a batch of one.
 
 Datasets are line-delimited JSON, one story per "\n"-ended line, so line
-tools split and join them; lines of ASCII whitespace are skipped. A line is
+tools split and join them; lines of ASCII whitespace are skipped, as in
+predictions files, and each other line is parsed by core.parse_json. A line is
 one object: ``story_id`` (a string), ``element_ids`` (n strings), ``gold``
 (n integers), ``presented_order`` (n integers, or null for the listed order,
 which loads and saves as the identity row), and ``text`` and ``image`` (or
@@ -42,6 +43,7 @@ from .core import (
     json_floats,
     json_list,
     json_value,
+    parse_json,
     random_permutation,
 )
 from .errors import EmptyInputError, FeatureError, ParseError, StoryError, ValidationError
@@ -321,12 +323,7 @@ def load_dataset(path: str | Path) -> Stories:
                 continue
             if len(columns) == count:
                 raise ParseError(f"{path}:{lineno}: the file changed while it was read")
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except UnicodeDecodeError as e:
-                raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from e
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}:{lineno}: malformed JSON: {e}") from e
+            record = parse_json(line, path, lineno)  # not in the try: ParseError is a ValueError
             try:
                 story_id, *fields, text_block, image_block = _record_fields(record)
             except (KeyError, TypeError, ValueError, OverflowError) as e:

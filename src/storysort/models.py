@@ -47,9 +47,10 @@ import numpy as np
 
 from . import npe, pairwise, unary
 from .assign import topk_assignments
-from .core import MAX_ENUMERATION_N, check_top_k, float_block, json_floats, json_list, json_value
+from .core import (MAX_ENUMERATION_N, check_top_k, float_block, json_floats, json_list,
+                   json_value, parse_json)
 from .data import Stories
-from .errors import EnumerationCapError, ParseError, UsageError, ValidationError
+from .errors import EnumerationCapError, UsageError, ValidationError
 from .neural import MlpParams, TrainConfig
 
 ADDITIVE = "additive"
@@ -144,6 +145,12 @@ def score_chunks(model: AnyModel, stories: Stories) -> Iterator[np.ndarray]:
         yield scores(model, stories[start:start + size])
 
 
+def full_ties(spec: ModelSpec, a: np.ndarray) -> np.ndarray:
+    """One bool per matrix of an (S, n, n) score stack: whether it scores every order
+    the same, for pair scores a == aᵀ, for additive scores every row equal."""
+    return (a == (a.transpose(0, 2, 1) if spec.score_type == PAIR else a[:, :1])).all(axis=(1, 2))
+
+
 def predict_stories(model: AnyModel, stories: Stories) -> np.ndarray:
     """The model's best order for each story as an (S, n) array, scored and decoded
     chunk by chunk.
@@ -219,12 +226,7 @@ def load_model(path: str | Path) -> AnyModel:
     model_kind UsageError.
     """
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path} is not valid JSON: {e}") from e
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from e
+    payload = parse_json(path.read_bytes(), path)
     if not isinstance(payload, dict) or "model_kind" not in payload:
         raise ValidationError(f"{path} is not a model checkpoint (missing model_kind)")
     kind = payload["model_kind"]

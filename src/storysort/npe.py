@@ -86,12 +86,17 @@ def order_loss(out: np.ndarray, y: None, alpha: float) -> tuple[float, np.ndarra
     ordered pairs i < j of ||max(0, alpha - (e_j - e_i))||^2.
     """
     batch, n, _ = out.shape
-    m = order_margins(neural.relu(out), alpha) * _earlier(n)
+    m = order_margins(neural.relu(out), alpha)
+    m *= _earlier(n)  # the masks and the scaling work in place, on arrays made here
     # the reductions of np.sum and .sum(), called without their wrappers
     loss = float(np.add.reduce(m * m, axis=None)) / batch
     # e_i gains +2m from each later j, e_j gains -2m from each earlier i
-    d_emb = 2.0 * (np.add.reduce(m, axis=2) - np.add.reduce(m, axis=1)) / batch
-    return loss, d_emb * (out > 0)
+    d_emb = np.add.reduce(m, axis=2)
+    d_emb -= np.add.reduce(m, axis=1)
+    d_emb *= 2.0
+    d_emb /= batch
+    d_emb *= out > 0
+    return loss, d_emb
 
 
 def npe_scores(model: NpeModel, stories: Stories) -> np.ndarray:

@@ -250,6 +250,39 @@ class TestTrain:
                                           f"--data {data}")
         assert set(tmp_path.iterdir()) == {data, Path(str(data) + ".manifest.json"), val}
 
+    def test_collapsed_training_is_one_error_line_and_leaves_no_file(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # NPE at lr 0.01 on noisy n = 8 stories drives every output pre-activation negative,
+        # so every element embeds at the origin and every order of a story scores the same
+        data = tmp_path / "data.jsonl"
+        assert run(["generate", "--stories", "60", "--n", "8", "--noise", "1.0", "--seed", "9",
+                    "--out", str(data)]) == 0
+        tied, full_ties = [], cli.models_mod.full_ties
+
+        def counting(spec, a):
+            ties = full_ties(spec, a)
+            tied.append(int(ties.sum()))
+            return ties
+
+        monkeypatch.setattr(cli.models_mod, "full_ties", counting)
+
+        def train(model, *extra):
+            tied.clear()
+            capsys.readouterr()
+            return run(["train", "--model", model, "--data", str(data), "--seed", "9",
+                        "--out", str(tmp_path / f"{model}.ckpt"), *extra])
+
+        assert train("npe", "--lr", "0.01") == 1
+        assert one_error_line(capsys) == (
+            f"error: training collapsed: the npe model scores every order of 52 of 54 "
+            f"training stories the same, training on --data {data}")
+        assert set(tmp_path.iterdir()) == {data, Path(str(data) + ".manifest.json")}
+        # unary and pairwise, with their registry defaults, tie none of the same stories
+        for model in ("unary", "pairwise"):
+            assert train(model) == 0
+            assert sum(tied) == 0
+            assert (tmp_path / f"{model}.ckpt").exists()
+
     @pytest.mark.parametrize("model", ["unary", "pairwise", "npe"])
     @pytest.mark.parametrize("case", ["val_frac_leaves_none", "empty_data",
                                       "empty_data_with_val"])
@@ -840,6 +873,50 @@ def test_invalid_utf8_is_one_line_naming_the_file(trained, tmp_path, capsys, kin
     prefix = "usage error" if kind == "config" else "error"
     assert err.splitlines() == [f"{prefix}: {bad}: not UTF-8 text: invalid start byte"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line", [b"not json\n", "\u00a0\n".encode()],
+                         ids=["not_json", "nbsp_only"])
+@pytest.mark.parametrize("kind", ["dataset", "predictions", "checkpoint"])
+def test_malformed_json_is_one_line_naming_the_file(trained, tmp_path, capsys, kind, line):
+    # one parse for every JSON file: a dataset or predictions line that is not JSON, and a
+    # line of non-ASCII whitespace among them, is <path>:<line>; a checkpoint is <path>
+    data, ckpts = trained
+    bad, out = tmp_path / f"bad-{kind}", tmp_path / "out.jsonl"
+    if kind == "checkpoint":
+        bad.write_bytes(line)
+    else:
+        lines = data.read_bytes().splitlines(True)[:3]
+        if kind == "predictions":
+            write_predictions(bad, gold_records(load_dataset(data)[:3]))
+            lines = bad.read_bytes().splitlines(True)
+        bad.write_bytes(b"".join([lines[0], line, *lines[1:]]))
+    argv = {
+        "dataset": ["sort", "--ckpt", str(ckpts["unary"]), "--data", str(bad), "--out", str(out)],
+        "predictions": ["eval", "--pred", str(bad), "--data", str(data)],
+        "checkpoint": ["sort", "--ckpt", str(bad), "--data", str(data), "--out", str(out)],
+    }[kind]
+    capsys.readouterr()
+    assert run(argv) == 1
+    where = bad if kind == "checkpoint" else f"{bad}:2"
+    assert one_error_line(capsys) == (
+        f"error: {where}: malformed JSON: Expecting value: line 1 column 1 (char 0)")
+    assert not out.exists()
+
+
+def test_predictions_end_lines_at_newline_only(trained, tmp_path, capsys):
+    # as in a dataset: \r\n endings and lines of ASCII whitespace are read, and a \r
+    # alone does not end a line
+    data, _ = trained
+    stories = load_dataset(data)
+    lines = [json.dumps(r) for r in gold_records(stories)]
+    pred = tmp_path / "pred.jsonl"
+    pred.write_bytes("\r\n".join([lines[0], "", " \t", *lines[1:], ""]).encode())
+    assert run(["eval", "--pred", str(pred), "--data", str(data)]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["story_count"] == len(stories)
+    pred.write_bytes("\r".join(lines).encode() + b"\n")
+    assert run(["eval", "--pred", str(pred), "--data", str(data)]) == 1
+    assert one_error_line(capsys).startswith(f"error: {pred}:1: malformed JSON: Extra data: ")
 
 
 class TestClosedStdout:

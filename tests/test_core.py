@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from storysort.core import Permutation, is_permutation, permutation_table, random_permutation
+from storysort.core import (
+    Permutation, is_permutation, parse_json, permutation_table, random_permutation,
+)
 from storysort.data import gold_features, presented_features, presented_gold
-from storysort.errors import EnumerationCapError, SizeError, ValidationError
+from storysort.errors import EnumerationCapError, ParseError, SizeError, ValidationError
 from conftest import enumerate_permutations, make_story, permutations_st
 
 
@@ -134,3 +136,29 @@ class TestRandomPermutation:
         for p in enumerate_permutations(5):
             freq = counts[p] / 120_000
             assert abs(freq - 1 / 120) < 0.005
+
+
+class TestParseJson:
+    """parse_json, the one parse of every JSON file and line, and its two error lines."""
+
+    def test_value(self):
+        raw = '{"a": [1, 2.5, "\u00e9"]}\r\n'.encode()
+        assert parse_json(raw, "f") == {"a": [1, 2.5, "\u00e9"]}
+
+    @pytest.mark.parametrize("lineno,where", [(None, "f.json"), (7, "f.json:7")])
+    def test_malformed_json_names_the_line_if_any(self, lineno, where):
+        with pytest.raises(ParseError) as e:
+            parse_json(b"not json\n", "f.json", lineno)
+        assert str(e.value) == (
+            f"{where}: malformed JSON: Expecting value: line 1 column 1 (char 0)")
+
+    @pytest.mark.parametrize("lineno", [None, 7])
+    def test_bytes_that_are_not_utf8_name_the_file(self, lineno):
+        with pytest.raises(ParseError) as e:
+            parse_json(b'{"a": "\xff"}', "f.json", lineno)
+        assert str(e.value) == "f.json: not UTF-8 text: invalid start byte"
+
+    def test_utf16_is_not_read_as_json(self):
+        # json.loads would detect UTF-16 in bytes; the files are UTF-8 only
+        with pytest.raises(ParseError, match="not UTF-8 text"):
+            parse_json('{"a": 1}'.encode("utf-16"), "f.json")

@@ -158,6 +158,19 @@ class TestCheckDecodable:
             models.check_decodable(spec, MAX_ENUMERATION_N + 1, k=3)
 
 
+@pytest.mark.parametrize("kind", list(models.REGISTRY))
+def test_full_ties_finds_matrices_that_score_every_order_the_same(kind):
+    spec = models.REGISTRY[kind]
+    a = np.random.default_rng(0).standard_normal((4, 5, 5))
+    # pair scores tie when a == aᵀ, additive scores when every element scores each position alike
+    tied = (a + a.transpose(0, 2, 1) if spec.score_type == models.PAIR
+            else np.repeat(a[:, :1], 5, axis=1))
+    untied = tied.copy()
+    untied[:, 1, 2] += 1.0
+    stack = np.stack([tied[0], untied[1], a[2], tied[3]])
+    assert models.full_ties(spec, stack).tolist() == [True, False, False, True]
+
+
 class TestPredictStories:
     """Chunked scoring and decoding equal the one-story path, chunk by chunk."""
 

@@ -142,6 +142,25 @@ class TestStoryLoss:
         assert story_loss(shifted, story) == pytest.approx(base, abs=1e-9)
 
 
+@pytest.mark.parametrize("n,alpha", [(2, 1.0), (4, 1.0), (5, 0.5), (8, 1.0)])
+def test_order_loss_bytes_equal_the_plain_formula(n, alpha):
+    # order_loss masks and scales in place; its loss and gradient must keep every byte of
+    # the formula written out, -0.0 entries included. Outputs on a grid of alpha / 2 give
+    # margins of exactly 0 (a gap of alpha) and exactly alpha (equal embeddings, and
+    # negative outputs that the ReLU closes)
+    rng = np.random.default_rng(n)
+    for out in (rng.standard_normal((16, n, 32)),
+                rng.integers(-2, 5, size=(16, n, 32)) * (alpha / 2)):
+        m = np.maximum(0.0, alpha - (relu(out)[:, None, :, :] - relu(out)[:, :, None, :]))
+        m = m * np.triu(np.ones((n, n)), 1)[:, :, None]
+        want_loss = float(np.add.reduce(m * m, axis=None)) / 16
+        want_grad = 2.0 * (np.add.reduce(m, axis=2) - np.add.reduce(m, axis=1)) / 16 * (out > 0)
+        loss, grad = order_loss(out, None, alpha)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+        assert grad.shape == want_grad.shape and grad.dtype == want_grad.dtype
+
+
 class TestScores:
     def test_identical_embeddings_tie_to_identity(self):
         story = make_story([0, 1, 2, 3, 4])

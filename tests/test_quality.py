@@ -2,8 +2,12 @@
 within a fixed gap of the planted signal's most likely order (conftest.map_orders).
 
 Every benchmark workload scores a Spearman of about 1.0, so these are the
-tests that a change making predictions worse fails.
+tests that a change making predictions worse fails. Every kind is held at
+n = 5; unary and pairwise also at n = 8, and unary at n = 16 (the sizes of
+the unary-n16 workload).
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -15,28 +19,34 @@ from storysort.neural import TrainConfig
 from conftest import map_orders, planted_directions
 
 SEEDS = range(1, 6)
-TRAIN_STORIES, HELD_OUT_STORIES = 160, 40
 
-# a kind's allowed gap below the oracle's mean held-out Spearman, from the measurement
-# in the docstring of the test that applies it
-GAPS = {"unary": 0.21, "pairwise": 0.05, "npe": 0.14}
+# each regime's n, noise, training stories (before any validation split) and held-out
+# stories; n16 is the unary-n16 workload's
+REGIMES = {"n5": (5, 1.0, 160, 40), "n8": (8, 1.0, 160, 40), "n16": (16, 0.1, 100, 50)}
+
+# a kind's allowed gap below the oracle's mean held-out Spearman in each regime, from the
+# measurement in the docstring of the test that applies it
+GAPS = {"n5": {"unary": 0.21, "pairwise": 0.05, "npe": 0.14},
+        "n8": {"unary": 0.13, "pairwise": 0.02},
+        "n16": {"unary": 0.01}}
 
 
 def spearman(pred, stories):
     return M.aggregate(M.score_story(pred, presented_gold(stories))).spearman
 
 
-@pytest.fixture(scope="module")
-def quality_sets():
-    """For each seed: its spec, the n = 5, noise 1.0 monotone stories split into training
-    and held-out ones, and the oracle's held-out Spearman."""
+@functools.cache
+def quality_sets(regime):
+    """For each seed: its spec, the regime's monotone stories split into training and
+    held-out ones, and the oracle's held-out Spearman."""
+    n, noise, train_stories, held_out_stories = REGIMES[regime]
     sets = []
     for seed in SEEDS:
-        spec = SyntheticSpec(story_count=TRAIN_STORIES + HELD_OUT_STORIES, n=5,
-                             noise_sigma=1.0, seed=seed)
+        spec = SyntheticSpec(story_count=train_stories + held_out_stories, n=n,
+                             noise_sigma=noise, seed=seed)
         stories = generate_synthetic(spec)
-        held_out = stories[TRAIN_STORIES:]
-        sets.append((spec, stories[:TRAIN_STORIES], held_out,
+        held_out = stories[train_stories:]
+        sets.append((spec, stories[:train_stories], held_out,
                      spearman(map_orders(spec, held_out), held_out)))
     return sets
 
@@ -55,7 +65,7 @@ def test_map_orders_draws_the_generators_directions():
 
 
 @pytest.mark.parametrize("kind", list(REGISTRY))
-def test_held_out_spearman_is_within_its_gap_of_the_oracle(quality_sets, kind):
+def test_held_out_spearman_is_within_its_gap_of_the_oracle(kind):
     """The kind's mean held-out Spearman over the seeds is at least the oracle's minus
     GAPS[kind].
 
@@ -74,12 +84,12 @@ def test_held_out_spearman_is_within_its_gap_of_the_oracle(quality_sets, kind):
     the 5-seed means: a kind whose mean falls by more than 0.064 (unary),
     0.019 (pairwise) or 0.053 (NPE) fails.
     """
-    ours, oracle = held_out_spearmans(quality_sets, kind, early_stopped=False)
-    assert np.mean(ours) >= np.mean(oracle) - GAPS[kind], (kind, ours, oracle)
+    ours, oracle = held_out_spearmans(quality_sets("n5"), kind, early_stopped=False)
+    assert np.mean(ours) >= np.mean(oracle) - GAPS["n5"][kind], (kind, ours, oracle)
 
 
 @pytest.mark.parametrize("kind", list(REGISTRY))
-def test_early_stopped_held_out_spearman_is_within_its_gap_of_the_oracle(quality_sets, kind):
+def test_early_stopped_held_out_spearman_is_within_its_gap_of_the_oracle(kind):
     """As above, but trained as ``storysort train`` trains: on a seeded 10% validation
     split of each seed's training stories (144 train, 16 validate), with the registry's
     epochs as caps.
@@ -100,18 +110,46 @@ def test_early_stopped_held_out_spearman_is_within_its_gap_of_the_oracle(quality
     is at or above its fixed-epoch mean on all 160 stories (the table above), so
     this test keeps the same gaps.
     """
-    ours, oracle = held_out_spearmans(quality_sets, kind, early_stopped=True)
-    assert np.mean(ours) >= np.mean(oracle) - GAPS[kind], (kind, ours, oracle)
+    ours, oracle = held_out_spearmans(quality_sets("n5"), kind, early_stopped=True)
+    assert np.mean(ours) >= np.mean(oracle) - GAPS["n5"][kind], (kind, ours, oracle)
 
 
-def held_out_spearmans(quality_sets, kind, early_stopped):
-    """The kind's and the oracle's held-out Spearman on each seed, the kind trained with
-    its registry defaults, on all training stories or, early_stopped, on 90% of them
-    with the rest as the validation set."""
+@pytest.mark.parametrize("regime,kind", [("n8", "unary"), ("n8", "pairwise"), ("n16", "unary")])
+def test_early_stopped_held_out_spearman_at_n8_and_n16(regime, kind):
+    """As above, early-stopped, at n = 8 (noise 1.0, 160 stories split 144/16, 40 held
+    out) and n = 16 (noise 0.1, 100 stories split 90/10, 50 held out).
+
+    Measured (gap: oracle minus kind; epochs: best/run per seed):
+
+    ===============  =====  =====  =====  =====  =====  =====  ========  =======
+    seed             1      2      3      4      5      mean   mean gap  largest
+    ===============  =====  =====  =====  =====  =====  =====  ========  =======
+    n = 8 oracle     0.945  0.945  0.928  0.927  0.938  0.936
+    unary            0.853  0.874  0.863  0.828  0.815  0.847  0.090     0.123
+    pairwise         0.943  0.937  0.916  0.919  0.924  0.928  0.008     0.014
+    n = 16 oracle    1.000  1.000  1.000  1.000  1.000  1.000
+    unary            0.999  0.996  0.997  0.997  0.998  0.997  0.003     0.004
+    ===============  =====  =====  =====  =====  =====  =====  ========  =======
+
+    Epochs: unary at n = 8 16/19, 24/27, 20/23, 18/21, 22/25 of 30; pairwise
+    6/9, 5/8, 1/4, 9/12, 3/6 of 12; unary at n = 16 25/28, 25/28, 23/26, 30/30,
+    30/30 of 30. Each gap is the largest single-seed gap, rounded up. Unary at
+    4x batch and 4x lr (128, 0.2) reads 0.985 at n = 16 (gap 0.015) and fails;
+    at 2x it reads 0.993 (gap 0.007). NPE at n = 8 collapses on some seeds at its
+    registry lr of 0.01, so it has no case here until that lr changes.
+    """
+    ours, oracle = held_out_spearmans(quality_sets(regime), kind, early_stopped=True)
+    assert np.mean(ours) >= np.mean(oracle) - GAPS[regime][kind], (kind, ours, oracle)
+
+
+def held_out_spearmans(sets, kind, early_stopped):
+    """The kind's and the oracle's held-out Spearman on each seed of sets (from
+    quality_sets), the kind trained with its registry defaults, on all training stories
+    or, early_stopped, on 90% of them with the rest as the validation set."""
     spec_of = REGISTRY[kind]
     defaults = spec_of.train_defaults
     ours, oracle = [], []
-    for spec, train, held_out, oracle_spearman in quality_sets:
+    for spec, train, held_out, oracle_spearman in sets:
         cfg = TrainConfig(learning_rate=defaults["lr"], epochs=defaults["epochs"],
                           batch_size=defaults["batch_size"], seed=spec.seed)
         val = None
