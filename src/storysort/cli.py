@@ -88,10 +88,19 @@ additive scores).
 
 sort with several --ckpt votes: each member lists its --topk best orders,
 by default 3 but fewer than n! (1 for stories of n = 2, where a list of
-both orders would tie every vote). An explicit --topk of n! or more is an
-``error:`` line. With one --ckpt, sort writes that model's best order for
-each story, and --topk, from the flag or --config, is a usage error
-before any file is read.
+both orders would tie every vote). With one --ckpt, sort writes that
+model's best order for each story, and --topk, from the flag or --config,
+is a usage error before any file is read.
+
+sort checks its inputs against each other before it decodes any story,
+each check an ``error:`` line naming the flag and file behind it, exit 1
+and no --out file: an explicit --topk of n! or more is ``error: --topk
+<k>: k=<k> out of range for n=<n>``, and a checkpoint that cannot score
+the first story of --data (a unary model of another n, other feature
+widths, or image features the stories lack) is ``error: --ckpt <path>
+cannot score --data <path>: <reason>``. Likewise train --use-image on
+stories without image features is ``error: --use-image: --data <path>:
+<reason>`` before any model is built.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 """
@@ -116,7 +125,8 @@ from . import metrics as metrics_mod
 from . import models as models_mod
 from .core import is_permutation, json_list, json_value, parse_json
 from .errors import (
-    EmptyInputError, NumericError, ParseError, StorySortError, UsageError, ValidationError,
+    DimensionError, EmptyInputError, FeatureError, NumericError, ParseError, SizeError,
+    StorySortError, UsageError, ValidationError,
 )
 from .neural import DEFAULT_HIDDEN_UNITS, TrainConfig
 
@@ -321,6 +331,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not train_stories:
         raise EmptyInputError(
             f"no training stories: --data {data_path} has {count} stories{rest}")
+    if args.use_image and train_stories.image is None:
+        raise FeatureError(f"--use-image: --data {data_path}: stories have no image features "
+                           f"but use_image was requested")
     if args.val is not None:
         val_stories = data_mod.load_dataset(Path(args.val))
         inputs.append(Path(args.val))
@@ -395,9 +408,20 @@ def cmd_sort(args: argparse.Namespace) -> int:
     topk = None
     if len(models) > 1:
         topk = ensemble_mod.top_k(stories.n) if args.topk is None else args.topk
+    # every input is checked on the first story before any story is decoded
     if stories:
-        for spec in specs:
+        if args.topk is not None:
+            try:
+                ensemble_mod.check_k(stories.n, args.topk)
+            except SizeError as e:
+                raise SizeError(f"--topk {args.topk}: {e}") from e
+        for path, model, spec in zip(ckpt_paths, models, specs):
             models_mod.check_decodable(spec, stories.n, topk)
+            try:
+                spec.module.scores(model, stories[:1])
+            except (DimensionError, FeatureError) as e:
+                raise ValidationError(f"--ckpt {path} cannot score --data {args.data}: {e}"
+                                      ) from e
     if topk is None:
         orders = models_mod.predict_stories(models[0], stories).tolist()
     else:

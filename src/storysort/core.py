@@ -9,8 +9,12 @@ one-story predict or ensemble_sort returns. The permutation table holds
 all n! orders of n elements, and rank_orders is the one function that
 ranks its rows, for additive (unary) and pair (pairwise, NPE) scores
 alike: by exact total, ties going to the lowest row, which is the
-lexicographically smallest positions tuple. All operations here are pure,
-and every source of randomness is an explicitly seeded generator.
+lexicographically smallest positions tuple. rank_orders is also the one
+function that sizes an array n! wide, its table of order values, so it
+bounds that table itself: it ranks at most CHUNK_FLOATS // n! matrices
+(at least one) per pass, and a larger stack in several passes. Callers
+may hand it a stack of any length. All operations here are pure, and
+every source of randomness is an explicitly seeded generator.
 
 Every file of JSON (a dataset or predictions line, a checkpoint) is parsed by
 parse_json, which owns its two error lines. Float arrays on disk are float
@@ -34,6 +38,12 @@ from .errors import EnumerationCapError, ParseError, SizeError, ValidationError
 MIN_N = 2
 MAX_N = 16
 MAX_ENUMERATION_N = 8  # 8! = 40320 permutations, always brute-forceable
+
+# Floats in the largest intermediate array of one pass: rank_orders' table of n! order
+# values per matrix, and a storysort.models chunk's hidden activations or NPE order
+# margins. Measured per story, larger budgets were no faster at n = 5 and slower at
+# n = 7, and whole-dataset chunks raise peak memory.
+CHUNK_FLOATS = 2**16
 
 
 def as_rng(seed: int | np.random.Generator) -> np.random.Generator:
@@ -138,12 +148,17 @@ def rank_orders(a: np.ndarray, k: int, pair: bool) -> np.ndarray:
     entries rather than their rounded differences; ties go to the lowest
     row. Only rows whose float total lies within the error bound of the k-th
     are re-ranked exactly, so at k = 1 a story with one such row costs no
-    Python work. permutation_table raises EnumerationCapError beyond
-    MAX_ENUMERATION_N.
+    Python work. At most CHUNK_FLOATS // n! matrices (at least one) are
+    ranked per pass, so no table of order values outgrows CHUNK_FLOATS.
+    permutation_table raises EnumerationCapError beyond MAX_ENUMERATION_N.
     """
     n = a.shape[-1]
     check_top_k(n, k)
     index = _term_index(n, pair)
+    per_pass = max(1, CHUNK_FLOATS // len(index))
+    if len(a) > per_pass:
+        return np.concatenate([rank_orders(a[s:s + per_pass], k, pair)
+                               for s in range(0, len(a), per_pass)])
     m = index.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         values = order_values(a, pair)

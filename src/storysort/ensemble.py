@@ -38,6 +38,15 @@ def top_k(n: int) -> int:
     return min(DEFAULT_TOP_K, math.factorial(n) - 1)
 
 
+def check_k(n: int, k: int) -> None:
+    """Raise ValidationError unless k >= 1, and SizeError unless k < n!: a list of all n!
+    orders ties every vote."""
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    if k >= math.factorial(n):
+        raise SizeError(f"k={k} out of range for n={n}")
+
+
 def accumulate_votes(candidates) -> np.ndarray:
     """(S, n, n) votes of (S, m, n) candidates: v[s][i][j] counts story s's rows placing
     element i at position j. Rows that are not permutations raise ValidationError."""
@@ -74,10 +83,7 @@ def ensemble_sort(members: Sequence[models.AnyModel], story: Stories,
     one_story(story, "ensemble_sort")
     if k is None:
         k = top_k(story.n)
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    if k >= math.factorial(story.n):  # a list of all n! orders ties every vote
-        raise SizeError(f"k={k} out of range for n={story.n}")
+    check_k(story.n, k)
     candidates = []
     for idx, member in enumerate(members):
         try:

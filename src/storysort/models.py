@@ -17,10 +17,14 @@ a profiler does) reaches every caller.
 Scoring runs along a story axis: ``scores(model, stories)`` returns an
 (S, n, n) stack for a data.Stories batch of S stories, and every decoder
 and top-k list takes that stack. score_chunks walks a dataset in slices
-of chunk_size stories, each scored with one forward pass;
-predict_stories decodes each slice's stack in one call, into one (S, n)
-intp array of orders; top_permutations gives a batch's (S, k, n) best
-orders. A story is a batch of one: a module's ``predict``
+of chunk_size stories, each scored with one forward pass, and is the one
+caller of ``scores`` here: chunk_size bounds the forward pass's
+activations, CHUNK_FLOATS // (rows · widest layer) stories with n rows a
+story for additive scores and n² for pair scores, and core.rank_orders
+bounds its own table of n! order values. predict_stories decodes each
+slice's stack in one call, into one (S, n) intp array of orders;
+top_permutations ranks each slice's stack into the batch's (S, k, n)
+best orders. A story is a batch of one: a module's ``predict``
 passes it to the same scorers and decoders and returns a
 core.Permutation, the one-story public type.
 
@@ -37,7 +41,6 @@ too, and a load then save reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import ModuleType
@@ -47,20 +50,14 @@ import numpy as np
 
 from . import npe, pairwise, unary
 from .assign import topk_assignments
-from .core import (MAX_ENUMERATION_N, check_top_k, float_block, json_floats, json_list,
-                   json_value, parse_json)
+from .core import (CHUNK_FLOATS, MAX_ENUMERATION_N, check_top_k, float_block, json_floats,
+                   json_list, json_value, parse_json)
 from .data import Stories
 from .errors import EnumerationCapError, UsageError, ValidationError
 from .neural import MlpParams, TrainConfig
 
 ADDITIVE = "additive"
 PAIR = "pair"
-
-# Floats in the largest intermediate array of one chunk: hidden activations
-# of its pair rows, NPE order margins, or the chunk's table of n! order
-# values. Measured per story, larger budgets were no faster at n = 5 and
-# slower at n = 7, and whole-dataset chunks raise peak memory.
-CHUNK_FLOATS = 2**16
 
 AnyModel = unary.UnaryModel | pairwise.PairwiseModel | npe.NpeModel
 
@@ -85,7 +82,7 @@ REGISTRY = {
         (("use_image", (bool,)), ("margin", (int, float))),
     ),
     npe.MODEL_KIND: ModelSpec(
-        npe, PAIR, {"epochs": 40, "lr": 0.01, "batch_size": 16},
+        npe, PAIR, {"epochs": 40, "lr": 0.0025, "batch_size": 16},
         {"embed_dim": npe.DEFAULT_EMBED_DIM, "alpha": npe.DEFAULT_ALPHA},
         (("alpha", (int, float)), ("use_image", (bool,))),
     ),
@@ -119,19 +116,15 @@ def check_decodable(spec: ModelSpec, n: int, k: int | None = None) -> None:
 
 
 def chunk_size(model: AnyModel, n: int) -> int:
-    """Stories per chunk: as many n-element stories as keep each intermediate
-    array within CHUNK_FLOATS, and at least one.
+    """Stories per chunk: CHUNK_FLOATS // (rows · w), and at least one, so that no
+    activation array of a chunk's forward pass outgrows core.CHUNK_FLOATS.
 
-    With w the widest layer, a story's largest array holds n·w floats for
-    additive scores, and for pair scores n²·w (pair-row activations, NPE
-    margins) or n! (its order values), whichever is larger.
+    w is the widest layer, and rows a story's rows: n for additive scores,
+    n² for pair scores (pair-row activations, NPE margins). The decoders'
+    tables of n! order values are bounded by core.rank_orders itself.
     """
-    w = max(model.mlp.layer_dims)
-    if spec_for(model).score_type == ADDITIVE:
-        per_story = n * w
-    else:
-        per_story = max(n * n * w, math.factorial(n))
-    return max(1, CHUNK_FLOATS // per_story)
+    rows = n if spec_for(model).score_type == ADDITIVE else n * n
+    return max(1, CHUNK_FLOATS // (rows * max(model.mlp.layer_dims)))
 
 
 def score_chunks(model: AnyModel, stories: Stories) -> Iterator[np.ndarray]:
@@ -141,8 +134,8 @@ def score_chunks(model: AnyModel, stories: Stories) -> Iterator[np.ndarray]:
         return
     scores = spec_for(model).module.scores
     size = chunk_size(model, stories.n)
-    for start in range(0, len(stories), size):
-        yield scores(model, stories[start:start + size])
+    for start in range(0, len(stories), size):  # a batch of one chunk goes unsliced
+        yield scores(model, stories[start:start + size] if size < len(stories) else stories)
 
 
 def full_ties(spec: ModelSpec, a: np.ndarray) -> np.ndarray:
@@ -173,7 +166,7 @@ def top_permutations(model: AnyModel, stories: Stories, k: int) -> np.ndarray:
         return np.empty((0, k, stories.n), dtype=np.intp)
     check_decodable(spec, stories.n, k)
     rank = topk_assignments if spec.score_type == ADDITIVE else pairwise.rank_permutations
-    return rank(spec.module.scores(model, stories), k)
+    return np.concatenate([rank(s, k) for s in score_chunks(model, stories)])
 
 
 def save_model(model: AnyModel, path: str | Path) -> None:

@@ -117,9 +117,16 @@ def train_unary(
     hidden_units: int = neural.DEFAULT_HIDDEN_UNITS,
     val: Stories | None = None,
 ) -> UnaryModel:
-    """Fit position classification by SGD, stopped early on the val stories if any."""
-    X, y = _rows(stories, use_image)
+    """Fit position classification by SGD, stopped early on the val stories if any.
+
+    The model scores only stories of the training stories' n, so val stories
+    of another n raise DimensionError before training starts.
+    """
     n = stories.n
+    if val and val.n != n:
+        raise DimensionError(f"validation stories have n={val.n}, but a unary model trained "
+                             f"on stories of n={n} scores only n={n}")
+    X, y = _rows(stories, use_image)
     rng = np.random.default_rng(cfg.seed)
     params = neural.init_mlp((X.shape[1], hidden_units, n), rng)
     params, log = neural.sgd_train(params, X, y, cross_entropy, cfg,

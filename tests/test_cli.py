@@ -1396,3 +1396,84 @@ class TestValOfOtherWidths:
         assert run(train_args(dataset, tmp_path / "m.json", model=model,
                               extra=["--val", str(val)])) == 0
         assert json.loads(capsys.readouterr().out)["val"]["story_count"] == 8
+
+
+class TestInputsTheModelsCannotUse:
+    """sort and train check their inputs against each other before any story is decoded
+    or any epoch runs: one error line naming the flag and the file behind the input, exit 1,
+    and no --out file. The trained checkpoints read n = 5, text dim 6 (gen_args)."""
+
+    @staticmethod
+    def refuse_work(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decoded or trained before the inputs were checked")
+
+        monkeypatch.setattr(cli.models_mod, "predict_stories", refuse)
+        monkeypatch.setattr(cli.ensemble_mod, "ensemble_sort", refuse)
+        for spec in REGISTRY.values():
+            monkeypatch.setattr(spec.module, "train", refuse)
+
+    @pytest.fixture()
+    def no_work(self, monkeypatch):
+        self.refuse_work(monkeypatch)
+
+    @staticmethod
+    def no_image(tmp_path):
+        """gen_args' stories with every image block null."""
+        data = tmp_path / "no-image.jsonl"
+        assert run(gen_args(data, stories=6)) == 0
+        lines = [dict(json.loads(line), image=None) for line in data.read_text().splitlines()]
+        data.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        return data
+
+    @pytest.mark.parametrize("members,extra,culprit,reason", [
+        (("pairwise",), ["--text-dim", "4"], "pairwise", "input dim 8 does not match model dim 12"),
+        (("unary",), ["--n", "7"], "unary", "story has n=7, model expects n=5"),
+        (("pairwise", "unary"), ["--n", "7"], "unary", "story has n=7, model expects n=5"),
+    ], ids=["text_dim", "n", "n_of_a_member"])
+    def test_checkpoint_that_cannot_score_the_stories(self, trained, tmp_path, capsys, no_work,
+                                                      members, extra, culprit, reason):
+        _, ckpts = trained
+        data, pred = tmp_path / "other.jsonl", tmp_path / "pred.jsonl"
+        assert run(gen_args(data, stories=6, extra=extra)) == 0
+        capsys.readouterr()
+        assert run(["sort", *[a for m in members for a in ("--ckpt", str(ckpts[m]))],
+                    "--data", str(data), "--out", str(pred)]) == 1
+        assert one_error_line(capsys) == (
+            f"error: --ckpt {ckpts[culprit]} cannot score --data {data}: {reason}")
+        assert not pred.exists()
+
+    def test_use_image_checkpoint_on_stories_without_images(self, trained, tmp_path, capsys,
+                                                            monkeypatch):
+        data, _ = trained
+        ckpt = tmp_path / "image.json"
+        assert run(train_args(data, ckpt, model="npe", extra=["--use-image"])) == 0
+        self.refuse_work(monkeypatch)
+        plain, pred = self.no_image(tmp_path), tmp_path / "pred.jsonl"
+        capsys.readouterr()
+        assert run(["sort", "--ckpt", str(ckpt), "--data", str(plain), "--out", str(pred)]) == 1
+        assert one_error_line(capsys) == (
+            f"error: --ckpt {ckpt} cannot score --data {plain}: stories have no image features "
+            f"but use_image was requested")
+        assert not pred.exists()
+
+    @pytest.mark.parametrize("model", ["unary", "pairwise", "npe"])
+    def test_train_use_image_on_stories_without_images(self, tmp_path, capsys, no_work, model):
+        plain, out = self.no_image(tmp_path), tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(train_args(plain, out, model=model, extra=["--use-image"])) == 1
+        assert one_error_line(capsys) == (
+            f"error: --use-image: --data {plain}: stories have no image features but "
+            f"use_image was requested")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("topk", [120, 121])
+    def test_topk_of_n_factorial_or_more(self, trained, tmp_path, capsys, no_work, topk):
+        data, ckpts = trained
+        pred = tmp_path / "pred.jsonl"
+        capsys.readouterr()
+        assert run(["sort", "--ckpt", str(ckpts["unary"]), "--ckpt", str(ckpts["npe"]),
+                    "--data", str(data), "--out", str(pred), "--topk", str(topk)]) == 1
+        assert one_error_line(capsys) == (
+            f"error: --topk {topk}: k={topk} out of range for n=5")
+        assert not pred.exists()

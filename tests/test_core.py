@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from storysort import core
 from storysort.core import (
-    Permutation, is_permutation, parse_json, permutation_table, random_permutation,
+    CHUNK_FLOATS, Permutation, is_permutation, parse_json, permutation_table,
+    random_permutation, rank_orders,
 )
 from storysort.data import gold_features, presented_features, presented_gold
 from storysort.errors import EnumerationCapError, ParseError, SizeError, ValidationError
@@ -119,6 +121,30 @@ class TestEnumerate:
             permutation_table(9)
         with pytest.raises(SizeError):
             permutation_table(1)
+
+
+@pytest.mark.parametrize("k,pair", [(1, True), (3, True), (2, False)])
+def test_rank_orders_bounds_its_own_table_of_order_values(monkeypatch, k, pair):
+    # more n = 8 matrices than one table of CHUNK_FLOATS floats holds, none of them a
+    # transitive tournament, so pairwise.decode_pairwise would hand them all to rank_orders
+    count = CHUNK_FLOATS // math.factorial(8) + 2
+    a = np.random.default_rng(8).standard_normal((count, 8, 8))
+    a[:, np.arange(8), np.arange(8)] = 0.0
+    wins = (a > a.transpose(0, 2, 1)).sum(axis=2)
+    assert not (np.sort(wins, axis=1) == np.arange(8)).all(axis=1).any()
+    sizes, order_values = [], core.order_values
+
+    def recorded(*args):
+        values = order_values(*args)
+        sizes.append(values.size)
+        return values
+
+    monkeypatch.setattr(core, "order_values", recorded)
+    ranked = rank_orders(a, k, pair)
+    assert sizes and max(sizes) <= CHUNK_FLOATS
+    assert ranked.shape == (count, k, 8)
+    for s in range(count):
+        assert np.array_equal(ranked[s], rank_orders(a[s:s + 1], k, pair)[0])
 
 
 class TestRandomPermutation:

@@ -3,8 +3,8 @@ within a fixed gap of the planted signal's most likely order (conftest.map_order
 
 Every benchmark workload scores a Spearman of about 1.0, so these are the
 tests that a change making predictions worse fails. Every kind is held at
-n = 5; unary and pairwise also at n = 8, and unary at n = 16 (the sizes of
-the unary-n16 workload).
+n = 5 and n = 8, and unary also at n = 16 (the sizes of the unary-n16
+workload).
 """
 
 import functools
@@ -26,8 +26,8 @@ REGIMES = {"n5": (5, 1.0, 160, 40), "n8": (8, 1.0, 160, 40), "n16": (16, 0.1, 10
 
 # a kind's allowed gap below the oracle's mean held-out Spearman in each regime, from the
 # measurement in the docstring of the test that applies it
-GAPS = {"n5": {"unary": 0.21, "pairwise": 0.05, "npe": 0.14},
-        "n8": {"unary": 0.13, "pairwise": 0.02},
+GAPS = {"n5": {"unary": 0.21, "pairwise": 0.05, "npe": 0.13},
+        "n8": {"unary": 0.13, "pairwise": 0.02, "npe": 0.02},
         "n16": {"unary": 0.01}}
 
 
@@ -77,12 +77,14 @@ def test_held_out_spearman_is_within_its_gap_of_the_oracle(kind):
     oracle    0.857  0.860  0.845  0.865  0.807  0.847
     unary     0.712  0.742  0.705  0.660  0.688  0.701  0.146     0.205
     pairwise  0.840  0.820  0.832  0.817  0.770  0.816  0.031     0.047
-    npe       0.807  0.825  0.737  0.757  0.672  0.760  0.087     0.135
+    npe       0.812  0.807  0.777  0.792  0.682  0.774  0.072     0.125
     ========  =====  =====  =====  =====  =====  =====  ========  =======
 
     A kind's allowed gap is its largest single-seed gap, rounded up, applied to
     the 5-seed means: a kind whose mean falls by more than 0.064 (unary),
-    0.019 (pairwise) or 0.053 (NPE) fails.
+    0.019 (pairwise) or 0.057 (NPE) fails. NPE runs at its registry lr of
+    0.0025; at the former 0.01 it read 0.807, 0.825, 0.737, 0.757 and 0.672
+    (largest gap 0.135).
     """
     ours, oracle = held_out_spearmans(quality_sets("n5"), kind, early_stopped=False)
     assert np.mean(ours) >= np.mean(oracle) - GAPS["n5"][kind], (kind, ours, oracle)
@@ -102,11 +104,11 @@ def test_early_stopped_held_out_spearman_is_within_its_gap_of_the_oracle(kind):
     oracle    0.857  0.860  0.845  0.865  0.807  0.847
     unary     0.800  0.705  0.707  0.707  0.675  0.719  0.128     0.157
     pairwise  0.847  0.837  0.815  0.827  0.772  0.820  0.027     0.037
-    npe       0.850  0.842  0.807  0.842  0.775  0.823  0.023     0.037
+    npe       0.840  0.852  0.810  0.827  0.790  0.824  0.023     0.038
     ========  =====  =====  =====  =====  =====  =====  ========  =======
 
     Epochs: unary 14/17, 9/12, 7/10, 17/20, 13/16 of 30; pairwise 7/10, 3/6,
-    8/11, 3/6, 2/5 of 12; NPE 2/5, 4/7, 3/6, 2/5, 3/6 of 40. Every kind's mean
+    8/11, 3/6, 2/5 of 12; NPE 8/11, 7/10, 8/11, 7/10, 7/10 of 40. Every kind's mean
     is at or above its fixed-epoch mean on all 160 stories (the table above), so
     this test keeps the same gaps.
     """
@@ -114,7 +116,8 @@ def test_early_stopped_held_out_spearman_is_within_its_gap_of_the_oracle(kind):
     assert np.mean(ours) >= np.mean(oracle) - GAPS["n5"][kind], (kind, ours, oracle)
 
 
-@pytest.mark.parametrize("regime,kind", [("n8", "unary"), ("n8", "pairwise"), ("n16", "unary")])
+@pytest.mark.parametrize("regime,kind", [("n8", "unary"), ("n8", "pairwise"), ("n8", "npe"),
+                                         ("n16", "unary")])
 def test_early_stopped_held_out_spearman_at_n8_and_n16(regime, kind):
     """As above, early-stopped, at n = 8 (noise 1.0, 160 stories split 144/16, 40 held
     out) and n = 16 (noise 0.1, 100 stories split 90/10, 50 held out).
@@ -127,16 +130,18 @@ def test_early_stopped_held_out_spearman_at_n8_and_n16(regime, kind):
     n = 8 oracle     0.945  0.945  0.928  0.927  0.938  0.936
     unary            0.853  0.874  0.863  0.828  0.815  0.847  0.090     0.123
     pairwise         0.943  0.937  0.916  0.919  0.924  0.928  0.008     0.014
+    npe              0.945  0.942  0.923  0.924  0.928  0.932  0.004     0.0101
     n = 16 oracle    1.000  1.000  1.000  1.000  1.000  1.000
     unary            0.999  0.996  0.997  0.997  0.998  0.997  0.003     0.004
     ===============  =====  =====  =====  =====  =====  =====  ========  =======
 
     Epochs: unary at n = 8 16/19, 24/27, 20/23, 18/21, 22/25 of 30; pairwise
-    6/9, 5/8, 1/4, 9/12, 3/6 of 12; unary at n = 16 25/28, 25/28, 23/26, 30/30,
-    30/30 of 30. Each gap is the largest single-seed gap, rounded up. Unary at
-    4x batch and 4x lr (128, 0.2) reads 0.985 at n = 16 (gap 0.015) and fails;
-    at 2x it reads 0.993 (gap 0.007). NPE at n = 8 collapses on some seeds at its
-    registry lr of 0.01, so it has no case here until that lr changes.
+    6/9, 5/8, 1/4, 9/12, 3/6 of 12; NPE 5/8, 10/13, 4/7, 8/11, 9/12 of 40; unary
+    at n = 16 25/28, 25/28, 23/26, 30/30, 30/30 of 30. Each gap is the largest
+    single-seed gap, rounded up (NPE's 0.0101 to 0.02). Unary at 4x batch and 4x
+    lr (128, 0.2) reads 0.985 at n = 16 (gap 0.015) and fails; at 2x it reads
+    0.993 (gap 0.007). NPE at its former registry lr of 0.01 collapses on seeds
+    1 and 3 (−0.031, 0.936, −0.051, 0.923, 0.927; mean 0.541) and fails.
     """
     ours, oracle = held_out_spearmans(quality_sets(regime), kind, early_stopped=True)
     assert np.mean(ours) >= np.mean(oracle) - GAPS[regime][kind], (kind, ours, oracle)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from storysort import metrics as M
 from storysort import models, unary
 from storysort.assign import hungarian_max
-from storysort.data import presented_gold, split_dataset
+from storysort.data import SyntheticSpec, generate_synthetic, presented_gold, split_dataset
 from storysort.errors import DimensionError, EmptyInputError, ValidationError
 from storysort.models import REGISTRY, load_model, predict_stories, save_model, top_permutations
 from storysort.neural import MlpParams, TrainConfig
@@ -190,6 +190,17 @@ class TestTrainUnary:
     def test_empty_dataset_rejected(self, quick_cfg, kind, tiny_clean_dataset):
         with pytest.raises(EmptyInputError):
             REGISTRY[kind].module.train(tiny_clean_dataset[:0], quick_cfg)
+
+    def test_validation_stories_of_another_n_are_refused_before_training(
+            self, quick_cfg, tiny_clean_dataset, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained with validation stories of another n")
+
+        monkeypatch.setattr(unary.neural, "sgd_train", no_training)
+        val = generate_synthetic(SyntheticSpec(story_count=4, n=7, text_dim=8, seed=1))
+        with pytest.raises(DimensionError, match=r"validation stories have n=7, but a unary "
+                                                 r"model trained on stories of n=5"):
+            train_unary(tiny_clean_dataset[:20], quick_cfg, val=val)
 
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValidationError):
