@@ -100,7 +100,11 @@ the first story of --data (a unary model of another n, other feature
 widths, or image features the stories lack) is ``error: --ckpt <path>
 cannot score --data <path>: <reason>``. Likewise train --use-image on
 stories without image features is ``error: --use-image: --data <path>:
-<reason>`` before any model is built.
+<reason>`` before any model is built. A checkpoint that passes these
+checks can still fail while sort decodes, as when its forward pass
+overflows to non-finite scores; that is ``error: --ckpt <path> cannot
+sort --data <path>: <reason>``, naming the one checkpoint or the failing
+ensemble member, exit 1 and no --out file.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 """
@@ -125,8 +129,8 @@ from . import metrics as metrics_mod
 from . import models as models_mod
 from .core import is_permutation, json_list, json_value, parse_json
 from .errors import (
-    DimensionError, EmptyInputError, FeatureError, NumericError, ParseError, SizeError,
-    StorySortError, UsageError, ValidationError,
+    DimensionError, EmptyInputError, FeatureError, MemberError, NumericError, ParseError,
+    SizeError, StorySortError, UsageError, ValidationError,
 )
 from .neural import DEFAULT_HIDDEN_UNITS, TrainConfig
 
@@ -422,11 +426,22 @@ def cmd_sort(args: argparse.Namespace) -> int:
             except (DimensionError, FeatureError) as e:
                 raise ValidationError(f"--ckpt {path} cannot score --data {args.data}: {e}"
                                       ) from e
-    if topk is None:
-        orders = models_mod.predict_stories(models[0], stories).tolist()
-    else:
-        orders = [ensemble_mod.ensemble_sort(models, story, k=topk).positions
-                  for story in stories]
+    # the inputs passed their checks, so a failure now (such as a forward pass that
+    # overflows) is one checkpoint's: the one model's, or the member's the vote names
+    try:
+        if topk is None:
+            orders = models_mod.predict_stories(models[0], stories).tolist()
+        else:
+            orders = ensemble_mod.ensemble_sort(models, stories, k=topk).rows.tolist()
+    except StorySortError as e:
+        if isinstance(e, MemberError):
+            member, reason = e.member, e.__cause__
+        elif topk is None:
+            member, reason = 0, e
+        else:
+            raise
+        raise ValidationError(f"--ckpt {ckpt_paths[member]} cannot sort --data {args.data}: "
+                              f"{reason}") from e
     lines = [
         json.dumps({"story_id": story_id, "predicted_order": order}) + "\n"
         for story_id, order in zip(stories.story_ids, orders)

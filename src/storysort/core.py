@@ -4,8 +4,9 @@ Positions are 0-based everywhere. An order maps element index i to the
 position ``order[i]``. Inside the pipeline an order is an integer row, and
 a batch of S orders of n elements is an (S, n) intp array, from the
 decoders to the metrics; is_permutation checks such rows, one bool per
-row. Permutation is the one-story public type, built only where a
-one-story predict or ensemble_sort returns. The permutation table holds
+row. Permutation is the one-story public type, built only where one of
+the three one-story module predicts returns (ensemble_sort returns a
+batch's rows, and reads one story's from them). The permutation table holds
 all n! orders of n elements, and rank_orders is the one function that
 ranks its rows, for additive (unary) and pair (pairwise, NPE) scores
 alike: by exact total, ties going to the lowest row, which is the
@@ -147,9 +148,13 @@ def rank_orders(a: np.ndarray, k: int, pair: bool) -> np.ndarray:
     Orders are ranked by exact total, taken for pair scores from a's own
     entries rather than their rounded differences; ties go to the lowest
     row. Only rows whose float total lies within the error bound of the k-th
-    are re-ranked exactly, so at k = 1 a story with one such row costs no
-    Python work. At most CHUNK_FLOATS // n! matrices (at least one) are
-    ranked per pass, so no table of order values outgrows CHUNK_FLOATS.
+    are re-ranked exactly. A story costs no Python work when it has exactly
+    k such rows, each more than the bound from the next (at k = 1, one
+    row): their float totals rank as the exact ones do, so one stable sort
+    over the stack ranks them. Only the other stories, near ties, more than
+    k rows near the k-th, or totals that overflow, are ranked one at a time.
+    At most CHUNK_FLOATS // n! matrices (at least one) are ranked per pass,
+    so no table of order values outgrows CHUNK_FLOATS.
     permutation_table raises EnumerationCapError beyond MAX_ENUMERATION_N.
     """
     n = a.shape[-1]
@@ -170,8 +175,23 @@ def rank_orders(a: np.ndarray, k: int, pair: bool) -> np.ndarray:
         kth = values.max(axis=1) if k == 1 else np.partition(values, -k, axis=1)[:, -k]
         near = ~(values < (kth - err)[:, None])
     ranked = np.empty((len(a), k), dtype=np.intp)
-    ranked[:, 0] = values.argmax(axis=1)  # the whole list where only one row is near
-    for s in np.flatnonzero(near.sum(axis=1) > 1):
+    count = near.sum(axis=1)
+    if k == 1:
+        ranked[:, 0] = values.argmax(axis=1)  # the whole list where only one row is near
+        rest = count > 1
+    else:
+        # a story with exactly k near rows, each more than err from the next, ranks
+        # them by float total: one stable sort of those k values across the stack
+        settled = np.flatnonzero(count == k)
+        rows = np.nonzero(near[settled])[1].reshape(-1, k)
+        top = np.take_along_axis(values[settled], rows, axis=1)
+        by_value = np.argsort(-top, axis=1, kind="stable")
+        top = np.take_along_axis(top, by_value, axis=1)
+        separated = (-np.diff(top, axis=1) > err[settled, None]).all(axis=1)
+        ranked[settled[separated]] = np.take_along_axis(rows, by_value, axis=1)[separated]
+        rest = np.ones(len(a), dtype=bool)
+        rest[settled[separated]] = False
+    for s in np.flatnonzero(rest):
         rows = np.flatnonzero(near[s])
         rows = rows[np.argsort(-values[s, rows], kind="stable")]
         if len(rows) > k or not (-np.diff(values[s, rows]) > err[s]).all():

@@ -31,6 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sized, TypeVar
 
 import numpy as np
 
@@ -47,6 +48,8 @@ from .core import (
     random_permutation,
 )
 from .errors import EmptyInputError, FeatureError, ParseError, StoryError, ValidationError
+
+Batch = TypeVar("Batch", bound=Sized)
 
 SIGNAL_MODES = ("monotone", "none")
 
@@ -155,12 +158,13 @@ class Stories:
         return one_story(self, "story_id").story_ids[0]
 
 
-def one_story(stories: Stories, caller: str) -> Stories:
-    """stories, if it is a batch of one story; otherwise ValidationError naming caller
-    and S. The check of every entry point that takes one story."""
-    if len(stories) != 1:
-        raise ValidationError(f"{caller} needs a batch of one story, got S = {len(stories)}")
-    return stories
+def one_story(batch: Batch, caller: str) -> Batch:
+    """batch, a Stories batch or one row per story such as (S, n) orders, if it holds
+    one story; otherwise ValidationError naming caller and S. The check of every entry
+    point that takes one story, and of every result read as one story's."""
+    if len(batch) != 1:
+        raise ValidationError(f"{caller} needs a batch of one story, got S = {len(batch)}")
+    return batch
 
 
 def _feature_stack(stories: Stories, use_image: bool, positions: np.ndarray) -> np.ndarray:

@@ -12,21 +12,31 @@ Each member lists k orders, 1 <= k < n!, and top_k(n) by default:
 DEFAULT_TOP_K, at most n! - 1. A list of all n! orders would give every
 element the same votes at every position, a full tie that ignores the
 members, so k = n! is refused; at n = 2 each member lists its best order
-only. ensemble_sort takes one story, a data.Stories batch of one (any
-other batch is a ValidationError naming S), and returns a
-core.Permutation, the one-story public type.
+only.
+
+ensemble_sort takes any data.Stories batch and votes over it in passes of
+at most CHUNK_FLOATS // n² stories, so that no pass's vote stack outgrows
+core.CHUNK_FLOATS: each member's top_permutations of the pass, joined on
+the candidate axis, then one accumulate_votes and one decode_votes. Row s
+of its result equals the vote over stories[s] alone. The result, a
+Consensus, holds the batch's (S, n) rows; its positions reads the order of
+a batch of one story, as Stories.story_id reads one story's id, so that
+one-story callers keep the Permutation.positions they read before
+ensemble_sort took batches. positions of any other batch is a
+ValidationError naming S.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import models
 from .assign import hungarian_max
-from .core import Permutation, is_permutation
+from .core import CHUNK_FLOATS, is_permutation
 from .data import Stories, one_story
 from .errors import DimensionError, EmptyInputError, MemberError, SizeError, ValidationError
 
@@ -74,24 +84,52 @@ def decode_votes(v) -> np.ndarray:
     return hungarian_max(a)
 
 
-def ensemble_sort(members: Sequence[models.AnyModel], story: Stories,
-                  k: int | None = None) -> Permutation:
-    """Pool each member's top-k candidates for a batch of one story, tally votes, decode
-    the consensus; k defaults to top_k(n), and k >= n! raises SizeError."""
+@dataclass(frozen=True, eq=False)
+class Consensus:
+    """ensemble_sort's result: rows[s] is the consensus order of story s, a read-only
+    (S, n) intp array."""
+
+    rows: np.ndarray
+
+    @property
+    def positions(self) -> tuple[int, ...]:
+        """The order of a batch of one story; any other batch is a ValidationError."""
+        (row,) = one_story(self.rows, "ensemble_sort").tolist()
+        return tuple(row)
+
+
+def ensemble_sort(members: Sequence[models.AnyModel], stories: Stories,
+                  k: int | None = None) -> Consensus:
+    """Pool each member's top-k candidates for every story of a batch, tally votes, and
+    decode each story's consensus, CHUNK_FLOATS // n² stories (at least one) a pass.
+
+    k defaults to top_k(n), and k >= n! raises SizeError; no stories give (0, n)
+    rows whatever k. A member that fails raises MemberError naming it.
+    """
     if not members:
         raise EmptyInputError("ensemble requires at least one member")
-    one_story(story, "ensemble_sort")
-    if k is None:
-        k = top_k(story.n)
-    check_k(story.n, k)
+    if stories:
+        k = top_k(stories.n) if k is None else k
+        check_k(stories.n, k)
+        per_pass = max(1, CHUNK_FLOATS // stories.n**2)
+        rows = np.concatenate([_vote(members, stories[start:start + per_pass], k)
+                               for start in range(0, len(stories), per_pass)])
+    else:
+        rows = np.empty((0, stories.n), dtype=np.intp)
+    rows.flags.writeable = False
+    return Consensus(rows)
+
+
+def _vote(members: Sequence[models.AnyModel], stories: Stories, k: int) -> np.ndarray:
+    """The (S, n) consensus rows of one pass: one vote stack, decoded in one call."""
     candidates = []
     for idx, member in enumerate(members):
         try:
-            candidates.append(models.top_permutations(member, story, k))
+            candidates.append(models.top_permutations(member, stories, k))
         except Exception as e:
+            ids = stories.story_ids
+            where = f"story {ids[0]}" if len(ids) == 1 else f"stories {ids[0]} to {ids[-1]}"
             raise MemberError(
-                f"member {idx} ({type(member).__name__}) failed on story "
-                f"{story.story_id}: {e}"
+                f"member {idx} ({type(member).__name__}) failed on {where}: {e}", idx
             ) from e
-    (order,) = decode_votes(accumulate_votes(np.concatenate(candidates, axis=1)))
-    return Permutation(tuple(order))
+    return decode_votes(accumulate_votes(np.concatenate(candidates, axis=1)))

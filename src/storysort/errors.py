@@ -51,7 +51,11 @@ class NumericError(StorySortError, ArithmeticError):
 
 
 class MemberError(StorySortError, RuntimeError):
-    """An ensemble member failed; the message names the member."""
+    """An ensemble member failed; the message names the member, and member is its index."""
+
+    def __init__(self, message: str, member: int) -> None:
+        super().__init__(message)
+        self.member = member
 
 
 class UsageError(StorySortError):

@@ -1477,3 +1477,40 @@ class TestInputsTheModelsCannotUse:
         assert one_error_line(capsys) == (
             f"error: --topk {topk}: k={topk} out of range for n=5")
         assert not pred.exists()
+
+
+class TestCheckpointThatCannotSort:
+    """A checkpoint's weights are finite, but its forward pass can still overflow. sort
+    then names the checkpoint in one line, alone or as an ensemble member, exit 1, and
+    writes no --out file."""
+
+    @staticmethod
+    def overflowing(ckpt, out):
+        """ckpt with its first and last weight matrices scaled by 1e308, clipped to finite
+        values."""
+        payload = json.loads(ckpt.read_text())
+        top = np.finfo(float).max
+        for layer in (0, -1):
+            w = np.frombuffer(base64.b64decode(payload["weights"][layer]), dtype="<f8")
+            with np.errstate(over="ignore"):
+                scaled = np.clip(w * 1e308, -top, top)
+            payload["weights"][layer] = base64.b64encode(scaled.astype("<f8").tobytes()).decode()
+        out.write_text(json.dumps(payload), encoding="utf-8")
+        return out
+
+    @pytest.mark.parametrize("members,culprit", [
+        (("unary",), 0), (("pairwise",), 0), (("npe",), 0),
+        (("unary", "pairwise"), 1), (("pairwise", "npe", "unary"), 0),
+    ], ids=["unary", "pairwise", "npe", "member_1", "member_0_of_3"])
+    def test_one_line_names_the_checkpoint(self, trained, tmp_path, capsys, members, culprit):
+        data, ckpts = trained
+        paths = [ckpts[m] for m in members]
+        paths[culprit] = self.overflowing(paths[culprit], tmp_path / "overflow.json")
+        pred = tmp_path / "pred.jsonl"
+        capsys.readouterr()
+        assert run(["sort", *[a for p in paths for a in ("--ckpt", str(p))],
+                    "--data", str(data), "--out", str(pred)]) == 1
+        assert one_error_line(capsys) == (
+            f"error: --ckpt {paths[culprit]} cannot sort --data {data}: score matrix contains "
+            f"non-finite entries")
+        assert not pred.exists()

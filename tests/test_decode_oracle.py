@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from storysort import core
 from storysort.assign import topk_assignments
 from storysort.errors import SizeError
 from storysort.pairwise import decode_pairwise, rank_permutations
@@ -149,3 +150,51 @@ def test_pair_decoders_rank_by_exact_totals(entries, n):
     for s, oracle in zip(stack, oracles):
         for k in (1, 3):
             assert as_tuples(rank_permutations(s[None], k)) == oracle[:k]
+
+
+def float_tied_swap(n, pair):
+    """A matrix whose two best orders, the identity and the swap of its last two elements,
+    have equal float totals though the swap wins by an exact 2·eps; every other order is
+    far below, so a ranking by float totals alone puts the identity, the lower row, first."""
+    eps = np.finfo(float).eps
+    if pair:
+        a = np.triu(np.ones((n, n)), 1)
+        a[n - 2, n - 1] = -eps
+    else:
+        a = np.eye(n)
+        a[n - 2, n - 1] = a[n - 1, n - 2] = 1 + eps
+    return a
+
+
+@pytest.mark.parametrize("pair", [True, False], ids=["pair", "additive"])
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("k", [2, 3])
+def test_one_stack_of_separated_near_tied_and_tied_matrices(monkeypatch, pair, n, k):
+    # rank_orders settles a matrix whose k best float totals are each more than the error
+    # bound apart in one sort across the stack, and ranks only the others exactly, one at
+    # a time: on a stack that mixes both kinds, each list must still be that matrix's own
+    rng = np.random.default_rng(10 * n + k)
+    stack = np.concatenate([
+        rng.standard_normal((6, n, n)),  # separated
+        rng.choice(TENTHS, size=(6, n, n)),  # float totals of tenths round: near ties
+        rng.integers(-1, 2, size=(6, n, n)).astype(np.float64),  # exact ties
+        np.zeros((1, n, n)),  # every order tied
+        float_tied_swap(n, pair)[None],
+    ])
+    rng.shuffle(stack)
+    if pair:
+        stack[:, range(n), range(n)] = 0.0
+    exact_calls, exact_ints = [], core.exact_ints
+    monkeypatch.setattr(core, "exact_ints", lambda a: exact_calls.append(1) or exact_ints(a))
+    ranked = core.rank_orders(stack, k, pair)
+    assert 0 < len(exact_calls) < len(stack)  # both paths ran
+    for s, orders in zip(stack, ranked):
+        assert np.array_equal(orders, core.rank_orders(s[None], k, pair)[0])
+        exact = [[Fraction(float(x)) for x in row] for row in s]
+        if pair:
+            oracle = exact_ranking(n, lambda pos: sum(
+                exact[i][j] - exact[j][i] if pos[i] < pos[j] else exact[j][i] - exact[i][j]
+                for i in range(n) for j in range(i + 1, n)))
+        else:
+            oracle = exact_ranking(n, lambda pos: sum(exact[i][pos[i]] for i in range(n)))
+        assert list(map(tuple, orders.tolist())) == oracle[:k]

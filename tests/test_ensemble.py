@@ -1,9 +1,12 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
-from storysort import npe as npe_mod, pairwise as pairwise_mod, unary as unary_mod
+from storysort import ensemble, npe as npe_mod, pairwise as pairwise_mod, unary as unary_mod
 from storysort.core import Permutation
-from storysort.data import presented_gold, split_dataset
+from storysort.data import SyntheticSpec, generate_synthetic, presented_gold, split_dataset
 from storysort.ensemble import (
     accumulate_votes,
     decode_votes,
@@ -18,7 +21,7 @@ from storysort.errors import (
 )
 from storysort.models import top_permutations
 from storysort.neural import TrainConfig
-from storysort.npe import train_npe
+from storysort.npe import npe_scores, train_npe
 from storysort.pairwise import train_pairwise
 from storysort.unary import predict as predict_unary, train_unary
 from conftest import additive_score, enumerate_permutations, identity, make_story
@@ -185,7 +188,8 @@ class TestEnsembleSort:
         unary, pair, npe = models
         batch = tiny_clean_dataset[:count]
         call = {
-            "ensemble_sort": lambda: ensemble_sort([unary, pair], batch),
+            # ensemble_sort takes any batch; the result's one-story order refuses it
+            "ensemble_sort": lambda: ensemble_sort([unary, pair], batch).positions,
             "unary.predict": lambda: unary_mod.predict(unary, batch),
             "pairwise.predict": lambda: pairwise_mod.predict(pair, batch),
             "npe.predict": lambda: npe_mod.predict(npe, batch),
@@ -205,7 +209,8 @@ class TestEnsembleSort:
         unary = train_unary(story, TrainConfig(learning_rate=0.1, epochs=2, batch_size=2))
         own = predict_unary(unary, story)
         assert own != Permutation(identity(2))
-        assert ensemble_sort([unary], story) == ensemble_sort([unary, unary], story) == own
+        assert (ensemble_sort([unary], story).positions
+                == ensemble_sort([unary, unary], story).positions == own.positions)
         with pytest.raises(SizeError, match="k=3 out of range for n=2"):
             ensemble_sort([unary], story, k=3)
 
@@ -225,3 +230,64 @@ class TestEnsembleSort:
     def test_unknown_member_type(self, tiny_clean_dataset):
         with pytest.raises(ValidationError):
             top_permutations(object(), tiny_clean_dataset[0], 3)
+
+
+@functools.cache
+def noisy_members(n):
+    """Noise-1.0 stories of n elements and three members trained on them: unary, pairwise,
+    and an under-trained NPE (one epoch, two hidden units, one embedding coordinate) whose
+    ReLU ties many pairs, so its top-k lists take rank_orders' exact path."""
+    stories = generate_synthetic(SyntheticSpec(story_count=24, n=n, text_dim=6, image_dim=3,
+                                               noise_sigma=1.0, seed=n))
+    cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=16, seed=0)
+    npe = train_npe(stories, TrainConfig(learning_rate=0.0025, epochs=1, batch_size=16, seed=0),
+                    hidden_units=2, embed_dim=1)
+    return stories, (train_unary(stories, cfg), train_pairwise(stories, cfg), npe)
+
+
+class TestEnsembleSortOnABatch:
+    @pytest.mark.parametrize("n,k", [(2, None), (5, 1), (5, 3), (5, None), (7, 1), (7, None)])
+    def test_row_s_is_the_vote_over_story_s_alone(self, n, k):
+        stories, members = noisy_members(n)
+        a = npe_scores(members[2], stories)  # the NPE member ties a pair in 8 stories or more
+        assert (a == a.transpose(0, 2, 1))[:, ~np.eye(n, dtype=bool)].any(axis=1).sum() >= 8
+        rows = ensemble_sort(members, stories, k).rows
+        assert rows.shape == (len(stories), n) and rows.dtype == np.intp
+        assert not rows.flags.writeable
+        assert rows.tolist() == [list(ensemble_sort(members, story, k).positions)
+                                 for story in stories]
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_a_batch_split_over_several_passes(self, monkeypatch, n):
+        stories, members = noisy_members(n)
+        expected = ensemble_sort(members, stories).rows
+        stacks, accumulate = [], ensemble.accumulate_votes
+
+        def recorded(candidates):
+            votes = accumulate(candidates)
+            stacks.append(votes.size)
+            return votes
+
+        monkeypatch.setattr(ensemble, "accumulate_votes", recorded)
+        monkeypatch.setattr(ensemble, "CHUNK_FLOATS", 5 * n * n)  # 5 stories a pass
+        assert np.array_equal(ensemble_sort(members, stories).rows, expected)
+        assert stacks == [5 * n * n] * 4 + [4 * n * n]
+
+    def test_no_stories_give_no_rows_whatever_k(self, models, tiny_clean_dataset):
+        for k in (None, 0, 120):
+            rows = ensemble_sort(list(models), tiny_clean_dataset[:0], k).rows
+            assert rows.shape == (0, 5) and rows.dtype == np.intp
+
+    def test_member_failure_on_a_batch_names_the_member(self):
+        stories, (unary, pair, _) = noisy_members(5)
+        first, last = pair.mlp.weights[0], pair.mlp.weights[-1]
+        with np.errstate(over="ignore"):
+            scaled = [np.clip(w * 1e308, -np.finfo(float).max, np.finfo(float).max)
+                      for w in (first, last)]
+        broken = dataclasses.replace(pair, mlp=dataclasses.replace(
+            pair.mlp, weights=[scaled[0], *pair.mlp.weights[1:-1], scaled[1]]))
+        with pytest.raises(MemberError) as e, np.errstate(all="ignore"):
+            ensemble_sort([unary, broken], stories[:10])
+        assert e.value.member == 1
+        assert str(e.value) == ("member 1 (PairwiseModel) failed on stories story-00000 to "
+                                "story-00009: score matrix contains non-finite entries")
