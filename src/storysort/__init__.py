@@ -36,7 +36,7 @@ def _load_numpy_on_one_blas_thread() -> None:
 _load_numpy_on_one_blas_thread()
 
 from .assign import hungarian_max, topk_assignments
-from .core import Permutation, random_permutation
+from .core import random_permutation
 from .data import (
     Stories,
     SyntheticSpec,

@@ -98,13 +98,18 @@ and no --out file: an explicit --topk of n! or more is ``error: --topk
 <k>: k=<k> out of range for n=<n>``, and a checkpoint that cannot score
 the first story of --data (a unary model of another n, other feature
 widths, or image features the stories lack) is ``error: --ckpt <path>
-cannot score --data <path>: <reason>``. Likewise train --use-image on
-stories without image features is ``error: --use-image: --data <path>:
-<reason>`` before any model is built. A checkpoint that passes these
-checks can still fail while sort decodes, as when its forward pass
-overflows to non-finite scores; that is ``error: --ckpt <path> cannot
-sort --data <path>: <reason>``, naming the one checkpoint or the failing
-ensemble member, exit 1 and no --out file.
+cannot score --data <path>: <reason>``. A checkpoint whose decoding is
+capped below --data's n (pair scores, or any member's top-k list, beyond
+n = 8) is ``error: --ckpt <path> cannot sort --data <path>: <reason>``.
+Likewise train --use-image on stories without image features is ``error:
+--use-image: --data <path>: <reason>`` before any model is built, and
+train of a kind whose decoding is capped below the n of --data or --val
+is ``error: --data <path>: <reason>`` or ``error: --val <path>:
+<reason>``, naming the file over the cap, before training. A checkpoint
+that passes these checks can still fail while sort decodes, as when its
+forward pass overflows to non-finite scores; that is ``error: --ckpt
+<path> cannot sort --data <path>: <reason>``, naming the one checkpoint
+or the failing ensemble member, exit 1 and no --out file.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 """
@@ -357,8 +362,12 @@ def cmd_train(args: argparse.Namespace) -> int:
                 )
     # the val report decodes every validation story, and sort will decode stories of
     # --data's n, so both size limits are checked before training
-    for n in {train_stories.n, val_stories.n}:
-        models_mod.check_decodable(spec, n)
+    val_source = f"--data {data_path}" if args.val is None else f"--val {args.val}"
+    for source, n in ((f"--data {data_path}", train_stories.n), (val_source, val_stories.n)):
+        try:
+            models_mod.check_decodable(spec, n)
+        except SizeError as e:
+            raise SizeError(f"{source}: {e}") from e
     diverged = f"training diverged: the {args.model} model"
     try:
         model = spec.module.train(
@@ -420,7 +429,10 @@ def cmd_sort(args: argparse.Namespace) -> int:
             except SizeError as e:
                 raise SizeError(f"--topk {args.topk}: {e}") from e
         for path, model, spec in zip(ckpt_paths, models, specs):
-            models_mod.check_decodable(spec, stories.n, topk)
+            try:
+                models_mod.check_decodable(spec, stories.n, topk)
+            except SizeError as e:
+                raise SizeError(f"--ckpt {path} cannot sort --data {args.data}: {e}") from e
             try:
                 spec.module.scores(model, stories[:1])
             except (DimensionError, FeatureError) as e:

@@ -1,21 +1,19 @@
 """Orders, the one ranker of permutation-table rows, and the one JSON parse and field checks.
 
 Positions are 0-based everywhere. An order maps element index i to the
-position ``order[i]``. Inside the pipeline an order is an integer row, and
-a batch of S orders of n elements is an (S, n) intp array, from the
-decoders to the metrics; is_permutation checks such rows, one bool per
-row. Permutation is the one-story public type, built only where one of
-the three one-story module predicts returns (ensemble_sort returns a
-batch's rows, and reads one story's from them). The permutation table holds
-all n! orders of n elements, and rank_orders is the one function that
-ranks its rows, for additive (unary) and pair (pairwise, NPE) scores
-alike: by exact total, ties going to the lowest row, which is the
-lexicographically smallest positions tuple. rank_orders is also the one
-function that sizes an array n! wide, its table of order values, so it
-bounds that table itself: it ranks at most CHUNK_FLOATS // n! matrices
-(at least one) per pass, and a larger stack in several passes. Callers
-may hand it a stack of any length. All operations here are pure, and
-every source of randomness is an explicitly seeded generator.
+position ``order[i]``. An order is an integer row, and a batch of S orders
+of n elements is an (S, n) intp array, from the decoders to the metrics and
+to the library's result type, data.Orders; is_permutation checks such
+rows, one bool per row. The permutation table holds all n! orders of n
+elements, and rank_orders is the one function that ranks its rows, for
+additive (unary) and pair (pairwise, NPE) scores alike: by exact total,
+ties going to the lowest row, which is the lexicographically smallest
+positions tuple. rank_orders is also the one function that sizes an array
+n! wide, its table of order values, so it bounds that table itself: it
+ranks at most CHUNK_FLOATS // n! matrices (at least one) per pass, and a
+larger stack in several passes. Callers may hand it a stack of any
+length. All operations here are pure, and every source of randomness is
+an explicitly seeded generator.
 
 Every file of JSON (a dataset or predictions line, a checkpoint) is parsed by
 parse_json, which owns its two error lines. Float arrays on disk are float
@@ -30,11 +28,10 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationCapError, ParseError, SizeError, ValidationError
+from .errors import EnumerationCapError, ParseError, SizeError
 
 MIN_N = 2
 MAX_N = 16
@@ -58,22 +55,6 @@ def is_permutation(rows) -> np.ndarray:
     """Whether each row of an (..., n) array is a permutation of 0..n-1, as a bool per row."""
     rows = np.asarray(rows)
     return (np.sort(rows, axis=-1) == np.arange(rows.shape[-1])).all(axis=-1)
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """One story's order: positions[i] is where element i goes."""
-
-    positions: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        pos = tuple(int(p) for p in self.positions)
-        object.__setattr__(self, "positions", pos)
-        n = len(pos)
-        if not MIN_N <= n <= MAX_N:
-            raise SizeError(f"permutation length must be in [{MIN_N}, {MAX_N}], got {n}")
-        if not is_permutation(pos):
-            raise ValidationError(f"positions {pos} are not a bijection on 0..{n - 1}")
 
 
 def check_enumeration_cap(n: int) -> None:
@@ -149,10 +130,11 @@ def rank_orders(a: np.ndarray, k: int, pair: bool) -> np.ndarray:
     entries rather than their rounded differences; ties go to the lowest
     row. Only rows whose float total lies within the error bound of the k-th
     are re-ranked exactly. A story costs no Python work when it has exactly
-    k such rows, each more than the bound from the next (at k = 1, one
-    row): their float totals rank as the exact ones do, so one stable sort
-    over the stack ranks them. Only the other stories, near ties, more than
-    k rows near the k-th, or totals that overflow, are ranked one at a time.
+    k such rows, each more than the bound from the next (at k = 1, one row,
+    the argmax): their float totals rank as the exact ones do, so one
+    stable sort over the stack ranks them, whatever k. Only the other
+    stories, near ties, more than k rows near the k-th, or totals that
+    overflow, are ranked one at a time.
     At most CHUNK_FLOATS // n! matrices (at least one) are ranked per pass,
     so no table of order values outgrows CHUNK_FLOATS.
     permutation_table raises EnumerationCapError beyond MAX_ENUMERATION_N.
@@ -172,25 +154,20 @@ def rank_orders(a: np.ndarray, k: int, pair: bool) -> np.ndarray:
         # the k-th float total, and float totals more than err apart rank as exact ones do
         bound = 2 * m * (m + 1) * np.finfo(float).eps * np.abs(a).max(axis=(1, 2))
         err = np.where(np.isfinite(values).all(axis=1), bound, np.inf)  # overflow: no bound
-        kth = values.max(axis=1) if k == 1 else np.partition(values, -k, axis=1)[:, -k]
+        kth = np.partition(values, -k, axis=1)[:, -k]
         near = ~(values < (kth - err)[:, None])
     ranked = np.empty((len(a), k), dtype=np.intp)
-    count = near.sum(axis=1)
-    if k == 1:
-        ranked[:, 0] = values.argmax(axis=1)  # the whole list where only one row is near
-        rest = count > 1
-    else:
-        # a story with exactly k near rows, each more than err from the next, ranks
-        # them by float total: one stable sort of those k values across the stack
-        settled = np.flatnonzero(count == k)
-        rows = np.nonzero(near[settled])[1].reshape(-1, k)
-        top = np.take_along_axis(values[settled], rows, axis=1)
-        by_value = np.argsort(-top, axis=1, kind="stable")
-        top = np.take_along_axis(top, by_value, axis=1)
-        separated = (-np.diff(top, axis=1) > err[settled, None]).all(axis=1)
-        ranked[settled[separated]] = np.take_along_axis(rows, by_value, axis=1)[separated]
-        rest = np.ones(len(a), dtype=bool)
-        rest[settled[separated]] = False
+    # a story with exactly k near rows, each more than err from the next, ranks them by
+    # float total: one stable sort of those k values across the stack
+    settled = np.flatnonzero(near.sum(axis=1) == k)
+    rows = np.nonzero(near[settled])[1].reshape(-1, k)
+    top = np.take_along_axis(values[settled], rows, axis=1)
+    by_value = np.argsort(-top, axis=1, kind="stable")
+    top = np.take_along_axis(top, by_value, axis=1)
+    separated = (-np.diff(top, axis=1) > err[settled, None]).all(axis=1)
+    ranked[settled[separated]] = np.take_along_axis(rows, by_value, axis=1)[separated]
+    rest = np.ones(len(a), dtype=bool)
+    rest[settled[separated]] = False
     for s in np.flatnonzero(rest):
         rows = np.flatnonzero(near[s])
         rows = rows[np.argsort(-values[s, rows], kind="stable")]

@@ -11,7 +11,11 @@ gold order through gold_features, and presented_gold gives the (S, n)
 orders models must recover. The constructor checks every story once, as
 array operations, so stories share n and feature dims by construction. A
 slice or index array of a batch is a batch of rows already checked, and
-is not checked again; a story is a batch of one.
+is not checked again; a story is a batch of one. Orders is the one type
+the library's sorting entry points (each module's predict and
+ensemble_sort) return: a batch's read-only (S, n) intp order rows, whose
+positions reads the order of a batch of one story, as Stories.story_id
+reads its id; one_story is the check of both.
 
 Datasets are line-delimited JSON, one story per "\n"-ended line, so line
 tools split and join them; lines of ASCII whitespace are skipped, as in
@@ -165,6 +169,23 @@ def one_story(batch: Batch, caller: str) -> Batch:
     if len(batch) != 1:
         raise ValidationError(f"{caller} needs a batch of one story, got S = {len(batch)}")
     return batch
+
+
+@dataclass(frozen=True, eq=False)
+class Orders:
+    """The orders a library entry point returns: rows[s] is the order of story s, in an
+    (S, n) intp array that the constructor makes read-only."""
+
+    rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        _read_only(self.rows)
+
+    @property
+    def positions(self) -> tuple[int, ...]:
+        """The order of a batch of one story, as Stories.story_id reads its id."""
+        (row,) = one_story(self.rows, "Orders.positions").tolist()
+        return tuple(row)
 
 
 def _feature_stack(stories: Stories, use_image: bool, positions: np.ndarray) -> np.ndarray:

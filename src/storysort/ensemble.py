@@ -17,19 +17,14 @@ only.
 ensemble_sort takes any data.Stories batch and votes over it in passes of
 at most CHUNK_FLOATS // n² stories, so that no pass's vote stack outgrows
 core.CHUNK_FLOATS: each member's top_permutations of the pass, joined on
-the candidate axis, then one accumulate_votes and one decode_votes. Row s
-of its result equals the vote over stories[s] alone. The result, a
-Consensus, holds the batch's (S, n) rows; its positions reads the order of
-a batch of one story, as Stories.story_id reads one story's id, so that
-one-story callers keep the Permutation.positions they read before
-ensemble_sort took batches. positions of any other batch is a
-ValidationError naming S.
+the candidate axis, then one accumulate_votes and one decode_votes. It
+returns the batch's data.Orders, whose row s equals the vote over
+stories[s] alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +32,7 @@ import numpy as np
 from . import models
 from .assign import hungarian_max
 from .core import CHUNK_FLOATS, is_permutation
-from .data import Stories, one_story
+from .data import Orders, Stories
 from .errors import DimensionError, EmptyInputError, MemberError, SizeError, ValidationError
 
 DEFAULT_TOP_K = 3
@@ -84,22 +79,8 @@ def decode_votes(v) -> np.ndarray:
     return hungarian_max(a)
 
 
-@dataclass(frozen=True, eq=False)
-class Consensus:
-    """ensemble_sort's result: rows[s] is the consensus order of story s, a read-only
-    (S, n) intp array."""
-
-    rows: np.ndarray
-
-    @property
-    def positions(self) -> tuple[int, ...]:
-        """The order of a batch of one story; any other batch is a ValidationError."""
-        (row,) = one_story(self.rows, "ensemble_sort").tolist()
-        return tuple(row)
-
-
 def ensemble_sort(members: Sequence[models.AnyModel], stories: Stories,
-                  k: int | None = None) -> Consensus:
+                  k: int | None = None) -> Orders:
     """Pool each member's top-k candidates for every story of a batch, tally votes, and
     decode each story's consensus, CHUNK_FLOATS // n² stories (at least one) a pass.
 
@@ -116,8 +97,7 @@ def ensemble_sort(members: Sequence[models.AnyModel], stories: Stories,
                                for start in range(0, len(stories), per_pass)])
     else:
         rows = np.empty((0, stories.n), dtype=np.intp)
-    rows.flags.writeable = False
-    return Consensus(rows)
+    return Orders(rows)
 
 
 def _vote(members: Sequence[models.AnyModel], stories: Stories, k: int) -> np.ndarray:

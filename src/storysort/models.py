@@ -25,8 +25,8 @@ bounds its own table of n! order values. predict_stories decodes each
 slice's stack in one call, into one (S, n) intp array of orders;
 top_permutations ranks each slice's stack into the batch's (S, k, n)
 best orders. A story is a batch of one: a module's ``predict``
-passes it to the same scorers and decoders and returns a
-core.Permutation, the one-story public type.
+passes it to the same scorers and decoders and returns its
+data.Orders, the one result type of the library's sorting entry points.
 
 This module also owns the checkpoint file: save_model and load_model
 write and read one JSON object of model_kind, the kind's fields (in the

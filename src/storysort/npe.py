@@ -16,7 +16,7 @@ npe_scores runs over a data.Stories batch of S stories at once: one
 forward pass embeds every presented element, and the penalties of all
 ordered pairs form an (S, n, n) stack, each matrix bit-identical to
 scoring its story alone. A story is a batch of one: predict takes one and
-returns a core.Permutation. The training loss, order_loss, is the same
+returns its data.Orders. The training loss, order_loss, is the same
 penalty summed over each story's gold-ordered pairs: order_margins serves
 both, so scoring and training cannot drift apart.
 """
@@ -29,8 +29,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import neural, pairwise
-from .core import Permutation
-from .data import Stories, gold_features, one_story, presented_features
+from .data import Orders, Stories, gold_features, one_story, presented_features
 from .errors import ValidationError
 from .neural import EpochLog, MlpParams, TrainConfig
 
@@ -115,9 +114,8 @@ def npe_scores(model: NpeModel, stories: Stories) -> np.ndarray:
     return s
 
 
-def predict(model: NpeModel, story: Stories) -> Permutation:
-    (order,) = pairwise.decode_pairwise(npe_scores(model, one_story(story, "npe.predict")))
-    return Permutation(tuple(order))
+def predict(model: NpeModel, story: Stories) -> Orders:
+    return Orders(pairwise.decode_pairwise(npe_scores(model, one_story(story, "npe.predict"))))
 
 
 def train_npe(

@@ -25,8 +25,8 @@ alone. decode_pairwise and rank_permutations take that stack.
 decode_pairwise gives the (S, n) intp array of best orders: the certified
 stories' from one pass of win counts, the rest from one rank_orders call.
 rank_permutations gives the (S, k, n) k-best lists, always from
-rank_orders. A story is a batch of one: predict takes one and returns a
-core.Permutation.
+rank_orders. A story is a batch of one: predict takes one and returns its
+data.Orders.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ import numpy as np
 
 from . import neural
 from .assign import check_score_matrix
-from .core import Permutation, check_enumeration_cap, rank_orders
-from .data import Stories, gold_features, one_story, presented_features
+from .core import check_enumeration_cap, rank_orders
+from .data import Orders, Stories, gold_features, one_story, presented_features
 from .errors import ValidationError
 from .neural import EpochLog, MlpParams, TrainConfig
 
@@ -156,9 +156,8 @@ def decode_pairwise(s) -> np.ndarray:
     return orders
 
 
-def predict(model: PairwiseModel, story: Stories) -> Permutation:
-    (order,) = decode_pairwise(pair_scores(model, one_story(story, "pairwise.predict")))
-    return Permutation(tuple(order))
+def predict(model: PairwiseModel, story: Stories) -> Orders:
+    return Orders(decode_pairwise(pair_scores(model, one_story(story, "pairwise.predict"))))
 
 
 def hinge(out: np.ndarray, labels: np.ndarray, margin: float) -> tuple[float, np.ndarray]:

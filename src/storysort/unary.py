@@ -15,7 +15,7 @@ probability matrices, each bit-identical to scoring its story alone.
 Decoding is one hungarian_max call per stack, which solves its matrices
 together, and decode_unary returns the orders as an (S, n) intp array,
 each row the order its story decodes to alone. A story is a batch of one:
-predict takes one and returns a core.Permutation.
+predict takes one and returns its data.Orders.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ import numpy as np
 
 from . import neural
 from .assign import hungarian_max
-from .core import Permutation
-from .data import Stories, gold_features, one_story, presented_features
+from .data import Orders, Stories, gold_features, one_story, presented_features
 from .errors import DimensionError, ValidationError
 from .neural import EpochLog, MlpParams, TrainConfig
 
@@ -76,9 +75,8 @@ def decode_unary(probs) -> np.ndarray:
     return hungarian_max(probs)
 
 
-def predict(model: UnaryModel, story: Stories) -> Permutation:
-    (order,) = decode_unary(position_probs(model, one_story(story, "unary.predict")))
-    return Permutation(tuple(order))
+def predict(model: UnaryModel, story: Stories) -> Orders:
+    return Orders(decode_unary(position_probs(model, one_story(story, "unary.predict"))))
 
 
 @lru_cache(maxsize=8)

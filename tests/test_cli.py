@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from storysort import assign, cli, neural
 from storysort import data as data_mod
-from storysort.core import Permutation
+from storysort.core import is_permutation
 from storysort.data import load_dataset, presented_gold
 from storysort.models import REGISTRY
 
@@ -387,8 +387,7 @@ class TestSortAndEval:
         stories = load_dataset(dataset)
         lines = [json.loads(l) for l in pred.read_text().splitlines()]
         assert len(lines) == len(stories)
-        for record in lines:
-            Permutation(tuple(record["predicted_order"]))  # validates bijection
+        assert is_permutation([record["predicted_order"] for record in lines]).all()
 
     def test_ensemble_path_with_two_checkpoints(self, dataset, tmp_path, checkpoints):
         pred = tmp_path / "pred.jsonl"
@@ -729,12 +728,25 @@ class TestDecodeLimits:
         assert run(gen_args(out, stories=6, extra=["--n", "10"])) == 0
         return out
 
+    # each refusal names the flag and file whose n is over the cap
     @pytest.mark.parametrize("model", ["pairwise", "npe"])
     def test_train_pair_model_beyond_cap(self, data_n10, tmp_path, capsys, model):
         out = tmp_path / f"{model}.json"
         capsys.readouterr()
         assert run(train_args(data_n10, out, model=model)) == 1
-        assert "capped at n <= 8" in one_error_line(capsys)
+        assert one_error_line(capsys) == (f"error: --data {data_n10}: {model}: pair-score "
+                                          f"decoding is capped at n <= 8, got n=10")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["pairwise", "npe"])
+    def test_train_pair_model_val_beyond_cap(self, trained, data_n10, tmp_path, capsys,
+                                             model):
+        data, _ = trained
+        out = tmp_path / f"{model}.json"
+        capsys.readouterr()
+        assert run(train_args(data, out, model=model, extra=["--val", str(data_n10)])) == 1
+        assert one_error_line(capsys) == (f"error: --val {data_n10}: {model}: pair-score "
+                                          f"decoding is capped at n <= 8, got n=10")
         assert not out.exists()
 
     @pytest.mark.parametrize("model", ["pairwise", "npe"])
@@ -744,7 +756,9 @@ class TestDecodeLimits:
         capsys.readouterr()
         assert run(["sort", "--ckpt", str(ckpts[model]), "--data", str(data_n10),
                     "--out", str(pred)]) == 1
-        assert "capped at n <= 8" in one_error_line(capsys)
+        assert one_error_line(capsys) == (
+            f"error: --ckpt {ckpts[model]} cannot sort --data {data_n10}: {model}: "
+            f"pair-score decoding is capped at n <= 8, got n=10")
         assert not pred.exists()
 
     def test_ensemble_top_k_beyond_cap(self, data_n10, tmp_path, capsys):
@@ -754,7 +768,22 @@ class TestDecodeLimits:
         capsys.readouterr()
         assert run(["sort", "--ckpt", str(ckpt), "--ckpt", str(ckpt),
                     "--data", str(data_n10), "--out", str(pred)]) == 1
-        assert "capped at n <= 8" in one_error_line(capsys)
+        assert one_error_line(capsys) == (
+            f"error: --ckpt {ckpt} cannot sort --data {data_n10}: unary: top-3 decoding "
+            f"is capped at n <= 8, got n=10")
+        assert not pred.exists()
+
+    def test_ensemble_names_the_first_member_beyond_cap(self, trained, data_n10, tmp_path,
+                                                        capsys):
+        # the size limit is checked before the unary member's n is
+        _, ckpts = trained
+        pred = tmp_path / "pred.jsonl"
+        capsys.readouterr()
+        assert run(["sort", "--ckpt", str(ckpts["unary"]), "--ckpt", str(ckpts["pairwise"]),
+                    "--data", str(data_n10), "--out", str(pred)]) == 1
+        assert one_error_line(capsys) == (
+            f"error: --ckpt {ckpts['unary']} cannot sort --data {data_n10}: unary: top-3 "
+            f"decoding is capped at n <= 8, got n=10")
         assert not pred.exists()
 
     @pytest.mark.parametrize("topk", [120, 121])

@@ -8,30 +8,12 @@ from hypothesis import given
 
 from storysort import core
 from storysort.core import (
-    CHUNK_FLOATS, Permutation, is_permutation, parse_json, permutation_table,
+    CHUNK_FLOATS, is_permutation, parse_json, permutation_table,
     random_permutation, rank_orders,
 )
 from storysort.data import gold_features, presented_features, presented_gold
-from storysort.errors import EnumerationCapError, ParseError, SizeError, ValidationError
+from storysort.errors import EnumerationCapError, ParseError, SizeError
 from conftest import enumerate_permutations, make_story, permutations_st
-
-
-class TestPermutationType:
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValidationError):
-            Permutation((0, 0, 1))
-        with pytest.raises(ValidationError):
-            Permutation((1, 2, 3))
-
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(SizeError):
-            Permutation((0,))
-        with pytest.raises(SizeError):
-            Permutation(tuple(range(17)))
-
-    def test_coerces_numpy_ints(self):
-        p = Permutation(tuple(np.argsort([3, 1, 2])))
-        assert p.positions == (1, 2, 0) or isinstance(p.positions[0], int)
 
 
 class TestIsPermutation:

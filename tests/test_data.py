@@ -9,6 +9,7 @@ import pytest
 
 from storysort.core import random_permutation
 from storysort.data import (
+    Orders,
     Stories,
     SyntheticSpec,
     _records,
@@ -148,6 +149,18 @@ class TestStoryInvariants:
             jumbled = dataclasses.replace(story, presented=[random_permutation(5, seed)])
             pred = presented_gold(jumbled)
             assert score_story(pred, presented_gold(jumbled)).tolist() == [[1.0, 1.0, 0.0]]
+
+
+class TestOrders:
+    """Orders, the one result type of the sorting entry points; test_ensemble.py checks
+    what each entry point returns and what positions refuses."""
+
+    def test_the_constructor_makes_rows_read_only(self):
+        rows = np.array([[1, 0, 2], [0, 2, 1]])
+        orders = Orders(rows)
+        assert orders.rows is rows and not rows.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            orders.rows = np.zeros((2, 3), dtype=np.intp)
 
 
 class TestConcatFeatures:

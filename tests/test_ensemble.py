@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from storysort import ensemble, npe as npe_mod, pairwise as pairwise_mod, unary as unary_mod
-from storysort.core import Permutation
-from storysort.data import SyntheticSpec, generate_synthetic, presented_gold, split_dataset
+from storysort.data import Orders, SyntheticSpec, generate_synthetic, presented_gold, split_dataset
 from storysort.ensemble import (
     accumulate_votes,
     decode_votes,
@@ -196,7 +195,29 @@ class TestEnsembleSort:
         }[entry]
         with pytest.raises(ValidationError) as e:
             call()
-        assert str(e.value) == f"{entry} needs a batch of one story, got S = {count}"
+        # the result type owns ensemble_sort's one-story read
+        caller = "Orders.positions" if entry == "ensemble_sort" else entry
+        assert str(e.value) == f"{caller} needs a batch of one story, got S = {count}"
+
+    @pytest.mark.parametrize("entry", [
+        "ensemble_sort", "unary.predict", "pairwise.predict", "npe.predict"])
+    def test_every_entry_point_returns_read_only_orders(self, models, tiny_clean_dataset,
+                                                        entry):
+        unary, pair, npe = models
+        story = tiny_clean_dataset[70]
+        result = {
+            "ensemble_sort": lambda: ensemble_sort([unary, pair, npe], story),
+            "unary.predict": lambda: unary_mod.predict(unary, story),
+            "pairwise.predict": lambda: pairwise_mod.predict(pair, story),
+            "npe.predict": lambda: npe_mod.predict(npe, story),
+        }[entry]()
+        assert type(result) is Orders
+        assert result.rows.shape == (1, 5) and result.rows.dtype == np.intp
+        assert not result.rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            result.rows[0, 0] = 0
+        assert result.positions == tuple(result.rows[0].tolist())
+        assert all(type(p) is int for p in result.positions)
 
     def test_empty_members(self, tiny_clean_dataset):
         with pytest.raises(EmptyInputError):
@@ -208,7 +229,7 @@ class TestEnsembleSort:
         story = make_story([1, 0], text=np.array([[0.0, 1.0], [1.0, 0.0]]))
         unary = train_unary(story, TrainConfig(learning_rate=0.1, epochs=2, batch_size=2))
         own = predict_unary(unary, story)
-        assert own != Permutation(identity(2))
+        assert own.positions != identity(2)
         assert (ensemble_sort([unary], story).positions
                 == ensemble_sort([unary, unary], story).positions == own.positions)
         with pytest.raises(SizeError, match="k=3 out of range for n=2"):
